@@ -2,7 +2,7 @@
 
 Problems are stated over complex Hermitian blocks with trace-inner-
 product constraints; the solver runs a primal-dual interior-point
-method on a real symmetric embedding and reports residual certificates.
+method directly on those blocks and reports residual certificates.
 The fidelity program max 1/2 Tr(X + X^dag) subject to
 [[rho, X], [X^dag, sigma]] >= 0 is the workhorse; here it is checked
 against the closed-form fidelity and audited independently.

@@ -48,6 +48,7 @@ from .sdp import (
     SdpBuilder,
     fidelity_sdp,
     hermitian_basis,
+    require_optimal,
     solution_diagnostics,
     solve,
 )
@@ -276,43 +277,10 @@ def _swap_operator(d: int) -> np.ndarray:
     return s
 
 
-def _swap_antisymmetric_basis(d: int) -> list:
-    """Hermitian basis of the Choi subspace flipped by swapping outputs.
-
-    Conjugation by I_B x S is an involution; its -1 Hermitian eigenspace
-    is spanned by |a><b| + |b><a| and i|a><b| - i|b><a| with a from the
-    +1 and b from the -1 eigenvectors of I_B x S.  Constraining these
-    components to zero enforces output-swap covariance of the channel.
-    """
-    plus, minus = [], []
-    for i in range(d):
-        for j in range(d):
-            vec = np.zeros(d * d, dtype=complex)
-            if i == j:
-                vec[i * d + i] = 1.0
-                plus.append(vec)
-            elif i < j:
-                vec[i * d + j] = vec[j * d + i] = 1.0 / np.sqrt(2)
-                plus.append(vec.copy())
-                anti = np.zeros(d * d, dtype=complex)
-                anti[i * d + j] = 1.0 / np.sqrt(2)
-                anti[j * d + i] = -1.0 / np.sqrt(2)
-                minus.append(anti)
-    out = []
-    for e_in in range(d):
-        base_in = np.zeros(d, dtype=complex)
-        base_in[e_in] = 1.0
-        for f_in in range(d):
-            base_f = np.zeros(d, dtype=complex)
-            base_f[f_in] = 1.0
-            for a in plus:
-                for b in minus:
-                    ka = np.kron(base_in, a)
-                    kb = np.kron(base_f, b)
-                    h = np.outer(ka, kb.conj())
-                    out.append((h + dag(h)) / np.sqrt(2))
-                    out.append((1j * h + dag(1j * h)) / np.sqrt(2))
-    return out
+def _swap_eigenspaces(d: int) -> list:
+    """Isometries onto the +1 and -1 eigenspaces of I_B x SWAP, empty omitted."""
+    vals, vecs = np.linalg.eigh(kron(np.eye(d), _swap_operator(d)))
+    return [v for v in (vecs[:, vals > 0], vecs[:, vals < 0]) if v.shape[1]]
 
 
 def f_max_broadcast(
@@ -325,9 +293,14 @@ def f_max_broadcast(
 
     Optimizes over Choi matrices of channels B -> B1 B2 that commute with
     swapping the outputs; by that symmetry both output marginals agree,
-    so the objective is F(rho_AB, Tr_B1[(id x ch)(rho_AB)]).  Returns the
-    certified optimum and an optimal channel.  A ``diagnostics`` dict, if
-    given, is filled with solver status, iterations and residuals.
+    so the objective is F(rho_AB, Tr_B1[(id x ch)(rho_AB)]).  A Choi
+    matrix commutes with I_B x SWAP exactly when it is block diagonal on
+    that operator's eigenspaces, so it is parametrized as
+    V+ X+ V+^dag + V- X- V-^dag with PSD blocks X+ and X- on the +1 and -1
+    eigenspaces (the -1 block is absent for a one-dimensional B).
+    Returns the certified optimum and an optimal channel.  A
+    ``diagnostics`` dict, if given, is filled with solver status,
+    iterations and residuals.
     """
     _require_bipartite(rho)
     d_a, d_b = rho.dims
@@ -339,14 +312,14 @@ def f_max_broadcast(
     d_out = d_b * d_b
 
     builder = SdpBuilder()
-    j_blk = builder.add_block(d_b * d_out)
+    spaces = _swap_eigenspaces(d_b)
+    blocks = [builder.add_block(v.shape[1]) for v in spaces]
     for h in hermitian_basis(d_b):
+        tp = kron(h, np.eye(d_out, dtype=complex))
         builder.add_constraint(
-            {j_blk: kron(h, np.eye(d_out, dtype=complex))},
+            {blk: dag(v) @ tp @ v for blk, v in zip(blocks, spaces)},
             float(np.trace(h).real),
         )
-    for h in _swap_antisymmetric_basis(d_b):
-        builder.add_constraint({j_blk: h}, 0.0)
 
     full_dims = (d_a, d_b, d_b)
 
@@ -363,19 +336,23 @@ def f_max_broadcast(
     expr = AffineMatrixExpr(
         side=rho.dim,
         const=np.zeros((rho.dim, rho.dim), dtype=complex),
-        terms=((j_blk, one_output),),
+        terms=tuple(
+            (blk, lambda e, v=v: one_output(v @ e @ dag(v)))
+            for blk, v in zip(blocks, spaces)
+        ),
     )
     fidelity_sdp(builder, rho.matrix, expr, sigma_support=support_bound)
 
     solution = solve(builder.build(), tol=tol, max_iters=max_iters)
     if diagnostics is not None:
         diagnostics.update(solution_diagnostics(solution))
-    if solution.status == "infeasible":
-        raise RuntimeError("broadcast SDP reported infeasible")
+    require_optimal(solution, "broadcast")
     value = float(min(max(solution.primal_value, 0.0), 1.0))
-    channel = project_to_nearest_channel(
-        solution.primal_blocks[j_blk], (d_b,), (d_b, d_b)
+    choi = sum(
+        v @ solution.primal_blocks[blk] @ dag(v)
+        for blk, v in zip(blocks, spaces)
     )
+    channel = project_to_nearest_channel(choi, (d_b,), (d_b, d_b))
     return value, channel
 
 
@@ -441,8 +418,7 @@ def f_eb_detailed(
     solution = solve(builder.build(), tol=tol, max_iters=max_iters)
     if diagnostics is not None:
         diagnostics.update(solution_diagnostics(solution))
-    if solution.status == "infeasible":
-        raise RuntimeError("EB broadcast SDP reported infeasible")
+    require_optimal(solution, "EB broadcast")
     value = float(min(max(solution.primal_value, 0.0), 1.0))
 
     lower = _measure_prepare_ascent(
@@ -512,6 +488,7 @@ def _measure_prepare_ascent(
         )
         fidelity_sdp(builder, rho.matrix, expr, sigma_support=bound)
         sol = solve(builder.build(), tol=tol, max_iters=max_iters)
+        require_optimal(sol, "measure-and-prepare preparation")
         best = max(best, float(sol.primal_value))
         preps = [
             _nearest_unit_trace_state(sol.primal_blocks[blk]) for blk in blocks
@@ -546,6 +523,7 @@ def _measure_prepare_ascent(
         )
         fidelity_sdp(builder, rho.matrix, expr, sigma_support=bound)
         sol = solve(builder.build(), tol=tol, max_iters=max_iters)
+        require_optimal(sol, "measure-and-prepare measurement")
         best = max(best, float(sol.primal_value))
         elements = [
             _nearest_psd(sol.primal_blocks[blk]) for blk in blocks

@@ -40,6 +40,7 @@ from .sdp import (
     SdpBuilder,
     fidelity_sdp,
     hermitian_basis,
+    require_optimal,
     solution_diagnostics,
     solve,
 )
@@ -177,8 +178,7 @@ def optimal_recovery_fidelity(
     solution = solve(builder.build(), tol=tol, max_iters=max_iters)
     if diagnostics is not None:
         diagnostics.update(solution_diagnostics(solution))
-    if solution.status == "infeasible":
-        raise RuntimeError("recovery SDP reported infeasible")
+    require_optimal(solution, "recovery")
     value = float(min(max(solution.primal_value, 0.0), 1.0))
     channel = project_to_nearest_channel(
         solution.primal_blocks[j_blk], (d_b,), (d_b, d_c)
@@ -245,8 +245,7 @@ def optimal_fixing_recovery_fidelity(
     )
     fidelity_sdp(builder, rho.matrix, expr, sigma_support=sigma.matrix)
     solution = solve(builder.build(), tol=tol, max_iters=max_iters)
-    if solution.status == "infeasible":
-        raise RuntimeError("sigma-fixing recovery SDP reported infeasible")
+    require_optimal(solution, "sigma-fixing recovery")
     return float(min(max(solution.primal_value, 0.0), 1.0))
 
 

@@ -6,13 +6,18 @@ Standard form over complex Hermitian PSD blocks X_k:
     subject to  sum_k <A_ik, X_k> = b_i      (i = 1..m)
                 X_k >= 0
 
-with <A, B> = Tr(A B) real for Hermitian arguments.  The problem is
-embedded into real symmetric blocks ([[Re, -Im], [Im, Re]], coefficients
-halved so objective and duals carry over), redundant constraints are
-removed, and the reduced problem is solved by a primal-dual path-following
-interior-point method with Nesterov-Todd scaling.  Instances here are
-small (block side <= ~70 real, <= ~2500 constraints), so dense linear
-algebra per iteration is the right tool.
+with <A, B> = Re Tr(A B).  ``SdpBuilder.build`` stacks the constraints
+once, into one complex (m, n_k, n_k) array per block plus the vector b;
+every constraint operation (the map X -> (<A_i, X>)_i, its adjoint, the
+Schur complement, redundancy removal, residuals) works from those stacks.
+Flattened and viewed as real pairs, a stack becomes real rows whose dot
+product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
+algebra needs neither a copy nor an embedding.  Redundant constraints are
+removed, and the reduced problem is solved by primal-dual path following
+with Nesterov-Todd scaling run directly on the Hermitian blocks, as SDPT3
+does for complex data (Toh, Todd and Tutuncu 1999).  Instances here are
+small (block side <= ~40, <= ~700 constraints), so dense linear algebra
+per iteration is the right tool.
 """
 
 from __future__ import annotations
@@ -33,32 +38,42 @@ DEFAULT_MAX_ITERS = 500
 # problem containers
 
 
+def _dag_stack(a: np.ndarray) -> np.ndarray:
+    return a.conj().transpose(0, 2, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
-    """Standard-form SDP data over complex Hermitian blocks."""
+    """Standard-form SDP data over complex Hermitian blocks.
+
+    ``stacks[k][i]`` is the coefficient of block k in constraint i (zero
+    where the constraint leaves the block out) and ``rhs[i]`` is b_i.
+    """
 
     blocks: tuple[int, ...]
     objective: tuple
-    constraints: tuple  # of (dict block -> Hermitian ndarray, float rhs)
+    stacks: tuple  # of (m, n_k, n_k) Hermitian stacks
+    rhs: np.ndarray
 
     def __post_init__(self):
-        for k, c in enumerate(self.objective):
-            if c.shape != (self.blocks[k], self.blocks[k]):
+        if not len(self.blocks) == len(self.objective) == len(self.stacks):
+            raise ValueError("blocks, objective and stacks differ in length")
+        m = self.n_constraints
+        for k, (n, c, a) in enumerate(
+            zip(self.blocks, self.objective, self.stacks)
+        ):
+            if c.shape != (n, n):
                 raise ValueError(f"objective block {k} has shape {c.shape}")
             if max_abs(c - dag(c)) > COEFF_HERM_TOL:
                 raise ValueError(f"objective block {k} is not Hermitian")
-        for i, (coeffs, _) in enumerate(self.constraints):
-            for k, a in coeffs.items():
-                if a.shape != (self.blocks[k], self.blocks[k]):
-                    raise ValueError(
-                        f"constraint {i} block {k} has shape {a.shape}"
-                    )
-                if max_abs(a - dag(a)) > COEFF_HERM_TOL:
-                    raise ValueError(f"constraint {i} block {k} not Hermitian")
+            if a.shape != (m, n, n):
+                raise ValueError(f"constraint block {k} has shape {a.shape}")
+            if max_abs(a - _dag_stack(a)) > COEFF_HERM_TOL:
+                raise ValueError(f"constraint block {k} is not Hermitian")
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self.rhs)
 
 
 @dataclass(frozen=True)
@@ -107,145 +122,133 @@ class SdpBuilder:
         self._constraints.append((clean, float(rhs)))
 
     def build(self) -> SdpProblem:
+        m = len(self._constraints)
+        stacks = [np.zeros((m, n, n), dtype=complex) for n in self._blocks]
+        for i, (coeffs, _) in enumerate(self._constraints):
+            for k, a in coeffs.items():
+                if a.shape != stacks[k].shape[1:]:
+                    raise ValueError(
+                        f"constraint {i} block {k} has shape {a.shape}"
+                    )
+                stacks[k][i] = a
+        rhs = np.array([rhs for _, rhs in self._constraints], dtype=float)
         # kill sub-tolerance Hermiticity dust before the strict validation
-        objective = tuple((c + dag(c)) / 2.0 for c in self._objective)
-        constraints = tuple(
-            ({k: (a + dag(a)) / 2.0 for k, a in coeffs.items()}, rhs)
-            for coeffs, rhs in self._constraints
-        )
-        return SdpProblem(tuple(self._blocks), objective, constraints)
+        objective = tuple(_hermitize(c) for c in self._objective)
+        stacks = tuple((a + _dag_stack(a)) / 2.0 for a in stacks)
+        return SdpProblem(tuple(self._blocks), objective, stacks, rhs)
 
 
 # ---------------------------------------------------------------------------
-# hermitian operator bases and the real embedding
+# hermitian operator basis
 
 
-def hermitian_basis(n: int) -> list:
-    """Orthonormal (Hilbert-Schmidt) basis of n x n Hermitian matrices."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of n x n Hermitian matrices.
+
+    Stacked as an (n^2, n, n) array: the diagonal units first, then for
+    each i < j the real and the imaginary off-diagonal element.
+    """
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    t = n
     for i in range(n):
         for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
+            basis[t, i, j] = basis[t, j, i] = 1.0 / np.sqrt(2)
+            basis[t + 1, i, j] = -1j / np.sqrt(2)
+            basis[t + 1, j, i] = 1j / np.sqrt(2)
+            t += 2
     return basis
 
 
-def embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]] real-symmetric image of a Hermitian matrix."""
-    re, im = h.real, h.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
-
-
-def unembed_hermitian(y: np.ndarray) -> np.ndarray:
-    """Inverse of embed_hermitian on the invariant subspace (averages)."""
-    n = y.shape[0] // 2
-    re = (y[:n, :n] + y[n:, n:]) / 2.0
-    im = (y[n:, :n] - y[:n, n:]) / 2.0
-    return re + 1j * im
-
-
-def _structure_symmetrize(y: np.ndarray) -> np.ndarray:
-    """Average with the conjugation that fixes embedded Hermitian images.
-
-    Keeps the matrix PSD and all embedded-coefficient inner products
-    unchanged, but lands it exactly on the complex-structure subspace.
-    """
-    n = y.shape[0] // 2
-    t = np.zeros_like(y)
-    t[:n, n:] = -np.eye(n)
-    t[n:, :n] = np.eye(n)
-    return (y + t @ y @ t.T) / 2.0
-
-
 # ---------------------------------------------------------------------------
-# the interior-point core (real symmetric blocks)
+# the interior-point core (complex Hermitian blocks)
 
 
-def _steplength(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still PSD (x assumed PD)."""
-    try:
-        chol = np.linalg.cholesky(x)
-    except np.linalg.LinAlgError:
+def _real_rows(stacks) -> list:
+    """Zero-copy real (m, 2 n^2) views of the stacks: row . x is Re Tr(A X)."""
+    return [a.reshape(len(a), -1).view(float) for a in stacks]
+
+
+def _a_apply(rows, xs, m: int) -> np.ndarray:
+    out = np.zeros(m)
+    for r, x in zip(rows, xs):
+        out += r @ np.ascontiguousarray(x).reshape(-1).view(float)
+    return out
+
+
+def _a_adjoint(stacks, y: np.ndarray) -> list:
+    return [np.tensordot(y, a, axes=(0, 0)) for a in stacks]
+
+
+def _inner(us, vs) -> float:
+    """sum_k Re Tr(U_k V_k) for Hermitian U_k."""
+    return float(sum(np.vdot(u, v).real for u, v in zip(us, vs)))
+
+
+def _hermitize(x: np.ndarray) -> np.ndarray:
+    return (x + dag(x)) / 2.0
+
+
+def _max_step(xs, dxs) -> float:
+    """Largest alpha with every x + alpha*dx still PSD (each x assumed PD)."""
+    alpha = np.inf
+    for x, dx in zip(xs, dxs):
         vals, vecs = np.linalg.eigh(x)
         vals = np.clip(vals, 1e-14 * max(vals.max(), 1e-300), None)
-        chol = vecs * np.sqrt(vals)
-    inner = scipy.linalg.solve_triangular(chol, dx, lower=True)
-    inner = scipy.linalg.solve_triangular(
-        chol, inner.T, lower=True
-    )
-    lam_min = float(np.linalg.eigvalsh((inner + inner.T) / 2.0)[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+        half_inv = vecs / np.sqrt(vals)
+        inner = _hermitize(dag(half_inv) @ dx @ half_inv)
+        lam_min = float(np.linalg.eigvalsh(inner)[0])
+        if lam_min < -1e-14:
+            alpha = min(alpha, -1.0 / lam_min)
+    return alpha
 
 
-class _RealSdp:
-    """Reduced real-symmetric standard-form problem and its IPM state."""
-
-    def __init__(self, blocks, c_mats, a_stacks, b):
-        self.blocks = blocks
-        self.c = c_mats
-        self.a = a_stacks  # list over blocks of (m, n, n)
-        self.b = b
-        self.m = b.size
-        self.a_flat = [a.reshape(self.m, -1) for a in a_stacks]
-
-    def a_apply(self, xs):
-        out = np.zeros(self.m)
-        for a_flat, x in zip(self.a_flat, xs):
-            out += a_flat @ x.reshape(-1)
-        return out
-
-    def a_adjoint(self, y):
-        return [
-            np.tensordot(y, a, axes=(0, 0)) for a in self.a
-        ]
-
-    def objective(self, xs) -> float:
-        return float(sum(np.tensordot(c, x) for c, x in zip(self.c, xs)))
+def _nt_scaling(x: np.ndarray, z: np.ndarray):
+    """Nesterov-Todd point W (W Z W = X) and the inverse of Z, from X, Z."""
+    sx, ux = np.linalg.eigh(x)
+    sx = np.clip(sx, 1e-300, None)
+    rx = (ux * np.sqrt(sx)) @ dag(ux)
+    sm, um = np.linalg.eigh(_hermitize(rx @ z @ rx))
+    sm = np.clip(sm, 1e-300, None)
+    w = rx @ ((um * sm ** -0.5) @ dag(um)) @ rx
+    zinv = rx @ ((um * (1.0 / sm)) @ dag(um)) @ rx
+    return w, zinv
 
 
-def _solve_real(real: _RealSdp, tol: float, max_iters: int):
-    """NT-scaled primal-dual path following.  Returns (xs, y, zs, info)."""
-    m = real.m
-    norm_b = np.linalg.norm(real.b)
-    norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in real.c))
+def _path_following(blocks, objective, stacks, b, tol, max_iters):
+    """NT-scaled primal-dual path following.
+
+    Returns (xs, y, zs, status, iterations).
+    """
+    m = b.size
+    rows = _real_rows(stacks)
+    norm_b = np.linalg.norm(b)
+    norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in objective))
 
     xs, zs = [], []
-    for n, c, a in zip(real.blocks, real.c, real.a):
-        a_norms = np.sqrt((a.reshape(m, -1) ** 2).sum(axis=1)) if m else np.zeros(0)
+    for n, c, r in zip(blocks, objective, rows):
+        a_norms = np.linalg.norm(r, axis=1)
         xi = max(10.0, np.sqrt(n))
-        if m:
-            xi = max(xi, n * float(((1 + np.abs(real.b)) / (1 + a_norms)).max()))
         eta = max(10.0, np.sqrt(n), float(np.linalg.norm(c)))
         if m:
+            xi = max(xi, n * float(((1 + np.abs(b)) / (1 + a_norms)).max()))
             eta = max(eta, float(a_norms.max()))
-        xs.append(xi * np.eye(n))
-        zs.append(eta * np.eye(n))
+        xs.append(xi * np.eye(n, dtype=complex))
+        zs.append(eta * np.eye(n, dtype=complex))
     y = np.zeros(m)
 
     status = "max-iterations"
     iterations = max_iters
     for it in range(max_iters):
-        rp = real.b - real.a_apply(xs)
-        aty = real.a_adjoint(y)
-        rds = [c + z - at for c, z, at in zip(real.c, zs, aty)]
+        rp = b - _a_apply(rows, xs, m)
+        rds = [
+            c + z - at for c, z, at in zip(objective, zs, _a_adjoint(stacks, y))
+        ]
 
-        pval = real.objective(xs)
-        dval = float(real.b @ y)
-        gap = sum(float(np.tensordot(x, z)) for x, z in zip(xs, zs))
-        mu = gap / sum(real.blocks)
+        pval = _inner(objective, xs)
+        dval = float(b @ y)
+        gap = _inner(xs, zs)
+        mu = gap / sum(blocks)
 
         pinf = np.linalg.norm(rp) / (1 + norm_b)
         dinf = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / (1 + norm_c)
@@ -260,25 +263,13 @@ def _solve_real(real: _RealSdp, tol: float, max_iters: int):
             iterations = it
             break
 
-        # Nesterov-Todd scaling point per block
-        ws, zinvs = [], []
-        for x, z in zip(xs, zs):
-            sx, ux = np.linalg.eigh(x)
-            sx = np.clip(sx, 1e-300, None)
-            rx = (ux * np.sqrt(sx)) @ ux.T
-            mmat = rx @ z @ rx
-            sm, um = np.linalg.eigh((mmat + mmat.T) / 2.0)
-            sm = np.clip(sm, 1e-300, None)
-            ws.append(rx @ ((um * sm ** -0.5) @ um.T) @ rx)
-            zinvs.append(rx @ ((um * (1.0 / sm)) @ um.T) @ rx)
+        ws, zinvs = zip(*(_nt_scaling(x, z) for x, z in zip(xs, zs)))
 
-        # Schur complement S_ij = sum_k <A_ik, W_k A_jk W_k>
+        # Schur complement S_ij = sum_k Re Tr(A_ik W_k A_jk W_k)
         schur = np.zeros((m, m))
-        waws = []
-        for a, a_flat, w in zip(real.a, real.a_flat, ws):
-            waw = np.matmul(np.matmul(w, a), w)
-            waws.append(waw)
-            schur += a_flat @ waw.reshape(m, -1).T
+        for a, r, w in zip(stacks, rows, ws):
+            waw = w @ a @ w
+            schur += r @ waw.reshape(m, -1).view(float).T
         schur = (schur + schur.T) / 2.0
 
         factor = None
@@ -298,49 +289,35 @@ def _solve_real(real: _RealSdp, tol: float, max_iters: int):
             break
 
         def newton(rcs):
-            rhs = rp.copy() * -1.0
-            for a_flat, rc, rd, w in zip(real.a_flat, rcs, rds, ws):
-                rhs += a_flat @ (rc + w @ rd @ w).reshape(-1)
+            rhs = _a_apply(
+                rows, [rc + w @ rd @ w for rc, rd, w in zip(rcs, rds, ws)], m
+            ) - rp
             dy = scipy.linalg.cho_solve(factor, rhs)
-            daty = real.a_adjoint(dy)
-            dzs = [da - rd for da, rd in zip(daty, rds)]
-            dxs = []
-            for rc, w, dz in zip(rcs, ws, dzs):
-                dx = rc - w @ dz @ w
-                dxs.append((dx + dx.T) / 2.0)
+            dzs = [da - rd for da, rd in zip(_a_adjoint(stacks, dy), rds)]
+            dxs = [
+                _hermitize(rc - w @ dz @ w) for rc, w, dz in zip(rcs, ws, dzs)
+            ]
             return dxs, dy, dzs
 
         # predictor probe chooses the centering weight
-        rcs_aff = [-x for x in xs]
-        dxs_a, dy_a, dzs_a = newton(rcs_aff)
-        ap = min(
-            (_steplength(x, dx) for x, dx in zip(xs, dxs_a)), default=np.inf
-        )
-        ad = min(
-            (_steplength(z, dz) for z, dz in zip(zs, dzs_a)), default=np.inf
-        )
-        ap, ad = min(1.0, ap), min(1.0, ad)
-        gap_aff = sum(
-            float(np.tensordot(x + ap * dx, z + ad * dz))
-            for x, dx, z, dz in zip(xs, dxs_a, zs, dzs_a)
+        dxs_a, dy_a, dzs_a = newton([-x for x in xs])
+        ap = min(1.0, _max_step(xs, dxs_a))
+        ad = min(1.0, _max_step(zs, dzs_a))
+        gap_aff = _inner(
+            [x + ap * dx for x, dx in zip(xs, dxs_a)],
+            [z + ad * dz for z, dz in zip(zs, dzs_a)],
         )
         sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-6), 0.999999)
 
         rcs = [sigma * mu * zi - x for zi, x in zip(zinvs, xs)]
         dxs, dy, dzs = newton(rcs)
 
-        ap = min((_steplength(x, dx) for x, dx in zip(xs, dxs)), default=np.inf)
-        ad = min((_steplength(z, dz) for z, dz in zip(zs, dzs)), default=np.inf)
-        ap = min(1.0, 0.98 * ap)
-        ad = min(1.0, 0.98 * ad)
+        ap = min(1.0, 0.98 * _max_step(xs, dxs))
+        ad = min(1.0, 0.98 * _max_step(zs, dzs))
 
-        xs = [(x + ap * dx) for x, dx in zip(xs, dxs)]
-        xs = [(x + x.T) / 2.0 for x in xs]
+        xs = [_hermitize(x + ap * dx) for x, dx in zip(xs, dxs)]
         y = y + ad * dy
-        zs = [(z + ad * dz) for z, dz in zip(zs, dzs)]
-        zs = [(z + z.T) / 2.0 for z in zs]
-    else:
-        iterations = max_iters
+        zs = [_hermitize(z + ad * dz) for z, dz in zip(zs, dzs)]
 
     return xs, y, zs, status, iterations
 
@@ -349,26 +326,15 @@ def _solve_real(real: _RealSdp, tol: float, max_iters: int):
 # preprocessing: row scaling and redundancy elimination
 
 
-def _svec_rows(problem: SdpProblem):
-    """Stack constraints as real row vectors (embedded, coefficient-halved)."""
-    sides = [2 * n for n in problem.blocks]
-    offsets = np.cumsum([0] + [s * s for s in sides])
-    rows = np.zeros((problem.n_constraints, offsets[-1]))
-    for i, (coeffs, _) in enumerate(problem.constraints):
-        for k, a in coeffs.items():
-            emb = embed_hermitian(a) / 2.0
-            rows[i, offsets[k]:offsets[k + 1]] = emb.reshape(-1)
-    return rows
-
-
-def _reduce_constraints(problem: SdpProblem, rows: np.ndarray, b: np.ndarray):
+def _reduce_constraints(problem: SdpProblem):
     """Normalize rows, drop dependent ones, verify consistency.
 
-    Returns (kept indices, scales, reduced_b).  Raises on a structurally
+    Returns (kept indices, row scales).  Raises on a structurally
     inconsistent system (a dropped row whose rhs disagrees with the kept
     combination).
     """
-    m = rows.shape[0]
+    b = problem.rhs
+    rows = np.concatenate(_real_rows(problem.stacks), axis=1)
     scales = np.linalg.norm(rows, axis=1)
     zero_rows = scales < 1e-14
     for i in np.nonzero(zero_rows)[0]:
@@ -377,13 +343,11 @@ def _reduce_constraints(problem: SdpProblem, rows: np.ndarray, b: np.ndarray):
                 f"structurally inconsistent input: constraint {i} has zero "
                 f"coefficients but rhs {b[i]:.3e}"
             )
-    keep_mask = ~zero_rows
-    idx = np.nonzero(keep_mask)[0]
+    idx = np.nonzero(~zero_rows)[0]
+    if len(idx) == 0:
+        return idx, scales
     normed = rows[idx] / scales[idx, None]
     nb = b[idx] / scales[idx]
-
-    if len(idx) == 0:
-        return idx, scales, nb
 
     q, r, piv = scipy.linalg.qr(normed.T, mode="economic", pivoting=True)
     diag = np.abs(np.diagonal(r))
@@ -402,7 +366,7 @@ def _reduce_constraints(problem: SdpProblem, rows: np.ndarray, b: np.ndarray):
                 f"structurally inconsistent input: dependent constraints "
                 f"disagree by {worst:.3e}"
             )
-    return idx[kept_local], scales, nb[kept_local]
+    return idx[kept_local], scales
 
 
 # ---------------------------------------------------------------------------
@@ -413,76 +377,54 @@ def solve(
     problem: SdpProblem,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    seed: int = 0,
 ) -> SdpSolution:
-    """Solve a standard-form SDP.
-
-    ``seed`` is accepted for interface stability; the algorithm is fully
-    deterministic and does not consume randomness.
-    """
-    del seed
-    b_full = np.array([rhs for _, rhs in problem.constraints], dtype=float)
-    rows = _svec_rows(problem)
-    kept, scales, b_red = _reduce_constraints(problem, rows, b_full)
-
-    sides = [2 * n for n in problem.blocks]
-    c_mats = [embed_hermitian(c) / 2.0 for c in problem.objective]
-    a_stacks = []
-    offsets = np.cumsum([0] + [s * s for s in sides])
-    for k, s in enumerate(sides):
-        stack = rows[kept][:, offsets[k]:offsets[k + 1]] / (
-            scales[kept, None] if kept.size else 1.0
-        )
-        a_stacks.append(stack.reshape(len(kept), s, s))
-
-    real = _RealSdp(sides, c_mats, a_stacks, b_red)
-    xs, y_red, zs, status, iterations = _solve_real(real, tol, max_iters)
-
-    # back to complex Hermitian blocks; the embedded dual slack carries the
-    # coefficient halving, so it unembeds with a factor two
-    primal = tuple(
-        unembed_hermitian(_structure_symmetrize(x)) for x in xs
-    )
-    duals_z = tuple(
-        2.0 * unembed_hermitian(_structure_symmetrize(z)) for z in zs
+    """Solve a standard-form SDP (deterministically)."""
+    kept, scales = _reduce_constraints(problem)
+    row_scale = scales[kept]
+    stacks = [a[kept] / row_scale[:, None, None] for a in problem.stacks]
+    xs, y_kept, zs, status, iterations = _path_following(
+        problem.blocks,
+        problem.objective,
+        stacks,
+        problem.rhs[kept] / row_scale,
+        tol,
+        max_iters,
     )
     y = np.zeros(problem.n_constraints)
-    if kept.size:
-        y[kept] = y_red / scales[kept]
-
-    pval = float(
-        sum(np.trace(c @ x).real for c, x in zip(problem.objective, primal))
-    )
-    dval = float(b_full @ y)
-    res = _residuals(problem, primal, y, duals_z, pval, dval)
-    return SdpSolution(status, primal, y, pval, dval, res, iterations)
+    y[kept] = y_kept / row_scale
+    pval = _inner(problem.objective, xs)
+    dval = float(problem.rhs @ y)
+    res = _residuals(problem, xs, y, zs, pval, dval)
+    return SdpSolution(status, tuple(xs), y, pval, dval, res, iterations)
 
 
 def _residuals(problem, primal, y, duals_z, pval, dval) -> SdpResiduals:
-    b = np.array([rhs for _, rhs in problem.constraints])
-    viol = np.zeros(problem.n_constraints)
-    for i, (coeffs, rhs) in enumerate(problem.constraints):
-        got = sum(
-            np.trace(a @ primal[k]).real for k, a in coeffs.items()
-        )
-        viol[i] = got - rhs
-    pinf = float(np.linalg.norm(viol) / (1 + np.linalg.norm(b)))
-    dual_dev = 0.0
+    m = problem.n_constraints
+    viol = _a_apply(_real_rows(problem.stacks), primal, m) - problem.rhs
+    pinf = float(np.linalg.norm(viol) / (1 + np.linalg.norm(problem.rhs)))
     norm_c = np.sqrt(
         sum(np.linalg.norm(c) ** 2 for c in problem.objective)
     )
-    for k, (c, z) in enumerate(zip(problem.objective, duals_z)):
-        aty = sum(
-            y[i] * coeffs[k]
-            for i, (coeffs, _) in enumerate(problem.constraints)
-            if k in coeffs
+    dual_dev = sum(
+        np.linalg.norm(c + z - aty) ** 2
+        for c, z, aty in zip(
+            problem.objective, duals_z, _a_adjoint(problem.stacks, y)
         )
-        if np.isscalar(aty):
-            aty = np.zeros_like(c)
-        dual_dev += np.linalg.norm(c + z - aty) ** 2
+    )
     dinf = float(np.sqrt(dual_dev) / (1 + norm_c))
     relgap = float(abs(pval - dval) / (1 + (abs(pval) + abs(dval)) / 2))
     return SdpResiduals(pinf, dinf, relgap)
+
+
+def require_optimal(solution: SdpSolution, what: str):
+    """Raise RuntimeError unless ``solution`` is certified optimal."""
+    if solution.status != "optimal":
+        res = solution.residuals
+        raise RuntimeError(
+            f"{what} SDP not certified: status {solution.status} after "
+            f"{solution.iterations} iterations (residuals: primal "
+            f"{res.primal:.1e}, dual {res.dual:.1e}, gap {res.gap:.1e})"
+        )
 
 
 def solution_diagnostics(solution: SdpSolution) -> dict:
@@ -499,9 +441,9 @@ def solution_diagnostics(solution: SdpSolution) -> dict:
 def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     """Independent feasibility check of a reported solution.
 
-    Recomputes constraint violations and block eigenvalues from scratch;
-    returns (ok, details dict).  Deliberately shares no state with the
-    solver loop.
+    Recomputes constraint violations (a complex contraction of the stored
+    stacks) and block eigenvalues from scratch; returns (ok, details
+    dict).  Deliberately shares no code with the solver.
     """
     details = {}
     worst_eig = 0.0
@@ -509,13 +451,10 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
         lo = float(np.linalg.eigvalsh((x + dag(x)) / 2.0)[0])
         worst_eig = min(worst_eig, lo)
     details["min_block_eigenvalue"] = worst_eig
-    worst_con = 0.0
-    for coeffs, rhs in problem.constraints:
-        got = sum(
-            np.trace(a @ solution.primal_blocks[k]).real
-            for k, a in coeffs.items()
-        )
-        worst_con = max(worst_con, abs(got - rhs))
+    got = np.zeros(problem.n_constraints)
+    for a, x in zip(problem.stacks, solution.primal_blocks):
+        got += np.einsum("mij,ji->m", a, x).real
+    worst_con = float(np.abs(got - problem.rhs).max(initial=0.0))
     details["max_constraint_violation"] = worst_con
     pval = float(
         sum(
@@ -534,22 +473,30 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     return ok, details
 
 
+def embed_hermitian(h: np.ndarray) -> np.ndarray:
+    """[[Re, -Im], [Im, Re]] real-symmetric image of a Hermitian matrix."""
+    re, im = h.real, h.imag
+    top = np.hstack([re, -im])
+    bot = np.hstack([im, re])
+    return np.vstack([top, bot])
+
+
 def dump_sdpa(problem: SdpProblem, path: str):
     """Write the real-embedded problem in sparse SDPA (.dat-s) format.
 
     Layout: mDIM / nBLOCK / block sizes / rhs vector / entry lines
     ``matno blkno i j value`` with 1-based upper-triangle indices, matno 0
-    holding the objective.  Suitable for cross-checking with external
-    SDPA-compatible solvers.
+    holding the objective.  SDPA data is real, so each Hermitian block of
+    side n is written as its [[Re, -Im], [Im, Re]] image of side 2n with
+    coefficients halved, which keeps objective and constraint values.
+    Suitable for cross-checking with external SDPA-compatible solvers.
     """
     sides = [2 * n for n in problem.blocks]
     lines = [
         f"{problem.n_constraints} = mDIM",
         f"{len(sides)} = nBLOCK",
         " ".join(str(s) for s in sides) + " = bLOCKsTRUCT",
-        " ".join(
-            repr(float(rhs)) for _, rhs in problem.constraints
-        ),
+        " ".join(repr(float(rhs)) for rhs in problem.rhs),
     ]
 
     def emit(matno, blkno, mat):
@@ -563,9 +510,9 @@ def dump_sdpa(problem: SdpProblem, path: str):
     for k, c in enumerate(problem.objective):
         if max_abs(c) > 0:
             emit(0, k, c)
-    for i, (coeffs, _) in enumerate(problem.constraints):
-        for k, a in coeffs.items():
-            emit(i + 1, k, a)
+    for i in range(problem.n_constraints):
+        for k, a in enumerate(problem.stacks):
+            emit(i + 1, k, a[i])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -626,31 +573,25 @@ def fidelity_sdp(
         )
 
     # conditioning of sigma: project the affine expression onto the
-    # compressed corner, one scalar equation per Hermitian basis element
+    # compressed corner, one scalar equation per Hermitian basis element g;
+    # a term L contributes -sum_e Tr(g L(e)) e over a basis e of its block
     sig_basis = hermitian_basis(s)
     const_c = dag(v2) @ sigma.const @ v2
-    term_data = []
+    couplings = []
     for blk, lin in sigma.terms:
-        side = builder.block_side(blk)
-        basis_b = hermitian_basis(side)
-        images = [dag(v2) @ lin(e) @ v2 for e in basis_b]
-        term_data.append((blk, basis_b, images))
-    for g in sig_basis:
+        basis_b = hermitian_basis(builder.block_side(blk))
+        images = np.array([dag(v2) @ lin(e) @ v2 for e in basis_b])
+        overlap = np.einsum("gij,eji->ge", sig_basis, images, optimize=True)
+        if max_abs(overlap.imag) > 1e-9:
+            raise ValueError("sigma coupling is not Hermiticity-preserving")
+        couplings.append(
+            (blk, np.einsum("ge,eij->gij", overlap.real, basis_b, optimize=True))
+        )
+    for t, g in enumerate(sig_basis):
         placed = np.zeros((r + s, r + s), dtype=complex)
         placed[r:, r:] = g
         coeffs = {w_blk: placed}
-        for blk, basis_b, images in term_data:
-            k_mat = np.zeros_like(basis_b[0])
-            for e, img in zip(basis_b, images):
-                overlap = np.trace(g @ img)
-                if abs(overlap.imag) > 1e-9:
-                    raise ValueError(
-                        "sigma coupling is not Hermiticity-preserving"
-                    )
-                k_mat = k_mat + overlap.real * e
-            if blk in coeffs:
-                coeffs[blk] = coeffs[blk] - k_mat
-            else:
-                coeffs[blk] = -k_mat
+        for blk, k_mats in couplings:
+            coeffs[blk] = coeffs.get(blk, 0.0) - k_mats[t]
         builder.add_constraint(coeffs, float(np.trace(g @ const_c).real))
     return w_blk

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbroadcast.broadcast import (
     BroadcastReport,
@@ -199,10 +201,35 @@ class TestFMaxBroadcast:
             assert f_sym >= 0.5 * sum(f_parts) - 1e-9
             assert f_sym <= value + 1e-6
 
+    def test_channel_is_swap_covariant_on_qutrit_b(self):
+        rng = np.random.default_rng(15)
+        rho = random_state((2, 3), rng)
+        _, channel = f_max_broadcast(rho)
+        out = apply_on_subsystem(channel, rho, 1)
+        assert np.abs(
+            out.marginal((0, 1)).matrix - out.marginal((0, 2)).matrix
+        ).max() < 1e-6
+        swap = np.zeros((9, 9))
+        for i in range(3):
+            for j in range(3):
+                swap[j * 3 + i, i * 3 + j] = 1.0
+        big = np.kron(np.eye(3), swap)
+        assert np.abs(big @ channel.choi - channel.choi @ big).max() < 1e-6
+
     def test_large_b_dimension_rejected(self):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError, match="too large"):
             f_max_broadcast(random_state((2, 5), rng))
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10 ** 6))
+def test_fidelity_chain_on_random_states(d_a, seed):
+    rho = random_state((d_a, 2), np.random.default_rng(seed))
+    f_max, _ = f_max_broadcast(rho)
+    detail = f_eb_detailed(rho)
+    assert f_max >= detail.value - 1e-6
+    assert detail.value >= detail.lower_bound - 1e-6
 
 
 class TestFEb:

@@ -198,6 +198,18 @@ class TestBroadcastAndRecover:
         assert q["sigma_recovery_residual"] < 1e-8
         assert report["diagnostics"]["iterations"] > 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("broadcast", "--gen", "bell", "--sdp-max-iters", "3"),
+            ("recover", "--gen", "ghz", "--sdp-max-iters", "2"),
+        ],
+    )
+    def test_uncertified_solve_exits_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "max-iterations" in err
+
     def test_recover_rejects_bipartite(self, capsys):
         code, _, err = run_cli(capsys, "recover", "--gen", "bell")
         assert code == 2

@@ -15,7 +15,6 @@ from qbroadcast.sdp import (
     fidelity_sdp,
     hermitian_basis,
     solve,
-    unembed_hermitian,
 )
 from qbroadcast.states import DensityMatrix
 
@@ -45,7 +44,6 @@ class TestBasisAndEmbedding:
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = (g + g.conj().T) / 2
         x = random_state(3, rng).matrix
-        assert np.allclose(unembed_hermitian(embed_hermitian(h)), h)
         lhs = np.trace(embed_hermitian(h) / 2 @ embed_hermitian(x)).real
         assert abs(lhs - np.trace(h @ x).real) < 1e-12
 
@@ -91,6 +89,23 @@ class TestSolverBasics:
             target = np.linalg.eigvalsh(c)[-1]
             assert abs(sol.primal_value - target) < 1e-6
             assert abs(sol.dual_value - target) < 1e-6
+
+    def test_complex_constraint_coefficient_pauli_y(self):
+        # max Tr(sx X) over states with Tr(sy X) = 0.6: the Bloch vector
+        # has y = 0.6 and unit length at best, so x = 0.8
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sy = np.array([[0.0, -1j], [1j, 0.0]])
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        b.add_objective(blk, sx)
+        b.add_constraint({blk: np.eye(2, dtype=complex)}, 1.0)
+        b.add_constraint({blk: sy}, 0.6)
+        problem = b.build()
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value - 0.8) < 1e-6
+        assert abs(sol.dual_value - 0.8) < 1e-6
+        assert audit(problem, sol)[0]
 
     def test_two_blocks_with_shared_constraint(self):
         b = SdpBuilder()
@@ -167,7 +182,7 @@ class TestPreprocessingAndFailureModes:
     def test_non_hermitian_coefficient_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            SdpProblem((2,), (bad,), ())
+            SdpProblem((2,), (bad,), (np.zeros((0, 2, 2), dtype=complex),), np.zeros(0))
 
     def test_audit_passes_and_detects_corruption(self):
         sol = solve(trace_constrained(np.diag([1.0, 0.0]).astype(complex)))
