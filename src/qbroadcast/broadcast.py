@@ -44,13 +44,12 @@ from .linalg import (
     support_projector,
 )
 from .sdp import (
-    AffineMatrixExpr,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     SdpBuilder,
-    fidelity_sdp,
+    add_channel,
+    certified_fidelity,
     hermitian_basis,
-    require_optimal,
-    solution_diagnostics,
-    solve,
 )
 from .states import DensityMatrix, Povm
 
@@ -58,6 +57,7 @@ MAX_BROADCAST_DIM = 4
 CONVERGENCE_WINDOW = 1e-6
 SWEEP_GAIN_FLOOR = 1e-10
 MAX_SWEEPS = 40
+MEASURE_PREPARE_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -285,8 +285,8 @@ def _swap_eigenspaces(d: int) -> list:
 
 def f_max_broadcast(
     rho: DensityMatrix,
-    tol: float = 1e-7,
-    max_iters: int = 500,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
     diagnostics: dict | None = None,
 ) -> tuple[float, Channel]:
     """Best single-output fidelity of a symmetric one-to-two broadcast of B.
@@ -313,14 +313,7 @@ def f_max_broadcast(
 
     builder = SdpBuilder()
     spaces = _swap_eigenspaces(d_b)
-    blocks = [builder.add_block(v.shape[1]) for v in spaces]
-    for h in hermitian_basis(d_b):
-        tp = kron(h, np.eye(d_out, dtype=complex))
-        builder.add_constraint(
-            {blk: dag(v) @ tp @ v for blk, v in zip(blocks, spaces)},
-            float(np.trace(h).real),
-        )
-
+    blocks = add_channel(builder, d_b, d_out, spaces)
     full_dims = (d_a, d_b, d_b)
 
     def one_output(choi):
@@ -329,25 +322,14 @@ def f_max_broadcast(
         )
         return partial_trace(both, full_dims, keep=(0, 2))
 
-    support_bound = kron(
-        support_projector(rho.marginal((0,)).matrix),
-        np.eye(d_b, dtype=complex),
+    terms = [
+        (blk, lambda e, v=v: one_output(v @ e @ dag(v)))
+        for blk, v in zip(blocks, spaces)
+    ]
+    value, solution = certified_fidelity(
+        builder, rho.matrix, terms, _a_support(rho, np.eye(d_b)), "broadcast",
+        tol, max_iters, diagnostics,
     )
-    expr = AffineMatrixExpr(
-        side=rho.dim,
-        const=np.zeros((rho.dim, rho.dim), dtype=complex),
-        terms=tuple(
-            (blk, lambda e, v=v: one_output(v @ e @ dag(v)))
-            for blk, v in zip(blocks, spaces)
-        ),
-    )
-    fidelity_sdp(builder, rho.matrix, expr, sigma_support=support_bound)
-
-    solution = solve(builder.build(), tol=tol, max_iters=max_iters)
-    if diagnostics is not None:
-        diagnostics.update(solution_diagnostics(solution))
-    require_optimal(solution, "broadcast")
-    value = float(min(max(solution.primal_value, 0.0), 1.0))
     choi = sum(
         v @ solution.primal_blocks[blk] @ dag(v)
         for blk, v in zip(blocks, spaces)
@@ -363,9 +345,8 @@ def _partial_transpose_output(mat: np.ndarray, din: int, dout: int) -> np.ndarra
 
 def f_eb_detailed(
     rho: DensityMatrix,
-    tol: float = 1e-7,
-    max_iters: int = 500,
-    rounds: int = 2,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
     init_povm: Povm | None = None,
     diagnostics: dict | None = None,
 ) -> EbDetail:
@@ -377,21 +358,26 @@ def f_eb_detailed(
     ``eb_exact``.  An explicit measure-and-prepare ascent provides the
     matching achievable value from below.
     """
-    _require_bipartite(rho)
-    d_a, d_b = rho.dims
-    side = d_b * d_b
+    value = _f_eb_ppt(rho, tol, max_iters, diagnostics)
+    lower = _measure_prepare_ascent(rho, tol, max_iters, init_povm)
+    return EbDetail(value, lower, eb_exact=bool(rho.dims[1] == 2))
 
+
+def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
+    """Entanglement-breaking broadcast fidelity (the PPT program only)."""
+    return _f_eb_ppt(rho, tol, max_iters, None)
+
+
+def _f_eb_ppt(rho, tol, max_iters, diagnostics) -> float:
+    """The PPT-Choi program of f_eb_detailed: its certified value."""
+    _require_bipartite(rho)
+    d_b = rho.dims[1]
     builder = SdpBuilder()
-    j_blk = builder.add_block(side)
-    pt_blk = builder.add_block(side)
-    for h in hermitian_basis(d_b):
-        builder.add_constraint(
-            {j_blk: kron(h, np.eye(d_b, dtype=complex))},
-            float(np.trace(h).real),
-        )
+    (j_blk,) = add_channel(builder, d_b, d_b)
+    pt_blk = builder.add_block(d_b * d_b)
     # tie the second block to the output partial transpose of the first;
     # PT is self-adjoint, so <H, PT(J)> = <PT(H), J>
-    for h in hermitian_basis(side):
+    for h in hermitian_basis(d_b * d_b):
         builder.add_constraint(
             {
                 pt_blk: h,
@@ -405,38 +391,15 @@ def f_eb_detailed(
             choi, d_b, d_b, rho.matrix, rho.dims, 1
         )
 
-    support_bound = kron(
-        support_projector(rho.marginal((0,)).matrix),
-        np.eye(d_b, dtype=complex),
-    )
-    expr = AffineMatrixExpr(
-        side=rho.dim,
-        const=np.zeros((rho.dim, rho.dim), dtype=complex),
-        terms=((j_blk, one_output),),
-    )
-    fidelity_sdp(builder, rho.matrix, expr, sigma_support=support_bound)
-    solution = solve(builder.build(), tol=tol, max_iters=max_iters)
-    if diagnostics is not None:
-        diagnostics.update(solution_diagnostics(solution))
-    require_optimal(solution, "EB broadcast")
-    value = float(min(max(solution.primal_value, 0.0), 1.0))
-
-    lower = _measure_prepare_ascent(
-        rho, rounds=rounds, tol=tol, max_iters=max_iters, init_povm=init_povm
-    )
-    return EbDetail(
-        value=value, lower_bound=lower, eb_exact=bool(d_b == 2)
-    )
-
-
-def f_eb(rho: DensityMatrix, tol: float = 1e-7, max_iters: int = 500) -> float:
-    """Entanglement-breaking broadcast fidelity (see f_eb_detailed)."""
-    return f_eb_detailed(rho, tol=tol, max_iters=max_iters).value
+    return certified_fidelity(
+        builder, rho.matrix, [(j_blk, one_output)],
+        _a_support(rho, np.eye(d_b)), "EB broadcast", tol, max_iters,
+        diagnostics,
+    )[0]
 
 
 def _measure_prepare_ascent(
     rho: DensityMatrix,
-    rounds: int,
     tol: float,
     max_iters: int,
     init_povm: Povm | None,
@@ -456,79 +419,48 @@ def _measure_prepare_ascent(
     elements = list(povm.elements) + [
         np.zeros((d_b, d_b), dtype=complex)
     ] * (k - povm.n_outcomes)
+    # the measurement sum_i E_i = I is trace preservation of a channel
+    # B -> outcome register whose Choi matrix has one block per outcome
+    outcomes = [kron(np.eye(d_b), np.eye(k)[:, [i]]) for i in range(k)]
 
-    def conditionals(els):
-        return [
-            np.einsum("abcd,db->ac", rho4, e) for e in els
-        ]
+    def conditional(e):
+        return np.einsum("abcd,db->ac", rho4, e)
 
-    preps = None
     best = 0.0
-    for _ in range(rounds):
-        # optimize preparations for the current measurement
-        conds = conditionals(elements)
+    for _ in range(MEASURE_PREPARE_ROUNDS):
+        # optimize preparations (unit-trace states) for the measurement
         builder = SdpBuilder()
-        blocks = [builder.add_block(d_b) for _ in range(k)]
-        for blk in blocks:
-            builder.add_constraint(
-                {blk: np.eye(d_b, dtype=complex)}, 1.0
-            )
-        terms = tuple(
-            (blk, (lambda e, c=cond: np.kron(c, e)))
-            for blk, cond in zip(blocks, conds)
+        blocks = [add_channel(builder, 1, d_b)[0] for _ in range(k)]
+        terms = [
+            (blk, lambda e, c=conditional(el): np.kron(c, e))
+            for blk, el in zip(blocks, elements)
+        ]
+        value, sol = certified_fidelity(
+            builder, rho.matrix, terms, _a_support(rho, np.eye(d_b)),
+            "measure-and-prepare preparation", tol, max_iters,
         )
-        expr = AffineMatrixExpr(
-            side=rho.dim,
-            const=np.zeros((rho.dim, rho.dim), dtype=complex),
-            terms=terms,
-        )
-        bound = kron(
-            support_projector(rho.marginal((0,)).matrix),
-            np.eye(d_b, dtype=complex),
-        )
-        fidelity_sdp(builder, rho.matrix, expr, sigma_support=bound)
-        sol = solve(builder.build(), tol=tol, max_iters=max_iters)
-        require_optimal(sol, "measure-and-prepare preparation")
-        best = max(best, float(sol.primal_value))
+        best = max(best, value)
         preps = [
             _nearest_unit_trace_state(sol.primal_blocks[blk]) for blk in blocks
         ]
 
         # optimize the measurement for the current preparations
         builder = SdpBuilder()
-        blocks = [builder.add_block(d_b) for _ in range(k)]
-        for h in hermitian_basis(d_b):
-            builder.add_constraint(
-                {blk: h for blk in blocks}, float(np.trace(h).real)
-            )
-        terms = tuple(
-            (
-                blk,
-                (
-                    lambda e, t=tau: np.kron(
-                        np.einsum("abcd,db->ac", rho4, e), t
-                    )
-                ),
-            )
+        blocks = add_channel(builder, d_b, k, outcomes)
+        terms = [
+            (blk, lambda e, t=tau: np.kron(conditional(e), t))
             for blk, tau in zip(blocks, preps)
+        ]
+        value, sol = certified_fidelity(
+            builder, rho.matrix, terms,
+            _a_support(rho, support_projector(sum(preps))),
+            "measure-and-prepare measurement", tol, max_iters,
         )
-        expr = AffineMatrixExpr(
-            side=rho.dim,
-            const=np.zeros((rho.dim, rho.dim), dtype=complex),
-            terms=terms,
-        )
-        prep_span = support_projector(sum(preps))
-        bound = kron(
-            support_projector(rho.marginal((0,)).matrix), prep_span
-        )
-        fidelity_sdp(builder, rho.matrix, expr, sigma_support=bound)
-        sol = solve(builder.build(), tol=tol, max_iters=max_iters)
-        require_optimal(sol, "measure-and-prepare measurement")
-        best = max(best, float(sol.primal_value))
+        best = max(best, value)
         elements = [
             _nearest_psd(sol.primal_blocks[blk]) for blk in blocks
         ]
-    return float(min(max(best, 0.0), 1.0))
+    return best
 
 
 def _nearest_psd(mat: np.ndarray) -> np.ndarray:
@@ -539,10 +471,12 @@ def _nearest_psd(mat: np.ndarray) -> np.ndarray:
 
 def _nearest_unit_trace_state(mat: np.ndarray) -> np.ndarray:
     psd = _nearest_psd(mat)
-    tr = np.trace(psd).real
-    if tr <= 0:
-        return np.eye(mat.shape[0], dtype=complex) / mat.shape[0]
-    return psd / tr
+    return psd / np.trace(psd).real
+
+
+def _a_support(rho: DensityMatrix, b_support: np.ndarray) -> np.ndarray:
+    """Projector supp(rho_A) x b_support, which bounds every output on AB."""
+    return kron(support_projector(rho.marginal((0,)).matrix), b_support)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +548,8 @@ def broadcast_report(
     rho: DensityMatrix,
     seed: int = 0,
     restarts: int = 32,
-    tol: float = 1e-7,
-    max_iters: int = 500,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
     diagnostics: dict | None = None,
 ) -> BroadcastReport:
     """All broadcastability quantifiers for one bipartite state."""

@@ -47,10 +47,9 @@ from .info import (
 )
 from .linalg import dag, hermitian_eig
 from .recovery import recovery_report
+from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .states import DensityMatrix
 
-DEFAULT_TOLERANCE = 1e-7
-DEFAULT_MAX_ITERS = 500
 DEFAULT_RESTARTS = 32
 _PART_LETTERS = "ABCDEFGH"
 
@@ -669,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
         if second_input:
             p.add_argument("--input2", help="second state file")
             p.add_argument("--gen2", help="built-in second state")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
                        help="solver tolerance (default %(default)g)")
         p.add_argument("--sdp-max-iters", type=int, default=DEFAULT_MAX_ITERS,
                        help="SDP iteration cap (default %(default)s)")

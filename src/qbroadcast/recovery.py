@@ -36,13 +36,12 @@ from .linalg import (
     trace_norm,
 )
 from .sdp import (
-    AffineMatrixExpr,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     SdpBuilder,
-    fidelity_sdp,
+    add_channel,
+    certified_fidelity,
     hermitian_basis,
-    require_optimal,
-    solution_diagnostics,
-    solve,
 )
 from .states import DensityMatrix
 
@@ -135,8 +134,8 @@ def petz_recovery_fidelity(rho_abc: DensityMatrix) -> float:
 
 def optimal_recovery_fidelity(
     rho_abc: DensityMatrix,
-    tol: float = 1e-7,
-    max_iters: int = 500,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
     diagnostics: dict | None = None,
 ) -> tuple[float, Channel]:
     """Best achievable F(rho_ABC, (id_A x R)(rho_AB)) over channels R: B->BC.
@@ -152,12 +151,7 @@ def optimal_recovery_fidelity(
     rho_ab = rho_abc.marginal((0, 1))
 
     builder = SdpBuilder()
-    j_blk = builder.add_block(d_b * d_bc)
-    for h in hermitian_basis(d_b):
-        builder.add_constraint(
-            {j_blk: kron(h, np.eye(d_bc, dtype=complex))},
-            float(np.trace(h).real),
-        )
+    (j_blk,) = add_channel(builder, d_b, d_bc)
 
     def rebuild(choi):
         return choi_subsystem_action(
@@ -165,21 +159,12 @@ def optimal_recovery_fidelity(
         )
 
     support_bound = kron(
-        support_projector(rho_abc.marginal((0,)).matrix),
-        np.eye(d_bc, dtype=complex),
+        support_projector(rho_abc.marginal((0,)).matrix), np.eye(d_bc)
     )
-    expr = AffineMatrixExpr(
-        side=rho_abc.dim,
-        const=np.zeros((rho_abc.dim, rho_abc.dim), dtype=complex),
-        terms=((j_blk, rebuild),),
+    value, solution = certified_fidelity(
+        builder, rho_abc.matrix, [(j_blk, rebuild)], support_bound,
+        "recovery", tol, max_iters, diagnostics,
     )
-    fidelity_sdp(builder, rho_abc.matrix, expr, sigma_support=support_bound)
-
-    solution = solve(builder.build(), tol=tol, max_iters=max_iters)
-    if diagnostics is not None:
-        diagnostics.update(solution_diagnostics(solution))
-    require_optimal(solution, "recovery")
-    value = float(min(max(solution.primal_value, 0.0), 1.0))
     channel = project_to_nearest_channel(
         solution.primal_blocks[j_blk], (d_b,), (d_b, d_c)
     )
@@ -188,8 +173,8 @@ def optimal_recovery_fidelity(
 
 def recovery_report(
     rho_abc: DensityMatrix,
-    tol: float = 1e-7,
-    max_iters: int = 500,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
     diagnostics: dict | None = None,
 ) -> RecoveryReport:
     """Full recoverability diagnostics for a tripartite state."""
@@ -215,21 +200,22 @@ def optimal_fixing_recovery_fidelity(
     rho: DensityMatrix,
     sigma: DensityMatrix,
     channel: Channel,
-    tol: float = 1e-7,
-    max_iters: int = 500,
+    tol: float = DEFAULT_TOL,
+    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> float:
-    """Best F(rho, R(channel(rho))) over channels R with R(channel(sigma)) = sigma."""
+    """Best F(rho, R(channel(rho))) over channels R with R(channel(sigma)) = sigma.
+
+    Raises ValueError unless supp(rho) lies inside supp(sigma): the
+    fidelity block is compressed onto supp(sigma), which a reachable
+    output could leave otherwise.
+    """
+    _relative_entropy_in_support(rho, sigma)
     image_rho = apply(channel, rho).matrix
     image_sigma = apply(channel, sigma).matrix
     d_in, d_out = channel.out_dim, sigma.dim
 
     builder = SdpBuilder()
-    j_blk = builder.add_block(d_in * d_out)
-    for h in hermitian_basis(d_in):
-        builder.add_constraint(
-            {j_blk: kron(h, np.eye(d_out, dtype=complex))},
-            float(np.trace(h).real),
-        )
+    (j_blk,) = add_channel(builder, d_in, d_out)
     # sigma-fixing: <H, R(image_sigma)> = <H, sigma> for a Hermitian basis,
     # with the left side rewritten as <conj(image_sigma) x H, J>
     for h in hermitian_basis(d_out):
@@ -238,15 +224,23 @@ def optimal_fixing_recovery_fidelity(
             float(np.trace(h @ sigma.matrix).real),
         )
 
-    expr = AffineMatrixExpr(
-        side=d_out,
-        const=np.zeros((d_out, d_out), dtype=complex),
-        terms=((j_blk, lambda e: choi_action(e, d_in, d_out, image_rho)),),
-    )
-    fidelity_sdp(builder, rho.matrix, expr, sigma_support=sigma.matrix)
-    solution = solve(builder.build(), tol=tol, max_iters=max_iters)
-    require_optimal(solution, "sigma-fixing recovery")
-    return float(min(max(solution.primal_value, 0.0), 1.0))
+    terms = [(j_blk, lambda e: choi_action(e, d_in, d_out, image_rho))]
+    return certified_fidelity(
+        builder, rho.matrix, terms, sigma.matrix, "sigma-fixing recovery",
+        tol, max_iters,
+    )[0]
+
+
+def _relative_entropy_in_support(
+    rho: DensityMatrix, sigma: DensityMatrix
+) -> float:
+    """S(rho || sigma); ValueError if supp(rho) is not inside supp(sigma)."""
+    rel = relative_entropy(rho, sigma)
+    if not np.isfinite(rel):
+        raise ValueError(
+            "support violation: supp(rho) is not contained in supp(sigma)"
+        )
+    return rel
 
 
 def relative_entropy_recovery_check(
@@ -262,11 +256,7 @@ def relative_entropy_recovery_check(
     that send channel(sigma) back to sigma.  The optimum must reach
     2^(-drop/2); the plain Petz map is only reported against that bound.
     """
-    rel_before = relative_entropy(rho, sigma)
-    if not np.isfinite(rel_before):
-        raise ValueError(
-            "support violation: supp(rho) is not contained in supp(sigma)"
-        )
+    rel_before = _relative_entropy_in_support(rho, sigma)
     rel_after = relative_entropy(apply(channel, rho), apply(channel, sigma))
     drop = rel_before - rel_after
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import dag, max_abs, support_isometry
+from .linalg import dag, kron, max_abs, support_isometry
 
 COEFF_HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
@@ -349,7 +349,7 @@ def _reduce_constraints(problem: SdpProblem):
     normed = rows[idx] / scales[idx, None]
     nb = b[idx] / scales[idx]
 
-    q, r, piv = scipy.linalg.qr(normed.T, mode="economic", pivoting=True)
+    r, piv = scipy.linalg.qr(normed.T, mode="r", pivoting=True)
     diag = np.abs(np.diagonal(r))
     rank = int((diag > 1e-10 * max(diag[0], 1e-300)).sum()) if diag.size else 0
     kept_local = np.sort(piv[:rank])
@@ -595,3 +595,49 @@ def fidelity_sdp(
             coeffs[blk] = coeffs.get(blk, 0.0) - k_mats[t]
         builder.add_constraint(coeffs, float(np.trace(g @ const_c).real))
     return w_blk
+
+
+# ---------------------------------------------------------------------------
+# channels and certified fidelities
+
+
+def add_channel(builder: SdpBuilder, d_in: int, d_out: int, spaces=None):
+    """Add the Choi matrix J of a channel C^d_in -> C^d_out; return its blocks.
+
+    J >= 0 on input (x) output, trace preserving: <H (x) I, J> = Tr H for
+    a Hermitian basis H of the input.  Given ``spaces`` (isometries V_k
+    onto mutually orthogonal subspaces, e.g. symmetry sectors), J is
+    sum_k V_k X_k V_k^dag with one PSD block X_k per space; otherwise J is
+    one block.  A unit-trace state is the d_in = 1 case.
+    """
+    if spaces is None:
+        blocks, spaces = [builder.add_block(d_in * d_out)], [None]
+    else:
+        blocks = [builder.add_block(v.shape[1]) for v in spaces]
+    for h in hermitian_basis(d_in):
+        tp = kron(h, np.eye(d_out, dtype=complex))
+        builder.add_constraint(
+            {b: tp if v is None else dag(v) @ tp @ v
+             for b, v in zip(blocks, spaces)},
+            float(np.trace(h).real),
+        )
+    return blocks
+
+
+def certified_fidelity(
+    builder, rho, terms, sigma_support, what, tol, max_iters, diagnostics=None
+):
+    """Solve max F(rho, sigma), sigma = sum of L(X_blk) over (blk, L) ``terms``.
+
+    Adds the fidelity gadget to the problem under construction, solves,
+    fills ``diagnostics`` if given, and raises unless the solve is
+    certified optimal.  Returns (the optimum clipped to [0, 1], solution).
+    """
+    zero = np.zeros_like(rho, dtype=complex)
+    expr = AffineMatrixExpr(len(rho), zero, tuple(terms))
+    fidelity_sdp(builder, rho, expr, sigma_support=sigma_support)
+    solution = solve(builder.build(), tol=tol, max_iters=max_iters)
+    if diagnostics is not None:
+        diagnostics.update(solution_diagnostics(solution))
+    require_optimal(solution, what)
+    return float(min(max(solution.primal_value, 0.0), 1.0)), solution

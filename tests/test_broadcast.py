@@ -256,6 +256,11 @@ class TestFEb:
         rho = random_state(2, rng).tensor(random_state(2, rng))
         assert abs(f_eb(rho) - 1.0) < 1e-6
 
+    def test_f_eb_is_the_detailed_value(self):
+        # f_eb solves only the PPT program of f_eb_detailed
+        rho = random_state((2, 3), np.random.default_rng(15))
+        assert f_eb(rho) == f_eb_detailed(rho).value
+
     def test_never_above_f_max(self):
         rng = np.random.default_rng(14)
         for rho in (

@@ -206,6 +206,12 @@ class TestRelativeEntropyCheck:
         ch = identity_channel(2)
         with pytest.raises(ValueError, match="support"):
             relative_entropy_recovery_check(mixed, pure, ch)
+        # the sigma-fixing SDP compresses onto supp(sigma), so it must refuse
+        # rather than certify a value: R = id fixes sigma and reaches 1
+        excited = DensityMatrix((2,), np.diag([0.0, 1.0]).astype(complex))
+        for rho in (mixed, excited):
+            with pytest.raises(ValueError, match="support violation"):
+                optimal_fixing_recovery_fidelity(rho, pure, ch)
 
     def test_fixing_constraint_respected_by_optimizer(self):
         # the sigma-fixing SDP value can never exceed the unconstrained

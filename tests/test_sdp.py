@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from qbroadcast.corpus import random_state
+from qbroadcast.broadcast import f_eb, f_max_broadcast
+from qbroadcast.channels import identity_channel
+from qbroadcast.corpus import bell_state, ghz_state, random_state
 from qbroadcast.info import fidelity
+from qbroadcast.recovery import (
+    optimal_fixing_recovery_fidelity,
+    optimal_recovery_fidelity,
+)
 from qbroadcast.sdp import (
     AffineMatrixExpr,
     SdpBuilder,
     SdpProblem,
+    add_channel,
     audit,
     dump_sdpa,
     embed_hermitian,
@@ -204,6 +211,41 @@ class TestPreprocessingAndFailureModes:
         assert lines[2].split("=")[0].strip() == "4"
         entry = lines[4].split()
         assert len(entry) == 5
+
+
+class TestChannelFidelity:
+    def test_identity_channel_maximizes_choi_overlap(self):
+        # over 2 -> 2 channels, <Phi, J> <= ||Phi|| Tr(J) = 2 * 2 with
+        # |Phi> = sum_i |ii>; the identity channel's Choi matrix J = Phi
+        # attains it
+        b = SdpBuilder()
+        (blk,) = add_channel(b, 2, 2)
+        ket = np.eye(2, dtype=complex).reshape(4)
+        phi = np.outer(ket, ket.conj())
+        b.add_objective(blk, phi)
+        sol = solve(b.build())
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value - 4.0) < 1e-6
+        assert np.abs(sol.primal_blocks[blk] - phi).max() < 1e-5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: f_max_broadcast(bell_state(), max_iters=2),
+            lambda: f_eb(bell_state(), max_iters=2),
+            lambda: optimal_recovery_fidelity(ghz_state(), max_iters=2),
+            lambda: optimal_fixing_recovery_fidelity(
+                random_state(2, np.random.default_rng(3)),
+                random_state(2, np.random.default_rng(4)),
+                identity_channel(2),
+                max_iters=2,
+            ),
+        ],
+        ids=["f_max", "f_eb", "recovery", "sigma-fixing"],
+    )
+    def test_uncertified_fidelity_raises(self, call):
+        with pytest.raises(RuntimeError, match="max-iterations"):
+            call()
 
 
 class SdpSolutionLike:
