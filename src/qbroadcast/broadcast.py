@@ -11,7 +11,8 @@ copied:
   (exact for a qubit B side, a relaxation above that), cross-checked
   from below by an explicit measure-and-prepare search.
 * ``discord`` — mutual information lost by the best measurement on one
-  side, found by multi-start coordinate ascent over rank-one POVMs.
+  side, found by multi-start conjugate-gradient ascent of the measured
+  mutual information over rank-one POVMs.
 
 The three obey f_max >= f_eb and discord >= -2 log2 f_eb, which
 ``broadcast_report`` assembles into one record.
@@ -56,7 +57,8 @@ from .states import DensityMatrix, Povm
 MAX_BROADCAST_DIM = 4
 CONVERGENCE_WINDOW = 1e-6
 SWEEP_GAIN_FLOOR = 1e-10
-MAX_SWEEPS = 40
+STATIONARY_GRAD = 1e-6
+MAX_STEPS = 200
 MEASURE_PREPARE_ROUNDS = 2
 
 
@@ -69,6 +71,7 @@ class DiscordResult:
     classical_mi: float
     restarts: int
     converged: bool
+    grad_norm: float
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,28 @@ def _classical_mi_stack(rho4, s_keep: float, v_stack: np.ndarray) -> np.ndarray:
     return s_keep + weight_terms.sum(axis=1) - ent_terms.sum(axis=(1, 2))
 
 
+def _ascent_generator(rho4, v: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian k x k X along which exp(tX) v raises I(A:B') fastest.
+
+    With conditional states A_i of the rows w_i of ``v`` and p_i = Tr A_i,
+    dI = sum_i Tr(dA_i L_i) for L_i = log2(A_i / p_i) on supp(A_i): the
+    1/ln 2 terms of the entropy and Shannon parts cancel.  The rows
+    G_i = w_i N_i, N_i = sum_ac rho4[a, :, c, :] L_i[c, a], give
+    X = (G v^dag - v G^dag) / 2 and d/dt I(exp(tY) v) = 2 Re Tr(Y^dag X)
+    at t = 0 for every anti-Hermitian Y.
+    """
+    cond = np.einsum("abcd,id,ib->iac", rho4, v.conj(), v)
+    vals, vecs = np.linalg.eigh(cond)
+    support = vals > SUPPORT_CUTOFF * vals.max()
+    weights = vals.sum(axis=1, where=support, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(support, np.log2(vals / weights), 0.0)
+    cond_logs = np.einsum("iak,ik,ick->iac", vecs, logs, vecs.conj())
+    g = np.einsum("ib,abcd,ica->id", v, rho4, cond_logs)
+    gv = g @ dag(v)
+    return (gv - dag(gv)) / 2
+
+
 def _projective_rows(basis: np.ndarray, k: int) -> np.ndarray:
     """Isometry rows for a projective measurement, zero-padded to k."""
     d = basis.shape[0]
@@ -163,16 +188,17 @@ def discord(
     side: str = "B",
     seed: int = 0,
     restarts: int = 32,
-    outcomes: int | None = None,
 ) -> DiscordResult:
     """Quantum discord with measurement on the given side ("A" or "B").
 
-    Maximizes I(A:B') over rank-one POVMs with up to d^2 outcomes by
-    multi-start coordinate ascent on the unitary acting on an outcome
-    isometry; the reported value is the MI gap and is a certified upper
-    bound on nothing — only a lower bound on the true discord is implied
-    by any feasible measurement, so convergence across restarts is
-    reported explicitly.
+    Maximizes I(A:B') over rank-one POVMs with d^2 outcomes, the rows of
+    an isometry v, by multi-start Polak-Ribiere ascent of the unitary on v
+    along ``_ascent_generator``, one line search per step.  A stalled step
+    triggers one coarse scan along every coordinate generator, which
+    escapes a saddle or ends the restart.  Any measurement only bounds
+    discord from above, so ``converged`` says the best restart ended in a
+    failed scan with ``grad_norm <= STATIONARY_GRAD`` and agrees with the
+    runner-up (if any) within ``CONVERGENCE_WINDOW``.
     """
     _require_bipartite(rho)
     side = side.upper()
@@ -180,9 +206,7 @@ def discord(
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     work = rho if side == "B" else _swap_sides(rho)
     d_keep, d_meas = work.dims
-    k = outcomes if outcomes is not None else d_meas * d_meas
-    if k < d_meas:
-        raise ValueError(f"need at least {d_meas} outcomes, got {k}")
+    k = d_meas * d_meas
 
     rho4 = work.matrix.reshape(d_keep, d_meas, d_keep, d_meas)
     s_keep = entropy(work.marginal((0,)))
@@ -205,11 +229,11 @@ def discord(
     while len(starts) < max(restarts, 1):
         g = rng.normal(size=(k, d_meas)) + 1j * rng.normal(size=(k, d_meas))
         q, _ = np.linalg.qr(g)
-        starts.append(q[:, :d_meas] if k >= d_meas else q)
+        starts.append(q[:, :d_meas])
     starts = starts[: max(restarts, 1)]
 
-    gens = [np.linalg.eigh(g) for g in hermitian_basis(k)]
     coarse = np.linspace(-np.pi, np.pi, 17)
+    h = coarse[1] - coarse[0]
 
     def rotate(gen, ts, v):
         gvals, gvecs = gen
@@ -217,41 +241,62 @@ def discord(
         u = np.einsum("ab,tb,cb->tac", gvecs, phases, gvecs.conj())
         return u @ v
 
+    scan = np.concatenate(  # every coordinate generator at every grid point
+        [rotate(np.linalg.eigh(g), coarse, np.eye(k)) for g in hermitian_basis(k)]
+    )
+
+    def line_search(direction, v):
+        gvals, gvecs = np.linalg.eigh(-1j * direction)
+        gen = (gvals / np.abs(gvals).max(), gvecs)
+        vals = score(rotate(gen, coarse, v))
+        pick = int(np.argmax(vals))
+        t_best, val_best = coarse[pick], float(vals[pick])
+        res = minimize_scalar(
+            lambda t: -float(score(rotate(gen, np.array([t]), v))[0]),
+            bounds=(t_best - h, t_best + h),
+            method="bounded",
+            options={"xatol": 1e-9},
+        )
+        if -res.fun > val_best:
+            t_best, val_best = float(res.x), float(-res.fun)
+        return val_best, rotate(gen, np.array([t_best]), v)[0]
+
     results = []
     for v in starts:
         best = float(score(v[None])[0])
-        for _ in range(MAX_SWEEPS):
-            sweep_gain = 0.0
-            for gen in gens:
-                grid = rotate(gen, coarse, v)
-                vals = score(grid)
+        grad = direction = _ascent_generator(rho4, v)
+        stalled = False
+        for _ in range(MAX_STEPS):
+            gain = 0.0
+            if np.any(direction):
+                val, moved = line_search(direction, v)
+                if val > best + 1e-13:
+                    gain, best, v = val - best, val, moved
+            if gain < SWEEP_GAIN_FLOOR:
+                vals = score(scan @ v)
                 pick = int(np.argmax(vals))
-                t_best, val_best = coarse[pick], float(vals[pick])
-                h = coarse[1] - coarse[0]
-                res = minimize_scalar(
-                    lambda t: -float(score(rotate(gen, np.array([t]), v))[0]),
-                    bounds=(t_best - h, t_best + h),
-                    method="bounded",
-                    options={"xatol": 1e-9},
-                )
-                if -res.fun > val_best:
-                    t_best, val_best = float(res.x), float(-res.fun)
-                if val_best > best + 1e-13:
-                    sweep_gain += val_best - best
-                    best = val_best
-                    v = rotate(gen, np.array([t_best]), v)[0]
-            if sweep_gain < SWEEP_GAIN_FLOOR:
-                break
-        results.append((best, v))
+                if vals[pick] < best + SWEEP_GAIN_FLOOR:
+                    stalled = True
+                    break
+                best, v = float(vals[pick]), scan[pick] @ v
+            grad, old = _ascent_generator(rho4, v), grad
+            beta = 0.0  # Polak-Ribiere after a step; a scan move restarts
+            if gain >= SWEEP_GAIN_FLOOR:
+                beta = (np.vdot(grad, grad - old) / np.vdot(old, old)).real
+            direction = grad + beta * direction
+            if np.vdot(direction, grad).real <= 0:  # not an ascent direction
+                direction = grad
+        results.append((best, v, stalled))
 
     results.sort(key=lambda item: item[0], reverse=True)
-    classical_mi, v_best = results[0]
-    converged = len(results) >= 2 and (
-        results[0][0] - results[1][0] <= CONVERGENCE_WINDOW
-    )
+    classical_mi, v_best, stalled = results[0]
     # polish away rotation roundoff so the POVM sums to the identity exactly
     gram = dag(v_best) @ v_best
     v_best = v_best @ matrix_function_on_support(gram, lambda x: 1 / np.sqrt(x))
+    grad_norm = float(np.linalg.norm(_ascent_generator(rho4, v_best)))
+    converged = stalled and grad_norm <= STATIONARY_GRAD and (
+        len(results) < 2 or results[0][0] - results[1][0] <= CONVERGENCE_WINDOW
+    )
     elements = [
         np.outer(row.conj(), row) for row in v_best
     ]
@@ -262,6 +307,7 @@ def discord(
         classical_mi=float(classical_mi),
         restarts=len(starts),
         converged=bool(converged),
+        grad_norm=grad_norm,
     )
 
 

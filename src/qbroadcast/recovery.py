@@ -217,8 +217,10 @@ def optimal_fixing_recovery_fidelity(
     builder = SdpBuilder()
     (j_blk,) = add_channel(builder, d_in, d_out)
     # sigma-fixing: <H, R(image_sigma)> = <H, sigma> for a Hermitian basis,
-    # with the left side rewritten as <conj(image_sigma) x H, J>
-    for h in hermitian_basis(d_out):
+    # with the left side rewritten as <conj(image_sigma) x H, J>.  The first
+    # diagonal unit is left out: the diagonal units sum to H = I, and that
+    # row follows from trace preservation.
+    for h in hermitian_basis(d_out)[1:]:
         builder.add_constraint(
             {j_blk: kron(image_sigma.conj(), h)},
             float(np.trace(h @ sigma.matrix).real),

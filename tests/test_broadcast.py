@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbroadcast.broadcast import (
     BroadcastReport,
+    _ascent_generator,
     _classical_mi_stack,
     _swap_sides,
     average_mi_loss,
@@ -32,7 +34,7 @@ from qbroadcast.corpus import (
     werner_state,
 )
 from qbroadcast.frames import build_ic_povm
-from qbroadcast.info import fidelity, mutual_information
+from qbroadcast.info import entropy, fidelity, mutual_information
 from qbroadcast.linalg import max_abs, trace_norm
 from qbroadcast.states import DensityMatrix, Povm
 
@@ -131,6 +133,66 @@ class TestDiscord:
         res = discord(werner_state(0.7), restarts=4)
         assert res.value > 1e-3
         assert res.converged
+
+    def test_single_restart_reports_convergence(self):
+        res = discord(werner_state(0.7), restarts=1)
+        assert res.converged
+        assert res.grad_norm <= 1e-6
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_ascent_generator_matches_finite_difference(self, dims):
+        # d/dt I(exp(tY) v) at t = 0 is 2 Re Tr(Y^dag X) for anti-Hermitian Y
+        rng = np.random.default_rng(sum(dims))
+        rho = random_state(dims, rng)
+        d_a, d_b = dims
+        k = d_b * d_b
+        rho4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+        s_a = entropy(rho.marginal((0,)))
+        g = rng.normal(size=(k, d_b)) + 1j * rng.normal(size=(k, d_b))
+        v = np.linalg.qr(g)[0][:, :d_b]
+        x = _ascent_generator(rho4, v)
+        assert np.abs(x + x.conj().T).max() < 1e-12
+        step = 1e-5
+        for _ in range(3):
+            h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            y = (h - h.conj().T) / 2
+            ends = np.stack(
+                [scipy.linalg.expm(t * y) @ v for t in (step, -step)]
+            )
+            plus, minus = _classical_mi_stack(rho4, s_a, ends)
+            numeric = (plus - minus) / (2 * step)
+            analytic = 2 * np.vdot(y, x).real
+            assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+    def test_bell_diagonal_matches_closed_form(self):
+        # Luo, PRA 77, 042303 (2008): for rho = (I + sum_j c_j s_j x s_j)/4,
+        # D = I(A:B) - C(c) with C(c) = sum_(s=+-1) (1 + s c)/2 log2(1 + s c)
+        # and c = max_j |c_j|
+        rng = np.random.default_rng(42)
+        bell = np.array(
+            [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
+        ) / np.sqrt(2)
+        paulis = [
+            np.array([[0, 1], [1, 0]]),
+            np.array([[0, -1j], [1j, 0]]),
+            np.diag([1.0, -1.0]),
+        ]
+        states = [werner_state(0.3), werner_state(0.7)]
+        for _ in range(6):
+            weights = rng.dirichlet([1] * 4)
+            mat = sum(p * np.outer(b, b) for p, b in zip(weights, bell))
+            states.append(DensityMatrix((2, 2), mat.astype(complex)))
+        for rho in states:
+            c = max(
+                abs(np.trace(rho.matrix @ np.kron(s, s)).real) for s in paulis
+            )
+            classical = sum(
+                (1 + s * c) / 2 * np.log2(1 + s * c)
+                for s in (1, -1)
+                if 1 + s * c > 0
+            )
+            expected = mutual_information(rho, (0,)) - classical
+            assert abs(discord(rho, restarts=4).value - expected) < 1e-8
 
     def test_best_povm_is_valid_and_reproduces_value(self):
         rng = np.random.default_rng(7)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbroadcast import sdp
 from qbroadcast.channels import (
     Channel,
     apply,
@@ -212,6 +213,26 @@ class TestRelativeEntropyCheck:
         for rho in (mixed, excited):
             with pytest.raises(ValueError, match="support violation"):
                 optimal_fixing_recovery_fidelity(rho, pure, ch)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fixing_program_has_no_dependent_rows(self, d, monkeypatch):
+        # trace preservation already implies one sigma-fixing row, so the
+        # program leaves it out and the redundancy pass drops nothing
+        rng = np.random.default_rng(20 + d)
+        reduce_constraints = sdp._reduce_constraints
+        counts = []
+
+        def counting(problem):
+            kept, scales = reduce_constraints(problem)
+            counts.append((len(kept), problem.n_constraints))
+            return kept, scales
+
+        monkeypatch.setattr(sdp, "_reduce_constraints", counting)
+        optimal_fixing_recovery_fidelity(
+            random_state(d, rng), random_state(d, rng), random_channel(d, d, rng)
+        )
+        assert len(counts) == 1
+        assert counts[0][0] == counts[0][1]
 
     def test_fixing_constraint_respected_by_optimizer(self):
         # the sigma-fixing SDP value can never exceed the unconstrained
