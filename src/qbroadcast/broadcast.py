@@ -37,10 +37,12 @@ from .frames import build_ic_povm
 from .info import entropy, mutual_information
 from .linalg import (
     SUPPORT_CUTOFF,
+    VALIDATION_ATOL,
     dag,
     hermitian_eig,
     kron,
     matrix_function_on_support,
+    nearest_psd,
     partial_trace,
     support_projector,
 )
@@ -55,6 +57,7 @@ from .sdp import (
 from .states import DensityMatrix, Povm
 
 MAX_BROADCAST_DIM = 4
+DEFAULT_RESTARTS = 32
 CONVERGENCE_WINDOW = 1e-6
 SWEEP_GAIN_FLOOR = 1e-10
 STATIONARY_GRAD = 1e-6
@@ -170,9 +173,9 @@ def _povm_rows(povm: Povm, k: int) -> np.ndarray | None:
     rows = []
     for e in povm.elements:
         vals, vecs = hermitian_eig(e)
-        if vals.size and vals[0] > 0 and (vals[1:] > 1e-10 * vals[0]).any():
-            return None
         if vals.size and vals[0] > 0:
+            if (vals[1:] > VALIDATION_ATOL * vals[0]).any():
+                return None
             rows.append(np.sqrt(vals[0]) * vecs[:, 0].conj())
         else:
             rows.append(np.zeros(e.shape[0], dtype=complex))
@@ -187,18 +190,20 @@ def discord(
     rho: DensityMatrix,
     side: str = "B",
     seed: int = 0,
-    restarts: int = 32,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> DiscordResult:
     """Quantum discord with measurement on the given side ("A" or "B").
 
     Maximizes I(A:B') over rank-one POVMs with d^2 outcomes, the rows of
     an isometry v, by multi-start Polak-Ribiere ascent of the unitary on v
-    along ``_ascent_generator``, one line search per step.  A stalled step
-    triggers one coarse scan along every coordinate generator, which
-    escapes a saddle or ends the restart.  Any measurement only bounds
-    discord from above, so ``converged`` says the best restart ended in a
-    failed scan with ``grad_norm <= STATIONARY_GRAD`` and agrees with the
-    runner-up (if any) within ``CONVERGENCE_WINDOW``.
+    along ``_ascent_generator``, one line search per step.  A step that
+    gains nothing, or gains less than ``SWEEP_GAIN_FLOOR`` and lands where
+    the gradient norm is at most ``STATIONARY_GRAD``, triggers one coarse
+    scan along every coordinate generator, which escapes a saddle or ends
+    the restart.  Any measurement only bounds discord from above, so
+    ``converged`` says the best restart ended in a failed scan with
+    ``grad_norm <= STATIONARY_GRAD`` and agrees with the runner-up (if
+    any) within ``CONVERGENCE_WINDOW``.
     """
     _require_bipartite(rho)
     side = side.upper()
@@ -267,21 +272,26 @@ def discord(
         grad = direction = _ascent_generator(rho4, v)
         stalled = False
         for _ in range(MAX_STEPS):
-            gain = 0.0
+            gain, old = 0.0, grad
             if np.any(direction):
                 val, moved = line_search(direction, v)
                 if val > best + 1e-13:
                     gain, best, v = val - best, val, moved
-            if gain < SWEEP_GAIN_FLOOR:
+                    grad = _ascent_generator(rho4, v)
+            # a small gain far from stationarity is slow progress, not a stall
+            scanned = gain < SWEEP_GAIN_FLOOR and (
+                gain == 0.0 or np.linalg.norm(grad) <= STATIONARY_GRAD
+            )
+            if scanned:
                 vals = score(scan @ v)
                 pick = int(np.argmax(vals))
                 if vals[pick] < best + SWEEP_GAIN_FLOOR:
                     stalled = True
                     break
                 best, v = float(vals[pick]), scan[pick] @ v
-            grad, old = _ascent_generator(rho4, v), grad
+                grad = _ascent_generator(rho4, v)
             beta = 0.0  # Polak-Ribiere after a step; a scan move restarts
-            if gain >= SWEEP_GAIN_FLOOR:
+            if not scanned:
                 beta = (np.vdot(grad, grad - old) / np.vdot(old, old)).real
             direction = grad + beta * direction
             if np.vdot(direction, grad).real <= 0:  # not an ascent direction
@@ -486,9 +496,8 @@ def _measure_prepare_ascent(
             "measure-and-prepare preparation", tol, max_iters,
         )
         best = max(best, value)
-        preps = [
-            _nearest_unit_trace_state(sol.primal_blocks[blk]) for blk in blocks
-        ]
+        preps = [nearest_psd(sol.primal_blocks[blk]) for blk in blocks]
+        preps = [p / np.trace(p).real for p in preps]
 
         # optimize the measurement for the current preparations
         builder = SdpBuilder()
@@ -503,21 +512,8 @@ def _measure_prepare_ascent(
             "measure-and-prepare measurement", tol, max_iters,
         )
         best = max(best, value)
-        elements = [
-            _nearest_psd(sol.primal_blocks[blk]) for blk in blocks
-        ]
+        elements = [nearest_psd(sol.primal_blocks[blk]) for blk in blocks]
     return best
-
-
-def _nearest_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = hermitian_eig(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ dag(vecs)
-
-
-def _nearest_unit_trace_state(mat: np.ndarray) -> np.ndarray:
-    psd = _nearest_psd(mat)
-    return psd / np.trace(psd).real
 
 
 def _a_support(rho: DensityMatrix, b_support: np.ndarray) -> np.ndarray:
@@ -545,7 +541,7 @@ def measurement_copy_broadcaster(
         prep_basis = np.eye(k, dtype=complex)
     prep_basis = np.asarray(prep_basis, dtype=complex)
     gram = dag(prep_basis) @ prep_basis
-    if np.abs(gram - np.eye(prep_basis.shape[1])).max() > 1e-10:
+    if np.abs(gram - np.eye(prep_basis.shape[1])).max() > VALIDATION_ATOL:
         raise ValueError("prep basis columns must be orthonormal")
     if prep_basis.shape[1] < k:
         raise ValueError(
@@ -559,11 +555,8 @@ def measurement_copy_broadcaster(
         stacked = ket
         for _ in range(copies - 1):
             stacked = np.kron(stacked, ket)
-        vals, vecs = hermitian_eig(element)
-        top = vals[0] if vals.size else 0.0
+        vals, vecs = hermitian_eig(element).on_support()
         for lam, vec in zip(vals, vecs.T):
-            if top <= 0 or lam <= SUPPORT_CUTOFF * top:
-                break
             kraus.append(np.sqrt(lam) * np.outer(stacked, vec.conj()))
     return channel_from_kraus(
         kraus, (povm.dim,), (d_reg,) * copies
@@ -593,7 +586,7 @@ def average_mi_loss(rho: DensityMatrix, channel: Channel) -> float:
 def broadcast_report(
     rho: DensityMatrix,
     seed: int = 0,
-    restarts: int = 32,
+    restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     diagnostics: dict | None = None,

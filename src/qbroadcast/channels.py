@@ -20,16 +20,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (
-    SUPPORT_CUTOFF,
+    ISOMETRY_ATOL,
+    VALIDATION_ATOL,
     dag,
     hermitian_eig,
     is_hermitian,
     kron,
-    matrix_function_on_support,
     max_abs,
+    nearest_psd,
     partial_trace,
 )
-from .states import VALIDATION_ATOL, DensityMatrix, Povm, _as_dims, _freeze
+from .states import DensityMatrix, Povm, _as_dims, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +55,7 @@ class CompletelyPositiveMap:
                 f"Choi shape {j.shape} does not match dims "
                 f"{list(in_dims)} -> {list(out_dims)}"
             )
-        if not is_hermitian(j, VALIDATION_ATOL):
+        if not is_hermitian(j):
             raise ValueError("Choi matrix is not Hermitian")
         lo = float(np.linalg.eigvalsh((j + dag(j)) / 2.0)[0])
         scale = max(1.0, max_abs(j))
@@ -207,14 +208,11 @@ def channel_from_kraus(kraus: Sequence[np.ndarray], in_dims, out_dims) -> Channe
 
 def kraus_from_choi(ch: CompletelyPositiveMap) -> list:
     """Kraus operators from the spectral decomposition of the Choi matrix."""
-    vals, vecs = hermitian_eig(ch.choi)
-    top = vals[0] if vals.size else 0.0
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if top <= 0 or lam <= SUPPORT_CUTOFF * top:
-            break
-        ops.append(np.sqrt(lam) * v.reshape(ch.in_dim, ch.out_dim).T)
-    return ops
+    vals, vecs = hermitian_eig(ch.choi).on_support()
+    return [
+        np.sqrt(lam) * v.reshape(ch.in_dim, ch.out_dim).T
+        for lam, v in zip(vals, vecs.T)
+    ]
 
 
 def stinespring(ch: Channel) -> np.ndarray:
@@ -229,7 +227,7 @@ def stinespring(ch: Channel) -> np.ndarray:
     for e, k in enumerate(kraus):
         v[e::env, :] = k
     dev = max_abs(dag(v) @ v - np.eye(ch.in_dim))
-    if dev > 1e-8:
+    if dev > ISOMETRY_ATOL:
         raise ValueError(f"Stinespring dilation is not an isometry ({dev:.3e})")
     return v
 
@@ -292,11 +290,8 @@ def povm_kraus(povm: Povm) -> list:
     k = povm.n_outcomes
     ops = []
     for i, e in enumerate(povm.elements):
-        vals, vecs = hermitian_eig(e)
-        top = vals[0] if vals.size else 0.0
+        vals, vecs = hermitian_eig(e).on_support()
         for lam, v in zip(vals, vecs.T):
-            if top <= 0 or lam <= SUPPORT_CUTOFF * top:
-                break
             op = np.zeros((k, povm.dim), dtype=complex)
             op[i, :] = np.sqrt(lam) * v.conj()
             ops.append(op)
@@ -331,27 +326,21 @@ def project_to_nearest_channel(choi: np.ndarray, in_dims, out_dims) -> Channel:
 
     Clips negative Choi eigenvalues, then restores trace preservation by
     the congruence J -> (T^{-1/2} (x) I) J (T^{-1/2} (x) I) with
-    T = Tr_out J.  Intended for solver output.
+    T = Tr_out J, inverted on its support.  Inputs in the kernel of T,
+    where the map is undefined, go to the maximally mixed output.
+    Intended for solver output.
     """
     in_dims = _as_dims(in_dims)
     out_dims = _as_dims(out_dims)
     din = int(np.prod(in_dims))
     dout = int(np.prod(out_dims))
-    j = np.asarray(choi, dtype=complex)
-    j = (j + dag(j)) / 2.0
-    vals, vecs = hermitian_eig(j, atol=np.inf)
-    vals = np.clip(vals, 0.0, None)
-    j = (vecs * vals) @ dag(vecs)
+    j = nearest_psd(np.asarray(choi, dtype=complex))
     t = partial_trace(j, (din, dout), 0)
-    t_isqrt = matrix_function_on_support(t, lambda x: x ** -0.5)
-    if np.linalg.matrix_rank(t, tol=1e-9) < din:
-        # The map is undefined on part of the input space; route the
-        # missing weight through the maximally mixed output.
-        proj = t_isqrt @ t @ t_isqrt
-        missing = np.eye(din) - proj
-        j = kron(t_isqrt, np.eye(dout)) @ j @ kron(t_isqrt, np.eye(dout))
+    vals, vecs = hermitian_eig(t).on_support()
+    t_isqrt = (vecs * vals ** -0.5) @ dag(vecs)
+    j = kron(t_isqrt, np.eye(dout)) @ j @ kron(t_isqrt, np.eye(dout))
+    if vals.size < din:
+        missing = np.eye(din) - vecs @ dag(vecs)
         j = j + kron(missing, np.eye(dout) / dout)
-    else:
-        j = kron(t_isqrt, np.eye(dout)) @ j @ kron(t_isqrt, np.eye(dout))
     j = (j + dag(j)) / 2.0
     return Channel(in_dims, out_dims, j)

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from .broadcast import broadcast_report, f_max_broadcast
+from .broadcast import DEFAULT_RESTARTS, broadcast_report, f_max_broadcast
 from .channels import apply_on_subsystem
 from .classicality import (
     basis_broadcaster,
@@ -50,7 +50,6 @@ from .recovery import recovery_report
 from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .states import DensityMatrix
 
-DEFAULT_RESTARTS = 32
 _PART_LETTERS = "ABCDEFGH"
 
 

@@ -1,8 +1,8 @@
 """Entropic and distance measures, all in bits (base-2 logarithms).
 
 Small negative results caused by floating-point dust are clamped to zero
-within NEGATIVE_DUST; anything more negative raises, since it signals an
-invalid input rather than roundoff.
+within ``linalg.NEGATIVE_DUST``; anything more negative raises, since it
+signals an invalid input rather than roundoff.
 """
 
 from __future__ import annotations
@@ -10,25 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    CMI_DUST,
+    NEGATIVE_DUST,
     SUPPORT_CUTOFF,
-    dag,
-    hermitian_eig,
+    SUPPORT_LEAK_TOL,
     matrix_function_on_support,
     support_projector,
     trace_norm,
 )
 from .states import DensityMatrix
 
-NEGATIVE_DUST = 1e-9
-CMI_DUST = 1e-8
 
-# Relative entropy is +inf when the support condition fails; "fails" means
-# more than this much of the first state leaks outside the second's support.
-SUPPORT_LEAK_TOL = 1e-9
-
-
-def _clamp_dust(value: float, what: str, dust: float = NEGATIVE_DUST) -> float:
-    if value < -dust:
+def _clamp_dust(value: float, what: str) -> float:
+    if value < -NEGATIVE_DUST:
         raise ValueError(f"{what} = {value:.3e} is negative beyond roundoff")
     return max(value, 0.0)
 
@@ -85,7 +79,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     sq_r = matrix_function_on_support(rho.matrix, np.sqrt)
     sq_s = matrix_function_on_support(sigma.matrix, np.sqrt)
     value = trace_norm(sq_r @ sq_s)
-    if value > 1.0 + 1e-9:
+    if value > 1.0 + NEGATIVE_DUST:
         raise ValueError(f"fidelity {value} exceeds 1 beyond roundoff")
     return min(value, 1.0)
 
@@ -124,7 +118,7 @@ def conditional_mutual_information(
     """I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B).
 
     ``side_b`` defaults to all remaining subsystems.  Tiny negative values
-    down to -1e-8 are returned as-is (strong subadditivity guarantees the
+    down to -CMI_DUST are returned as-is (strong subadditivity guarantees the
     exact quantity is nonnegative); anything lower raises.
     """
     a, c = _split_groups(rho.dims, side_a, side_c)

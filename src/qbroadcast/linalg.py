@@ -1,9 +1,17 @@
-"""Dense linear algebra helpers for small multipartite quantum systems.
+"""Dense linear algebra helpers and the package's numerical policy.
 
 Everything here works on plain complex ndarrays.  Composite indices are
 ordered with the first tensor factor slowest (most significant), i.e.
 ``kron(A, B)`` puts ``A`` on the slow index, matching the row-major
 reshape ``(dA, dB, dA, dB)``.
+
+This module is the one place that decides when a number about a state,
+channel, POVM or spectrum counts as zero, equal or valid: the tolerance
+constants below, the support rule (``HermitianEig.on_support``) and the
+PSD projection (``nearest_psd``).  Other modules import them; no public
+function takes a tolerance argument.  Stopping rules of an algorithm stay
+with it: the SDP solver's in ``sdp``, the discord search's in
+``broadcast``.
 """
 
 from __future__ import annotations
@@ -12,12 +20,28 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# Eigenvalues at or below SUPPORT_CUTOFF * (largest eigenvalue) are treated
-# as exact zeros when inverting / taking functions on the support.
+# Support rule: eigenvalues <= SUPPORT_CUTOFF * (largest one) are zeros.
 SUPPORT_CUTOFF = 1e-12
-
-# Hermiticity / PSD slack tolerated on *inputs* before we refuse them.
-HERM_ATOL = 1e-10
+# Input slack (Hermiticity, trace, positivity, orthonormality) before refusal.
+VALIDATION_ATOL = 1e-10
+# Entropies this far below 0, or fidelities this far above 1, are roundoff.
+NEGATIVE_DUST = 1e-9
+# I(A:C|B) sums four entropies; down to -CMI_DUST its sign is roundoff.
+CMI_DUST = 1e-8
+# S(rho||sigma) is infinite once more weight of rho leaks out of supp(sigma).
+SUPPORT_LEAK_TOL = 1e-9
+# Commutators below this are zero: two states commute, a side is classical.
+COMMUTE_TOL = 1e-9
+# Conditional states with less Born weight are roundoff in a verdict.
+WEIGHT_FLOOR = 1e-12
+# Frame outcomes with at most this weight get a placeholder conditional state.
+ZERO_WEIGHT = 1e-14
+# Relative eigenvalue gaps below this are degenerate in common_eigenbasis.
+DEGENERACY_GAP = 1e-6
+# A Stinespring dilation must be an isometry within this, entrywise.
+ISOMETRY_ATOL = 1e-8
+# Slack on "fidelity >= 2^(-drop/2)", covering the SDP solver's tolerance.
+FIDELITY_SLACK = 1e-6
 
 
 class HermitianEig(NamedTuple):
@@ -28,6 +52,17 @@ class HermitianEig(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+    def on_support(self) -> "HermitianEig":
+        """The eigenpairs on the support: values > SUPPORT_CUTOFF * values[0].
+
+        None when the largest eigenvalue is not positive.  Since values
+        descend, these are the leading pairs; the remaining columns of
+        ``vectors`` span the kernel.
+        """
+        top = self.values[0] if self.values.size else 0.0
+        rank = int((self.values > SUPPORT_CUTOFF * top).sum()) if top > 0 else 0
+        return HermitianEig(self.values[:rank], self.vectors[:, :rank])
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -43,8 +78,8 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    return bool(np.abs(a - dag(a)).max() <= atol)
+def is_hermitian(a: np.ndarray) -> bool:
+    return bool(np.abs(a - dag(a)).max() <= VALIDATION_ATOL)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -92,16 +127,16 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     return tensor.reshape(d_keep, d_keep)
 
 
-def hermitian_eig(mat: np.ndarray, atol: float = HERM_ATOL) -> HermitianEig:
+def hermitian_eig(mat: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Raises ValueError if ``mat`` is not Hermitian within ``atol``.
+    Raises ValueError if ``mat`` is not Hermitian within ``VALIDATION_ATOL``.
     """
     mat = np.asarray(mat, dtype=complex)
-    if not is_hermitian(mat, atol):
+    if not is_hermitian(mat):
         raise ValueError(
             f"matrix is not Hermitian: max deviation "
-            f"{max_abs(mat - dag(mat)):.3e} exceeds atol {atol:.1e}"
+            f"{max_abs(mat - dag(mat)):.3e} exceeds {VALIDATION_ATOL:.1e}"
         )
     vals, vecs = np.linalg.eigh((mat + dag(mat)) / 2.0)
     order = np.argsort(vals)[::-1]
@@ -109,47 +144,44 @@ def hermitian_eig(mat: np.ndarray, atol: float = HERM_ATOL) -> HermitianEig:
 
 
 def matrix_function_on_support(
-    mat: np.ndarray,
-    fn: Callable[[np.ndarray], np.ndarray],
-    atol: float = HERM_ATOL,
+    mat: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """Apply ``fn`` to the nonzero spectrum of a PSD matrix.
 
-    Eigenvalues at or below ``SUPPORT_CUTOFF`` times the largest one are
-    treated as exact zeros (the function is *not* applied to them), so
-    e.g. ``fn=lambda x: x**-0.5`` yields the pseudo-inverse square root.
-    Eigenvalues below ``-atol`` raise; small negative dust is clipped.
+    Eigenvalues off the support (``HermitianEig.on_support``) are treated
+    as exact zeros (the function is *not* applied to them), so e.g.
+    ``fn=lambda x: x**-0.5`` yields the pseudo-inverse square root.
+    Eigenvalues below ``-VALIDATION_ATOL`` raise; small negative dust is
+    dropped.
     """
-    vals, vecs = hermitian_eig(mat, atol)
-    if vals.size and vals[-1] < -atol:
+    eig = hermitian_eig(mat)
+    if eig.values.size and eig.values[-1] < -VALIDATION_ATOL:
         raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {vals[-1]:.3e}"
+            f"matrix is not positive semidefinite: min eigenvalue "
+            f"{eig.values[-1]:.3e}"
         )
-    top = vals[0] if vals.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(np.asarray(mat, dtype=complex))
-    mask = vals > SUPPORT_CUTOFF * top
-    out_vals = np.zeros_like(vals)
-    out_vals[mask] = fn(vals[mask])
-    return (vecs * out_vals) @ dag(vecs)
+    vals, vecs = eig.on_support()
+    return (vecs * fn(vals)) @ dag(vecs)
 
 
-def support_projector(mat: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
+def support_projector(mat: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    return matrix_function_on_support(mat, lambda x: np.ones_like(x), atol)
+    return matrix_function_on_support(mat, lambda x: np.ones_like(x))
 
 
-def support_isometry(mat: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
+def support_isometry(mat: np.ndarray) -> np.ndarray:
     """Isometry V whose columns span the support of a PSD matrix.
 
     ``dag(V) @ mat @ V`` is the compression of ``mat`` onto its support.
     """
-    vals, vecs = hermitian_eig(mat, atol)
-    top = vals[0] if vals.size else 0.0
-    if top <= 0.0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    mask = vals > SUPPORT_CUTOFF * top
-    return vecs[:, mask]
+    return hermitian_eig(mat).on_support().vectors
+
+
+def nearest_psd(mat: np.ndarray) -> np.ndarray:
+    """Closest PSD matrix in Frobenius norm: the Hermitian part of ``mat``
+    with its negative eigenvalues set to zero."""
+    vals, vecs = hermitian_eig((mat + dag(mat)) / 2.0)
+    return (vecs * np.clip(vals, 0.0, None)) @ dag(vecs)
 
 
 def trace_norm(mat: np.ndarray) -> float:

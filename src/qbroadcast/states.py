@@ -13,16 +13,14 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    HERM_ATOL,
+    VALIDATION_ATOL,
     dag,
-    hermitian_eig,
     is_hermitian,
     kron,
     max_abs,
+    nearest_psd,
     partial_trace,
 )
-
-VALIDATION_ATOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -145,7 +143,7 @@ class Povm:
         for i, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError(f"element {i} has shape {e.shape}, expected {(d, d)}")
-            if not is_hermitian(e, VALIDATION_ATOL):
+            if not is_hermitian(e):
                 raise ValueError(f"element {i} is not Hermitian")
             lo = float(np.linalg.eigvalsh((e + dag(e)) / 2.0)[0])
             if lo < -VALIDATION_ATOL:
@@ -189,13 +187,10 @@ def project_to_nearest_state(mat: np.ndarray, dims, label: str = "") -> DensityM
     input is so far off that no sensible projection exists (zero trace).
     """
     dims = _as_dims(dims)
-    mat = np.asarray(mat, dtype=complex)
-    herm = (mat + dag(mat)) / 2.0
-    vals, vecs = hermitian_eig(herm, atol=np.inf)
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
+    psd = nearest_psd(np.asarray(mat, dtype=complex))
+    total = np.trace(psd).real
     if total <= 0.0:
         raise ValueError("matrix has no positive part to normalize")
-    rho = (vecs * (vals / total)) @ dag(vecs)
+    rho = psd / total
     rho = (rho + dag(rho)) / 2.0
     return DensityMatrix(dims, rho, label)

@@ -147,3 +147,88 @@ def test_hermitian_eig_namedtuple_fields():
     assert isinstance(out, HermitianEig)
     assert out.values.shape == (2,)
     assert out.vectors.shape == (2, 2)
+
+
+class TestNumericalPolicy:
+    # algorithm controls that stay with their algorithm; every other
+    # module-level float constant must be the linalg object
+    ALGORITHM_CONTROLS = {
+        "sdp": {"COEFF_HERM_TOL", "DEFAULT_TOL"},
+        "broadcast": {
+            "CONVERGENCE_WINDOW", "SWEEP_GAIN_FLOOR", "STATIONARY_GRAD",
+        },
+    }
+
+    @staticmethod
+    def modules():
+        import importlib
+        import pkgutil
+
+        import qbroadcast
+
+        return [
+            importlib.import_module(f"qbroadcast.{info.name}")
+            for info in pkgutil.iter_modules(qbroadcast.__path__)
+        ]
+
+    def test_support_rule_shared_at_the_boundary(self):
+        from qbroadcast.channels import (
+            CompletelyPositiveMap,
+            kraus_from_choi,
+            povm_kraus,
+            quantum_to_classical,
+        )
+        from qbroadcast.linalg import SUPPORT_CUTOFF
+        from qbroadcast.states import Povm
+
+        # one eigenvalue just above SUPPORT_CUTOFF * top, one just below
+        cut = SUPPORT_CUTOFF * 0.8
+        vals = np.array([0.8, 0.3, 1.1 * cut, 0.9 * cut])
+        u = np.linalg.qr(random_herm(4, np.random.default_rng(9)))[0]
+        m = (u * vals) @ dag(u)
+        m = (m + dag(m)) / 2
+        rank = 3
+        assert support_isometry(m).shape == (4, rank)
+        proj = matrix_function_on_support(m, lambda x: np.ones_like(x))
+        assert abs(np.trace(proj).real - rank) < 1e-9
+        choi = CompletelyPositiveMap((2,), (2,), m)
+        assert len(kraus_from_choi(choi)) == rank
+        povm = Povm((m, np.eye(4) - m))
+        first = [k for k in povm_kraus(povm) if k[0].any()]
+        assert len(first) == rank
+        assert len(povm_kraus(povm)) == rank + 4
+        quantum_to_classical(povm)
+
+    def test_no_tolerance_parameters(self):
+        import inspect
+
+        for mod in self.modules():
+            owners = [mod] + [
+                c for _, c in inspect.getmembers(mod, inspect.isclass)
+                if c.__module__ == mod.__name__
+            ]
+            for owner in owners:
+                for name, fn in inspect.getmembers(owner, inspect.isfunction):
+                    if name.startswith("_") or fn.__module__ != mod.__name__:
+                        continue
+                    params = set(inspect.signature(fn).parameters)
+                    assert not params & {"atol", "dust", "slack"}, (
+                        f"{mod.__name__}.{name}"
+                    )
+
+    def test_tolerances_are_the_linalg_objects(self):
+        import importlib
+
+        from qbroadcast import linalg
+
+        for mod in self.modules():
+            for name, value in vars(mod).items():
+                if not (name.isupper() and isinstance(value, float)):
+                    continue
+                owner = linalg
+                for home, names in self.ALGORITHM_CONTROLS.items():
+                    if name in names:
+                        owner = importlib.import_module(f"qbroadcast.{home}")
+                assert value is getattr(owner, name, None), (
+                    f"{mod.__name__}.{name}"
+                )
