@@ -16,6 +16,7 @@ from qbroadcast import (
     broadcast_report,
     classical_on_b_state,
     f_max_broadcast,
+    recording,
     werner_state,
 )
 
@@ -29,12 +30,13 @@ print(f"  returned optimizer is a channel {channel.in_dims} -> {channel.out_dims
 for name, rho in (("Bell pair", bell_state()),
                   ("Werner p=0.3", werner_state(0.3)),
                   ("Werner p=0.7", werner_state(0.7))):
-    diag = {}
-    rep = broadcast_report(rho, diagnostics=diag)
+    with recording() as records:  # one (what, solution) per certified solve
+        rep = broadcast_report(rho)
+    fmax_solution = dict(records)["broadcast"]
     print(f"\n{name}:")
     print(f"  f_max   = {rep.f_max:.8f}   "
-          f"(solver residual {diag['f_max']['residual_primal']:.1e}, "
-          f"{diag['f_max']['iterations']} iterations)")
+          f"(solver residual {fmax_solution.residuals.primal:.1e}, "
+          f"{fmax_solution.iterations} iterations)")
     print(f"  f_eb    = {rep.f_eb:.8f}   (exact EB set: {rep.eb_exact})")
     print(f"  discord = {rep.discord.value:.8f}")
     print(f"  bounds: discord >= -2 log2 f_eb = {rep.discord_bound_eb:.8f}"

@@ -68,6 +68,7 @@ from .sdp import (
     dump_sdpa,
     fidelity_sdp,
     hermitian_basis,
+    recording,
     require_optimal,
     solution_diagnostics,
     solve,

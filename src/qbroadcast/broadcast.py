@@ -75,6 +75,7 @@ class DiscordResult:
     restarts: int
     converged: bool
     grad_norm: float
+    verdict: ClassicalityVerdict  # of the state with the measured side second
 
 
 @dataclass(frozen=True)
@@ -318,6 +319,7 @@ def discord(
         restarts=len(starts),
         converged=bool(converged),
         grad_norm=grad_norm,
+        verdict=verdict,
     )
 
 
@@ -343,7 +345,6 @@ def f_max_broadcast(
     rho: DensityMatrix,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    diagnostics: dict | None = None,
 ) -> tuple[float, Channel]:
     """Best single-output fidelity of a symmetric one-to-two broadcast of B.
 
@@ -354,9 +355,7 @@ def f_max_broadcast(
     that operator's eigenspaces, so it is parametrized as
     V+ X+ V+^dag + V- X- V-^dag with PSD blocks X+ and X- on the +1 and -1
     eigenspaces (the -1 block is absent for a one-dimensional B).
-    Returns the certified optimum and an optimal channel.  A
-    ``diagnostics`` dict, if given, is filled with solver status,
-    iterations and residuals.
+    Returns the certified optimum and an optimal channel.
     """
     _require_bipartite(rho)
     d_a, d_b = rho.dims
@@ -384,7 +383,7 @@ def f_max_broadcast(
     ]
     value, solution = certified_fidelity(
         builder, rho.matrix, terms, _a_support(rho, np.eye(d_b)), "broadcast",
-        tol, max_iters, diagnostics,
+        tol, max_iters,
     )
     choi = sum(
         v @ solution.primal_blocks[blk] @ dag(v)
@@ -404,7 +403,6 @@ def f_eb_detailed(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     init_povm: Povm | None = None,
-    diagnostics: dict | None = None,
 ) -> EbDetail:
     """Entanglement-breaking broadcast fidelity of side B.
 
@@ -414,18 +412,13 @@ def f_eb_detailed(
     ``eb_exact``.  An explicit measure-and-prepare ascent provides the
     matching achievable value from below.
     """
-    value = _f_eb_ppt(rho, tol, max_iters, diagnostics)
+    value = f_eb(rho, tol, max_iters)
     lower = _measure_prepare_ascent(rho, tol, max_iters, init_povm)
     return EbDetail(value, lower, eb_exact=bool(rho.dims[1] == 2))
 
 
 def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
-    """Entanglement-breaking broadcast fidelity (the PPT program only)."""
-    return _f_eb_ppt(rho, tol, max_iters, None)
-
-
-def _f_eb_ppt(rho, tol, max_iters, diagnostics) -> float:
-    """The PPT-Choi program of f_eb_detailed: its certified value."""
+    """Entanglement-breaking broadcast fidelity: the PPT-Choi program only."""
     _require_bipartite(rho)
     d_b = rho.dims[1]
     builder = SdpBuilder()
@@ -450,7 +443,6 @@ def _f_eb_ppt(rho, tol, max_iters, diagnostics) -> float:
     return certified_fidelity(
         builder, rho.matrix, [(j_blk, one_output)],
         _a_support(rho, np.eye(d_b)), "EB broadcast", tol, max_iters,
-        diagnostics,
     )[0]
 
 
@@ -589,33 +581,21 @@ def broadcast_report(
     restarts: int = DEFAULT_RESTARTS,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    diagnostics: dict | None = None,
 ) -> BroadcastReport:
     """All broadcastability quantifiers for one bipartite state."""
     _require_bipartite(rho)
-    diag_max = {} if diagnostics is not None else None
-    diag_eb = {} if diagnostics is not None else None
     disc = discord(rho, side="B", seed=seed, restarts=restarts)
-    fmax, _ = f_max_broadcast(
-        rho, tol=tol, max_iters=max_iters, diagnostics=diag_max
-    )
+    fmax, _ = f_max_broadcast(rho, tol=tol, max_iters=max_iters)
     eb = f_eb_detailed(
-        rho,
-        tol=tol,
-        max_iters=max_iters,
-        init_povm=disc.best_povm,
-        diagnostics=diag_eb,
+        rho, tol=tol, max_iters=max_iters, init_povm=disc.best_povm
     )
-    if diagnostics is not None:
-        diagnostics["f_max"] = diag_max
-        diagnostics["f_eb"] = diag_eb
     return BroadcastReport(
         f_max=fmax,
         f_eb=eb.value,
         discord_bound_eb=_fidelity_to_discord_bound(eb.value),
         discord_bound_max=_fidelity_to_discord_bound(fmax),
         discord=disc,
-        exact=classify(rho),
+        exact=disc.verdict,
         eb_exact=eb.eb_exact,
     )
 

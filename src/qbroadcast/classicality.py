@@ -163,8 +163,8 @@ def classify(rho: DensityMatrix) -> ClassicalityVerdict:
     )
 
 
-def basis_broadcaster(basis: np.ndarray, copies: int = 2) -> Channel:
-    """Measure in an orthonormal basis, then prepare ``copies`` copies.
+def basis_broadcaster(basis: np.ndarray) -> Channel:
+    """Measure in an orthonormal basis, then prepare two copies.
 
     Broadcasts exactly every state diagonal in ``basis``; anything else
     is dephased.
@@ -174,14 +174,8 @@ def basis_broadcaster(basis: np.ndarray, copies: int = 2) -> Channel:
     if (basis.shape != (d, d)
             or max_abs(dag(basis) @ basis - np.eye(d)) > VALIDATION_ATOL):
         raise ValueError("basis columns are not orthonormal")
-    kraus = []
-    for i in range(d):
-        ket = basis[:, i]
-        out = ket
-        for _ in range(copies - 1):
-            out = np.kron(out, ket)
-        kraus.append(np.outer(out, ket.conj()))
-    return channel_from_kraus(kraus, (d,), (d,) * copies)
+    kraus = [np.outer(np.kron(ket, ket), ket.conj()) for ket in basis.T]
+    return channel_from_kraus(kraus, (d,), (d, d))
 
 
 def verify_broadcast(rho: DensityMatrix, ch: Channel):

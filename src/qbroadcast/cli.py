@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -47,7 +48,7 @@ from .info import (
 )
 from .linalg import dag, hermitian_eig
 from .recovery import recovery_report
-from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL
+from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL, recording, solution_diagnostics
 from .states import DensityMatrix
 
 _PART_LETTERS = "ABCDEFGH"
@@ -285,8 +286,6 @@ def cmd_measure(args):
         "command": "measure",
         "quantity": args.quantity,
         "input": stanza,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
         "quantities": quantities,
     }
     if args.quantity == "entropy":
@@ -325,15 +324,10 @@ def cmd_measure(args):
 
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
-    diagnostics: dict = {}
-    rep = broadcast_report(
-        rho,
-        seed=args.seed,
-        restarts=args.restarts,
-        tol=args.tolerance,
-        max_iters=args.sdp_max_iters,
-        diagnostics=diagnostics,
-    )
+    with recording() as records:
+        rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
+                               tol=args.tolerance, max_iters=args.sdp_max_iters)
+    solutions = dict(records)  # solves labelled by what they certify
     report = {
         "command": "broadcast",
         "input": stanza,
@@ -358,24 +352,21 @@ def cmd_broadcast(args):
                 "witness_b": rep.exact.witness_b,
             },
         },
-        "diagnostics": diagnostics,
+        "diagnostics": {
+            "f_max": solution_diagnostics(solutions["broadcast"]),
+            "f_eb": solution_diagnostics(solutions["EB broadcast"]),
+        },
     }
     return report, 0
 
 
 def cmd_recover(args):
     rho, stanza = _resolve_state(args)
-    diagnostics: dict = {}
-    rep = recovery_report(
-        rho,
-        tol=args.tolerance,
-        max_iters=args.sdp_max_iters,
-        diagnostics=diagnostics,
-    )
+    with recording() as records:
+        rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
     report = {
         "command": "recover",
         "input": stanza,
-        "seed": args.seed,
         "tolerance": args.tolerance,
         "quantities": {
             "cmi": rep.cmi,
@@ -384,7 +375,7 @@ def cmd_recover(args):
             "fidelity_bound": rep.bound,
             "sigma_recovery_residual": rep.sigma_recovery_residual,
         },
-        "diagnostics": diagnostics,
+        "diagnostics": solution_diagnostics(dict(records)["recovery"]),
     }
     return report, 0
 
@@ -520,9 +511,7 @@ def _suite_no_unilocal_broadcast(args) -> list:
         ("cq", classical_on_b_state(2, 2, rng)),
     ]
     for name, rho in classical:
-        value, _ = f_max_broadcast(
-            rho, tol=args.tolerance, max_iters=args.sdp_max_iters
-        )
+        value, _ = f_max_broadcast(rho, args.tolerance, args.sdp_max_iters)
         cases.append(
             _case(
                 f"classical-{name}",
@@ -532,9 +521,7 @@ def _suite_no_unilocal_broadcast(args) -> list:
         )
     quantum = [("bell", named_state("bell")), ("werner-0.7", werner_state(0.7))]
     for name, rho in quantum:
-        value, _ = f_max_broadcast(
-            rho, tol=args.tolerance, max_iters=args.sdp_max_iters
-        )
+        value, _ = f_max_broadcast(rho, args.tolerance, args.sdp_max_iters)
         cases.append(
             _case(
                 f"non-classical-{name}",
@@ -586,13 +573,8 @@ def _suite_discord_bounds(args) -> list:
         ("random", random_state((2, 2), rng)),
     ]
     for name, rho in states:
-        rep = broadcast_report(
-            rho,
-            seed=args.seed,
-            restarts=args.restarts,
-            tol=args.tolerance,
-            max_iters=args.sdp_max_iters,
-        )
+        rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
+                               tol=args.tolerance, max_iters=args.sdp_max_iters)
         values = {
             "discord": rep.discord.value,
             "f_eb": rep.f_eb,
@@ -652,67 +634,87 @@ def render_demo_table(report: dict, wall_seconds: float) -> str:
 # parser and entry point
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` above zero (so an int is >= 1)."""
+
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each command declares exactly the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="qbroadcast",
         description="Broadcastability, discord and recoverability of "
         "finite-dimensional quantum states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    gen_help = "built-in state: bell, ghz, cc, cq, werner:p, random:seed"
 
-    def common(p, second_input=False):
+    def command(name, handler, help, output=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if output:
+            p.add_argument("--output", choices=("table", "json"),
+                           default="table",
+                           help="report format (default %(default)s)")
+        return p
+
+    def state_flags(p):
         p.add_argument("-i", "--input", help="state file (JSON)")
-        p.add_argument("--gen", help="built-in state instead of a file: "
-                       "bell, ghz, cc, cq, werner:p, random:seed")
-        if second_input:
-            p.add_argument("--input2", help="second state file")
-            p.add_argument("--gen2", help="built-in second state")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
-                       help="solver tolerance (default %(default)g)")
-        p.add_argument("--sdp-max-iters", type=int, default=DEFAULT_MAX_ITERS,
-                       help="SDP iteration cap (default %(default)s)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for every randomized step (default 0)")
-        p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                       help="discord search restarts (default %(default)s)")
-        p.add_argument("--output", choices=("table", "json"), default="table",
-                       help="report format (default %(default)s)")
+        p.add_argument("--gen", help=gen_help + " (instead of a file)")
 
-    p_measure = sub.add_parser(
-        "measure", help="entropic quantities and fidelity"
-    )
-    p_measure.add_argument(
+    def solver_flags(p, search: bool):
+        p.add_argument("--tolerance", type=_positive(float), default=DEFAULT_TOL,
+                       help="solver tolerance (default %(default)g)")
+        p.add_argument("--sdp-max-iters", type=_positive(int),
+                       default=DEFAULT_MAX_ITERS,
+                       help="SDP iteration cap (default %(default)s)")
+        if search:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for every randomized step (default 0)")
+            p.add_argument("--restarts", type=_positive(int),
+                           default=DEFAULT_RESTARTS,
+                           help="discord search restarts (default %(default)s)")
+
+    p = command("measure", cmd_measure, "entropic quantities and fidelity")
+    p.add_argument(
         "quantity", choices=("entropy", "mutual-info", "cmi", "fidelity")
     )
-    p_measure.add_argument(
+    p.add_argument(
         "--parts",
         help="subsystem groups, e.g. 'A|B' for mutual-info or 'A|C|B' for "
         "I(A:C|B); letters or indices",
     )
-    common(p_measure, second_input=True)
-    p_measure.set_defaults(handler=cmd_measure)
+    state_flags(p)
+    p.add_argument("--input2", help="second state file")
+    p.add_argument("--gen2", help="built-in second state")
 
-    p_broadcast = sub.add_parser(
-        "broadcast", help="broadcast fidelities, discord and bounds"
-    )
-    common(p_broadcast)
-    p_broadcast.set_defaults(handler=cmd_broadcast)
+    p = command("broadcast", cmd_broadcast,
+                "broadcast fidelities, discord and bounds")
+    state_flags(p)
+    solver_flags(p, search=True)
 
-    p_recover = sub.add_parser(
-        "recover", help="Petz and optimal recovery of a tripartite state"
-    )
-    common(p_recover)
-    p_recover.set_defaults(handler=cmd_recover)
+    p = command("recover", cmd_recover,
+                "Petz and optimal recovery of a tripartite state")
+    state_flags(p)
+    solver_flags(p, search=False)
 
-    p_demo = sub.add_parser("demo", help="self-checking demonstration suites")
-    p_demo.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
-    common(p_demo)
-    p_demo.set_defaults(handler=cmd_demo)
+    p = command("demo", cmd_demo, "self-checking demonstration suites")
+    p.add_argument("suite", help="one of: " + ", ".join(sorted(SUITES)))
+    solver_flags(p, search=True)
 
-    p_gen = sub.add_parser("gen", help="write a built-in state file to stdout")
-    common(p_gen)
-    p_gen.set_defaults(handler=cmd_gen)
-
+    p = command("gen", cmd_gen, "write a built-in state file to stdout",
+                output=False)
+    p.add_argument("--gen", help=gen_help)
     return parser
 
 
@@ -721,10 +723,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

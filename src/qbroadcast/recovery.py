@@ -124,14 +124,12 @@ def optimal_recovery_fidelity(
     rho_abc: DensityMatrix,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    diagnostics: dict | None = None,
 ) -> tuple[float, Channel]:
     """Best achievable F(rho_ABC, (id_A x R)(rho_AB)) over channels R: B->BC.
 
     Solved as an SDP over the Choi matrix of R, with the rebuilt state
     entering the fidelity block as an affine expression.  Returns the
-    optimum and an optimal recovery channel.  A ``diagnostics`` dict, if
-    given, is filled with solver status, iterations and residuals.
+    optimum and an optimal recovery channel.
     """
     _require_tripartite(rho_abc)
     d_a, d_b, d_c = rho_abc.dims
@@ -151,7 +149,7 @@ def optimal_recovery_fidelity(
     )
     value, solution = certified_fidelity(
         builder, rho_abc.matrix, [(j_blk, rebuild)], support_bound,
-        "recovery", tol, max_iters, diagnostics,
+        "recovery", tol, max_iters,
     )
     channel = project_to_nearest_channel(
         solution.primal_blocks[j_blk], (d_b,), (d_b, d_c)
@@ -163,18 +161,15 @@ def recovery_report(
     rho_abc: DensityMatrix,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    diagnostics: dict | None = None,
 ) -> RecoveryReport:
-    """Full recoverability diagnostics for a tripartite state."""
+    """Full recoverability summary for a tripartite state."""
     _require_tripartite(rho_abc)
     cmi = conditional_mutual_information(rho_abc, side_a=(0,), side_c=(2,))
     petz = petz_recovery_map(rho_abc)
     rho_b = rho_abc.marginal((1,))
     rho_bc = rho_abc.marginal((1, 2))
     residual = trace_norm(apply(petz, rho_b).matrix - rho_bc.matrix)
-    optimal, _ = optimal_recovery_fidelity(
-        rho_abc, tol=tol, max_iters=max_iters, diagnostics=diagnostics
-    )
+    optimal, _ = optimal_recovery_fidelity(rho_abc, tol, max_iters)
     return RecoveryReport(
         cmi=cmi,
         petz_fidelity=_rebuilt_fidelity(rho_abc, petz),

@@ -18,10 +18,17 @@ with Nesterov-Todd scaling run directly on the Hermitian blocks, as SDPT3
 does for complex data (Toh, Todd and Tutuncu 1999).  Instances here are
 small (block side <= ~40, <= ~700 constraints), so dense linear algebra
 per iteration is the right tool.
+
+Every fidelity the library reports comes from ``certified_fidelity``: a
+solve counts only with status ``optimal`` and a passing, independent
+``audit``.  Inside ``recording()`` each such solve is also logged as a
+(what, solution) record, the one route by which solver certificates leave.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +92,7 @@ class SdpResiduals:
 
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
-    status: str  # optimal | infeasible | max-iterations
+    status: str  # optimal | infeasible | max-iterations | breakdown
     primal_blocks: tuple
     dual_vector: np.ndarray
     primal_value: float
@@ -283,8 +290,8 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
                 break
             except np.linalg.LinAlgError:
                 jitter = base * (1e-14 if attempt == 0 else jitter / base * 100)
-        if factor is None:
-            status = "max-iterations"
+        if factor is None:  # the Schur complement lost definiteness
+            status = "breakdown"
             iterations = it
             break
 
@@ -624,20 +631,37 @@ def add_channel(builder: SdpBuilder, d_in: int, d_out: int, spaces=None):
     return blocks
 
 
-def certified_fidelity(
-    builder, rho, terms, sigma_support, what, tol, max_iters, diagnostics=None
-):
+_RECORDS: contextvars.ContextVar = contextvars.ContextVar("sdp_records")
+
+
+@contextlib.contextmanager
+def recording():
+    """Yield a list that gets the (what, solution) record of every certified
+    solve inside the block, in solve order; outside, solves keep nothing."""
+    token = _RECORDS.set([])
+    try:
+        yield _RECORDS.get()
+    finally:
+        _RECORDS.reset(token)
+
+
+def certified_fidelity(builder, rho, terms, sigma_support, what, tol, max_iters):
     """Solve max F(rho, sigma), sigma = sum of L(X_blk) over (blk, L) ``terms``.
 
     Adds the fidelity gadget to the problem under construction, solves,
-    fills ``diagnostics`` if given, and raises unless the solve is
-    certified optimal.  Returns (the optimum clipped to [0, 1], solution).
+    records the solve if a ``recording()`` is active, and raises
+    RuntimeError unless the solve is certified optimal and passes
+    ``audit``.  Returns (the optimum clipped to [0, 1], solution).
     """
     zero = np.zeros_like(rho, dtype=complex)
     expr = AffineMatrixExpr(len(rho), zero, tuple(terms))
     fidelity_sdp(builder, rho, expr, sigma_support=sigma_support)
-    solution = solve(builder.build(), tol=tol, max_iters=max_iters)
-    if diagnostics is not None:
-        diagnostics.update(solution_diagnostics(solution))
+    problem = builder.build()
+    solution = solve(problem, tol=tol, max_iters=max_iters)
+    _RECORDS.get([]).append((what, solution))  # kept only while recording
     require_optimal(solution, what)
+    ok, details = audit(problem, solution, tol)
+    if not ok:
+        figures = ", ".join(f"{k} {v:.1e}" for k, v in details.items())
+        raise RuntimeError(f"{what} SDP failed its audit: {figures}")
     return float(min(max(solution.primal_value, 0.0), 1.0)), solution

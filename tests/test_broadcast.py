@@ -448,3 +448,27 @@ class TestBroadcastReport:
         assert report.eb_exact
         assert not report.exact.classical_on_b
         assert isinstance(report, BroadcastReport)
+
+
+class TestClassifyOnce:
+    def test_report_reuses_the_discord_verdict(self, monkeypatch):
+        import qbroadcast.broadcast as module
+
+        calls = []
+
+        def counting(rho):
+            calls.append(rho)
+            return classify(rho)
+
+        monkeypatch.setattr(module, "classify", counting)
+        report = broadcast_report(werner_state(0.7), restarts=2)
+        assert len(calls) == 1
+        assert report.exact is report.discord.verdict
+
+    def test_verdict_has_the_measured_side_second(self):
+        rho = classical_on_b_state(2, 2, np.random.default_rng(21))
+        direct = classify(rho)
+        assert direct.classical_on_b and not direct.classical_on_a
+        swapped = discord(rho, side="A", restarts=2).verdict
+        assert swapped.classical_on_a and not swapped.classical_on_b
+        assert swapped.witness_b == pytest.approx(direct.witness_a)

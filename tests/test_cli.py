@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +246,104 @@ class TestDemo:
         assert code == 0
         assert "4 passed, 0 failed" in out
         assert out.count("PASS") == 4
+
+
+REMOVED_FLAGS = [
+    ("measure", "--tolerance", "1e-7"),
+    ("measure", "--sdp-max-iters", "10"),
+    ("measure", "--seed", "1"),
+    ("measure", "--restarts", "2"),
+    ("recover", "--seed", "1"),
+    ("recover", "--restarts", "2"),
+    ("demo", "-i", "state.json"),
+    ("demo", "--gen", "bell"),
+    ("gen", "-i", "state.json"),
+    ("gen", "--tolerance", "1e-7"),
+    ("gen", "--sdp-max-iters", "10"),
+    ("gen", "--seed", "1"),
+    ("gen", "--restarts", "2"),
+    ("gen", "--output", "json"),
+]
+
+OUT_OF_RANGE = [
+    ("--restarts", "-3"),
+    ("--restarts", "0"),
+    ("--sdp-max-iters", "-1"),
+    ("--sdp-max-iters", "0"),
+    ("--tolerance", "-1"),
+    ("--tolerance", "0"),
+    ("--tolerance", "nan"),
+    ("--tolerance", "inf"),
+]
+
+
+def base_argv(command):
+    """A valid invocation of ``command`` that the flag under test extends."""
+    return {
+        "measure": ["measure", "entropy", "--gen", "bell"],
+        "recover": ["recover", "--gen", "ghz"],
+        "demo": ["demo", "no-broadcast"],
+        "gen": ["gen", "--gen", "bell"],
+        "broadcast": ["broadcast", "--gen", "bell"],
+    }[command]
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command,flag,value", REMOVED_FLAGS,
+        ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(
+        self, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base_argv(command) + [flag, value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["broadcast", "demo"])
+    @pytest.mark.parametrize(
+        "flag,value", OUT_OF_RANGE, ids=[f"{f}={v}" for f, v in OUT_OF_RANGE]
+    )
+    def test_out_of_range_value_is_rejected(self, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base_argv(command) + [flag, value])
+        assert exc.value.code == 2
+
+    def test_measure_report_has_no_unused_settings(self, capsys):
+        report = run_json(capsys, "measure", "mutual-info", "--gen", "bell")
+        assert "seed" not in report and "tolerance" not in report
+
+    def test_gen_prints_json_without_an_output_flag(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "--gen", "bell")
+        assert code == 0
+        assert json.loads(out)["dims"] == [2, 2]
+
+
+class TestEntryPoint:
+    """Exit codes of the real process, which in-process calls cannot see."""
+
+    @staticmethod
+    def run(*argv):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(root / "src")
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "qbroadcast.cli", *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_unknown_flag_exits_two(self):
+        assert self.run("gen", "--gen", "bell", "--output", "json").returncode == 2
+
+    def test_out_of_range_value_exits_two(self):
+        proc = self.run("broadcast", "--gen", "bell", "--restarts", "-3")
+        assert proc.returncode == 2
+        assert "restarts" in proc.stderr
+
+    def test_valid_broadcast_exits_zero(self):
+        proc = self.run(
+            "broadcast", "--gen", "bell", "--restarts", "2", "--output", "json"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["diagnostics"]["f_max"]["status"] == "optimal"
