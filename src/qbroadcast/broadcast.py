@@ -8,8 +8,11 @@ copied:
   channel's Choi matrix.
 * ``f_eb`` — the same question restricted to entanglement-breaking
   channels, imposed as positivity of the partially transposed Choi
-  (exact for a qubit B side, a relaxation above that), cross-checked
-  from below by an explicit measure-and-prepare search.
+  (exact for a qubit B side, a relaxation above that).
+  ``f_eb_detailed`` brackets it from below with the fidelity of an
+  explicit measure-and-prepare channel: for a qubit B one read off the
+  PPT optimum by Wootters' product decomposition, with no further SDP;
+  above that one found by alternating measure-and-prepare SDPs.
 * ``discord`` — mutual information lost by the best measurement on one
   side, found by multi-start conjugate-gradient ascent of the measured
   mutual information over rank-one POVMs.
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hadamard
 from scipy.optimize import minimize_scalar
 
 from .channels import (
@@ -30,11 +34,12 @@ from .channels import (
     apply_on_subsystem,
     channel_from_kraus,
     choi_subsystem_action,
+    entanglement_breaking,
     project_to_nearest_channel,
 )
 from .classicality import ClassicalityVerdict, classify
 from .frames import build_ic_povm
-from .info import entropy, mutual_information
+from .info import entropy, fidelity, mutual_information
 from .linalg import (
     SUPPORT_CUTOFF,
     VALIDATION_ATOL,
@@ -80,7 +85,12 @@ class DiscordResult:
 
 @dataclass(frozen=True)
 class EbDetail:
-    """Entanglement-breaking fidelity with its certification status."""
+    """Entanglement-breaking fidelity with its certification status.
+
+    ``value`` is the PPT optimum, ``lower_bound`` the fidelity of an
+    explicit measure-and-prepare channel, and ``eb_exact`` says that
+    ``value`` is the EB optimum itself (a qubit B side).
+    """
 
     value: float
     lower_bound: float
@@ -93,6 +103,7 @@ class BroadcastReport:
 
     f_max: float
     f_eb: float
+    f_eb_lower: float
     discord_bound_eb: float
     discord_bound_max: float
     discord: DiscordResult
@@ -210,6 +221,8 @@ def discord(
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     work = rho if side == "B" else _swap_sides(rho)
     d_keep, d_meas = work.dims
     k = d_meas * d_meas
@@ -232,11 +245,11 @@ def discord(
     ic_rows = _povm_rows(build_ic_povm(d_meas).povm, k)
     if ic_rows is not None:
         starts.append(ic_rows)
-    while len(starts) < max(restarts, 1):
+    while len(starts) < restarts:
         g = rng.normal(size=(k, d_meas)) + 1j * rng.normal(size=(k, d_meas))
         q, _ = np.linalg.qr(g)
         starts.append(q[:, :d_meas])
-    starts = starts[: max(restarts, 1)]
+    starts = starts[:restarts]
 
     coarse = np.linspace(-np.pi, np.pi, 17)
     h = coarse[1] - coarse[0]
@@ -404,21 +417,36 @@ def f_eb_detailed(
     max_iters: int = DEFAULT_MAX_ITERS,
     init_povm: Povm | None = None,
 ) -> EbDetail:
-    """Entanglement-breaking broadcast fidelity of side B.
+    """Entanglement-breaking broadcast fidelity of side B, bracketed.
 
     The main value is an SDP over Choi matrices with positive partial
-    transpose — exactly the EB set for a qubit B, a superset (hence an
+    transpose: exactly the EB set for a qubit B, a superset (hence an
     upper bound on the fidelity) in higher dimension, reported via
-    ``eb_exact``.  An explicit measure-and-prepare ascent provides the
-    matching achievable value from below.
+    ``eb_exact``.  ``lower_bound`` is the fidelity of an explicit
+    measure-and-prepare channel, so it is achievable whatever the
+    roundoff.  For a qubit B that channel is read off the PPT optimum by
+    Wootters' product decomposition (``_wootters_measure_prepare``), with no
+    further SDP, and matches the value to solver accuracy; above that it
+    comes from the alternating measure-and-prepare ascent, which starts
+    from ``init_povm`` (an informationally complete POVM if omitted).
     """
-    value = f_eb(rho, tol, max_iters)
-    lower = _measure_prepare_ascent(rho, tol, max_iters, init_povm)
+    value, solution = _f_eb_solve(rho, tol, max_iters)
+    if rho.dims[1] == 2:
+        povm, preps = _wootters_measure_prepare(solution.primal_blocks[0])
+        channel = entanglement_breaking(povm, preps)
+        lower = fidelity(rho, apply_on_subsystem(channel, rho, 1))
+    else:
+        lower = _measure_prepare_ascent(rho, tol, max_iters, init_povm)
     return EbDetail(value, lower, eb_exact=bool(rho.dims[1] == 2))
 
 
 def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """Entanglement-breaking broadcast fidelity: the PPT-Choi program only."""
+    return _f_eb_solve(rho, tol, max_iters)[0]
+
+
+def _f_eb_solve(rho: DensityMatrix, tol, max_iters):
+    """The PPT-Choi program; returns (value, solution), Choi block first."""
     _require_bipartite(rho)
     d_b = rho.dims[1]
     builder = SdpBuilder()
@@ -443,7 +471,95 @@ def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     return certified_fidelity(
         builder, rho.matrix, [(j_blk, one_output)],
         _a_support(rho, np.eye(d_b)), "EB broadcast", tol, max_iters,
-    )[0]
+    )
+
+
+# sigma_y (x) sigma_y, real: psi^T SPIN_FLIP psi = -2 det(psi as 2x2)
+_SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
+# real orthogonal with every entry +-1/2, so it spreads weight evenly
+_HADAMARD_4 = hadamard(4) / 2.0
+
+
+def _wootters_measure_prepare(choi: np.ndarray):
+    """Measure-and-prepare channel read off a qubit PPT Choi matrix.
+
+    Projects ``choi`` onto a channel, mixes in just enough of the
+    depolarizing Choi I (x) I / 2 to make it full rank with a positive
+    definite partial transpose, and splits it into four product terms
+    w_k |a_k><a_k| (x) |b_k><b_k|.  Returns (POVM, preparations): the
+    elements w_k |a_k><a_k|^T, renormalized to sum to I exactly, and the
+    states |b_k><b_k|.
+    """
+    j = project_to_nearest_channel(choi, (2,), (2,)).choi
+    pt_min = float(np.linalg.eigvalsh(_partial_transpose_output(j, 2, 2))[0])
+    eps = 1e-9 + 4.0 * max(0.0, -pt_min)
+    j = (1.0 - eps) * j + eps * np.eye(4) / 2.0
+    weights, a_kets, b_kets = _product_decomposition(j)
+    elements = [w * np.outer(a.conj(), a) for w, a in zip(weights, a_kets)]
+    s_isqrt = matrix_function_on_support(sum(elements), lambda x: x ** -0.5)
+    povm = Povm(tuple(s_isqrt @ e @ s_isqrt for e in elements))
+    preps = [DensityMatrix((2,), np.outer(b, b.conj())) for b in b_kets]
+    return povm, preps
+
+
+def _product_decomposition(j: np.ndarray):
+    """Four product terms of a separable 2 (x) 2 PSD operator (Wootters 1998).
+
+    Returns (weights, a, b), each a_k and b_k a unit row, with
+    j = sum_k weights[k] |a_k><a_k| (x) |b_k><b_k| up to roundoff.  The
+    columns of X = V conj(Q), V the subnormalized eigenvectors of j and
+    T = V^T SPIN_FLIP V = Q diag(lambda) Q^T a Takagi factorization, give
+    j = X X^dag with X^T SPIN_FLIP X diagonal.  Phases making the diagonal
+    sum to zero (possible because j is separable) and a Hadamard mix then
+    leave each column with zero concurrence, i.e. a product vector.
+    """
+    vals, vecs = hermitian_eig(j).on_support()
+    v = np.zeros((4, 4), dtype=complex)
+    v[:, : vals.size] = vecs * np.sqrt(vals)
+    t = v.T @ _SPIN_FLIP @ v
+    # T conj(q) = lambda q, i.e. [x; y] with q = x + iy is an eigenvector of
+    # this real symmetric matrix, whose spectrum is +-lambda
+    embedding = np.block([[t.real, t.imag], [t.imag, -t.real]])
+    _, embedded = np.linalg.eigh(embedding)
+    q = embedded[:4, 4:] + 1j * embedded[4:, 4:]
+    # use the unitary polar factor of q: a singular T makes q rank-deficient
+    left, _, right = np.linalg.svd(q)
+    x = v @ (left @ right).conj()
+    diag = np.einsum("ij,ik,kj->j", x, _SPIN_FLIP, x)
+    phases = _close_quadrilateral(np.abs(diag))
+    z = (x * np.exp(0.5j * (phases - np.angle(diag)))) @ _HADAMARD_4
+    u, s, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
+    return s[:, 0] ** 2, u[:, :, 0], vh[:, 0, :]
+
+
+def _close_quadrilateral(lengths: np.ndarray) -> np.ndarray:
+    """Phases theta with sum_k exp(i theta_k) lengths[k] = 0.
+
+    Needs the longest of the four lengths to be at most the sum of the
+    others.  The two longest and the two shortest each close a triangle
+    with a shared third side r, chosen mid-range so both stay as far from
+    degenerate as the lengths allow.
+    """
+    order = np.argsort(lengths)[::-1]
+    l1, l2, l3, l4 = lengths[order]
+    r = (max(l1 - l2, l3 - l4) + min(l1 + l2, l3 + l4)) / 2.0
+    t2, t4 = _turn(l1, l2, r), _turn(l3, l4, r)
+    rot = np.angle(-(l1 + l2 * np.exp(1j * t2)))
+    rot -= np.angle(l3 + l4 * np.exp(1j * t4))
+    phases = np.empty(4)
+    phases[order] = [0.0, t2, rot, rot + t4]
+    return phases
+
+
+def _turn(a: float, b: float, c: float) -> float:
+    """phi with |a + b exp(i phi)| = c, by the half-angle formula.
+
+    Unlike the law of cosines, its error in c stays linear in the error of
+    the sides when the triangle is nearly degenerate.
+    """
+    num = max(c - a + b, 0.0) * max(c + a - b, 0.0)
+    den = max(a + b + c, 0.0) * max(a + b - c, 0.0)
+    return float(np.pi - 2.0 * np.arctan2(np.sqrt(num), np.sqrt(den)))
 
 
 def _measure_prepare_ascent(
@@ -592,6 +708,7 @@ def broadcast_report(
     return BroadcastReport(
         f_max=fmax,
         f_eb=eb.value,
+        f_eb_lower=eb.lower_bound,
         discord_bound_eb=_fidelity_to_discord_bound(eb.value),
         discord_bound_max=_fidelity_to_discord_bound(fmax),
         discord=disc,

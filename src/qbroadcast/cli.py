@@ -46,7 +46,7 @@ from .info import (
     fidelity,
     mutual_information,
 )
-from .linalg import dag, hermitian_eig
+from .linalg import FIDELITY_SLACK, dag, hermitian_eig
 from .recovery import recovery_report
 from .sdp import DEFAULT_MAX_ITERS, DEFAULT_TOL, recording, solution_diagnostics
 from .states import DensityMatrix
@@ -322,11 +322,30 @@ def cmd_measure(args):
     return report, 0
 
 
+def _check_broadcast_chain(rep) -> None:
+    """Raise RuntimeError naming the first broken link of the chain.
+
+    The links are f_max >= f_eb >= f_eb_lower and f_eb >= 2^(-D/2),
+    i.e. D >= -2 log2 f_eb, each within ``FIDELITY_SLACK``.
+    """
+    links = (
+        ("f_max >= f_eb", rep.f_max, rep.f_eb),
+        ("f_eb >= f_eb_lower", rep.f_eb, rep.f_eb_lower),
+        ("f_eb >= 2^(-D/2)", rep.f_eb, 2.0 ** (-rep.discord.value / 2.0)),
+    )
+    for link, high, low in links:
+        if high < low - FIDELITY_SLACK:
+            raise RuntimeError(
+                f"broadcast chain broken: {link} fails ({high!r} < {low!r})"
+            )
+
+
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
     with recording() as records:
         rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
                                tol=args.tolerance, max_iters=args.sdp_max_iters)
+    _check_broadcast_chain(rep)
     solutions = dict(records)  # solves labelled by what they certify
     report = {
         "command": "broadcast",
@@ -336,6 +355,7 @@ def cmd_broadcast(args):
         "quantities": {
             "f_max": rep.f_max,
             "f_eb": rep.f_eb,
+            "f_eb_lower": rep.f_eb_lower,
             "eb_exact": rep.eb_exact,
             "discord": {
                 "value": rep.discord.value,

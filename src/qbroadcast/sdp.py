@@ -385,7 +385,15 @@ def solve(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SdpSolution:
-    """Solve a standard-form SDP (deterministically)."""
+    """Solve a standard-form SDP (deterministically).
+
+    Raises ValueError unless ``tol`` is finite and positive and
+    ``max_iters`` is at least 1.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     kept, scales = _reduce_constraints(problem)
     row_scale = scales[kept]
     stacks = [a[kept] / row_scale[:, None, None] for a in problem.stacks]

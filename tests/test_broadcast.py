@@ -11,7 +11,10 @@ from qbroadcast.broadcast import (
     BroadcastReport,
     _ascent_generator,
     _classical_mi_stack,
+    _f_eb_solve,
+    _product_decomposition,
     _swap_sides,
+    _wootters_measure_prepare,
     average_mi_loss,
     broadcast_report,
     discord,
@@ -36,7 +39,8 @@ from qbroadcast.corpus import (
 )
 from qbroadcast.frames import build_ic_povm
 from qbroadcast.info import entropy, fidelity, mutual_information
-from qbroadcast.linalg import max_abs, trace_norm
+from qbroadcast.linalg import VALIDATION_ATOL, max_abs, trace_norm
+from qbroadcast.sdp import recording
 from qbroadcast.states import DensityMatrix, Povm
 
 SQRT_HALF = 0.7071067811865476
@@ -217,6 +221,11 @@ class TestDiscord:
         with pytest.raises(ValueError, match="side"):
             discord(bell_state(), side="C")
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            discord(bell_state(), restarts=restarts)
+
 
 class TestFMaxBroadcast:
     def test_classical_on_b_reaches_one(self):
@@ -303,6 +312,7 @@ def test_fidelity_chain_on_random_states(d_a, seed):
     detail = f_eb_detailed(rho)
     assert f_max >= detail.value - 1e-6
     assert detail.value >= detail.lower_bound - 1e-6
+    assert detail.lower_bound >= detail.value - 1e-6
 
 
 class TestFEb:
@@ -343,6 +353,72 @@ class TestFEb:
         ):
             fmax, _ = f_max_broadcast(rho)
             assert f_eb(rho) <= fmax + 1e-6
+
+
+def random_separable(rng, terms: int) -> np.ndarray:
+    """Sum of ``terms`` randomly weighted random product projectors on 2x2."""
+    out = np.zeros((4, 4), dtype=complex)
+    for _ in range(terms):
+        a, b = (rng.normal(size=(2, 2)) @ [1, 1j] for _ in range(2))
+        out += rng.uniform(0.1, 1.0) * np.kron(
+            np.outer(a, a.conj()) / np.vdot(a, a).real,
+            np.outer(b, b.conj()) / np.vdot(b, b).real,
+        )
+    return out
+
+
+def assert_product_decomposition(j: np.ndarray):
+    weights, a_kets, b_kets = _product_decomposition(j)
+    rebuilt = sum(
+        w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        for w, a, b in zip(weights, a_kets, b_kets)
+    )
+    assert max_abs(rebuilt - j) <= 1e-10
+    # the same terms as raw vectors: each 2x2 reshape has rank one
+    terms = np.sqrt(weights)[:, None, None] * np.einsum(
+        "ka,kb->kab", a_kets, b_kets
+    )
+    second = np.linalg.svd(terms, compute_uv=False)[:, 1]
+    assert second.max() <= 1e-10
+
+
+class TestWoottersDecomposition:
+    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 5, 6])
+    def test_random_separable_operators(self, terms):
+        rng = np.random.default_rng(40 + terms)
+        for _ in range(20):
+            assert_product_decomposition(random_separable(rng, terms))
+
+    def test_bell_ppt_optimum(self):
+        _, solution = _f_eb_solve(bell_state(), 1e-7, 500)
+        assert_product_decomposition(solution.primal_blocks[0])
+
+    def test_werner_at_the_separability_edge(self):
+        assert_product_decomposition(werner_state(1 / 3).matrix)
+
+    def test_povm_sums_to_identity(self):
+        for rho in (bell_state(), werner_state(0.7),
+                    random_state((3, 2), np.random.default_rng(41))):
+            _, solution = _f_eb_solve(rho, 1e-7, 500)
+            povm, preps = _wootters_measure_prepare(solution.primal_blocks[0])
+            assert max_abs(sum(povm.elements) - np.eye(2)) <= VALIDATION_ATOL
+            assert len(preps) == povm.n_outcomes == 4
+
+    def test_qubit_b_needs_no_further_solve(self):
+        with recording() as records:
+            detail = f_eb_detailed(werner_state(0.7))
+        assert [what for what, _ in records] == ["EB broadcast"]
+        assert abs(detail.lower_bound - detail.value) <= 1e-6
+
+    def test_qutrit_b_keeps_the_measure_and_prepare_ascent(self):
+        rho = random_state((2, 3), np.random.default_rng(42))
+        with recording() as records:
+            detail = f_eb_detailed(rho)
+        labels = [what for what, _ in records]
+        assert labels[0] == "EB broadcast"
+        assert "measure-and-prepare measurement" in labels
+        assert not detail.eb_exact
+        assert detail.lower_bound <= detail.value + 1e-6
 
 
 class TestMeasurementCopy:

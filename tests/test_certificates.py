@@ -4,12 +4,13 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import qbroadcast
 from qbroadcast import cli, sdp
 from qbroadcast.broadcast import broadcast_report, f_max_broadcast
-from qbroadcast.corpus import bell_state, werner_state
+from qbroadcast.corpus import bell_state, random_state, werner_state
 from qbroadcast.sdp import recording
 
 
@@ -29,13 +30,19 @@ def public_functions():
 
 class TestRecording:
     def test_broadcast_report_logs_every_solve_in_order(self):
-        with recording() as records:
-            broadcast_report(bell_state(), restarts=4)
-        labels = [what for what, _ in records]
+        # a qubit B reads its EB lower bound off the PPT optimum; a qutrit B
+        # still runs two rounds of the measure-and-prepare ascent
         rounds = ["measure-and-prepare preparation",
                   "measure-and-prepare measurement"]
-        assert labels == ["broadcast", "EB broadcast"] + 2 * rounds
-        assert all(sol.status == "optimal" for _, sol in records)
+        for rho, expected in (
+            (bell_state(), ["broadcast", "EB broadcast"]),
+            (random_state((2, 3), np.random.default_rng(0)),
+             ["broadcast", "EB broadcast"] + 2 * rounds),
+        ):
+            with recording() as records:
+                broadcast_report(rho, restarts=4)
+            assert [what for what, _ in records] == expected
+            assert all(sol.status == "optimal" for _, sol in records)
 
     def test_nothing_is_kept_outside_a_recording(self):
         with recording() as records:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbroadcast import cli
+from qbroadcast import broadcast, cli
+from qbroadcast.broadcast import EbDetail
 from qbroadcast.cli import (
     InputError,
     parse_state_json,
@@ -217,6 +218,30 @@ class TestBroadcastAndRecover:
     def test_recover_rejects_bipartite(self, capsys):
         code, _, err = run_cli(capsys, "recover", "--gen", "bell")
         assert code == 2
+
+
+class TestBroadcastChain:
+    def test_valid_chain_exits_zero(self, capsys):
+        report = run_json(
+            capsys, "broadcast", "--gen", "bell", "--restarts", "2"
+        )
+        q = report["quantities"]
+        assert q["f_max"] >= q["f_eb"] - 1e-6
+        assert abs(q["f_eb_lower"] - q["f_eb"]) <= 1e-6
+
+    def test_lower_bound_above_f_eb_exits_one(self, capsys, monkeypatch):
+        original = broadcast.f_eb_detailed
+
+        def inflated(*args, **kwargs):
+            detail = original(*args, **kwargs)
+            return EbDetail(detail.value, detail.value + 1e-3, detail.eb_exact)
+
+        monkeypatch.setattr(broadcast, "f_eb_detailed", inflated)
+        code, out, err = run_cli(capsys, "broadcast", "--gen", "bell",
+                                 "--restarts", "2")
+        assert code == 1
+        assert out == ""
+        assert "f_eb >= f_eb_lower" in err
 
 
 class TestDemo:

@@ -158,6 +158,16 @@ class TestPreprocessingAndFailureModes:
         assert abs(sol.primal_value - 1.0) < 1e-6
         assert sol.dual_vector.shape == (2,)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_fewer_than_one_iteration_is_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            f_max_broadcast(bell_state(), max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            f_max_broadcast(bell_state(), tol=tol)
+
     def test_inconsistent_duplicates_raise(self):
         b = SdpBuilder()
         blk = b.add_block(2)
