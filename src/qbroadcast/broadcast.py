@@ -180,24 +180,6 @@ def _projective_rows(basis: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
-def _povm_rows(povm: Povm, k: int) -> np.ndarray | None:
-    """Rows reproducing a rank-one POVM, or None if any element isn't."""
-    rows = []
-    for e in povm.elements:
-        vals, vecs = hermitian_eig(e)
-        if vals.size and vals[0] > 0:
-            if (vals[1:] > VALIDATION_ATOL * vals[0]).any():
-                return None
-            rows.append(np.sqrt(vals[0]) * vecs[:, 0].conj())
-        else:
-            rows.append(np.zeros(e.shape[0], dtype=complex))
-    if len(rows) > k:
-        return None
-    out = np.zeros((k, povm.dim), dtype=complex)
-    out[: len(rows)] = rows
-    return out
-
-
 def discord(
     rho: DensityMatrix,
     side: str = "B",
@@ -242,9 +224,9 @@ def discord(
     verdict = classify(work)
     if verdict.basis_b is not None:
         starts.append(_projective_rows(verdict.basis_b, k))
-    ic_rows = _povm_rows(build_ic_povm(d_meas).povm, k)
-    if ic_rows is not None:
-        starts.append(ic_rows)
+    # one row r^dag per rank-one element |r><r| of the d^2-outcome IC POVM
+    ic_eigs = map(hermitian_eig, build_ic_povm(d_meas).povm.elements)
+    starts.append(np.array([np.sqrt(w[0]) * u[:, 0].conj() for w, u in ic_eigs]))
     while len(starts) < restarts:
         g = rng.normal(size=(k, d_meas)) + 1j * rng.normal(size=(k, d_meas))
         q, _ = np.linalg.qr(g)
@@ -407,8 +389,9 @@ def f_max_broadcast(
 
 
 def _partial_transpose_output(mat: np.ndarray, din: int, dout: int) -> np.ndarray:
-    four = mat.reshape(din, dout, din, dout)
-    return four.transpose(0, 3, 2, 1).reshape(din * dout, din * dout)
+    """Transpose of the output factor of a matrix, or of each in a stack."""
+    four = mat.reshape(-1, din, dout, din, dout)
+    return four.transpose(0, 1, 4, 3, 2).reshape(mat.shape)
 
 
 def f_eb_detailed(
@@ -454,14 +437,11 @@ def _f_eb_solve(rho: DensityMatrix, tol, max_iters):
     pt_blk = builder.add_block(d_b * d_b)
     # tie the second block to the output partial transpose of the first;
     # PT is self-adjoint, so <H, PT(J)> = <PT(H), J>
-    for h in hermitian_basis(d_b * d_b):
-        builder.add_constraint(
-            {
-                pt_blk: h,
-                j_blk: -_partial_transpose_output(h, d_b, d_b),
-            },
-            0.0,
-        )
+    basis = hermitian_basis(d_b * d_b)
+    builder.add_constraint(
+        {pt_blk: basis, j_blk: -_partial_transpose_output(basis, d_b, d_b)},
+        np.zeros(len(basis)),
+    )
 
     def one_output(choi):
         return choi_subsystem_action(

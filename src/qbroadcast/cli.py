@@ -322,21 +322,13 @@ def cmd_measure(args):
     return report, 0
 
 
-def _check_broadcast_chain(rep) -> None:
-    """Raise RuntimeError naming the first broken link of the chain.
-
-    The links are f_max >= f_eb >= f_eb_lower and f_eb >= 2^(-D/2),
-    i.e. D >= -2 log2 f_eb, each within ``FIDELITY_SLACK``.
-    """
-    links = (
-        ("f_max >= f_eb", rep.f_max, rep.f_eb),
-        ("f_eb >= f_eb_lower", rep.f_eb, rep.f_eb_lower),
-        ("f_eb >= 2^(-D/2)", rep.f_eb, 2.0 ** (-rep.discord.value / 2.0)),
-    )
+def _check_chain(chain: str, links) -> None:
+    """Raise RuntimeError naming the first link (name, high, low) of the
+    chain with high < low beyond ``FIDELITY_SLACK``."""
     for link, high, low in links:
         if high < low - FIDELITY_SLACK:
             raise RuntimeError(
-                f"broadcast chain broken: {link} fails ({high!r} < {low!r})"
+                f"{chain} chain broken: {link} fails ({high!r} < {low!r})"
             )
 
 
@@ -345,7 +337,12 @@ def cmd_broadcast(args):
     with recording() as records:
         rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
                                tol=args.tolerance, max_iters=args.sdp_max_iters)
-    _check_broadcast_chain(rep)
+    # f_max >= f_eb >= f_eb_lower and D >= -2 log2 f_eb
+    _check_chain("broadcast", (
+        ("f_max >= f_eb", rep.f_max, rep.f_eb),
+        ("f_eb >= f_eb_lower", rep.f_eb, rep.f_eb_lower),
+        ("f_eb >= 2^(-D/2)", rep.f_eb, 2.0 ** (-rep.discord.value / 2.0)),
+    ))
     solutions = dict(records)  # solves labelled by what they certify
     report = {
         "command": "broadcast",
@@ -384,6 +381,10 @@ def cmd_recover(args):
     rho, stanza = _resolve_state(args)
     with recording() as records:
         rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
+    _check_chain("recovery", (
+        ("F_opt >= F_petz", rep.optimal_fidelity, rep.petz_fidelity),
+        ("F_opt >= 2^(-I/2)", rep.optimal_fidelity, rep.bound),
+    ))
     report = {
         "command": "recover",
         "input": stanza,

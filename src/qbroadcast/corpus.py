@@ -148,17 +148,16 @@ def markov_chain_state(kind: str, dims, rng) -> DensityMatrix:
     raise ValueError(f"unknown Markov chain kind {kind!r}")
 
 
-def random_channel(in_dim: int, out_dim: int, rng, env_dim: int | None = None) -> Channel:
-    """Random channel from a Haar isometry into out (x) env."""
+def random_channel(in_dim: int, out_dim: int, rng) -> Channel:
+    """Random channel from a Haar isometry into out (x) env, env of dim in_dim."""
     rng = _rng(rng)
-    env = env_dim or in_dim
-    u = random_unitary(out_dim * env, rng)
+    u = random_unitary(out_dim * in_dim, rng)
     v = u[:, :in_dim]  # isometry columns
-    kraus = [v[e::env, :] for e in range(env)]
+    kraus = [v[e::in_dim, :] for e in range(in_dim)]
     return channel_from_kraus(kraus, (in_dim,), (out_dim,))
 
 
-def named_state(spec: str, rng=0) -> DensityMatrix:
+def named_state(spec: str) -> DensityMatrix:
     """Parse corpus names used by the command line: bell, ghz, cc, cq,
     werner:p, random:seed."""
     name, _, arg = spec.partition(":")

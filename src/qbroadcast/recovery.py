@@ -38,6 +38,7 @@ from .sdp import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     SdpBuilder,
+    _basis_overlaps,
     add_channel,
     certified_fidelity,
     hermitian_basis,
@@ -203,11 +204,11 @@ def optimal_fixing_recovery_fidelity(
     # with the left side rewritten as <conj(image_sigma) x H, J>.  The first
     # diagonal unit is left out: the diagonal units sum to H = I, and that
     # row follows from trace preservation.
-    for h in hermitian_basis(d_out)[1:]:
-        builder.add_constraint(
-            {j_blk: kron(image_sigma.conj(), h)},
-            float(np.trace(h @ sigma.matrix).real),
-        )
+    basis = hermitian_basis(d_out)[1:]
+    builder.add_constraint(
+        {j_blk: kron(image_sigma.conj(), basis)},
+        _basis_overlaps(basis, sigma.matrix),
+    )
 
     terms = [(j_blk, lambda e: choi_action(e, d_in, d_out, image_rho))]
     return certified_fidelity(

@@ -6,10 +6,13 @@ Standard form over complex Hermitian PSD blocks X_k:
     subject to  sum_k <A_ik, X_k> = b_i      (i = 1..m)
                 X_k >= 0
 
-with <A, B> = Re Tr(A B).  ``SdpBuilder.build`` stacks the constraints
-once, into one complex (m, n_k, n_k) array per block plus the vector b;
-every constraint operation (the map X -> (<A_i, X>)_i, its adjoint, the
-Schur complement, redundancy removal, residuals) works from those stacks.
+with <A, B> = Re Tr(A B).  A constraint family enters ``SdpBuilder`` as
+one row block: a (q, n_k, n_k) coefficient stack per block it touches and
+q right-hand sides.  The builder refuses coefficients that are not
+Hermitian, and ``SdpBuilder.build`` concatenates the row blocks into one
+complex (m, n_k, n_k) array per block plus the vector b; every constraint
+operation (the map X -> (<A_i, X>)_i, its adjoint, the Schur complement,
+redundancy removal, residuals) works from those stacks.
 Flattened and viewed as real pairs, a stack becomes real rows whose dot
 product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
 algebra needs neither a copy nor an embedding.  Redundant constraints are
@@ -46,7 +49,8 @@ DEFAULT_MAX_ITERS = 500
 
 
 def _dag_stack(a: np.ndarray) -> np.ndarray:
-    return a.conj().transpose(0, 2, 1)
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +106,12 @@ class SdpSolution:
 
 
 class SdpBuilder:
-    """Incremental construction of an SdpProblem."""
+    """Incremental construction of an SdpProblem, one row block at a time."""
 
     def __init__(self):
         self._blocks: list[int] = []
         self._objective: list[np.ndarray] = []
-        self._constraints: list = []
+        self._row_blocks: list = []  # of (coefficient stacks by block, rhs)
 
     def add_block(self, side: int) -> int:
         self._blocks.append(int(side))
@@ -122,27 +126,42 @@ class SdpBuilder:
             coeff, dtype=complex
         )
 
-    def add_constraint(self, coeffs: dict, rhs: float):
-        clean = {
-            k: np.asarray(a, dtype=complex) for k, a in coeffs.items()
-        }
-        self._constraints.append((clean, float(rhs)))
+    def add_constraint(self, coeffs: dict, rhs):
+        """Add rows sum_k <A_ik, X_k> = b_i: one matrix per block and a
+        scalar ``rhs``, or a row block of (q, n_k, n_k) stacks and q values.
+        Blocks left out of ``coeffs`` get zeros.  A coefficient further than
+        ``COEFF_HERM_TOL`` from Hermitian raises ValueError; roundoff below
+        that is symmetrized away."""
+        rhs = np.asarray(rhs, dtype=float)
+        stacks = {k: np.asarray(a, dtype=complex) for k, a in coeffs.items()}
+        if rhs.ndim == 0:
+            rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
+        for k, a in stacks.items():
+            if a.shape != (len(rhs), self._blocks[k], self._blocks[k]):
+                raise ValueError(f"constraint block {k} has shape {a.shape}")
+            stacks[k] = _hermitian_part(a, "constraint", k)
+        self._row_blocks.append((stacks, rhs))
 
     def build(self) -> SdpProblem:
-        m = len(self._constraints)
-        stacks = [np.zeros((m, n, n), dtype=complex) for n in self._blocks]
-        for i, (coeffs, _) in enumerate(self._constraints):
+        rhs = np.concatenate([np.zeros(0)] + [b for _, b in self._row_blocks])
+        stacks = [np.zeros((len(rhs), n, n), dtype=complex) for n in self._blocks]
+        start = 0
+        for coeffs, b in self._row_blocks:
             for k, a in coeffs.items():
-                if a.shape != stacks[k].shape[1:]:
-                    raise ValueError(
-                        f"constraint {i} block {k} has shape {a.shape}"
-                    )
-                stacks[k][i] = a
-        rhs = np.array([rhs for _, rhs in self._constraints], dtype=float)
-        # kill sub-tolerance Hermiticity dust before the strict validation
-        objective = tuple(_hermitize(c) for c in self._objective)
-        stacks = tuple((a + _dag_stack(a)) / 2.0 for a in stacks)
-        return SdpProblem(tuple(self._blocks), objective, stacks, rhs)
+                stacks[k][start:start + len(b)] = a
+            start += len(b)
+        objective = tuple(
+            _hermitian_part(c, "objective", k)
+            for k, c in enumerate(self._objective)
+        )
+        return SdpProblem(tuple(self._blocks), objective, tuple(stacks), rhs)
+
+
+def _hermitian_part(a: np.ndarray, what: str, block: int) -> np.ndarray:
+    """(A + A^dag) / 2, refusing an A further than COEFF_HERM_TOL from it."""
+    if max_abs(a - _dag_stack(a)) > COEFF_HERM_TOL:
+        raise ValueError(f"{what} block {block} is not Hermitian")
+    return _hermitize(a)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +212,7 @@ def _inner(us, vs) -> float:
 
 
 def _hermitize(x: np.ndarray) -> np.ndarray:
-    return (x + dag(x)) / 2.0
+    return (x + _dag_stack(x)) / 2.0
 
 
 def _max_step(xs, dxs) -> float:
@@ -536,6 +555,11 @@ def dump_sdpa(problem: SdpProblem, path: str):
 # the fidelity gadget
 
 
+def _basis_overlaps(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Tr(H mat) for each H of a stacked Hermitian basis, real part."""
+    return np.trace(basis @ mat, axis1=1, axis2=2).real
+
+
 @dataclass(frozen=True, eq=False)
 class AffineMatrixExpr:
     """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued."""
@@ -579,36 +603,31 @@ def fidelity_sdp(
     c_w[r:, :r] = dag(c12)
     builder.add_objective(w_blk, c_w)
 
-    rho_c = dag(v1) @ rho @ v1
-    for h in hermitian_basis(r):
-        placed = np.zeros((r + s, r + s), dtype=complex)
-        placed[:r, :r] = h
-        builder.add_constraint(
-            {w_blk: placed}, float(np.trace(h @ rho_c).real)
-        )
+    # each corner equals its target on a Hermitian basis, one row per element
+    rho_basis = hermitian_basis(r)
+    rho_rows = np.zeros((r * r, r + s, r + s), dtype=complex)
+    rho_rows[:, :r, :r] = rho_basis
+    builder.add_constraint(
+        {w_blk: rho_rows}, _basis_overlaps(rho_basis, dag(v1) @ rho @ v1)
+    )
 
-    # conditioning of sigma: project the affine expression onto the
-    # compressed corner, one scalar equation per Hermitian basis element g;
-    # a term L contributes -sum_e Tr(g L(e)) e over a basis e of its block
+    # sigma is affine: a term L puts -sum_e Tr(g L(e)) e over a basis e of
+    # its block into the row of the basis element g of the sigma corner
     sig_basis = hermitian_basis(s)
-    const_c = dag(v2) @ sigma.const @ v2
-    couplings = []
+    sig_rows = np.zeros((s * s, r + s, r + s), dtype=complex)
+    sig_rows[:, r:, r:] = sig_basis
+    coeffs = {w_blk: sig_rows}
     for blk, lin in sigma.terms:
         basis_b = hermitian_basis(builder.block_side(blk))
         images = np.array([dag(v2) @ lin(e) @ v2 for e in basis_b])
         overlap = np.einsum("gij,eji->ge", sig_basis, images, optimize=True)
         if max_abs(overlap.imag) > 1e-9:
             raise ValueError("sigma coupling is not Hermiticity-preserving")
-        couplings.append(
-            (blk, np.einsum("ge,eij->gij", overlap.real, basis_b, optimize=True))
-        )
-    for t, g in enumerate(sig_basis):
-        placed = np.zeros((r + s, r + s), dtype=complex)
-        placed[r:, r:] = g
-        coeffs = {w_blk: placed}
-        for blk, k_mats in couplings:
-            coeffs[blk] = coeffs.get(blk, 0.0) - k_mats[t]
-        builder.add_constraint(coeffs, float(np.trace(g @ const_c).real))
+        k_mats = np.einsum("ge,eij->gij", overlap.real, basis_b, optimize=True)
+        coeffs[blk] = coeffs.get(blk, 0.0) - k_mats
+    builder.add_constraint(
+        coeffs, _basis_overlaps(sig_basis, dag(v2) @ sigma.const @ v2)
+    )
     return w_blk
 
 
@@ -626,16 +645,14 @@ def add_channel(builder: SdpBuilder, d_in: int, d_out: int, spaces=None):
     one block.  A unit-trace state is the d_in = 1 case.
     """
     if spaces is None:
-        blocks, spaces = [builder.add_block(d_in * d_out)], [None]
-    else:
-        blocks = [builder.add_block(v.shape[1]) for v in spaces]
-    for h in hermitian_basis(d_in):
-        tp = kron(h, np.eye(d_out, dtype=complex))
-        builder.add_constraint(
-            {b: tp if v is None else dag(v) @ tp @ v
-             for b, v in zip(blocks, spaces)},
-            float(np.trace(h).real),
-        )
+        spaces = [np.eye(d_in * d_out, dtype=complex)]
+    blocks = [builder.add_block(v.shape[1]) for v in spaces]
+    basis = hermitian_basis(d_in)
+    tp = kron(basis, np.eye(d_out, dtype=complex))
+    builder.add_constraint(
+        {b: dag(v) @ tp @ v for b, v in zip(blocks, spaces)},
+        np.trace(basis, axis1=1, axis2=2).real,
+    )
     return blocks
 
 

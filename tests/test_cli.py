@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbroadcast import broadcast, cli
+from qbroadcast import broadcast, cli, recovery
 from qbroadcast.broadcast import EbDetail
 from qbroadcast.cli import (
     InputError,
@@ -243,6 +243,21 @@ class TestBroadcastChain:
         assert out == ""
         assert "f_eb >= f_eb_lower" in err
 
+
+
+class TestRecoveryChain:
+    def test_optimal_below_petz_exits_one(self, capsys, monkeypatch):
+        original = recovery.optimal_recovery_fidelity
+
+        def deflated(*args, **kwargs):
+            value, channel = original(*args, **kwargs)
+            return value - 0.5, channel
+
+        monkeypatch.setattr(recovery, "optimal_recovery_fidelity", deflated)
+        code, out, err = run_cli(capsys, "recover", "--gen", "ghz")
+        assert code == 1
+        assert out == ""
+        assert "F_opt >= F_petz" in err
 
 class TestDemo:
     def test_unknown_suite(self, capsys):

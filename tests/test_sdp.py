@@ -5,7 +5,7 @@ import pytest
 
 from qbroadcast.broadcast import f_eb, f_max_broadcast
 from qbroadcast.channels import identity_channel
-from qbroadcast.corpus import bell_state, ghz_state, random_state
+from qbroadcast.corpus import bell_state, ghz_state, random_channel, random_state
 from qbroadcast.info import fidelity
 from qbroadcast.recovery import (
     optimal_fixing_recovery_fidelity,
@@ -360,3 +360,107 @@ def test_density_matrix_inputs_accepted_via_matrix_attribute():
     rho = DensityMatrix((2,), np.diag([0.75, 0.25]).astype(complex))
     sol = solve_fidelity(rho.matrix, rho.matrix)
     assert abs(sol.primal_value - 1.0) < 1e-6
+
+
+class TestRowBlocks:
+    def test_row_block_equals_its_single_rows(self):
+        rng = np.random.default_rng(21)
+        basis = hermitian_basis(2)
+        g = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        coupling = g + g.conj().transpose(0, 2, 1)
+        rhs = rng.normal(size=4)
+        singles, block = SdpBuilder(), SdpBuilder()
+        for b in (singles, block):
+            for side in (2, 3, 4):  # the side-4 block is in no row
+                b.add_block(side)
+            b.add_constraint({0: np.eye(2)}, 1.0)
+        for t in range(4):
+            singles.add_constraint({0: basis[t], 1: coupling[t]}, rhs[t])
+        block.add_constraint({0: basis, 1: coupling}, rhs)
+        one, many = block.build(), singles.build()
+        assert one.n_constraints == 5
+        for a, b in zip(one.stacks, many.stacks):
+            assert np.array_equal(a, b)
+        assert np.array_equal(one.rhs, many.rhs)
+        assert not one.stacks[2].any()
+        assert not one.stacks[1][0].any()
+
+    @pytest.mark.parametrize(
+        "coeff, rhs",
+        [
+            (np.zeros((3, 2, 2)), np.zeros(2)),  # three rows, two values
+            (np.zeros((2, 3, 3)), np.zeros(2)),  # wrong side
+            (np.eye(3), 1.0),
+            (np.zeros((1, 2, 2)), 1.0),  # a stack needs an array of values
+        ],
+    )
+    def test_stack_shape_must_match_its_block(self, coeff, rhs):
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        with pytest.raises(ValueError, match="shape"):
+            b.add_constraint({blk: coeff}, rhs)
+
+    def test_non_hermitian_objective_rejected(self):
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        b.add_objective(blk, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        b.add_constraint({blk: np.eye(2)}, 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            b.build()
+
+    def test_non_hermitian_constraint_rejected(self):
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        b.add_constraint({blk: np.eye(2)}, 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            b.add_constraint({blk: np.array([[0.0, 1.0], [0.0, 0.0]])}, 0.5)
+
+    def test_sub_tolerance_asymmetry_is_symmetrized(self):
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        dust = np.array([[1.0, 1e-14], [0.0, 0.0]])
+        b.add_objective(blk, dust)
+        b.add_constraint({blk: dust}, 1.0)
+        problem = b.build()
+        for a in (problem.objective[0], problem.stacks[0][0]):
+            assert np.array_equal(a, a.conj().T)
+
+
+def count_add_constraint(monkeypatch, fn, *args) -> int:
+    calls = []
+    original = SdpBuilder.add_constraint
+
+    def counted(self, *a, **kw):
+        calls.append(None)
+        return original(self, *a, **kw)
+
+    monkeypatch.setattr(SdpBuilder, "add_constraint", counted)
+    fn(*args)
+    return len(calls)
+
+
+class TestOneCallPerConstraintFamily:
+    """Trace preservation, each fidelity corner, the PPT tie and the
+    sigma-fixing rows each go into the builder as one row block."""
+
+    def test_f_max(self, monkeypatch):
+        rho = random_state((2, 2), 31)
+        assert count_add_constraint(monkeypatch, f_max_broadcast, rho) == 3
+
+    def test_f_eb(self, monkeypatch):
+        rho = random_state((2, 2), 31)
+        assert count_add_constraint(monkeypatch, f_eb, rho) == 4
+
+    def test_optimal_recovery(self, monkeypatch):
+        rho = random_state((2, 2, 2), 32)
+        calls = count_add_constraint(monkeypatch, optimal_recovery_fidelity, rho)
+        assert calls == 3
+
+    def test_sigma_fixing_recovery(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        args = (random_state(2, rng), random_state(2, rng),
+                random_channel(2, 2, rng))
+        calls = count_add_constraint(
+            monkeypatch, optimal_fixing_recovery_fidelity, *args
+        )
+        assert calls == 4
