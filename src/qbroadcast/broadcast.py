@@ -568,7 +568,7 @@ def _measure_prepare_ascent(
     outcomes = [kron(np.eye(d_b), np.eye(k)[:, [i]]) for i in range(k)]
 
     def conditional(e):
-        return np.einsum("abcd,db->ac", rho4, e)
+        return np.einsum("abcd,...db->...ac", rho4, e)
 
     best = 0.0
     for _ in range(MEASURE_PREPARE_ROUNDS):

@@ -82,7 +82,7 @@ class CompletelyPositiveMap:
         din, dout = self.in_dim, self.out_dim
         if mat.shape != (din, din):
             raise ValueError(f"operator shape {mat.shape}, expected {(din, din)}")
-        return choi_action(self.choi, din, dout, mat)
+        return choi_subsystem_action(self.choi, din, dout, mat, (din,), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +102,6 @@ class Channel(CompletelyPositiveMap):
             )
 
 
-def choi_action(
-    choi: np.ndarray, in_dim: int, out_dim: int, mat: np.ndarray
-) -> np.ndarray:
-    """Action of a raw Choi matrix on an operator.
-
-    Linear in ``choi`` with no positivity or trace assumptions, which makes
-    it usable on individual Hermitian basis elements when a channel enters
-    an optimization as a variable.
-    """
-    j4 = choi.reshape(in_dim, out_dim, in_dim, out_dim)
-    return np.einsum("ij,iojp->op", mat, j4)
-
-
 def choi_subsystem_action(
     choi: np.ndarray,
     in_dim: int,
@@ -123,18 +110,23 @@ def choi_subsystem_action(
     dims,
     target: int,
 ) -> np.ndarray:
-    """Raw-Choi counterpart of apply_on_subsystem (same linearity caveats).
+    """Raw-Choi counterpart of apply_on_subsystem.
 
     ``mat`` lives on ``dims``; the factor at ``target`` (of size in_dim)
-    is replaced by the map output.
+    is replaced by the map output.  Linear in ``choi`` with no positivity
+    or trace assumptions, so it also acts through a Hermitian basis
+    element when a channel enters an optimization as a variable.  A stack
+    of Choi matrices (leading axes) gives the stack of their outputs.
     """
     dims = _as_dims(dims)
     d_pre = int(np.prod(dims[:target], dtype=int))
     d_post = int(np.prod(dims[target + 1:], dtype=int))
-    j4 = choi.reshape(in_dim, out_dim, in_dim, out_dim)
+    lead = choi.shape[:-2]
+    j4 = choi.reshape(lead + (in_dim, out_dim, in_dim, out_dim))
     t = mat.reshape(d_pre, in_dim, d_post, d_pre, in_dim, d_post)
-    out = np.einsum("aibcjd,iejf->aebcfd", t, j4)
-    return out.reshape(d_pre * out_dim * d_post, d_pre * out_dim * d_post)
+    out = np.einsum("aibcjd,...iejf->...aebcfd", t, j4)
+    side = d_pre * out_dim * d_post
+    return out.reshape(lead + (side, side))
 
 
 def apply(ch: CompletelyPositiveMap, rho: DensityMatrix) -> DensityMatrix:

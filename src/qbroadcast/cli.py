@@ -332,17 +332,29 @@ def _check_chain(chain: str, links) -> None:
             )
 
 
+def _broadcast_links(rep) -> tuple:
+    """f_max >= f_eb >= f_eb_lower and D >= -2 log2 f_eb, as chain links."""
+    return (
+        ("f_max >= f_eb", rep.f_max, rep.f_eb),
+        ("f_eb >= f_eb_lower", rep.f_eb, rep.f_eb_lower),
+        ("f_eb >= 2^(-D/2)", rep.f_eb, 2.0 ** (-rep.discord.value / 2.0)),
+    )
+
+
+def _recovery_links(rep) -> tuple:
+    """F_opt >= max(F_petz, 2^(-I/2)), as chain links."""
+    return (
+        ("F_opt >= F_petz", rep.optimal_fidelity, rep.petz_fidelity),
+        ("F_opt >= 2^(-I/2)", rep.optimal_fidelity, rep.bound),
+    )
+
+
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
     with recording() as records:
         rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
                                tol=args.tolerance, max_iters=args.sdp_max_iters)
-    # f_max >= f_eb >= f_eb_lower and D >= -2 log2 f_eb
-    _check_chain("broadcast", (
-        ("f_max >= f_eb", rep.f_max, rep.f_eb),
-        ("f_eb >= f_eb_lower", rep.f_eb, rep.f_eb_lower),
-        ("f_eb >= 2^(-D/2)", rep.f_eb, 2.0 ** (-rep.discord.value / 2.0)),
-    ))
+    _check_chain("broadcast", _broadcast_links(rep))
     solutions = dict(records)  # solves labelled by what they certify
     report = {
         "command": "broadcast",
@@ -381,10 +393,7 @@ def cmd_recover(args):
     rho, stanza = _resolve_state(args)
     with recording() as records:
         rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
-    _check_chain("recovery", (
-        ("F_opt >= F_petz", rep.optimal_fidelity, rep.petz_fidelity),
-        ("F_opt >= 2^(-I/2)", rep.optimal_fidelity, rep.bound),
-    ))
+    _check_chain("recovery", _recovery_links(rep))
     report = {
         "command": "recover",
         "input": stanza,
@@ -565,6 +574,7 @@ def _suite_recoverability(args) -> list:
     ]
     for name, rho in states:
         rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
+        _check_chain(f"recovery ({name})", _recovery_links(rep))
         values = {
             "cmi": rep.cmi,
             "petz_fidelity": rep.petz_fidelity,
@@ -572,11 +582,7 @@ def _suite_recoverability(args) -> list:
             "fidelity_bound": rep.bound,
             "sigma_recovery_residual": rep.sigma_recovery_residual,
         }
-        ok = (
-            rep.optimal_fidelity >= rep.bound - 1e-6
-            and rep.optimal_fidelity >= rep.petz_fidelity - 1e-6
-            and rep.sigma_recovery_residual < 1e-8
-        )
+        ok = rep.sigma_recovery_residual < 1e-8
         if name.startswith("markov"):
             ok = ok and abs(rep.optimal_fidelity - 1.0) <= 1e-6
         cases.append(_case(name, ok, values))
@@ -596,17 +602,14 @@ def _suite_discord_bounds(args) -> list:
     for name, rho in states:
         rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
                                tol=args.tolerance, max_iters=args.sdp_max_iters)
+        _check_chain(f"broadcast ({name})", _broadcast_links(rep))
         values = {
             "discord": rep.discord.value,
             "f_eb": rep.f_eb,
             "f_max": rep.f_max,
             "discord_bound_eb": rep.discord_bound_eb,
         }
-        ok = (
-            rep.discord.value >= rep.discord_bound_eb - 1e-6
-            and rep.f_max >= rep.f_eb - 1e-6
-        )
-        cases.append(_case(name, ok, values))
+        cases.append(_case(name, True, values))
     return cases
 
 

@@ -89,7 +89,7 @@ def max_abs(a: np.ndarray) -> float:
 
 def _check_square(mat: np.ndarray, dims: Sequence[int]) -> int:
     d = int(np.prod(dims))
-    if mat.shape != (d, d):
+    if mat.shape[-2:] != (d, d):
         raise ValueError(
             f"operator shape {mat.shape} does not match dims {list(dims)} "
             f"(product {d})"
@@ -102,12 +102,13 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
 
     Parameters
     ----------
-    mat : square array on the tensor product of ``dims``
+    mat : square array on the tensor product of ``dims``, or a stack of
+        them (leading axes), each reduced on its own
     dims : subsystem dimensions, slowest factor first
     keep : int or sequence of ints; subsystem indices to retain,
         in their original order
 
-    Returns the reduced operator on the kept factors.
+    Returns the reduced operator (or stack) on the kept factors.
     """
     if np.isscalar(keep):
         keep = [int(keep)]
@@ -116,15 +117,18 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     n = len(dims)
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} out of range for {n} subsystems")
+    mat = np.asarray(mat, dtype=complex)
     _check_square(mat, dims)
-    tensor = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    lead = mat.shape[:-2]
+    tensor = mat.reshape(lead + tuple(dims + dims))
     # Contract row/column indices of every traced subsystem, highest first
     # so the remaining axis numbers stay valid.
     traced = [k for k in range(n) if k not in keep]
     for k in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=k, axis2=k + tensor.ndim // 2)
+        half = (tensor.ndim - len(lead)) // 2
+        tensor = np.trace(tensor, axis1=len(lead) + k, axis2=len(lead) + k + half)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return tensor.reshape(d_keep, d_keep)
+    return tensor.reshape(lead + (d_keep, d_keep))
 
 
 def hermitian_eig(mat: np.ndarray) -> HermitianEig:

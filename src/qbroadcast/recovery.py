@@ -19,7 +19,6 @@ from .channels import (
     apply,
     apply_on_subsystem,
     choi_subsystem_action,
-    choi_action,
     kraus_from_choi,
     channel_from_kraus,
     project_to_nearest_channel,
@@ -210,10 +209,12 @@ def optimal_fixing_recovery_fidelity(
         _basis_overlaps(basis, sigma.matrix),
     )
 
-    terms = [(j_blk, lambda e: choi_action(e, d_in, d_out, image_rho))]
+    def rebuild(choi):
+        return choi_subsystem_action(choi, d_in, d_out, image_rho, (d_in,), 0)
+
     return certified_fidelity(
-        builder, rho.matrix, terms, sigma.matrix, "sigma-fixing recovery",
-        tol, max_iters,
+        builder, rho.matrix, [(j_blk, rebuild)], sigma.matrix,
+        "sigma-fixing recovery", tol, max_iters,
     )[0]
 
 

@@ -18,9 +18,11 @@ product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
 algebra needs neither a copy nor an embedding.  Redundant constraints are
 removed, and the reduced problem is solved by primal-dual path following
 with Nesterov-Todd scaling run directly on the Hermitian blocks, as SDPT3
-does for complex data (Toh, Todd and Tutuncu 1999).  Instances here are
-small (block side <= ~40, <= ~700 constraints), so dense linear algebra
-per iteration is the right tool.
+does for complex data (Toh, Todd and Tutuncu 1999); each iterate is
+factored once, and its step lengths reuse that factorization.  Instances
+here are small (block side <= ~40, <= ~700 constraints), so dense linear
+algebra per iteration is the right tool.  The fidelity gadget applies
+each linear term of sigma once, to a whole stack of basis elements.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
@@ -211,34 +213,50 @@ def _inner(us, vs) -> float:
     return float(sum(np.vdot(u, v).real for u, v in zip(us, vs)))
 
 
+def _residuals(rows, stacks, objective, b, xs, y, zs):
+    """Primal residual b - A(X), dual residuals C + Z - A^*(y), and their
+    relative norms with the relative primal-dual gap."""
+    rp = b - _a_apply(rows, xs, b.size)
+    rds = [c + z - at for c, z, at in zip(objective, zs, _a_adjoint(stacks, y))]
+    pval, dval = _inner(objective, xs), float(b @ y)
+    norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in objective))
+    return rp, rds, SdpResiduals(
+        float(np.linalg.norm(rp) / (1 + np.linalg.norm(b))),
+        float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / (1 + norm_c)),
+        float(abs(pval - dval) / (1 + (abs(pval) + abs(dval)) / 2)),
+    )
+
+
 def _hermitize(x: np.ndarray) -> np.ndarray:
     return (x + _dag_stack(x)) / 2.0
 
 
-def _max_step(xs, dxs) -> float:
-    """Largest alpha with every x + alpha*dx still PSD (each x assumed PD)."""
+def _max_step(factors, ds) -> float:
+    """Largest alpha with every iterate + alpha*d still PSD, from the
+    iterate's factor H (H^dag iterate H = I): the least eigenvalue of
+    H^dag d H bounds alpha."""
     alpha = np.inf
-    for x, dx in zip(xs, dxs):
-        vals, vecs = np.linalg.eigh(x)
-        vals = np.clip(vals, 1e-14 * max(vals.max(), 1e-300), None)
-        half_inv = vecs / np.sqrt(vals)
-        inner = _hermitize(dag(half_inv) @ dx @ half_inv)
-        lam_min = float(np.linalg.eigvalsh(inner)[0])
+    for h, d in zip(factors, ds):
+        lam_min = float(np.linalg.eigvalsh(_hermitize(dag(h) @ d @ h))[0])
         if lam_min < -1e-14:
             alpha = min(alpha, -1.0 / lam_min)
     return alpha
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd point W (W Z W = X) and the inverse of Z, from X, Z."""
+    """Nesterov-Todd point W (W Z W = X), Z^{-1} and the step factors
+    H_x = U_x S_x^{-1/2}, H_z = X^{1/2} U_M S_M^{-1/2} (H_x^dag X H_x = I =
+    H_z^dag Z H_z), from X = U_x S_x U_x^dag and X^{1/2} Z X^{1/2} =
+    U_M S_M U_M^dag: one factorization serves the whole iteration."""
     sx, ux = np.linalg.eigh(x)
-    sx = np.clip(sx, 1e-300, None)
-    rx = (ux * np.sqrt(sx)) @ dag(ux)
+    hx = ux / np.sqrt(np.clip(sx, 1e-14 * max(sx.max(), 1e-300), None))
+    rx = (ux * np.sqrt(np.clip(sx, 1e-300, None))) @ dag(ux)
     sm, um = np.linalg.eigh(_hermitize(rx @ z @ rx))
     sm = np.clip(sm, 1e-300, None)
-    w = rx @ ((um * sm ** -0.5) @ dag(um)) @ rx
+    um_isqrt = um * sm ** -0.5
+    w = rx @ (um_isqrt @ dag(um)) @ rx
     zinv = rx @ ((um * (1.0 / sm)) @ dag(um)) @ rx
-    return w, zinv
+    return w, zinv, hx, rx @ um_isqrt
 
 
 def _path_following(blocks, objective, stacks, b, tol, max_iters):
@@ -248,8 +266,6 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
     """
     m = b.size
     rows = _real_rows(stacks)
-    norm_b = np.linalg.norm(b)
-    norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in objective))
 
     xs, zs = [], []
     for n, c, r in zip(blocks, objective, rows):
@@ -266,30 +282,20 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
     status = "max-iterations"
     iterations = max_iters
     for it in range(max_iters):
-        rp = b - _a_apply(rows, xs, m)
-        rds = [
-            c + z - at for c, z, at in zip(objective, zs, _a_adjoint(stacks, y))
-        ]
-
-        pval = _inner(objective, xs)
-        dval = float(b @ y)
+        rp, rds, res = _residuals(rows, stacks, objective, b, xs, y, zs)
         gap = _inner(xs, zs)
         mu = gap / sum(blocks)
 
-        pinf = np.linalg.norm(rp) / (1 + norm_b)
-        dinf = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / (1 + norm_c)
-        relgap = abs(pval - dval) / (1 + (abs(pval) + abs(dval)) / 2)
-
-        if pinf < tol and dinf < tol and relgap < tol:
+        if res.primal < tol and res.dual < tol and res.gap < tol:
             status = "optimal"
             iterations = it
             break
-        if dval < -1e8 * (1 + norm_b) or np.isnan(mu):
+        if b @ y < -1e8 * (1 + np.linalg.norm(b)) or np.isnan(mu):
             status = "infeasible"
             iterations = it
             break
 
-        ws, zinvs = zip(*(_nt_scaling(x, z) for x, z in zip(xs, zs)))
+        ws, zinvs, hxs, hzs = zip(*(_nt_scaling(x, z) for x, z in zip(xs, zs)))
 
         # Schur complement S_ij = sum_k Re Tr(A_ik W_k A_jk W_k)
         schur = np.zeros((m, m))
@@ -327,8 +333,8 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
 
         # predictor probe chooses the centering weight
         dxs_a, dy_a, dzs_a = newton([-x for x in xs])
-        ap = min(1.0, _max_step(xs, dxs_a))
-        ad = min(1.0, _max_step(zs, dzs_a))
+        ap = min(1.0, _max_step(hxs, dxs_a))
+        ad = min(1.0, _max_step(hzs, dzs_a))
         gap_aff = _inner(
             [x + ap * dx for x, dx in zip(xs, dxs_a)],
             [z + ad * dz for z, dz in zip(zs, dzs_a)],
@@ -338,8 +344,8 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
         rcs = [sigma * mu * zi - x for zi, x in zip(zinvs, xs)]
         dxs, dy, dzs = newton(rcs)
 
-        ap = min(1.0, 0.98 * _max_step(xs, dxs))
-        ad = min(1.0, 0.98 * _max_step(zs, dzs))
+        ap = min(1.0, 0.98 * _max_step(hxs, dxs))
+        ad = min(1.0, 0.98 * _max_step(hzs, dzs))
 
         xs = [_hermitize(x + ap * dx) for x, dx in zip(xs, dxs)]
         y = y + ad * dy
@@ -426,28 +432,13 @@ def solve(
     )
     y = np.zeros(problem.n_constraints)
     y[kept] = y_kept / row_scale
+    _, _, res = _residuals(
+        _real_rows(problem.stacks), problem.stacks, problem.objective,
+        problem.rhs, xs, y, zs,
+    )
     pval = _inner(problem.objective, xs)
     dval = float(problem.rhs @ y)
-    res = _residuals(problem, xs, y, zs, pval, dval)
     return SdpSolution(status, tuple(xs), y, pval, dval, res, iterations)
-
-
-def _residuals(problem, primal, y, duals_z, pval, dval) -> SdpResiduals:
-    m = problem.n_constraints
-    viol = _a_apply(_real_rows(problem.stacks), primal, m) - problem.rhs
-    pinf = float(np.linalg.norm(viol) / (1 + np.linalg.norm(problem.rhs)))
-    norm_c = np.sqrt(
-        sum(np.linalg.norm(c) ** 2 for c in problem.objective)
-    )
-    dual_dev = sum(
-        np.linalg.norm(c + z - aty) ** 2
-        for c, z, aty in zip(
-            problem.objective, duals_z, _a_adjoint(problem.stacks, y)
-        )
-    )
-    dinf = float(np.sqrt(dual_dev) / (1 + norm_c))
-    relgap = float(abs(pval - dval) / (1 + (abs(pval) + abs(dval)) / 2))
-    return SdpResiduals(pinf, dinf, relgap)
 
 
 def require_optimal(solution: SdpSolution, what: str):
@@ -562,11 +553,15 @@ def _basis_overlaps(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AffineMatrixExpr:
-    """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued."""
+    """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued.
+
+    Each L is linear and maps a stack of block operators (q, n, n) to the
+    stack of their images (q, side, side) in one call.
+    """
 
     side: int
     const: np.ndarray
-    terms: tuple = ()  # of (block index, callable ndarray -> ndarray)
+    terms: tuple = ()  # of (block index, L)
 
 
 def fidelity_sdp(
@@ -619,7 +614,7 @@ def fidelity_sdp(
     coeffs = {w_blk: sig_rows}
     for blk, lin in sigma.terms:
         basis_b = hermitian_basis(builder.block_side(blk))
-        images = np.array([dag(v2) @ lin(e) @ v2 for e in basis_b])
+        images = dag(v2) @ lin(basis_b) @ v2
         overlap = np.einsum("gij,eji->ge", sig_basis, images, optimize=True)
         if max_abs(overlap.imag) > 1e-9:
             raise ValueError("sigma coupling is not Hermiticity-preserving")

@@ -315,6 +315,16 @@ def test_fidelity_chain_on_random_states(d_a, seed):
     assert detail.lower_bound >= detail.value - 1e-6
 
 
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_fidelity_chain_on_random_qutrit_b_states(seed):
+    rho = random_state((2, 3), np.random.default_rng(seed))
+    f_max, _ = f_max_broadcast(rho)
+    detail = f_eb_detailed(rho)
+    assert f_max >= detail.value - 1e-6
+    assert detail.value >= detail.lower_bound - 1e-6
+
+
 class TestFEb:
     def test_bell_value_frozen(self):
         # the best entanglement-breaking approximation of a Bell pair has

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -258,6 +259,40 @@ class TestRecoveryChain:
         assert code == 1
         assert out == ""
         assert "F_opt >= F_petz" in err
+
+class TestDemoChains:
+    """The demo suites check each report's chain as the commands do."""
+
+    def test_discord_bounds_exits_one_on_a_broken_link(self, capsys, monkeypatch):
+        original = cli.broadcast_report
+
+        def inflated(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            return dataclasses.replace(rep, f_eb=rep.f_max + 1e-3)
+
+        monkeypatch.setattr(cli, "broadcast_report", inflated)
+        code, out, err = run_cli(capsys, "demo", "discord-bounds",
+                                 "--output", "json")
+        assert code == 1
+        assert out == ""
+        assert "f_max >= f_eb" in err
+
+    def test_recoverability_exits_one_on_a_broken_link(self, capsys, monkeypatch):
+        original = cli.recovery_report
+
+        def deflated(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            return dataclasses.replace(
+                rep, optimal_fidelity=rep.optimal_fidelity - 0.5
+            )
+
+        monkeypatch.setattr(cli, "recovery_report", deflated)
+        code, out, err = run_cli(capsys, "demo", "recoverability",
+                                 "--output", "json")
+        assert code == 1
+        assert out == ""
+        assert "F_opt >= F_petz" in err
+
 
 class TestDemo:
     def test_unknown_suite(self, capsys):

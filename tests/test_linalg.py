@@ -67,6 +67,16 @@ def test_partial_trace_matches_elementwise_oracle():
     assert max_abs(got - want) < 1e-12
 
 
+def test_partial_trace_of_a_stack_equals_per_element_loop():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 3, 12, 12)) + 1j * rng.normal(size=(2, 3, 12, 12))
+    for keep in ([0], [1], [0, 2], [1, 2], []):
+        got = partial_trace(stack, [2, 3, 2], keep)
+        want = [[partial_trace(m, [2, 3, 2], keep) for m in row] for row in stack]
+        assert got.shape == np.shape(want)
+        assert max_abs(got - np.array(want)) < 1e-14
+
+
 def test_partial_trace_rejects_bad_dims():
     with pytest.raises(ValueError):
         partial_trace(np.eye(5), [2, 3], [0])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbroadcast import sdp
 from qbroadcast.channels import (
@@ -168,6 +170,14 @@ class TestOptimalRecovery:
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match="three subsystems"):
             optimal_recovery_fidelity(random_state((2, 2), rng))
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 10 ** 6))
+def test_recovery_chain_on_random_states(d_c, seed):
+    report = recovery_report(random_state((2, 2, d_c), np.random.default_rng(seed)))
+    floor = max(report.petz_fidelity, report.bound)
+    assert report.optimal_fidelity >= floor - 1e-6
 
 
 class TestRelativeEntropyCheck:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qbroadcast import broadcast, recovery, sdp
 from qbroadcast.broadcast import f_eb, f_max_broadcast
 from qbroadcast.channels import identity_channel
 from qbroadcast.corpus import bell_state, ghz_state, random_channel, random_state
@@ -355,6 +356,17 @@ class TestFidelityGadget:
         assert sol.status == "optimal"
         assert abs(sol.primal_value - 0.5) < 1e-6
 
+    def test_non_hermiticity_preserving_term_rejected(self):
+        b = SdpBuilder()
+        free = b.add_block(2)
+        expr = AffineMatrixExpr(
+            side=2,
+            const=np.zeros((2, 2), dtype=complex),
+            terms=((free, lambda e: 1j * e),),
+        )
+        with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+            fidelity_sdp(b, np.eye(2, dtype=complex) / 2, expr)
+
 
 def test_density_matrix_inputs_accepted_via_matrix_attribute():
     rho = DensityMatrix((2,), np.diag([0.75, 0.25]).astype(complex))
@@ -464,3 +476,55 @@ class TestOneCallPerConstraintFamily:
             monkeypatch, optimal_fixing_recovery_fidelity, *args
         )
         assert calls == 4
+
+
+class TestEachJobOnce:
+    """One factorization per block per IPM iteration, and one map call per
+    sigma term when the fidelity gadget is built."""
+
+    def test_two_eigh_per_block_per_iteration(self, monkeypatch):
+        problems = []
+        original_solve = sdp.solve
+
+        def capturing(problem, *args, **kwargs):
+            problems.append(problem)
+            return original_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", capturing)
+        f_eb(random_state((2, 2), 31))
+        (problem,) = problems
+
+        calls = []
+        original_eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(None)
+            return original_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        solution = original_solve(problem)
+        assert solution.status == "optimal"
+        assert len(calls) == 2 * len(problem.blocks) * solution.iterations
+
+    @pytest.mark.parametrize(
+        "module, fn, state, expected",
+        [
+            (broadcast, f_max_broadcast, ((2, 2), 31), 2),  # one per swap sector
+            (broadcast, f_eb, ((2, 2), 31), 1),
+            (recovery, optimal_recovery_fidelity, ((2, 2, 2), 32), 1),
+        ],
+        ids=["f_max", "f_eb", "optimal_recovery"],
+    )
+    def test_one_choi_action_per_sigma_term(
+        self, monkeypatch, module, fn, state, expected
+    ):
+        calls = []
+        original = module.choi_subsystem_action
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "choi_subsystem_action", counting)
+        fn(random_state(*state))
+        assert len(calls) == expected

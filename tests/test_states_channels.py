@@ -8,6 +8,7 @@ from qbroadcast.channels import (
     apply_on_subsystem,
     channel_from_kraus,
     choi_from_action,
+    choi_subsystem_action,
     compose,
     dual_channel,
     entanglement_breaking,
@@ -128,6 +129,21 @@ class TestChoiConvention:
         j = choi_from_action(lambda x: x.T, 2, 2)
         with pytest.raises(ValueError, match="completely positive"):
             CompletelyPositiveMap((2,), (2,), j)
+
+
+class TestChoiStacks:
+    def test_stacked_choi_action_equals_per_element_loop(self):
+        rng = np.random.default_rng(8)
+        shape = (5, 2 * 3, 2 * 3)  # raw (not CP) Choi matrices C^2 -> C^3
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        for dims, target in (((2, 2, 2), 1), ((2,), 0), ((2, 4), 0)):
+            d = int(np.prod(dims))
+            m = mat[:d, :d]
+            got = choi_subsystem_action(stack, 2, 3, m, dims, target)
+            want = [choi_subsystem_action(j, 2, 3, m, dims, target) for j in stack]
+            assert got.shape == (5,) + want[0].shape
+            assert max_abs(got - np.array(want)) < 1e-14
 
 
 class TestChannelOps:
