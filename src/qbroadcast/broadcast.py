@@ -58,6 +58,7 @@ from .sdp import (
     add_channel,
     certified_fidelity,
     hermitian_basis,
+    recording,
 )
 from .states import DensityMatrix, Povm
 
@@ -99,7 +100,13 @@ class EbDetail:
 
 @dataclass(frozen=True, eq=False)
 class BroadcastReport:
-    """All broadcastability quantifiers of one state, side B."""
+    """All broadcastability quantifiers of one state, side B.
+
+    The discord bounds are -2 log2 of the ``f_eb`` and ``f_max`` solves'
+    dual objectives.  Those sit on the high side of each optimum, where
+    the primal values sit low, so the bounds stay on the low side of the
+    discord.
+    """
 
     f_max: float
     f_eb: float
@@ -681,23 +688,27 @@ def broadcast_report(
     """All broadcastability quantifiers for one bipartite state."""
     _require_bipartite(rho)
     disc = discord(rho, side="B", seed=seed, restarts=restarts)
-    fmax, _ = f_max_broadcast(rho, tol=tol, max_iters=max_iters)
-    eb = f_eb_detailed(
-        rho, tol=tol, max_iters=max_iters, init_povm=disc.best_povm
-    )
+    with recording() as records:
+        fmax, _ = f_max_broadcast(rho, tol=tol, max_iters=max_iters)
+        eb = f_eb_detailed(
+            rho, tol=tol, max_iters=max_iters, init_povm=disc.best_povm
+        )
+    solutions = dict(records)
     return BroadcastReport(
         f_max=fmax,
         f_eb=eb.value,
         f_eb_lower=eb.lower_bound,
-        discord_bound_eb=_fidelity_to_discord_bound(eb.value),
-        discord_bound_max=_fidelity_to_discord_bound(fmax),
+        discord_bound_eb=_discord_bound(solutions["EB broadcast"]),
+        discord_bound_max=_discord_bound(solutions["broadcast"]),
         discord=disc,
         exact=disc.verdict,
         eb_exact=eb.eb_exact,
     )
 
 
-def _fidelity_to_discord_bound(fid: float) -> float:
+def _discord_bound(solution) -> float:
+    """-2 log2 of a fidelity solve's dual objective clipped to [0, 1]."""
+    fid = min(max(solution.dual_value, 0.0), 1.0)
     if fid <= 0:
         return float("inf")
-    return float(-2.0 * np.log2(min(fid, 1.0)))
+    return float(-2.0 * np.log2(fid))

@@ -8,7 +8,10 @@ reproduces the JSON output byte for byte; wall time therefore appears
 only in the table rendering.
 
 Exit codes: 0 success, 1 computation or demo-suite failure, 2 invalid
-input (malformed files, non-states, unknown names).
+input (malformed files, non-states, unknown names, a state with the wrong
+number of subsystems or dimensions for the command, bad flags).  Only
+``InputError`` and argparse errors exit 2; a ``ValueError`` raised inside
+a computation is a failed computation and exits 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ import time
 
 import numpy as np
 
-from .broadcast import DEFAULT_RESTARTS, broadcast_report, f_max_broadcast
+from .broadcast import (
+    DEFAULT_RESTARTS,
+    MAX_BROADCAST_DIM,
+    broadcast_report,
+    f_max_broadcast,
+)
 from .channels import apply_on_subsystem
 from .classicality import (
     basis_broadcaster,
@@ -77,7 +85,10 @@ def parse_state_json(obj, origin: str = "state") -> DensityMatrix:
     if (
         not isinstance(dims, list)
         or not dims
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 1
+            for d in dims
+        )
     ):
         raise InputError(
             f"{origin}: dims must be a nonempty list of positive integers, "
@@ -101,7 +112,10 @@ def parse_state_json(obj, origin: str = "state") -> DensityMatrix:
             if (
                 not isinstance(entry, (list, tuple))
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in entry
+                )
             ):
                 raise InputError(
                     f"{origin}: entry ({i}, {j}) must be a [re, im] pair of "
@@ -235,6 +249,17 @@ def _resolve_state(args, second: bool = False):
     return rho, stanza
 
 
+def _require_subsystems(rho, what: str, count: int, exactly: bool = True):
+    """InputError unless ``rho`` has ``count`` subsystems (or at least
+    ``count`` when not ``exactly``)."""
+    n = len(rho.dims)
+    if n < count or (exactly and n != count):
+        need = f"{count}" if exactly else f"at least {count}"
+        raise InputError(
+            f"{what} needs {need} subsystems, got dims {list(rho.dims)}"
+        )
+
+
 def _parse_parts(text: str, n: int, expected: int):
     """Split "A|C|B"-style subsystem groups into index tuples.
 
@@ -302,6 +327,7 @@ def cmd_measure(args):
                 raise InputError("parts: the two groups must cover all subsystems")
             report["parts"] = args.parts
         else:
+            _require_subsystems(rho, "mutual-info", 2, exactly=False)
             side_a = (0,)
         quantities["mutual_information"] = mutual_information(rho, side_a)
     elif args.quantity == "cmi":
@@ -309,12 +335,18 @@ def cmd_measure(args):
             side_a, side_c, side_b = _parse_parts(args.parts, n, expected=3)
             report["parts"] = args.parts
         else:
+            _require_subsystems(rho, "cmi", 3, exactly=False)
             side_a, side_c, side_b = (0,), (2,), None
         quantities["conditional_mutual_information"] = (
             conditional_mutual_information(rho, side_a, side_c, side_b)
         )
     elif args.quantity == "fidelity":
         sigma, stanza2 = _resolve_state(args, second=True)
+        if sigma.dim != rho.dim:
+            raise InputError(
+                f"fidelity needs states of equal dimension, got {rho.dim} "
+                f"and {sigma.dim}"
+            )
         report["input2"] = stanza2
         quantities["fidelity"] = fidelity(rho, sigma)
     else:  # pragma: no cover - argparse restricts choices
@@ -351,6 +383,12 @@ def _recovery_links(rep) -> tuple:
 
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
+    _require_subsystems(rho, "broadcast", 2)
+    if rho.dims[1] > MAX_BROADCAST_DIM:
+        raise InputError(
+            f"broadcast: B dimension {rho.dims[1]} exceeds the limit "
+            f"{MAX_BROADCAST_DIM}"
+        )
     with recording() as records:
         rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
                                tol=args.tolerance, max_iters=args.sdp_max_iters)
@@ -391,6 +429,7 @@ def cmd_broadcast(args):
 
 def cmd_recover(args):
     rho, stanza = _resolve_state(args)
+    _require_subsystems(rho, "recover", 3)
     with recording() as records:
         rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
     _check_chain("recovery", _recovery_links(rep))
@@ -673,6 +712,14 @@ def _positive(kind):
     return parse
 
 
+def _seed(text):
+    """argparse type: a non-negative int, as numpy's generators require."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each command declares exactly the flags its handler reads."""
     parser = argparse.ArgumentParser(
@@ -703,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_MAX_ITERS,
                        help="SDP iteration cap (default %(default)s)")
         if search:
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_seed, default=0,
                            help="seed for every randomized step (default 0)")
             p.add_argument("--restarts", type=_positive(int),
                            default=DEFAULT_RESTARTS,
@@ -747,10 +794,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: computation failed: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start

@@ -15,14 +15,17 @@ operation (the map X -> (<A_i, X>)_i, its adjoint, the Schur complement,
 redundancy removal, residuals) works from those stacks.
 Flattened and viewed as real pairs, a stack becomes real rows whose dot
 product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
-algebra needs neither a copy nor an embedding.  Redundant constraints are
-removed, and the reduced problem is solved by primal-dual path following
-with Nesterov-Todd scaling run directly on the Hermitian blocks, as SDPT3
-does for complex data (Toh, Todd and Tutuncu 1999); each iterate is
-factored once, and its step lengths reuse that factorization.  Instances
-here are small (block side <= ~40, <= ~700 constraints), so dense linear
-algebra per iteration is the right tool.  The fidelity gadget applies
-each linear term of sigma once, to a whole stack of basis elements.
+algebra needs neither a copy nor an embedding.  Dependent constraints are
+found by one pivoted Cholesky of the rows' Gram matrix, which resolves
+independence to about 1e-6 relative, and dropped once their right-hand
+sides are checked against the kept rows.  The reduced problem is solved
+by primal-dual path following with Nesterov-Todd scaling run directly on
+the Hermitian blocks, as SDPT3 does for complex data (Toh, Todd and
+Tutuncu 1999); each iterate is factored once, and its step lengths reuse
+that factorization.  Instances here are small (block side <= ~40, <= ~700
+constraints), so dense linear algebra per iteration is the right tool.
+The fidelity gadget applies each linear term of sigma once, to a whole
+stack of basis elements.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
@@ -304,18 +307,9 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
             schur += r @ waw.reshape(m, -1).view(float).T
         schur = (schur + schur.T) / 2.0
 
-        factor = None
-        jitter = 0.0
-        base = max(np.trace(schur) / max(m, 1), 1.0)
-        for attempt in range(4):
-            try:
-                factor = scipy.linalg.cho_factor(
-                    schur + jitter * np.eye(m), lower=True
-                )
-                break
-            except np.linalg.LinAlgError:
-                jitter = base * (1e-14 if attempt == 0 else jitter / base * 100)
-        if factor is None:  # the Schur complement lost definiteness
+        try:
+            factor = scipy.linalg.cho_factor(schur, lower=True)
+        except np.linalg.LinAlgError:  # the Schur complement lost definiteness
             status = "breakdown"
             iterations = it
             break
@@ -361,44 +355,41 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
 def _reduce_constraints(problem: SdpProblem):
     """Normalize rows, drop dependent ones, verify consistency.
 
-    Returns (kept indices, row scales).  Raises on a structurally
-    inconsistent system (a dropped row whose rhs disagrees with the kept
-    combination).
+    Works on the Gram matrix G = sum_k R_k R_k^T of the real row views.
+    The row scales are sqrt(diag G); a zero row (norm below 1e-14) keeps
+    scale 1 and a zero pivot, so it is dropped with implied rhs 0.  One
+    pivoted Cholesky of the normalized G (unit diagonal set exactly, so
+    ties keep the earlier row) stops at the first pivot below 1e-12, which
+    resolves independence to about 1e-6 relative: a row within that of
+    the span of the kept rows is dropped, rows independent beyond it are
+    kept, and exact linear combinations leave pivots near 1e-15.  With
+    the factor split into L_11 (kept rows) and L_21 (dropped rows), each
+    dropped row must have the normalized rhs L_21 L_11^{-1} b_kept.
+    Returns (kept indices, row scales); raises ValueError on a
+    structurally inconsistent system, a dropped row whose normalized rhs
+    (a zero row's rhs itself) is off by more than 1e-8.
     """
-    b = problem.rhs
-    rows = np.concatenate(_real_rows(problem.stacks), axis=1)
-    scales = np.linalg.norm(rows, axis=1)
-    zero_rows = scales < 1e-14
-    for i in np.nonzero(zero_rows)[0]:
-        if abs(b[i]) > 1e-10:
-            raise ValueError(
-                f"structurally inconsistent input: constraint {i} has zero "
-                f"coefficients but rhs {b[i]:.3e}"
-            )
-    idx = np.nonzero(~zero_rows)[0]
-    if len(idx) == 0:
-        return idx, scales
-    normed = rows[idx] / scales[idx, None]
-    nb = b[idx] / scales[idx]
-
-    r, piv = scipy.linalg.qr(normed.T, mode="r", pivoting=True)
-    diag = np.abs(np.diagonal(r))
-    rank = int((diag > 1e-10 * max(diag[0], 1e-300)).sum()) if diag.size else 0
-    kept_local = np.sort(piv[:rank])
-    dropped_local = np.sort(piv[rank:])
-    if dropped_local.size:
-        # dropped rows must be consistent linear combinations of kept ones
-        coeff, *_ = np.linalg.lstsq(
-            normed[kept_local].T, normed[dropped_local].T, rcond=None
+    gram = sum(r @ r.T for r in _real_rows(problem.stacks))
+    scales = np.sqrt(np.diagonal(gram))
+    nonzero = scales >= 1e-14
+    scales[~nonzero] = 1.0
+    nb = problem.rhs / scales
+    normed = gram / np.outer(scales, scales)
+    np.fill_diagonal(normed, nonzero)
+    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(normed, tol=1e-12, lower=1)
+    piv = piv - 1
+    kept, dropped = piv[:rank], piv[rank:]
+    if dropped.size:
+        coeff = scipy.linalg.solve_triangular(
+            factor[:rank, :rank], nb[kept], lower=True
         )
-        implied = coeff.T @ nb[kept_local]
-        worst = float(np.abs(implied - nb[dropped_local]).max())
+        worst = float(np.abs(factor[rank:, :rank] @ coeff - nb[dropped]).max())
         if worst > 1e-8:
             raise ValueError(
                 f"structurally inconsistent input: dependent constraints "
                 f"disagree by {worst:.3e}"
             )
-    return idx[kept_local], scales
+    return np.sort(kept), scales
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +648,16 @@ _RECORDS: contextvars.ContextVar = contextvars.ContextVar("sdp_records")
 @contextlib.contextmanager
 def recording():
     """Yield a list that gets the (what, solution) record of every certified
-    solve inside the block, in solve order; outside, solves keep nothing."""
-    token = _RECORDS.set([])
+    solve inside the block, in solve order; a nested block's records also
+    reach the enclosing one.  Outside, solves keep nothing."""
+    outer, records = _RECORDS.get(None), []
+    token = _RECORDS.set(records)
     try:
-        yield _RECORDS.get()
+        yield records
     finally:
         _RECORDS.reset(token)
+        if outer is not None:
+            outer.extend(records)
 
 
 def certified_fidelity(builder, rho, terms, sigma_support, what, tol, max_iters):

@@ -44,6 +44,24 @@ class TestRecording:
             assert [what for what, _ in records] == expected
             assert all(sol.status == "optimal" for _, sol in records)
 
+    def test_a_nested_recording_also_reaches_the_enclosing_one(self):
+        with recording() as outer:
+            with recording() as inner:
+                f_max_broadcast(bell_state())
+            f_max_broadcast(werner_state(0.7))
+        assert [what for what, _ in inner] == ["broadcast"]
+        assert [what for what, _ in outer] == ["broadcast", "broadcast"]
+        assert outer[0][1] is inner[0][1]
+
+    def test_report_bounds_use_the_dual_objectives(self):
+        with recording() as records:
+            report = broadcast_report(bell_state(), restarts=2)
+        solutions = dict(records)
+        for bound, what in ((report.discord_bound_eb, "EB broadcast"),
+                            (report.discord_bound_max, "broadcast")):
+            assert bound == -2 * np.log2(solutions[what].dual_value)
+        assert report.discord_bound_eb <= report.discord.value
+
     def test_nothing_is_kept_outside_a_recording(self):
         with recording() as records:
             pass

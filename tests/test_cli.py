@@ -17,7 +17,7 @@ from qbroadcast.cli import (
     state_digest,
     state_to_json,
 )
-from qbroadcast.corpus import bell_state, ghz_state
+from qbroadcast.corpus import bell_state, ghz_state, random_state
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +59,13 @@ class TestStateFiles:
             ({"dims": [2], "matrix": [[[1, 0]]]}, "row"),
             ({"dims": [4], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
              "4 rows"),
+            # JSON true/false decode to bool, which is an int subclass
+            ({"dims": [True, 2], "matrix": [[[0.5, 0], [0, 0]],
+                                            [[0, 0], [0.5, 0]]]},
+             "positive integers"),
+            ({"dims": [2], "matrix": [[[0.5, False], [0, 0]],
+                                      [[0, 0], [0.5, 0]]]},
+             "re, im"),
         ],
     )
     def test_malformed_files_name_the_problem(self, obj, fragment):
@@ -96,6 +103,18 @@ class TestStateFiles:
         }
         with pytest.raises(InputError, match="not finite"):
             parse_state_json(obj)
+
+
+    def test_boolean_file_is_invalid_input(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(
+            '{"dims": [true, 2], "matrix": [[[0.5, 0], [0, 0]], '
+            '[[0, 0], [0.5, 0]]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "measure", "entropy", "-i", str(path))
+        assert code == 2 and out == ""
+        assert "positive integers" in err
 
 
 class TestRounding:
@@ -246,6 +265,18 @@ class TestBroadcastChain:
 
 
 
+    def test_discord_bound_stays_below_the_discord(self, capsys):
+        # the bound is read from the dual objective, which sits above the
+        # optimum: from the primal value Bell printed 1.00000044 > D = 1
+        report = run_json(
+            capsys, "broadcast", "--gen", "bell", "--restarts", "2"
+        )
+        q = report["quantities"]
+        assert q["discord_bound_eb"] <= q["discord"]["value"]
+        assert q["discord_bound_eb"] > 1.0 - 1e-6
+        assert q["discord_bound_max"] <= q["discord_bound_eb"]
+
+
 class TestRecoveryChain:
     def test_optimal_below_petz_exits_one(self, capsys, monkeypatch):
         original = recovery.optimal_recovery_fidelity
@@ -292,6 +323,52 @@ class TestDemoChains:
         assert code == 1
         assert out == ""
         assert "F_opt >= F_petz" in err
+
+
+class TestExitCodes:
+    """2 for input the command cannot take, 1 for a failed computation."""
+
+    def test_value_error_inside_a_computation_exits_one(
+        self, capsys, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise ValueError("fidelity 1.1 exceeds 1 beyond roundoff")
+
+        monkeypatch.setattr(cli, "broadcast_report", failing)
+        code, out, err = run_cli(capsys, "broadcast", "--gen", "bell")
+        assert code == 1 and out == ""
+        assert "computation failed" in err and "exceeds 1" in err
+
+    def test_broadcast_of_a_tripartite_state_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "broadcast", "--gen", "ghz")
+        assert code == 2 and "2 subsystems" in err
+
+    def test_broadcast_beyond_the_b_dimension_limit_exits_two(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "2x5.json"
+        rho = random_state((2, 5), np.random.default_rng(5))
+        path.write_text(json.dumps(state_to_json(rho)), encoding="utf-8")
+        code, _, err = run_cli(capsys, "broadcast", "-i", str(path))
+        assert code == 2 and "B dimension 5" in err
+
+    def test_recover_of_a_four_party_state_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "2x2x2x2.json"
+        rho = random_state((2, 2, 2, 2), np.random.default_rng(6))
+        path.write_text(json.dumps(state_to_json(rho)), encoding="utf-8")
+        code, _, err = run_cli(capsys, "recover", "-i", str(path))
+        assert code == 2 and "3 subsystems" in err
+
+    def test_fidelity_of_unequal_dimensions_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "measure", "fidelity", "--gen", "bell", "--gen2", "ghz"
+        )
+        assert code == 2 and "equal dimension" in err
+
+    def test_negative_seed_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["broadcast", "--gen", "bell", "--seed", "-1"])
+        assert exc.value.code == 2
 
 
 class TestDemo:

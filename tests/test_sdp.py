@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qbroadcast import broadcast, recovery, sdp
 from qbroadcast.broadcast import f_eb, f_max_broadcast
@@ -184,6 +185,45 @@ class TestPreprocessingAndFailureModes:
         b.add_constraint({blk: np.zeros((2, 2), dtype=complex)}, 0.5)
         with pytest.raises(ValueError, match="structurally inconsistent"):
             solve(b.build())
+
+    @staticmethod
+    def two_blocks_and_their_sum(sum_rhs):
+        """Tr X1 = 1, Tr X2 = 1 and the sum of those two rows, rhs given."""
+        b = SdpBuilder()
+        blk1, blk2 = b.add_block(2), b.add_block(2)
+        b.add_objective(blk1, np.diag([1.0, 0.0]).astype(complex))
+        b.add_objective(blk2, np.diag([0.0, 1.0]).astype(complex))
+        eye = np.eye(2, dtype=complex)
+        b.add_constraint({blk1: eye}, 1.0)
+        b.add_constraint({blk2: eye}, 1.0)
+        b.add_constraint({blk1: eye, blk2: eye}, sum_rhs)
+        return b.build()
+
+    def test_consistent_combination_across_blocks_is_dropped(self):
+        sol = solve(self.two_blocks_and_their_sum(2.0))
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value - 2.0) < 1e-6
+        assert sol.dual_vector[2] == 0.0
+
+    def test_combination_with_rhs_off_by_1e_6_raises(self):
+        with pytest.raises(ValueError, match="structurally inconsistent"):
+            solve(self.two_blocks_and_their_sum(2.0 + 1e-6))
+
+    def test_row_independent_to_1e_5_relative_is_kept(self):
+        # X00 + X11 = 1 and (1 + e) X00 + (1 - e) X11 = 1: the second row
+        # leaves the span of the first by e = 1e-5 of its norm
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        b.add_objective(blk, np.array([[0, 1], [1, 0]], dtype=complex))
+        b.add_constraint({blk: np.eye(2, dtype=complex)}, 1.0)
+        tilted = np.diag([1 + 1e-5, 1 - 1e-5]).astype(complex)
+        b.add_constraint({blk: tilted}, 1.0)
+        problem = b.build()
+        kept, _ = sdp._reduce_constraints(problem)
+        assert list(kept) == [0, 1]
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value - 1.0) < 1e-6
 
     def test_conic_infeasibility_detected(self):
         b = SdpBuilder()
@@ -505,6 +545,26 @@ class TestEachJobOnce:
         solution = original_solve(problem)
         assert solution.status == "optimal"
         assert len(calls) == 2 * len(problem.blocks) * solution.iterations
+
+    def test_one_cholesky_and_no_qr_or_lstsq_per_iteration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve must not call qr or lstsq")
+
+        calls = []
+        original_cho = scipy.linalg.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original_cho(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", forbidden)
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        with sdp.recording() as records:
+            f_eb(random_state((2, 2), 31))
+        ((_, solution),) = records
+        assert solution.status == "optimal"
+        assert len(calls) == solution.iterations
 
     @pytest.mark.parametrize(
         "module, fn, state, expected",
