@@ -12,7 +12,7 @@ copied:
   ``f_eb_detailed`` brackets it from below with the fidelity of an
   explicit measure-and-prepare channel: for a qubit B one read off the
   PPT optimum by Wootters' product decomposition, with no further SDP;
-  above that one found by alternating measure-and-prepare SDPs.
+  above that the one that alternating measure-and-prepare SDPs end at.
 * ``discord`` — mutual information lost by the best measurement on one
   side, found by multi-start conjugate-gradient ascent of the measured
   mutual information over rank-one POVMs.
@@ -89,8 +89,9 @@ class EbDetail:
     """Entanglement-breaking fidelity with its certification status.
 
     ``value`` is the PPT optimum, ``lower_bound`` the fidelity of an
-    explicit measure-and-prepare channel, and ``eb_exact`` says that
-    ``value`` is the EB optimum itself (a qubit B side).
+    explicit measure-and-prepare channel (for every B dimension), and
+    ``eb_exact`` says that ``value`` is the EB optimum itself (a qubit B
+    side).
     """
 
     value: float
@@ -405,7 +406,6 @@ def f_eb_detailed(
     rho: DensityMatrix,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
-    init_povm: Povm | None = None,
 ) -> EbDetail:
     """Entanglement-breaking broadcast fidelity of side B, bracketed.
 
@@ -417,17 +417,17 @@ def f_eb_detailed(
     roundoff.  For a qubit B that channel is read off the PPT optimum by
     Wootters' product decomposition (``_wootters_measure_prepare``), with no
     further SDP, and matches the value to solver accuracy; above that it
-    comes from the alternating measure-and-prepare ascent, which starts
-    from ``init_povm`` (an informationally complete POVM if omitted).
+    is the channel the alternating measure-and-prepare ascent ends at.
     """
     value, solution = _f_eb_solve(rho, tol, max_iters)
-    if rho.dims[1] == 2:
+    qubit_b = rho.dims[1] == 2
+    if qubit_b:
         povm, preps = _wootters_measure_prepare(solution.primal_blocks[0])
-        channel = entanglement_breaking(povm, preps)
-        lower = fidelity(rho, apply_on_subsystem(channel, rho, 1))
     else:
-        lower = _measure_prepare_ascent(rho, tol, max_iters, init_povm)
-    return EbDetail(value, lower, eb_exact=bool(rho.dims[1] == 2))
+        povm, preps = _measure_prepare_ascent(rho, tol, max_iters)
+    channel = entanglement_breaking(povm, preps)
+    lower = fidelity(rho, apply_on_subsystem(channel, rho, 1))
+    return EbDetail(value, lower, eb_exact=qubit_b)
 
 
 def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
@@ -483,10 +483,14 @@ def _wootters_measure_prepare(choi: np.ndarray):
     j = (1.0 - eps) * j + eps * np.eye(4) / 2.0
     weights, a_kets, b_kets = _product_decomposition(j)
     elements = [w * np.outer(a.conj(), a) for w, a in zip(weights, a_kets)]
-    s_isqrt = matrix_function_on_support(sum(elements), lambda x: x ** -0.5)
-    povm = Povm(tuple(s_isqrt @ e @ s_isqrt for e in elements))
     preps = [DensityMatrix((2,), np.outer(b, b.conj())) for b in b_kets]
-    return povm, preps
+    return _renormalized_povm(elements), preps
+
+
+def _renormalized_povm(elements) -> Povm:
+    """The POVM S^{-1/2} E_i S^{-1/2} of PSD elements E_i with sum S ~ I."""
+    s_isqrt = matrix_function_on_support(sum(elements), lambda x: x ** -0.5)
+    return Povm(tuple(s_isqrt @ e @ s_isqrt for e in elements))
 
 
 def _product_decomposition(j: np.ndarray):
@@ -549,27 +553,20 @@ def _turn(a: float, b: float, c: float) -> float:
     return float(np.pi - 2.0 * np.arctan2(np.sqrt(num), np.sqrt(den)))
 
 
-def _measure_prepare_ascent(
-    rho: DensityMatrix,
-    tol: float,
-    max_iters: int,
-    init_povm: Povm | None,
-) -> float:
+def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
     """Alternating SDP over measure-and-prepare channels, from below.
 
     A measure-and-prepare channel acts as X -> sum_i Tr(E_i X) tau_i.
     With either factor fixed the output is affine in the other, so each
-    half-step is a fidelity SDP; the value climbs monotonically.
+    half-step is a fidelity SDP; the value climbs monotonically.  Starts
+    from the d_B^2-outcome informationally complete POVM and returns the
+    (POVM, preparations) pair the last round ends at, the POVM
+    renormalized to sum to I exactly.
     """
     d_a, d_b = rho.dims
     k = d_b * d_b
     rho4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    povm = init_povm if init_povm is not None else build_ic_povm(d_b).povm
-    if povm.n_outcomes > k:
-        k = povm.n_outcomes
-    elements = list(povm.elements) + [
-        np.zeros((d_b, d_b), dtype=complex)
-    ] * (k - povm.n_outcomes)
+    elements = build_ic_povm(d_b).povm.elements
     # the measurement sum_i E_i = I is trace preservation of a channel
     # B -> outcome register whose Choi matrix has one block per outcome
     outcomes = [kron(np.eye(d_b), np.eye(k)[:, [i]]) for i in range(k)]
@@ -577,7 +574,6 @@ def _measure_prepare_ascent(
     def conditional(e):
         return np.einsum("abcd,...db->...ac", rho4, e)
 
-    best = 0.0
     for _ in range(MEASURE_PREPARE_ROUNDS):
         # optimize preparations (unit-trace states) for the measurement
         builder = SdpBuilder()
@@ -586,11 +582,10 @@ def _measure_prepare_ascent(
             (blk, lambda e, c=conditional(el): np.kron(c, e))
             for blk, el in zip(blocks, elements)
         ]
-        value, sol = certified_fidelity(
+        _, sol = certified_fidelity(
             builder, rho.matrix, terms, _a_support(rho, np.eye(d_b)),
             "measure-and-prepare preparation", tol, max_iters,
         )
-        best = max(best, value)
         preps = [nearest_psd(sol.primal_blocks[blk]) for blk in blocks]
         preps = [p / np.trace(p).real for p in preps]
 
@@ -601,14 +596,13 @@ def _measure_prepare_ascent(
             (blk, lambda e, t=tau: np.kron(conditional(e), t))
             for blk, tau in zip(blocks, preps)
         ]
-        value, sol = certified_fidelity(
+        _, sol = certified_fidelity(
             builder, rho.matrix, terms,
             _a_support(rho, support_projector(sum(preps))),
             "measure-and-prepare measurement", tol, max_iters,
         )
-        best = max(best, value)
         elements = [nearest_psd(sol.primal_blocks[blk]) for blk in blocks]
-    return best
+    return _renormalized_povm(elements), [DensityMatrix((d_b,), p) for p in preps]
 
 
 def _a_support(rho: DensityMatrix, b_support: np.ndarray) -> np.ndarray:
@@ -690,9 +684,7 @@ def broadcast_report(
     disc = discord(rho, side="B", seed=seed, restarts=restarts)
     with recording() as records:
         fmax, _ = f_max_broadcast(rho, tol=tol, max_iters=max_iters)
-        eb = f_eb_detailed(
-            rho, tol=tol, max_iters=max_iters, init_povm=disc.best_povm
-        )
+        eb = f_eb_detailed(rho, tol=tol, max_iters=max_iters)
     solutions = dict(records)
     return BroadcastReport(
         f_max=fmax,

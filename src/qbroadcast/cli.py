@@ -384,6 +384,11 @@ def _recovery_links(rep) -> tuple:
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
     _require_subsystems(rho, "broadcast", 2)
+    if min(rho.dims) < 2:
+        raise InputError(
+            f"broadcast: every dimension must be at least 2, got dims "
+            f"{list(rho.dims)}"
+        )
     if rho.dims[1] > MAX_BROADCAST_DIM:
         raise InputError(
             f"broadcast: B dimension {rho.dims[1]} exceeds the limit "

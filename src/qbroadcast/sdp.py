@@ -123,26 +123,36 @@ class SdpBuilder:
         self._objective.append(np.zeros((side, side), dtype=complex))
         return len(self._blocks) - 1
 
+    def _handed_out(self, block: int) -> int:
+        """``block`` if ``add_block`` returned it, else ValueError."""
+        if not 0 <= block < len(self._blocks):
+            raise ValueError(
+                f"no block {block}: the builder has {len(self._blocks)}"
+            )
+        return block
+
     def block_side(self, block: int) -> int:
-        return self._blocks[block]
+        return self._blocks[self._handed_out(block)]
 
     def add_objective(self, block: int, coeff: np.ndarray):
-        self._objective[block] = self._objective[block] + np.asarray(
+        k = self._handed_out(block)
+        self._objective[k] = self._objective[k] + np.asarray(
             coeff, dtype=complex
         )
 
     def add_constraint(self, coeffs: dict, rhs):
         """Add rows sum_k <A_ik, X_k> = b_i: one matrix per block and a
         scalar ``rhs``, or a row block of (q, n_k, n_k) stacks and q values.
-        Blocks left out of ``coeffs`` get zeros.  A coefficient further than
-        ``COEFF_HERM_TOL`` from Hermitian raises ValueError; roundoff below
+        Blocks left out of ``coeffs`` get zeros.  A block index that
+        ``add_block`` did not return, or a coefficient further than
+        ``COEFF_HERM_TOL`` from Hermitian, raises ValueError; roundoff below
         that is symmetrized away."""
         rhs = np.asarray(rhs, dtype=float)
         stacks = {k: np.asarray(a, dtype=complex) for k, a in coeffs.items()}
         if rhs.ndim == 0:
             rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
         for k, a in stacks.items():
-            if a.shape != (len(rhs), self._blocks[k], self._blocks[k]):
+            if a.shape != (len(rhs),) + (self.block_side(k),) * 2:
                 raise ValueError(f"constraint block {k} has shape {a.shape}")
             stacks[k] = _hermitian_part(a, "constraint", k)
         self._row_blocks.append((stacks, rhs))

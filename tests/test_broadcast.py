@@ -338,9 +338,7 @@ class TestFEb:
     def test_classical_on_b_reaches_one(self):
         rng = np.random.default_rng(12)
         rho = classical_on_b_state(2, 2, rng)
-        verdict = classify(rho)
-        init = Povm.from_basis(verdict.basis_b)
-        detail = f_eb_detailed(rho, init_povm=init)
+        detail = f_eb_detailed(rho)
         assert abs(detail.value - 1.0) < 1e-6
         assert detail.lower_bound > 1.0 - 1e-6
 
@@ -363,6 +361,29 @@ class TestFEb:
         ):
             fmax, _ = f_max_broadcast(rho)
             assert f_eb(rho) <= fmax + 1e-6
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_lower_bound_is_the_fidelity_of_its_channel(
+        self, dims, monkeypatch
+    ):
+        # both B dimensions build one explicit measure-and-prepare channel,
+        # and the bound is exactly the fidelity of its output
+        import qbroadcast.broadcast as module
+
+        build, channels = module.entanglement_breaking, []
+
+        def spy(povm, preps):
+            channels.append(build(povm, preps))
+            return channels[-1]
+
+        monkeypatch.setattr(module, "entanglement_breaking", spy)
+        rho = random_state(dims, np.random.default_rng(16))
+        detail = f_eb_detailed(rho)
+        (ch,) = channels
+        assert detail.lower_bound == fidelity(
+            rho, apply_on_subsystem(ch, rho, 1)
+        )
+        assert detail.lower_bound <= detail.value + 1e-6
 
 
 def random_separable(rng, terms: int) -> np.ndarray:

@@ -263,6 +263,19 @@ class TestBroadcastChain:
         assert out == ""
         assert "f_eb >= f_eb_lower" in err
 
+    def test_f_eb_lower_is_the_library_bound_for_qutrit_b(
+        self, capsys, tmp_path
+    ):
+        # the discord search the command also runs does not feed the bound
+        rho = random_state((2, 3), np.random.default_rng(17))
+        path = tmp_path / "2x3.json"
+        path.write_text(json.dumps(state_to_json(rho)), encoding="utf-8")
+        report = run_json(
+            capsys, "broadcast", "-i", str(path), "--restarts", "2"
+        )
+        lower = broadcast.f_eb_detailed(rho).lower_bound
+        assert report["quantities"]["f_eb_lower"] == round_floats(lower)
+
 
 
     def test_discord_bound_stays_below_the_discord(self, capsys):
@@ -351,6 +364,16 @@ class TestExitCodes:
         path.write_text(json.dumps(state_to_json(rho)), encoding="utf-8")
         code, _, err = run_cli(capsys, "broadcast", "-i", str(path))
         assert code == 2 and "B dimension 5" in err
+
+    @pytest.mark.parametrize("dims", [(2, 1), (1, 2)])
+    def test_broadcast_of_a_one_dimensional_factor_exits_two(
+        self, capsys, tmp_path, dims
+    ):
+        path = tmp_path / "trivial-factor.json"
+        rho = random_state(dims, np.random.default_rng(7))
+        path.write_text(json.dumps(state_to_json(rho)), encoding="utf-8")
+        code, _, err = run_cli(capsys, "broadcast", "-i", str(path))
+        assert code == 2 and "at least 2" in err
 
     def test_recover_of_a_four_party_state_exits_two(self, capsys, tmp_path):
         path = tmp_path / "2x2x2x2.json"

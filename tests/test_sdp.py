@@ -452,6 +452,18 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="shape"):
             b.add_constraint({blk: coeff}, rhs)
 
+    @pytest.mark.parametrize("block", [-1, 2])
+    def test_block_index_must_have_been_handed_out(self, block):
+        b = SdpBuilder()
+        for side in (2, 3):
+            b.add_block(side)
+        with pytest.raises(ValueError, match=f"no block {block}"):
+            b.add_objective(block, np.eye(3))
+        with pytest.raises(ValueError, match=f"no block {block}"):
+            b.add_constraint({block: np.eye(3)}, 1.0)
+        with pytest.raises(ValueError, match=f"no block {block}"):
+            b.block_side(block)
+
     def test_non_hermitian_objective_rejected(self):
         b = SdpBuilder()
         blk = b.add_block(2)
