@@ -124,6 +124,18 @@ def _require_bipartite(rho: DensityMatrix):
         raise ValueError(f"expected two subsystems, got dims {rho.dims}")
 
 
+def _require_dimension_two(rho: DensityMatrix, what: str, factors=(0, 1)):
+    """ValueError naming ``what`` unless each of ``factors`` of the
+    bipartite ``rho`` has dimension at least 2 (a frame or a measurement
+    needs that much room)."""
+    _require_bipartite(rho)
+    if min(rho.dims[k] for k in factors) < 2:
+        names = " and ".join("AB"[k] for k in factors)
+        raise ValueError(
+            f"{what} needs dimension at least 2 on {names}, got dims {rho.dims}"
+        )
+
+
 def _swap_sides(rho: DensityMatrix) -> DensityMatrix:
     d0, d1 = rho.dims
     mat = (
@@ -207,7 +219,7 @@ def discord(
     ``grad_norm <= STATIONARY_GRAD`` and agrees with the runner-up (if
     any) within ``CONVERGENCE_WINDOW``.
     """
-    _require_bipartite(rho)
+    _require_dimension_two(rho, "discord")
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -419,6 +431,7 @@ def f_eb_detailed(
     further SDP, and matches the value to solver accuracy; above that it
     is the channel the alternating measure-and-prepare ascent ends at.
     """
+    _require_dimension_two(rho, "f_eb_detailed", factors=(1,))
     value, solution = _f_eb_solve(rho, tol, max_iters)
     qubit_b = rho.dims[1] == 2
     if qubit_b:
@@ -680,7 +693,7 @@ def broadcast_report(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> BroadcastReport:
     """All broadcastability quantifiers for one bipartite state."""
-    _require_bipartite(rho)
+    _require_dimension_two(rho, "broadcast_report")
     disc = discord(rho, side="B", seed=seed, restarts=restarts)
     with recording() as records:
         fmax, _ = f_max_broadcast(rho, tol=tol, max_iters=max_iters)

@@ -10,22 +10,32 @@ with <A, B> = Re Tr(A B).  A constraint family enters ``SdpBuilder`` as
 one row block: a (q, n_k, n_k) coefficient stack per block it touches and
 q right-hand sides.  The builder refuses coefficients that are not
 Hermitian, and ``SdpBuilder.build`` concatenates the row blocks into one
-complex (m, n_k, n_k) array per block plus the vector b; every constraint
-operation (the map X -> (<A_i, X>)_i, its adjoint, the Schur complement,
-redundancy removal, residuals) works from those stacks.
-Flattened and viewed as real pairs, a stack becomes real rows whose dot
-product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
-algebra needs neither a copy nor an embedding.  Dependent constraints are
-found by one pivoted Cholesky of the rows' Gram matrix, which resolves
-independence to about 1e-6 relative, and dropped once their right-hand
-sides are checked against the kept rows.  The reduced problem is solved
-by primal-dual path following with Nesterov-Todd scaling run directly on
-the Hermitian blocks, as SDPT3 does for complex data (Toh, Todd and
-Tutuncu 1999); each iterate is factored once, and its step lengths reuse
-that factorization.  Instances here are small (block side <= ~40, <= ~700
-constraints), so dense linear algebra per iteration is the right tool.
-The fidelity gadget applies each linear term of sigma once, to a whole
-stack of basis elements.
+complex (m, n_k, n_k) array per block plus the vector b: the public data
+that ``audit`` checks and redundancy removal reads.  Flattened and viewed
+as real pairs, a stack becomes real rows whose dot product with a
+flattened Hermitian X is Re Tr(A_i X), so the real linear algebra needs
+neither a copy nor an embedding.  Dependent constraints are found by one
+pivoted Cholesky of the rows' Gram matrix, which resolves independence to
+about 1e-6 relative, and dropped once their right-hand sides are checked
+against the kept rows.
+
+Each solve then lays out the kept, scaled rows once per block
+(``_BlockRows``), and every per-iterate operation (the map
+X -> (<A_i, X>)_i, its adjoint, the Schur complement, the starting point)
+runs from that layout.  A block holds only the rows that touch it.  A
+row with at most 2 nonzero entries there, as the orthonormal basis
+elements of the fidelity gadget are, is held as its entries: W A_i W is
+a sum of two outer products, and Re Tr(A_j W A_i W) is read off it at
+row j's entries, as in the sparse-row Schur formulas of Fujisawa, Kojima
+and Nakata (Math. Program. 79, 235, 1997).  Other rows keep dense W A W
+products.  The reduced problem is solved by primal-dual path following
+with Nesterov-Todd scaling run directly on the Hermitian blocks, as
+SDPT3 does for complex data (Toh, Todd and Tutuncu 1999); each iterate
+is factored once, and its step lengths reuse that factorization.
+Instances here are small (block side <= ~40, <= ~700 constraints), so
+dense linear algebra per iteration is the right tool.  The fidelity
+gadget applies each linear term of sigma once, to a whole stack of basis
+elements.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
@@ -207,18 +217,134 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 def _real_rows(stacks) -> list:
     """Zero-copy real (m, 2 n^2) views of the stacks: row . x is Re Tr(A X)."""
-    return [a.reshape(len(a), -1).view(float) for a in stacks]
+    return [a.reshape(len(a), a.shape[-1] ** 2).view(float) for a in stacks]
 
 
-def _a_apply(rows, xs, m: int) -> np.ndarray:
+class _BlockRows:
+    """The rows ``kept`` of one block's stack, each divided by its
+    ``scale``, as the interior-point iteration reads them.
+
+    Only the rows that touch the block are held, listed in ``rows`` (as
+    positions in ``kept``), basis-element rows first.  A basis-element row
+    has at most 2 nonzero entries in the block and is held as those entries
+    A_i[p, q] = v, padded with v = 0: W A_i W is then a sum of two outer
+    products, Re Tr(A_i M) a gather and sum_i y_i A_i a scatter.  The other
+    touching rows are held densely.  Every index the iteration needs is
+    built here, once per solve.
+    """
+
+    def __init__(self, a: np.ndarray, kept: np.ndarray, scale: np.ndarray):
+        n = self.n = a.shape[-1]
+        flat_a = a.reshape(len(a), n * n)
+        # nonzero entries row by row, in flat order within a row, so an
+        # off-diagonal pair's upper entry comes first
+        row, t = np.nonzero(flat_a)
+        nnz = np.bincount(row, minlength=len(a))[kept]
+        basis = np.flatnonzero((nnz > 0) & (nnz <= 2))
+        dense = np.flatnonzero(nnz > 2)
+        self.rows, self.n_basis = np.concatenate([basis, dense]), len(basis)
+        self.dense = a[kept[dense]]
+        self.dense /= scale[dense, None, None]
+        self.dense_real = _real_rows([self.dense])[0]
+
+        position = np.full(len(a), -1)
+        position[kept[basis]] = np.arange(len(basis))
+        i = position[row]
+        row, t, i = row[i >= 0], t[i >= 0], i[i >= 0]
+        slot = np.zeros(len(i), dtype=int)
+        slot[1:] = i[1:] == i[:-1]
+        flat = np.zeros((len(basis), 2), dtype=int)
+        v = np.zeros((len(basis), 2), dtype=complex)
+        flat[i, slot], v[i, slot] = t, flat_a[row, t] / scale[basis][i]
+        self.flat, self.v, self.v_bar = flat, v, v.conj()
+        self.p, self.q, self.v_col = flat // n, flat % n, v[..., None]
+        # each entry's (Re, Im) positions in the real view of the flat block
+        self.flat_real = (2 * flat[..., None] + np.arange(2)).reshape(-1)
+        # On a Hermitian M an entry below the diagonal reads the conjugate
+        # of its upper mirror, so Re Tr(A_i M) sums only the entries on or
+        # above it: Re(v^* M[p, q]), doubled above the diagonal.
+        read_w = self.v_bar * (np.sign(self.q - self.p) + 1)
+        self.reads = [
+            (f.copy(), c.copy()) for f, c in zip(flat.T, read_w.T) if c.any()
+        ]
+
+        # where this block's terms go in A(X) and in the Schur complement
+        start = self.rows[0] if len(self.rows) else 0
+        if np.array_equal(self.rows, np.arange(start, start + len(self.rows))):
+            self.at = slice(start, start + len(self.rows))
+            self.where = (self.at, self.at)
+        else:
+            self.at, self.where = self.rows, np.ix_(self.rows, self.rows)
+
+    def norms(self) -> np.ndarray:
+        """Frobenius norm of each touching row."""
+        return np.concatenate([
+            np.linalg.norm(self.v, axis=1), np.linalg.norm(self.dense_real, axis=1)
+        ])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Re Tr(A_i X) for each touching row i."""
+        xr = np.ascontiguousarray(x).reshape(-1)
+        dense = self.dense_real @ xr.view(float)
+        if not self.n_basis:
+            return dense
+        basis = (xr[self.flat] * self.v_bar).sum(1).real
+        return np.concatenate([basis, dense]) if len(dense) else basis
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i A_i over the touching rows, ``y`` indexed like them."""
+        nb, n = self.n_basis, self.n
+        out = y[nb:] @ self.dense_real
+        if nb:
+            out += np.bincount(
+                self.flat_real,
+                (y[:nb, None] * self.v).view(float).reshape(-1),
+                minlength=2 * n * n,
+            )
+        return out.view(complex).reshape(n, n)
+
+    def schur(self, w: np.ndarray) -> np.ndarray:
+        """Re Tr(A_i W A_j W) over pairs of touching rows."""
+        nb, n, mt = self.n_basis, self.n, len(self.rows)
+        if not mt:
+            return np.zeros((0, 0))
+        waw = np.empty((mt, n, n), dtype=complex)
+        if nb:  # W[:, p] v W[q, :], summed over the two entries
+            np.matmul(
+                (w.T[self.p] * self.v_col).swapaxes(1, 2), w[self.q], out=waw[:nb]
+            )
+        if nb < mt:
+            np.matmul(w @ self.dense, w, out=waw[nb:])
+        flat = waw.reshape(mt, n * n)
+        cols = []
+        if nb:  # row i's entries read off each W A_j W
+            (f, c), *more = self.reads
+            read = np.take(flat, f, axis=1) * c
+            for f, c in more:
+                read += np.take(flat, f, axis=1) * c
+            cols.append(read.real)
+        if nb < mt:
+            cols.append(flat.view(float) @ self.dense_real.T)
+        return cols[0] if len(cols) == 1 else np.hstack(cols)
+
+
+def _a_apply(layout, xs, m: int) -> np.ndarray:
     out = np.zeros(m)
-    for r, x in zip(rows, xs):
-        out += r @ np.ascontiguousarray(x).reshape(-1).view(float)
+    for blk, x in zip(layout, xs):
+        out[blk.at] += blk.apply(x)
     return out
 
 
-def _a_adjoint(stacks, y: np.ndarray) -> list:
-    return [np.tensordot(y, a, axes=(0, 0)) for a in stacks]
+def _a_adjoint(layout, y: np.ndarray) -> list:
+    return [blk.adjoint(y[blk.at]) for blk in layout]
+
+
+def _schur_complement(layout, ws, m: int) -> np.ndarray:
+    """S_ij = sum_k Re Tr(A_ik W_k A_jk W_k), symmetrized."""
+    schur = np.zeros((m, m))
+    for blk, w in zip(layout, ws):
+        schur[blk.where] += blk.schur(w)
+    return (schur + schur.T) / 2.0
 
 
 def _inner(us, vs) -> float:
@@ -226,11 +352,11 @@ def _inner(us, vs) -> float:
     return float(sum(np.vdot(u, v).real for u, v in zip(us, vs)))
 
 
-def _residuals(rows, stacks, objective, b, xs, y, zs):
+def _residuals(layout, objective, b, xs, y, zs):
     """Primal residual b - A(X), dual residuals C + Z - A^*(y), and their
     relative norms with the relative primal-dual gap."""
-    rp = b - _a_apply(rows, xs, b.size)
-    rds = [c + z - at for c, z, at in zip(objective, zs, _a_adjoint(stacks, y))]
+    rp = b - _a_apply(layout, xs, b.size)
+    rds = [c + z - at for c, z, at in zip(objective, zs, _a_adjoint(layout, y))]
     pval, dval = _inner(objective, xs), float(b @ y)
     norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in objective))
     return rp, rds, SdpResiduals(
@@ -272,17 +398,17 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
     return w, zinv, hx, rx @ um_isqrt
 
 
-def _path_following(blocks, objective, stacks, b, tol, max_iters):
-    """NT-scaled primal-dual path following.
+def _path_following(blocks, objective, layout, b, tol, max_iters):
+    """NT-scaled primal-dual path following over the row ``layout``.
 
     Returns (xs, y, zs, status, iterations).
     """
     m = b.size
-    rows = _real_rows(stacks)
 
     xs, zs = [], []
-    for n, c, r in zip(blocks, objective, rows):
-        a_norms = np.linalg.norm(r, axis=1)
+    for n, c, blk in zip(blocks, objective, layout):
+        a_norms = np.zeros(m)
+        a_norms[blk.at] = blk.norms()
         xi = max(10.0, np.sqrt(n))
         eta = max(10.0, np.sqrt(n), float(np.linalg.norm(c)))
         if m:
@@ -295,7 +421,7 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
     status = "max-iterations"
     iterations = max_iters
     for it in range(max_iters):
-        rp, rds, res = _residuals(rows, stacks, objective, b, xs, y, zs)
+        rp, rds, res = _residuals(layout, objective, b, xs, y, zs)
         gap = _inner(xs, zs)
         mu = gap / sum(blocks)
 
@@ -310,13 +436,7 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
 
         ws, zinvs, hxs, hzs = zip(*(_nt_scaling(x, z) for x, z in zip(xs, zs)))
 
-        # Schur complement S_ij = sum_k Re Tr(A_ik W_k A_jk W_k)
-        schur = np.zeros((m, m))
-        for a, r, w in zip(stacks, rows, ws):
-            waw = w @ a @ w
-            schur += r @ waw.reshape(m, -1).view(float).T
-        schur = (schur + schur.T) / 2.0
-
+        schur = _schur_complement(layout, ws, m)
         try:
             factor = scipy.linalg.cho_factor(schur, lower=True)
         except np.linalg.LinAlgError:  # the Schur complement lost definiteness
@@ -326,10 +446,10 @@ def _path_following(blocks, objective, stacks, b, tol, max_iters):
 
         def newton(rcs):
             rhs = _a_apply(
-                rows, [rc + w @ rd @ w for rc, rd, w in zip(rcs, rds, ws)], m
+                layout, [rc + w @ rd @ w for rc, rd, w in zip(rcs, rds, ws)], m
             ) - rp
             dy = scipy.linalg.cho_solve(factor, rhs)
-            dzs = [da - rd for da, rd in zip(_a_adjoint(stacks, dy), rds)]
+            dzs = [da - rd for da, rd in zip(_a_adjoint(layout, dy), rds)]
             dxs = [
                 _hermitize(rc - w @ dz @ w) for rc, w, dz in zip(rcs, ws, dzs)
             ]
@@ -422,20 +542,20 @@ def solve(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     kept, scales = _reduce_constraints(problem)
     row_scale = scales[kept]
-    stacks = [a[kept] / row_scale[:, None, None] for a in problem.stacks]
     xs, y_kept, zs, status, iterations = _path_following(
         problem.blocks,
         problem.objective,
-        stacks,
+        [_BlockRows(a, kept, row_scale) for a in problem.stacks],
         problem.rhs[kept] / row_scale,
         tol,
         max_iters,
     )
     y = np.zeros(problem.n_constraints)
     y[kept] = y_kept / row_scale
+    every = np.arange(problem.n_constraints)
     _, _, res = _residuals(
-        _real_rows(problem.stacks), problem.stacks, problem.objective,
-        problem.rhs, xs, y, zs,
+        [_BlockRows(a, every, np.ones(len(every))) for a in problem.stacks],
+        problem.objective, problem.rhs, xs, y, zs,
     )
     pval = _inner(problem.objective, xs)
     dval = float(problem.rhs @ y)

@@ -1,5 +1,7 @@
 """Discord optimizer, broadcast-fidelity SDPs, and the MI-loss functional."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -579,3 +581,27 @@ class TestClassifyOnce:
         swapped = discord(rho, side="A", restarts=2).verdict
         assert swapped.classical_on_a and not swapped.classical_on_b
         assert swapped.witness_b == pytest.approx(direct.witness_a)
+
+
+class TestOneDimensionalFactors:
+    @pytest.mark.parametrize(
+        "fn, name, dims",
+        [
+            (discord, "discord", (2, 1)),
+            (discord, "discord", (1, 2)),
+            (f_eb_detailed, "f_eb_detailed", (2, 1)),
+            (broadcast_report, "broadcast_report", (2, 1)),
+            (broadcast_report, "broadcast_report", (1, 2)),
+        ],
+    )
+    def test_refused_up_front_by_name(self, fn, name, dims):
+        rho = random_state(dims, np.random.default_rng(7))
+        with recording() as records:
+            with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(str(dims))}$"):
+                fn(rho)
+        assert records == []
+
+    def test_f_eb_detailed_keeps_a_one_dimensional_a(self):
+        detail = f_eb_detailed(random_state((1, 2), np.random.default_rng(7)))
+        assert detail.eb_exact
+        assert detail.lower_bound <= detail.value + 1e-6

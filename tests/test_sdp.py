@@ -600,3 +600,112 @@ class TestEachJobOnce:
         monkeypatch.setattr(module, "choi_subsystem_action", counting)
         fn(random_state(*state))
         assert len(calls) == expected
+
+
+def test_no_constraint_rows():
+    # maximize -Tr X over X >= 0 with no rows at all: the optimum is X = 0
+    b = SdpBuilder()
+    blk = b.add_block(2)
+    b.add_objective(blk, -np.eye(2, dtype=complex))
+    problem = b.build()
+    assert problem.n_constraints == 0
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value) < sdp.DEFAULT_TOL
+    assert audit(problem, sol)[0]
+
+
+def mixed_rows_problem():
+    """Every kind of row the solver's layout tells apart: basis elements
+    (one diagonal entry, an off-diagonal pair), the identity on a qubit
+    (two entries, not a basis element), dense rows, a block touched by both
+    kinds, one dense row over two blocks, and a block no row touches."""
+    rng = np.random.default_rng(12)
+    b = SdpBuilder()
+    (qubit,) = add_channel(b, 1, 2)
+    mixed = b.add_block(3)
+    untouched = b.add_block(2)
+    rho = random_state(3, rng).matrix
+    sigma = random_state(2, rng).matrix
+    basis = hermitian_basis(3)[[0, 1, 3, 6]]
+    b.add_constraint({mixed: basis}, np.trace(basis @ rho, axis1=1, axis2=2).real)
+    h, g = random_hermitian(3, rng), random_hermitian(2, rng)
+    b.add_constraint(
+        {mixed: h, qubit: g}, float(np.trace(h @ rho).real + np.trace(g @ sigma).real)
+    )
+    b.add_objective(mixed, random_hermitian(3, rng))
+    b.add_objective(qubit, random_hermitian(2, rng))
+    b.add_objective(untouched, -np.eye(2, dtype=complex))
+    return b.build()
+
+
+def random_hermitian(n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (g + g.conj().T) / 2
+
+
+class TestRowLayout:
+    """The per-block row layout against independent dense contractions."""
+
+    def layout_and_points(self, problem):
+        rng = np.random.default_rng(13)
+        m = problem.n_constraints
+        layout = [sdp._BlockRows(a, np.arange(m), np.ones(m)) for a in problem.stacks]
+        points = []
+        for n in problem.blocks:
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            points.append(g @ g.conj().T)
+        return layout, points
+
+    def test_every_kind_of_row_is_present(self):
+        problem = mixed_rows_problem()
+        layout, _ = self.layout_and_points(problem)
+        qubit, mixed, untouched = layout
+        assert qubit.n_basis == 1 and len(qubit.rows) == 2  # I_2, then dense
+        assert np.count_nonzero(qubit.v[0]) == 2
+        assert mixed.n_basis == 4 and len(mixed.rows) == 5
+        assert len(untouched.rows) == 0
+
+    def test_schur_complement_matches_dense_contraction(self):
+        problem = mixed_rows_problem()
+        layout, ws = self.layout_and_points(problem)
+        got = sdp._schur_complement(layout, ws, problem.n_constraints)
+        want = sum(
+            np.einsum("iab,bc,jcd,da->ij", a, w, a, w).real
+            for a, w in zip(problem.stacks, ws)
+        )
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_map_and_adjoint_match_dense_contraction(self):
+        problem = mixed_rows_problem()
+        layout, xs = self.layout_and_points(problem)
+        m = problem.n_constraints
+        got = sdp._a_apply(layout, xs, m)
+        want = sum(
+            np.einsum("mij,ji->m", a, x).real for a, x in zip(problem.stacks, xs)
+        )
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        y = np.random.default_rng(14).normal(size=m)
+        for got, a in zip(sdp._a_adjoint(layout, y), problem.stacks):
+            want = np.tensordot(y, a, axes=(0, 0))
+            assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+    def test_solve_agrees_with_the_rows_supplied_densely(self):
+        # a unitary change of basis on every block keeps the program and
+        # the interior-point path, but leaves no row with 2 or fewer entries
+        problem = mixed_rows_problem()
+        rng = np.random.default_rng(15)
+        us = [np.linalg.qr(random_hermitian(n, rng) + 1j * np.eye(n))[0]
+              for n in problem.blocks]
+        rotated = SdpProblem(
+            problem.blocks,
+            tuple(u @ c @ u.conj().T for u, c in zip(us, problem.objective)),
+            tuple(u @ a @ u.conj().T for u, a in zip(us, problem.stacks)),
+            problem.rhs,
+        )
+        layout, _ = self.layout_and_points(rotated)
+        assert [blk.n_basis for blk in layout] == [0, 0, 0]
+        sparse, dense = solve(problem), solve(rotated)
+        assert sparse.status == dense.status == "optimal"
+        assert sparse.iterations == dense.iterations
+        assert abs(sparse.primal_value - dense.primal_value) < sdp.DEFAULT_TOL
