@@ -31,7 +31,13 @@ and Nakata (Math. Program. 79, 235, 1997).  Other rows keep dense W A W
 products.  The reduced problem is solved by primal-dual path following
 with Nesterov-Todd scaling run directly on the Hermitian blocks, as
 SDPT3 does for complex data (Toh, Todd and Tutuncu 1999); each iterate
-is factored once, and its step lengths reuse that factorization.
+is factored once, and its step lengths reuse that factorization.  A
+predictor step picks the centering weight, and the corrector adds
+Mehrotra's second-order term in the NT-scaled space, where the scaled
+point is diagonal and the Lyapunov solve is entrywise.  A Schur
+complement that is numerically singular is solved on its range; only a
+Schur complement or direction that is not finite ends a solve with
+``breakdown``.
 Instances here are small (block side <= ~40, <= ~700 constraints), so
 dense linear algebra per iteration is the right tool.  The fidelity
 gadget applies each linear term of sigma once, to a whole stack of basis
@@ -383,23 +389,80 @@ def _max_step(factors, ds) -> float:
 
 
 def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd point W (W Z W = X), Z^{-1} and the step factors
-    H_x = U_x S_x^{-1/2}, H_z = X^{1/2} U_M S_M^{-1/2} (H_x^dag X H_x = I =
-    H_z^dag Z H_z), from X = U_x S_x U_x^dag and X^{1/2} Z X^{1/2} =
-    U_M S_M U_M^dag: one factorization serves the whole iteration."""
+    """Nesterov-Todd point W (W Z W = X), Z^{-1}, the step factors H_x =
+    U_x S_x^{-1/2} and H_z = X^{1/2} U_M S_M^{-1/2} (H_x^dag X H_x = I =
+    H_z^dag Z H_z), the scaling factor G = X^{1/2} U_M S_M^{-1/4} and lam =
+    S_M^{1/2}, from X = U_x S_x U_x^dag and X^{1/2} Z X^{1/2} = U_M S_M
+    U_M^dag: one factorization serves the whole iteration.  G G^dag = W,
+    the scaled point G^dag Z G = G^{-1} X G^{-dag} is V = diag(lam), and
+    Z^{-1} = G V^{-1} G^dag."""
     sx, ux = np.linalg.eigh(x)
     hx = ux / np.sqrt(np.clip(sx, 1e-14 * max(sx.max(), 1e-300), None))
     rx = (ux * np.sqrt(np.clip(sx, 1e-300, None))) @ dag(ux)
     sm, um = np.linalg.eigh(_hermitize(rx @ z @ rx))
     sm = np.clip(sm, 1e-300, None)
-    um_isqrt = um * sm ** -0.5
-    w = rx @ (um_isqrt @ dag(um)) @ rx
-    zinv = rx @ ((um * (1.0 / sm)) @ dag(um)) @ rx
-    return w, zinv, hx, rx @ um_isqrt
+    lam = np.sqrt(sm)
+    g = rx @ (um * sm ** -0.25)
+    return g @ dag(g), (g / lam) @ dag(g), hx, g / np.sqrt(lam), g, lam
 
 
+def _second_order(g, lam, z, dx, dz) -> np.ndarray:
+    """G L_V^{-1}(R) G^dag, Mehrotra's second-order term in the NT-scaled
+    space.  R = dX~ dZ~ + dZ~ dX~ for the scaled directions dX~ = G^{-1} dX
+    G^{-dag} = V^{-1} G^dag Z dX Z G V^{-1} and dZ~ = G^dag dZ G, and
+    L_V(U) = V U + U V, V = diag(lam), is inverted entrywise: U_ij =
+    R_ij / (lam_i + lam_j)."""
+    ginv = (dag(g) @ z) / lam[:, None]
+    half = (ginv @ dx @ dag(ginv)) @ (dag(g) @ dz @ g)
+    return g @ ((half + dag(half)) / (lam[:, None] + lam)) @ dag(g)
+
+
+def _finite(*arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _schur_solver(schur: np.ndarray):
+    """rhs -> dy with S dy = rhs, from one Cholesky of the Schur complement
+    S.  A numerically singular S is solved on its range instead: one
+    pivoted Cholesky (``dpstrf`` at its default tolerance) factors the
+    pivots it keeps, and dy is zero on those it drops.  A non-finite S
+    raises FloatingPointError; a non-finite rhs gives a non-finite dy."""
+    if not _finite(schur):
+        raise FloatingPointError("the Schur complement is not finite")
+    try:
+        factor = scipy.linalg.cho_factor(schur, lower=True)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    chol, piv, rank, _ = scipy.linalg.lapack.dpstrf(schur, lower=1)
+    kept, range_factor = piv[:rank] - 1, (chol[:rank, :rank], True)
+
+    def on_range(rhs):
+        dy = np.zeros_like(rhs)
+        dy[kept] = scipy.linalg.cho_solve(
+            range_factor, rhs[kept], check_finite=False
+        )
+        return dy
+
+    return on_range
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _path_following(blocks, objective, layout, b, tol, max_iters):
     """NT-scaled primal-dual path following over the row ``layout``.
+
+    Each iterate is factored once: ``_nt_scaling`` per block and one
+    Cholesky of the Schur complement (``_schur_solver``), whose Newton
+    solves both directions share.  The predictor (affine-scaling)
+    direction picks the centering weight sigma; the corrector aims at
+    sigma mu on the central path and carries Mehrotra's second-order term,
+    computed in the NT-scaled space as SDPT3 computes it (Todd, Toh and
+    Tutuncu, SIAM J. Optim. 8, 769, 1998): its right-hand side is
+    sigma mu Z^{-1} - X - G L_V^{-1}(dX~ dZ~ + dZ~ dX~) G^dag for the
+    predictor's scaled directions (``_second_order``).  A Schur
+    complement or a direction that is not finite (an overflow, so its
+    warning is silenced) ends the solve with ``breakdown``.
 
     Returns (xs, y, zs, status, iterations).
     """
@@ -429,44 +492,51 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
             status = "optimal"
             iterations = it
             break
-        if b @ y < -1e8 * (1 + np.linalg.norm(b)) or np.isnan(mu):
+        if b @ y < -1e8 * (1 + np.linalg.norm(b)):
             status = "infeasible"
             iterations = it
             break
 
-        ws, zinvs, hxs, hzs = zip(*(_nt_scaling(x, z) for x, z in zip(xs, zs)))
-
-        schur = _schur_complement(layout, ws, m)
-        try:
-            factor = scipy.linalg.cho_factor(schur, lower=True)
-        except np.linalg.LinAlgError:  # the Schur complement lost definiteness
-            status = "breakdown"
-            iterations = it
-            break
+        ws, zinvs, hxs, hzs, gs, lams = zip(
+            *(_nt_scaling(x, z) for x, z in zip(xs, zs))
+        )
 
         def newton(rcs):
             rhs = _a_apply(
                 layout, [rc + w @ rd @ w for rc, rd, w in zip(rcs, rds, ws)], m
             ) - rp
-            dy = scipy.linalg.cho_solve(factor, rhs)
+            dy = solve_schur(rhs)
             dzs = [da - rd for da, rd in zip(_a_adjoint(layout, dy), rds)]
             dxs = [
                 _hermitize(rc - w @ dz @ w) for rc, w, dz in zip(rcs, ws, dzs)
             ]
+            if not _finite(dy, *dxs, *dzs):
+                raise FloatingPointError("a Newton direction is not finite")
             return dxs, dy, dzs
 
-        # predictor probe chooses the centering weight
-        dxs_a, dy_a, dzs_a = newton([-x for x in xs])
-        ap = min(1.0, _max_step(hxs, dxs_a))
-        ad = min(1.0, _max_step(hzs, dzs_a))
-        gap_aff = _inner(
-            [x + ap * dx for x, dx in zip(xs, dxs_a)],
-            [z + ad * dz for z, dz in zip(zs, dzs_a)],
-        )
-        sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-6), 0.999999)
+        try:
+            solve_schur = _schur_solver(_schur_complement(layout, ws, m))
 
-        rcs = [sigma * mu * zi - x for zi, x in zip(zinvs, xs)]
-        dxs, dy, dzs = newton(rcs)
+            # predictor: its step chooses the centering weight
+            dxs_a, _, dzs_a = newton([-x for x in xs])
+            ap = min(1.0, _max_step(hxs, dxs_a))
+            ad = min(1.0, _max_step(hzs, dzs_a))
+            gap_aff = _inner(
+                [x + ap * dx for x, dx in zip(xs, dxs_a)],
+                [z + ad * dz for z, dz in zip(zs, dzs_a)],
+            )
+            sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-6), 0.999999)
+
+            # corrector: centering plus the predictor's second-order term
+            dxs, dy, dzs = newton([
+                sigma * mu * zi - x - _second_order(g, lam, z, dx, dz)
+                for zi, x, z, g, lam, dx, dz
+                in zip(zinvs, xs, zs, gs, lams, dxs_a, dzs_a)
+            ])
+        except FloatingPointError:
+            status = "breakdown"
+            iterations = it
+            break
 
         ap = min(1.0, 0.98 * _max_step(hxs, dxs))
         ad = min(1.0, 0.98 * _max_step(hzs, dzs))

@@ -709,3 +709,81 @@ class TestRowLayout:
         assert sparse.status == dense.status == "optimal"
         assert sparse.iterations == dense.iterations
         assert abs(sparse.primal_value - dense.primal_value) < sdp.DEFAULT_TOL
+
+
+def unbounded_problem():
+    """maximize Tr X over X >= 0 with X00 = X11: X = t I is feasible for
+    every t, so no optimum exists."""
+    b = SdpBuilder()
+    blk = b.add_block(2)
+    b.add_objective(blk, np.eye(2, dtype=complex))
+    b.add_constraint({blk: np.diag([1.0, -1.0]).astype(complex)}, 0.0)
+    return b.build()
+
+
+def random_pd(n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return g @ g.conj().T + 0.1 * np.eye(n)
+
+
+class TestCorrectorAndSchurSolve:
+    """The corrector's second-order term, the Schur solve on the range of a
+    singular complement, and breakdown on a non-finite iterate."""
+
+    def test_unbounded_problem_ends_in_breakdown(self):
+        sol = solve(unbounded_problem())
+        assert sol.status == "breakdown"
+
+    def test_semidefinite_schur_path_reaches_the_same_optimum(self, monkeypatch):
+        c_mat = np.array([[1.0, 0.5 - 0.5j], [0.5 + 0.5j, -1.0]])
+        problem = trace_constrained(c_mat)
+        want = solve(problem)
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(None)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        got = solve(problem)
+        assert calls and len(calls) == got.iterations
+        assert want.status == got.status == "optimal"
+        assert abs(got.primal_value - want.primal_value) < sdp.DEFAULT_TOL
+        assert audit(problem, got)[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scaling_factor_and_lyapunov_step(self, n):
+        rng = np.random.default_rng(100 + n)
+        x, z = random_pd(n, rng), random_pd(n, rng)
+        w, _, _, _, g, lam = sdp._nt_scaling(x, z)
+        g_inv = np.linalg.inv(g)
+        assert np.abs(g @ g.conj().T - w).max() <= 1e-10 * np.abs(w).max()
+        assert np.abs(w @ z @ w - x).max() <= 1e-10 * np.abs(x).max()
+        for scaled in (g.conj().T @ z @ g, g_inv @ x @ g_inv.conj().T):
+            assert np.abs(scaled - np.diag(lam)).max() <= 1e-10 * lam.max()
+
+        dx, dz = random_hermitian(n, rng), random_hermitian(n, rng)
+        dx_s = g_inv @ dx @ g_inv.conj().T
+        dz_s = g.conj().T @ dz @ g
+        r = dx_s @ dz_s + dz_s @ dx_s
+        # (I (x) V + V^T (x) I) vec U = vec R, vec stacking columns
+        v, eye = np.diag(lam), np.eye(n)
+        u = np.linalg.solve(
+            np.kron(eye, v) + np.kron(v.T, eye), r.reshape(-1, order="F")
+        ).reshape(n, n, order="F")
+        want = g @ u @ g.conj().T
+        got = sdp._second_order(g, lam, z, dx, dz)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_iteration_budget(self):
+        # f_max_broadcast and f_eb_detailed on one random state of each of
+        # the dims below: 349 iterations in all with the centering-only
+        # corrector, 194 with the second-order term
+        total = 0
+        for dims, seed in (((2, 2), 41), ((3, 2), 42), ((2, 3), 43), ((3, 3), 44)):
+            with sdp.recording() as records:
+                f_max_broadcast(random_state(dims, seed))
+                broadcast.f_eb_detailed(random_state(dims, seed))
+            assert {s.status for _, s in records} == {"optimal"}
+            total += sum(s.iterations for _, s in records)
+        assert total <= 0.7 * 349
