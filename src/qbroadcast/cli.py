@@ -139,6 +139,8 @@ def load_state_file(path: str) -> DensityMatrix:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
     return parse_state_json(obj, origin=path)
 
 

@@ -37,7 +37,8 @@ Mehrotra's second-order term in the NT-scaled space, where the scaled
 point is diagonal and the Lyapunov solve is entrywise.  A Schur
 complement that is numerically singular is solved on its range; only a
 Schur complement or direction that is not finite ends a solve with
-``breakdown``.
+``breakdown``.  A solve reports the row-scaled residuals, over the kept
+rows, of the point it returns; ``audit`` is the unscaled check.
 Instances here are small (block side <= ~40, <= ~700 constraints), so
 dense linear algebra per iteration is the right tool.  The fidelity
 gadget applies each linear term of sigma once, to a whole stack of basis
@@ -90,18 +91,14 @@ class SdpProblem:
     def __post_init__(self):
         if not len(self.blocks) == len(self.objective) == len(self.stacks):
             raise ValueError("blocks, objective and stacks differ in length")
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("rhs is not finite")
         m = self.n_constraints
         for k, (n, c, a) in enumerate(
             zip(self.blocks, self.objective, self.stacks)
         ):
-            if c.shape != (n, n):
-                raise ValueError(f"objective block {k} has shape {c.shape}")
-            if max_abs(c - dag(c)) > COEFF_HERM_TOL:
-                raise ValueError(f"objective block {k} is not Hermitian")
-            if a.shape != (m, n, n):
-                raise ValueError(f"constraint block {k} has shape {a.shape}")
-            if max_abs(a - _dag_stack(a)) > COEFF_HERM_TOL:
-                raise ValueError(f"constraint block {k} is not Hermitian")
+            _check_block(c, (n, n), "objective", k)
+            _check_block(a, (m, n, n), "constraint", k)
 
     @property
     def n_constraints(self) -> int:
@@ -117,6 +114,9 @@ class SdpResiduals:
 
 @dataclass(frozen=True, eq=False)
 class SdpSolution:
+    """``residuals`` decided ``status``: row-scaled, over the kept rows, of
+    the returned point.  ``audit`` is the unscaled check over every row."""
+
     status: str  # optimal | infeasible | max-iterations | breakdown
     primal_blocks: tuple
     dual_vector: np.ndarray
@@ -160,17 +160,16 @@ class SdpBuilder:
         """Add rows sum_k <A_ik, X_k> = b_i: one matrix per block and a
         scalar ``rhs``, or a row block of (q, n_k, n_k) stacks and q values.
         Blocks left out of ``coeffs`` get zeros.  A block index that
-        ``add_block`` did not return, or a coefficient further than
-        ``COEFF_HERM_TOL`` from Hermitian, raises ValueError; roundoff below
-        that is symmetrized away."""
+        ``add_block`` did not return, or a coefficient not finite or further
+        than ``COEFF_HERM_TOL`` from Hermitian, raises ValueError; roundoff
+        below that is symmetrized away."""
         rhs = np.asarray(rhs, dtype=float)
         stacks = {k: np.asarray(a, dtype=complex) for k, a in coeffs.items()}
         if rhs.ndim == 0:
             rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
         for k, a in stacks.items():
-            if a.shape != (len(rhs),) + (self.block_side(k),) * 2:
-                raise ValueError(f"constraint block {k} has shape {a.shape}")
-            stacks[k] = _hermitian_part(a, "constraint", k)
+            shape = (len(rhs),) + (self.block_side(k),) * 2
+            stacks[k] = _hermitize(_check_block(a, shape, "constraint", k))
         self._row_blocks.append((stacks, rhs))
 
     def build(self) -> SdpProblem:
@@ -182,17 +181,23 @@ class SdpBuilder:
                 stacks[k][start:start + len(b)] = a
             start += len(b)
         objective = tuple(
-            _hermitian_part(c, "objective", k)
-            for k, c in enumerate(self._objective)
+            _hermitize(_check_block(c, (n, n), "objective", k))
+            for k, (n, c) in enumerate(zip(self._blocks, self._objective))
         )
         return SdpProblem(tuple(self._blocks), objective, tuple(stacks), rhs)
 
 
-def _hermitian_part(a: np.ndarray, what: str, block: int) -> np.ndarray:
-    """(A + A^dag) / 2, refusing an A further than COEFF_HERM_TOL from it."""
-    if max_abs(a - _dag_stack(a)) > COEFF_HERM_TOL:
-        raise ValueError(f"{what} block {block} is not Hermitian")
-    return _hermitize(a)
+@np.errstate(invalid="ignore")  # inf - inf
+def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
+    """A, if it has ``shape`` and is within COEFF_HERM_TOL of A^dag, else
+    ValueError; a non-finite A fails, as max |A - A^dag| is NaN or inf."""
+    if a.shape != shape:
+        raise ValueError(f"{what} block {block} has shape {a.shape}")
+    deviation = max_abs(a - _dag_stack(a))
+    if not deviation <= COEFF_HERM_TOL:
+        fault = "Hermitian" if np.isfinite(deviation) else "finite"
+        raise ValueError(f"{what} block {block} is not {fault}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +469,9 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
     complement or a direction that is not finite (an overflow, so its
     warning is silenced) ends the solve with ``breakdown``.
 
-    Returns (xs, y, zs, status, iterations).
+    Iterates 0..``max_iters`` each get one ``_residuals`` pass, which sets
+    ``status``.  Every exit returns (xs, y, zs, status, iterations,
+    residuals) of its point, the residuals row-scaled over the kept rows.
     """
     m = b.size
 
@@ -482,20 +489,18 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
     y = np.zeros(m)
 
     status = "max-iterations"
-    iterations = max_iters
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         rp, rds, res = _residuals(layout, objective, b, xs, y, zs)
-        gap = _inner(xs, zs)
-        mu = gap / sum(blocks)
-
         if res.primal < tol and res.dual < tol and res.gap < tol:
             status = "optimal"
-            iterations = it
             break
         if b @ y < -1e8 * (1 + np.linalg.norm(b)):
             status = "infeasible"
-            iterations = it
             break
+        if it == max_iters:
+            break
+        gap = _inner(xs, zs)
+        mu = gap / sum(blocks)
 
         ws, zinvs, hxs, hzs, gs, lams = zip(
             *(_nt_scaling(x, z) for x, z in zip(xs, zs))
@@ -535,7 +540,6 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
             ])
         except FloatingPointError:
             status = "breakdown"
-            iterations = it
             break
 
         ap = min(1.0, 0.98 * _max_step(hxs, dxs))
@@ -545,7 +549,7 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
         y = y + ad * dy
         zs = [_hermitize(z + ad * dz) for z, dz in zip(zs, dzs)]
 
-    return xs, y, zs, status, iterations
+    return xs, y, zs, status, it, res
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +616,7 @@ def solve(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     kept, scales = _reduce_constraints(problem)
     row_scale = scales[kept]
-    xs, y_kept, zs, status, iterations = _path_following(
+    xs, y_kept, zs, status, iterations, res = _path_following(
         problem.blocks,
         problem.objective,
         [_BlockRows(a, kept, row_scale) for a in problem.stacks],
@@ -622,11 +626,6 @@ def solve(
     )
     y = np.zeros(problem.n_constraints)
     y[kept] = y_kept / row_scale
-    every = np.arange(problem.n_constraints)
-    _, _, res = _residuals(
-        [_BlockRows(a, every, np.ones(len(every))) for a in problem.stacks],
-        problem.objective, problem.rhs, xs, y, zs,
-    )
     pval = _inner(problem.objective, xs)
     dval = float(problem.rhs @ y)
     return SdpSolution(status, tuple(xs), y, pval, dval, res, iterations)

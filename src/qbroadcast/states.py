@@ -59,7 +59,10 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dims {list(dims)}"
             )
-        herm_dev = max_abs(mat - dag(mat))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            herm_dev = max_abs(mat - dag(mat))
+        if not np.isfinite(herm_dev):  # a non-finite M makes it NaN or inf
+            raise ValueError("matrix is not finite")
         if herm_dev > VALIDATION_ATOL:
             raise ValueError(f"not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
         tr_dev = abs(mat.trace() - 1.0)
@@ -117,6 +120,8 @@ class PureState:
                 f"vector length {vec.size} does not match dims {list(dims)}"
             )
         norm_dev = abs(np.linalg.norm(vec) - 1.0)
+        if not np.isfinite(norm_dev):
+            raise ValueError("amplitudes are not finite")
         if norm_dev > VALIDATION_ATOL:
             raise ValueError(f"norm differs from 1 by {norm_dev:.3e}")
         object.__setattr__(self, "dims", dims)

@@ -375,6 +375,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "broadcast", "-i", str(path))
         assert code == 2 and "at least 2" in err
 
+    def test_state_file_that_is_not_utf8_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"dims": [2, 2], \xff}')
+        code, out, err = run_cli(capsys, "broadcast", "-i", str(path))
+        assert code == 2 and out == "" and "not UTF-8" in err
+
     def test_recover_of_a_four_party_state_exits_two(self, capsys, tmp_path):
         path = tmp_path / "2x2x2x2.json"
         rho = random_state((2, 2, 2, 2), np.random.default_rng(6))

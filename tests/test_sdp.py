@@ -242,6 +242,25 @@ class TestPreprocessingAndFailureModes:
         with pytest.raises(ValueError, match="Hermitian"):
             SdpProblem((2,), (bad,), (np.zeros((0, 2, 2), dtype=complex),), np.zeros(0))
 
+    @pytest.mark.parametrize("field", ["objective", "stacks", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, field, bad):
+        # refused at construction, before a solve could end in breakdown or
+        # in a dependent-row check that NaN makes look inconsistent
+        good = trace_constrained(np.diag([1.0, 0.0]).astype(complex))
+        data = {
+            "objective": [c.copy() for c in good.objective],
+            "stacks": [a.copy() for a in good.stacks],
+            "rhs": good.rhs.copy(),
+        }
+        target = data[field] if field == "rhs" else data[field][0]
+        target[..., 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            SdpProblem(
+                good.blocks, tuple(data["objective"]), tuple(data["stacks"]),
+                data["rhs"],
+            )
+
     def test_audit_passes_and_detects_corruption(self):
         sol = solve(trace_constrained(np.diag([1.0, 0.0]).astype(complex)))
         ok, details = audit(trace_constrained(np.diag([1.0, 0.0]).astype(complex)), sol)
@@ -787,3 +806,44 @@ class TestCorrectorAndSchurSolve:
             assert {s.status for _, s in records} == {"optimal"}
             total += sum(s.iterations for _, s in records)
         assert total <= 0.7 * 349
+
+
+def pauli_x_problem():
+    """maximize Re Tr(sigma_x X) over X >= 0 with Tr X = 1 (optimum 1): the
+    solve certifies on its 7th step."""
+    return trace_constrained(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+
+
+class TestOneResidualPass:
+    """A solve lays out its rows once, and its status and residuals
+    describe the point it returns."""
+
+    def test_one_row_layout_per_block(self, monkeypatch):
+        calls = []
+        original = sdp._BlockRows.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sdp._BlockRows, "__init__", counting)
+        for problem in (pauli_x_problem(), mixed_rows_problem()):
+            calls.clear()
+            assert solve(problem).status == "optimal"
+            assert len(calls) == len(problem.blocks)
+
+    def test_status_agrees_with_the_returned_residuals(self):
+        problem = pauli_x_problem()
+        uncapped = solve(problem)
+        assert uncapped.status == "optimal" and uncapped.iterations == 7
+        tol = sdp.DEFAULT_TOL
+        for max_iters in (6, 7, 8):
+            sol = solve(problem, max_iters=max_iters)
+            res = sol.residuals
+            below = res.primal < tol and res.dual < tol and res.gap < tol
+            assert (sol.status == "optimal") == below
+            assert sol.iterations == min(max_iters, 7)
+        capped = solve(problem, max_iters=7)
+        assert capped.status == "optimal"
+        assert capped.primal_value == uncapped.primal_value
+        assert solve(problem, max_iters=6).status == "max-iterations"

@@ -51,6 +51,19 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="shape"):
             DensityMatrix((2, 2), np.eye(2) / 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # every comparison with NaN is False, so no tolerance test fails
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            DensityMatrix((2,), m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_state_rejects_non_finite_amplitude(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            PureState((2,), [bad, 1.0])
+
     def test_matrix_is_readonly(self):
         rho = DensityMatrix((2,), np.eye(2) / 2)
         with pytest.raises(ValueError):
