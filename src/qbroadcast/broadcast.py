@@ -49,6 +49,7 @@ from .linalg import (
     matrix_function_on_support,
     nearest_psd,
     partial_trace,
+    require_subsystems,
     support_projector,
 )
 from .sdp import (
@@ -119,16 +120,11 @@ class BroadcastReport:
     eb_exact: bool
 
 
-def _require_bipartite(rho: DensityMatrix):
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected two subsystems, got dims {rho.dims}")
-
-
 def _require_dimension_two(rho: DensityMatrix, what: str, factors=(0, 1)):
     """ValueError naming ``what`` unless each of ``factors`` of the
     bipartite ``rho`` has dimension at least 2 (a frame or a measurement
     needs that much room)."""
-    _require_bipartite(rho)
+    require_subsystems(rho.dims, 2, what)
     if min(rho.dims[k] for k in factors) < 2:
         names = " and ".join("AB"[k] for k in factors)
         raise ValueError(
@@ -372,7 +368,7 @@ def f_max_broadcast(
     eigenspaces (the -1 block is absent for a one-dimensional B).
     Returns the certified optimum and an optimal channel.
     """
-    _require_bipartite(rho)
+    require_subsystems(rho.dims, 2, "f_max_broadcast")
     d_a, d_b = rho.dims
     if d_b > MAX_BROADCAST_DIM:
         raise ValueError(
@@ -450,7 +446,7 @@ def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
 
 def _f_eb_solve(rho: DensityMatrix, tol, max_iters):
     """The PPT-Choi program; returns (value, solution), Choi block first."""
-    _require_bipartite(rho)
+    require_subsystems(rho.dims, 2, "f_eb")
     d_b = rho.dims[1]
     builder = SdpBuilder()
     (j_blk,) = add_channel(builder, d_b, d_b)
@@ -671,7 +667,7 @@ def average_mi_loss(rho: DensityMatrix, channel: Channel) -> float:
     Nonnegative for every channel by monotonicity of mutual information;
     zero is achievable exactly when the state is classical on B.
     """
-    _require_bipartite(rho)
+    require_subsystems(rho.dims, 2, "average_mi_loss")
     if channel.in_dim != rho.dims[1]:
         raise ValueError(
             f"channel input dim {channel.in_dim} != B dim {rho.dims[1]}"

@@ -24,11 +24,13 @@ from .linalg import (
     VALIDATION_ATOL,
     dag,
     hermitian_eig,
-    is_hermitian,
+    hermitian_part,
     kron,
     max_abs,
     nearest_psd,
     partial_trace,
+    require_hermitian,
+    require_psd,
 )
 from .states import DensityMatrix, Povm, _as_dims, _freeze
 
@@ -55,15 +57,9 @@ class CompletelyPositiveMap:
                 f"Choi shape {j.shape} does not match dims "
                 f"{list(in_dims)} -> {list(out_dims)}"
             )
-        if not is_hermitian(j):
-            raise ValueError("Choi matrix is not Hermitian")
-        lo = float(np.linalg.eigvalsh((j + dag(j)) / 2.0)[0])
-        scale = max(1.0, max_abs(j))
-        if lo < -VALIDATION_ATOL * scale:
-            raise ValueError(
-                f"Choi matrix is not positive semidefinite "
-                f"(min eigenvalue {lo:.3e}); the map is not completely positive"
-            )
+        require_hermitian(j, "Choi matrix")
+        require_psd(j, "the map is not completely positive; its Choi matrix",
+                    scale=max(1.0, max_abs(j)))
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
         object.__setattr__(self, "choi", _freeze(j))
@@ -133,9 +129,7 @@ def apply(ch: CompletelyPositiveMap, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to a whole state."""
     if rho.dim != ch.in_dim:
         raise ValueError(f"state dim {rho.dim} != channel input dim {ch.in_dim}")
-    out = ch.apply_matrix(rho.matrix)
-    out = (out + dag(out)) / 2.0
-    return DensityMatrix(ch.out_dims, out)
+    return DensityMatrix(ch.out_dims, hermitian_part(ch.apply_matrix(rho.matrix)))
 
 
 def apply_on_subsystem(
@@ -157,9 +151,8 @@ def apply_on_subsystem(
     out = choi_subsystem_action(
         ch.choi, ch.in_dim, ch.out_dim, rho.matrix, rho.dims, target
     )
-    out = (out + dag(out)) / 2.0
     new_dims = rho.dims[:target] + ch.out_dims + rho.dims[target + 1:]
-    return DensityMatrix(new_dims, out)
+    return DensityMatrix(new_dims, hermitian_part(out))
 
 
 def choi_from_action(
@@ -334,5 +327,4 @@ def project_to_nearest_channel(choi: np.ndarray, in_dims, out_dims) -> Channel:
     if vals.size < din:
         missing = np.eye(din) - vecs @ dag(vecs)
         j = j + kron(missing, np.eye(dout) / dout)
-    j = (j + dag(j)) / 2.0
-    return Channel(in_dims, out_dims, j)
+    return Channel(in_dims, out_dims, hermitian_part(j))

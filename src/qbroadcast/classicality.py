@@ -24,7 +24,9 @@ from .linalg import (
     VALIDATION_ATOL,
     WEIGHT_FLOOR,
     dag,
+    hermitian_part,
     max_abs,
+    require_subsystems,
     trace_norm,
 )
 from .states import DensityMatrix
@@ -54,8 +56,7 @@ def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
     d = ops[0].shape[0]
     coeffs = rng.uniform(0.5, 1.5, size=len(ops))
     mix = sum(c * o for c, o in zip(coeffs, ops))
-    mix = (mix + dag(mix)) / 2.0
-    vals, vecs = np.linalg.eigh(mix)
+    vals, vecs = np.linalg.eigh(hermitian_part(mix))
     # cluster eigenvalues into degenerate groups
     scale = max(1.0, float(np.abs(vals).max()))
     blocks = []
@@ -79,9 +80,7 @@ def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
                 new_blocks.append(block)
                 continue
             sub = basis[:, block]
-            inner = dag(sub) @ op @ sub
-            inner = (inner + dag(inner)) / 2.0
-            ivals, ivecs = np.linalg.eigh(inner)
+            ivals, ivecs = np.linalg.eigh(hermitian_part(dag(sub) @ op @ sub))
             basis[:, block] = sub @ ivecs
             # split the block wherever this operator separates eigenvalues
             iscale = max(1.0, float(np.abs(ivals).max()))
@@ -138,8 +137,11 @@ def _side_witness(rho: DensityMatrix, measured: int):
             witness = max(witness, norm)
     basis = None
     if witness < COMMUTE_TOL:
+        # any basis of a joint eigenspace serves, so degeneracy is no fault;
         # a fixed mixture keeps every verdict's basis reproducible
-        basis = common_eigenbasis(supported, np.random.default_rng(8))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "generic mixture", RuntimeWarning)
+            basis = common_eigenbasis(supported, np.random.default_rng(8))
     return witness, basis
 
 
@@ -149,8 +151,7 @@ def classify(rho: DensityMatrix) -> ClassicalityVerdict:
     The A-side verdict comes from the conditional states left on A by an
     informationally complete POVM on B, and vice versa.
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"need a bipartite state, got dims {rho.dims}")
+    require_subsystems(rho.dims, 2, "classify")
     witness_b, basis_b = _side_witness(rho, 0)
     witness_a, basis_a = _side_witness(rho, 1)
     return ClassicalityVerdict(
@@ -195,8 +196,7 @@ def verify_broadcast(rho: DensityMatrix, ch: Channel):
 
 def verify_unilocal_broadcast(rho: DensityMatrix, ch: Channel):
     """Residuals ||rho~_{A B_i} - rho_AB||_1 for a B -> B1 B2 channel."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"need a bipartite state, got dims {rho.dims}")
+    require_subsystems(rho.dims, 2, "verify_unilocal_broadcast")
     if len(ch.out_dims) != 2 or ch.out_dims != (rho.dims[1],) * 2:
         raise ValueError(
             f"channel must map B to two copies of B, got {ch.out_dims}"
@@ -209,8 +209,7 @@ def verify_unilocal_broadcast(rho: DensityMatrix, ch: Channel):
 
 def verify_local_broadcast(rho: DensityMatrix, ch_a: Channel, ch_b: Channel):
     """Residuals ||rho~_{A_i B_i} - rho_AB||_1 for two-sided broadcasting."""
-    if len(rho.dims) != 2:
-        raise ValueError(f"need a bipartite state, got dims {rho.dims}")
+    require_subsystems(rho.dims, 2, "verify_local_broadcast")
     if ch_a.out_dims != (rho.dims[0],) * 2:
         raise ValueError(f"A-side channel output dims {ch_a.out_dims} invalid")
     if ch_b.out_dims != (rho.dims[1],) * 2:

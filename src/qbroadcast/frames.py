@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ZERO_WEIGHT, dag, kron, partial_trace
+from .linalg import (
+    ZERO_WEIGHT,
+    dag,
+    hermitian_part,
+    kron,
+    partial_trace,
+    require_subsystems,
+)
 from .states import DensityMatrix, Povm
 
 _TETRAHEDRON = np.array(
@@ -118,7 +125,7 @@ def build_ic_povm(d: int) -> InformationallyCompletePovm:
         els = tuple(isqrt @ p @ isqrt for p in projs)
     dual, cond = _dual_frame(els)
     # symmetrize away roundoff before validation
-    els = tuple((e + dag(e)) / 2.0 for e in els)
+    els = tuple(hermitian_part(e) for e in els)
     return InformationallyCompletePovm(Povm(els), dual, cond)
 
 
@@ -156,8 +163,7 @@ def decompose(
     Outcomes with zero Born weight keep a maximally mixed placeholder as
     their conditional state (their weight annihilates the term anyway).
     """
-    if len(rho.dims) != 2:
-        raise ValueError(f"need a bipartite state, got dims {rho.dims}")
+    require_subsystems(rho.dims, 2, "decompose")
     if measured not in (0, 1):
         raise ValueError("measured side must be 0 or 1")
     if rho.dims[measured] != ic.dim:
@@ -170,8 +176,7 @@ def decompose(
     conds = []
     for e in ic.povm.elements:
         op = kron(e, np.eye(d_other)) if measured == 0 else kron(np.eye(d_other), e)
-        block = partial_trace(op @ rho.matrix, rho.dims, other)
-        block = (block + dag(block)) / 2.0
+        block = hermitian_part(partial_trace(op @ rho.matrix, rho.dims, other))
         p = float(block.trace().real)
         if p > ZERO_WEIGHT:
             conds.append(DensityMatrix((d_other,), block / p))

@@ -7,11 +7,13 @@ reshape ``(dA, dB, dA, dB)``.
 
 This module is the one place that decides when a number about a state,
 channel, POVM or spectrum counts as zero, equal or valid: the tolerance
-constants below, the support rule (``HermitianEig.on_support``) and the
-PSD projection (``nearest_psd``).  Other modules import them; no public
-function takes a tolerance argument.  Stopping rules of an algorithm stay
-with it: the SDP solver's in ``sdp``, the discord search's in
-``broadcast``.
+constants below, the support rule (``HermitianEig.on_support``), the PSD
+projection (``nearest_psd``) and one check per validation rule, each naming
+what it refuses: ``require_hermitian`` (finite, and max |A - A^dag| within
+a bound), ``require_psd`` and ``require_subsystems``.  Other modules import
+them; no public function takes a tolerance argument but ``require_hermitian``
+(``sdp`` passes its ``COEFF_HERM_TOL``).  Stopping rules of an algorithm stay
+with it: the SDP solver's in ``sdp``, the discord search's in ``broadcast``.
 """
 
 from __future__ import annotations
@@ -66,8 +68,13 @@ class HermitianEig(NamedTuple):
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 of a matrix, or of each matrix in a stack."""
+    return (a + dag(a)) / 2.0
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -78,13 +85,45 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    return bool(np.abs(a - dag(a)).max() <= VALIDATION_ATOL)
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest entry modulus; the norm used for residual reporting."""
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    """Finite and Hermitian within ``VALIDATION_ATOL``."""
+    try:
+        require_hermitian(a, "matrix")
+    except ValueError:
+        return False
+    return True
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf, huge - -huge
+def require_hermitian(a: np.ndarray, what: str, tol: float = VALIDATION_ATOL):
+    """``a``, a matrix or a stack, if it is finite and max |A - A^dag| is at
+    most ``tol``, else ValueError naming ``what``."""
+    dev = max_abs(a - dag(a))
+    if not dev <= tol:  # NaN fails too
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} is not finite")
+        raise ValueError(f"{what} is not Hermitian: max |A - A^dag| = {dev:.3e}")
+    return a
+
+
+def require_psd(a: np.ndarray, what: str, scale: float = 1.0):
+    """ValueError naming ``what`` unless the least eigenvalue of the
+    Hermitian part of ``a`` is at least ``-VALIDATION_ATOL * scale``."""
+    lo = float(np.linalg.eigvalsh(hermitian_part(a))[0])
+    if lo < -VALIDATION_ATOL * scale:
+        raise ValueError(f"{what} is not positive semidefinite: eigenvalue {lo:.3e}")
+
+
+def require_subsystems(dims: Sequence[int], count: int, what: str):
+    """ValueError naming ``what`` unless ``dims`` lists ``count`` factors."""
+    if len(dims) != count:
+        words = {2: "two", 3: "three"}[count]
+        raise ValueError(f"{what} needs {words} subsystems, got dims {dims}")
 
 
 def _check_square(mat: np.ndarray, dims: Sequence[int]) -> int:
@@ -134,15 +173,10 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
 def hermitian_eig(mat: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Raises ValueError if ``mat`` is not Hermitian within ``VALIDATION_ATOL``.
+    Raises ValueError unless ``mat`` is finite and Hermitian (VALIDATION_ATOL).
     """
-    mat = np.asarray(mat, dtype=complex)
-    if not is_hermitian(mat):
-        raise ValueError(
-            f"matrix is not Hermitian: max deviation "
-            f"{max_abs(mat - dag(mat)):.3e} exceeds {VALIDATION_ATOL:.1e}"
-        )
-    vals, vecs = np.linalg.eigh((mat + dag(mat)) / 2.0)
+    mat = require_hermitian(np.asarray(mat, dtype=complex), "matrix")
+    vals, vecs = np.linalg.eigh(hermitian_part(mat))
     order = np.argsort(vals)[::-1]
     return HermitianEig(vals[order], vecs[:, order])
 
@@ -184,7 +218,7 @@ def support_isometry(mat: np.ndarray) -> np.ndarray:
 def nearest_psd(mat: np.ndarray) -> np.ndarray:
     """Closest PSD matrix in Frobenius norm: the Hermitian part of ``mat``
     with its negative eigenvalues set to zero."""
-    vals, vecs = hermitian_eig((mat + dag(mat)) / 2.0)
+    vals, vecs = hermitian_eig(hermitian_part(mat))
     return (vecs * np.clip(vals, 0.0, None)) @ dag(vecs)
 
 

@@ -30,6 +30,7 @@ from .linalg import (
     dag,
     hermitian_eig,
     kron,
+    require_subsystems,
     support_projector,
     trace_norm,
 )
@@ -95,14 +96,9 @@ def petz_map(sigma: DensityMatrix, channel: Channel) -> Channel:
     return channel_from_kraus(kraus, channel.out_dims, sigma.dims)
 
 
-def _require_tripartite(rho: DensityMatrix):
-    if len(rho.dims) != 3:
-        raise ValueError(f"expected three subsystems, got dims {rho.dims}")
-
-
 def petz_recovery_map(rho_abc: DensityMatrix) -> Channel:
     """Transpose channel rebuilding BC from B, built from the BC marginal."""
-    _require_tripartite(rho_abc)
+    require_subsystems(rho_abc.dims, 3, "petz_recovery_map")
     _, d_b, d_c = rho_abc.dims
     rho_bc = rho_abc.marginal((1, 2))
     return petz_map(rho_bc, trace_out_channel((d_b, d_c), keep=(0,)))
@@ -110,7 +106,6 @@ def petz_recovery_map(rho_abc: DensityMatrix) -> Channel:
 
 def petz_recovery_fidelity(rho_abc: DensityMatrix) -> float:
     """Fidelity of Petz-recovering the full state from its AB marginal."""
-    _require_tripartite(rho_abc)
     return _rebuilt_fidelity(rho_abc, petz_recovery_map(rho_abc))
 
 
@@ -131,7 +126,7 @@ def optimal_recovery_fidelity(
     entering the fidelity block as an affine expression.  Returns the
     optimum and an optimal recovery channel.
     """
-    _require_tripartite(rho_abc)
+    require_subsystems(rho_abc.dims, 3, "optimal_recovery_fidelity")
     d_a, d_b, d_c = rho_abc.dims
     d_bc = d_b * d_c
     rho_ab = rho_abc.marginal((0, 1))
@@ -163,7 +158,7 @@ def recovery_report(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RecoveryReport:
     """Full recoverability summary for a tripartite state."""
-    _require_tripartite(rho_abc)
+    require_subsystems(rho_abc.dims, 3, "recovery_report")
     cmi = conditional_mutual_information(rho_abc, side_a=(0,), side_c=(2,))
     petz = petz_recovery_map(rho_abc)
     rho_b = rho_abc.marginal((1,))

@@ -59,7 +59,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import dag, kron, max_abs, support_isometry
+from .linalg import (
+    dag,
+    hermitian_part,
+    kron,
+    max_abs,
+    require_hermitian,
+    support_isometry,
+)
 
 COEFF_HERM_TOL = 1e-12
 DEFAULT_TOL = 1e-7
@@ -68,11 +75,6 @@ DEFAULT_MAX_ITERS = 500
 
 # ---------------------------------------------------------------------------
 # problem containers
-
-
-def _dag_stack(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +154,10 @@ class SdpBuilder:
 
     def add_objective(self, block: int, coeff: np.ndarray):
         k = self._handed_out(block)
-        self._objective[k] = self._objective[k] + np.asarray(
-            coeff, dtype=complex
-        )
+        coeff = np.asarray(coeff, dtype=complex)
+        if coeff.shape != self._objective[k].shape:
+            raise ValueError(f"objective block {k} has shape {coeff.shape}")
+        self._objective[k] = self._objective[k] + coeff
 
     def add_constraint(self, coeffs: dict, rhs):
         """Add rows sum_k <A_ik, X_k> = b_i: one matrix per block and a
@@ -169,7 +172,7 @@ class SdpBuilder:
             rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
         for k, a in stacks.items():
             shape = (len(rhs),) + (self.block_side(k),) * 2
-            stacks[k] = _hermitize(_check_block(a, shape, "constraint", k))
+            stacks[k] = hermitian_part(_check_block(a, shape, "constraint", k))
         self._row_blocks.append((stacks, rhs))
 
     def build(self) -> SdpProblem:
@@ -181,23 +184,17 @@ class SdpBuilder:
                 stacks[k][start:start + len(b)] = a
             start += len(b)
         objective = tuple(
-            _hermitize(_check_block(c, (n, n), "objective", k))
+            hermitian_part(_check_block(c, (n, n), "objective", k))
             for k, (n, c) in enumerate(zip(self._blocks, self._objective))
         )
         return SdpProblem(tuple(self._blocks), objective, tuple(stacks), rhs)
 
 
-@np.errstate(invalid="ignore")  # inf - inf
 def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
-    """A, if it has ``shape`` and is within COEFF_HERM_TOL of A^dag, else
-    ValueError; a non-finite A fails, as max |A - A^dag| is NaN or inf."""
+    """A if it has ``shape`` and is Hermitian within COEFF_HERM_TOL."""
     if a.shape != shape:
         raise ValueError(f"{what} block {block} has shape {a.shape}")
-    deviation = max_abs(a - _dag_stack(a))
-    if not deviation <= COEFF_HERM_TOL:
-        fault = "Hermitian" if np.isfinite(deviation) else "finite"
-        raise ValueError(f"{what} block {block} is not {fault}")
-    return a
+    return require_hermitian(a, f"{what} block {block}", COEFF_HERM_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +374,13 @@ def _residuals(layout, objective, b, xs, y, zs):
     )
 
 
-def _hermitize(x: np.ndarray) -> np.ndarray:
-    return (x + _dag_stack(x)) / 2.0
-
-
 def _max_step(factors, ds) -> float:
     """Largest alpha with every iterate + alpha*d still PSD, from the
     iterate's factor H (H^dag iterate H = I): the least eigenvalue of
     H^dag d H bounds alpha."""
     alpha = np.inf
     for h, d in zip(factors, ds):
-        lam_min = float(np.linalg.eigvalsh(_hermitize(dag(h) @ d @ h))[0])
+        lam_min = float(np.linalg.eigvalsh(hermitian_part(dag(h) @ d @ h))[0])
         if lam_min < -1e-14:
             alpha = min(alpha, -1.0 / lam_min)
     return alpha
@@ -404,7 +397,7 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
     sx, ux = np.linalg.eigh(x)
     hx = ux / np.sqrt(np.clip(sx, 1e-14 * max(sx.max(), 1e-300), None))
     rx = (ux * np.sqrt(np.clip(sx, 1e-300, None))) @ dag(ux)
-    sm, um = np.linalg.eigh(_hermitize(rx @ z @ rx))
+    sm, um = np.linalg.eigh(hermitian_part(rx @ z @ rx))
     sm = np.clip(sm, 1e-300, None)
     lam = np.sqrt(sm)
     g = rx @ (um * sm ** -0.25)
@@ -513,7 +506,7 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
             dy = solve_schur(rhs)
             dzs = [da - rd for da, rd in zip(_a_adjoint(layout, dy), rds)]
             dxs = [
-                _hermitize(rc - w @ dz @ w) for rc, w, dz in zip(rcs, ws, dzs)
+                hermitian_part(rc - w @ dz @ w) for rc, w, dz in zip(rcs, ws, dzs)
             ]
             if not _finite(dy, *dxs, *dzs):
                 raise FloatingPointError("a Newton direction is not finite")
@@ -545,9 +538,9 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
         ap = min(1.0, 0.98 * _max_step(hxs, dxs))
         ad = min(1.0, 0.98 * _max_step(hzs, dzs))
 
-        xs = [_hermitize(x + ap * dx) for x, dx in zip(xs, dxs)]
+        xs = [hermitian_part(x + ap * dx) for x, dx in zip(xs, dxs)]
         y = y + ad * dy
-        zs = [_hermitize(z + ad * dz) for z, dz in zip(zs, dzs)]
+        zs = [hermitian_part(z + ad * dz) for z, dz in zip(zs, dzs)]
 
     return xs, y, zs, status, it, res
 
@@ -663,7 +656,7 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     details = {}
     worst_eig = 0.0
     for k, x in enumerate(solution.primal_blocks):
-        lo = float(np.linalg.eigvalsh((x + dag(x)) / 2.0)[0])
+        lo = float(np.linalg.eigvalsh(hermitian_part(x))[0])
         worst_eig = min(worst_eig, lo)
     details["min_block_eigenvalue"] = worst_eig
     got = np.zeros(problem.n_constraints)

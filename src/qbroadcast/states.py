@@ -7,19 +7,19 @@ through :func:`project_to_nearest_state` explicitly first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     VALIDATION_ATOL,
-    dag,
-    is_hermitian,
+    hermitian_part,
     kron,
     max_abs,
     nearest_psd,
     partial_trace,
+    require_hermitian,
+    require_psd,
 )
 
 
@@ -59,18 +59,11 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dims {list(dims)}"
             )
-        with np.errstate(invalid="ignore"):  # inf - inf
-            herm_dev = max_abs(mat - dag(mat))
-        if not np.isfinite(herm_dev):  # a non-finite M makes it NaN or inf
-            raise ValueError("matrix is not finite")
-        if herm_dev > VALIDATION_ATOL:
-            raise ValueError(f"not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
+        require_hermitian(mat, "density matrix")
         tr_dev = abs(mat.trace() - 1.0)
         if tr_dev > VALIDATION_ATOL:
             raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
-        lo = float(np.linalg.eigvalsh((mat + dag(mat)) / 2.0)[0])
-        if lo < -VALIDATION_ATOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+        require_psd(mat, "density matrix")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(mat))
 
@@ -148,14 +141,8 @@ class Povm:
         for i, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError(f"element {i} has shape {e.shape}, expected {(d, d)}")
-            if not is_hermitian(e):
-                raise ValueError(f"element {i} is not Hermitian")
-            lo = float(np.linalg.eigvalsh((e + dag(e)) / 2.0)[0])
-            if lo < -VALIDATION_ATOL:
-                raise ValueError(
-                    f"element {i} is not positive semidefinite "
-                    f"(min eigenvalue {lo:.3e})"
-                )
+            require_hermitian(e, f"POVM element {i}")
+            require_psd(e, f"POVM element {i}")
             total += e
         dev = max_abs(total - np.eye(d))
         if dev > VALIDATION_ATOL * max(1, len(els)):
@@ -196,6 +183,4 @@ def project_to_nearest_state(mat: np.ndarray, dims, label: str = "") -> DensityM
     total = np.trace(psd).real
     if total <= 0.0:
         raise ValueError("matrix has no positive part to normalize")
-    rho = psd / total
-    rho = (rho + dag(rho)) / 2.0
-    return DensityMatrix(dims, rho, label)
+    return DensityMatrix(dims, hermitian_part(psd / total), label)

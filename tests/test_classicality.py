@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qbroadcast.corpus import (
     random_unitary,
     werner_state,
 )
+from qbroadcast.frames import build_ic_povm, decompose
 from qbroadcast.info import mutual_information
 from qbroadcast.linalg import dag, kron, max_abs
 from qbroadcast.states import DensityMatrix, PureState
@@ -66,6 +69,23 @@ def test_common_eigenbasis_jointly_degenerate_block():
         rotated = dag(basis) @ op @ basis
         off = rotated - np.diag(np.diagonal(rotated))
         assert max_abs(off) < 1e-8
+
+
+def test_classify_degenerate_conditional_states_without_warning():
+    # every conditional state on B is |0><0|, so every mixture of them is
+    # degenerate on span{e1, e2}; any basis of that eigenspace will do
+    m = kron(random_state(2, np.random.default_rng(1)).matrix,
+             np.diag([1.0, 0.0, 0.0]))
+    rho = DensityMatrix((2, 3), m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = classify(rho)
+    assert verdict.classical_on_b
+    basis = verdict.basis_b
+    assert max_abs(dag(basis) @ basis - np.eye(3)) < 1e-10
+    for cond in decompose(rho, build_ic_povm(2), measured=0).cond_states:
+        rotated = dag(basis) @ cond.matrix @ basis
+        assert max_abs(rotated - np.diag(np.diagonal(rotated))) < 1e-8
 
 
 def test_common_eigenbasis_refinement_splits_blocks():

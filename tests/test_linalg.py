@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from qbroadcast.linalg import (
     HermitianEig,
     dag,
     hermitian_eig,
+    is_hermitian,
     kron,
     matrix_function_on_support,
     max_abs,
@@ -242,3 +245,59 @@ class TestNumericalPolicy:
                 assert value is getattr(owner, name, None), (
                     f"{mod.__name__}.{name}"
                 )
+
+
+def _poisoned(mat, bad):
+    out = np.array(mat, dtype=complex)
+    out[0, 0] = bad
+    return out
+
+
+def _non_finite_cases():
+    from qbroadcast.channels import Channel, CompletelyPositiveMap, identity_channel
+    from qbroadcast.sdp import SdpProblem
+    from qbroadcast.states import DensityMatrix, Povm, PureState
+
+    half = np.eye(2) / 2
+    choi = identity_channel(2).choi
+    no_rows = np.zeros((0, 2, 2), dtype=complex)
+    return {
+        "DensityMatrix": lambda bad: DensityMatrix((2,), _poisoned(half, bad)),
+        "PureState": lambda bad: PureState((2,), [bad, 1.0]),
+        "Povm": lambda bad: Povm((_poisoned(half, bad), half)),
+        "CompletelyPositiveMap": lambda bad: CompletelyPositiveMap(
+            (2,), (2,), _poisoned(choi, bad)
+        ),
+        "Channel": lambda bad: Channel((2,), (2,), _poisoned(choi, bad)),
+        "SdpProblem": lambda bad: SdpProblem(
+            (2,), (_poisoned(half, bad),), (no_rows,), np.zeros(0)
+        ),
+        "hermitian_eig": lambda bad: hermitian_eig(_poisoned(half, bad)),
+        "matrix_function_on_support": lambda bad: matrix_function_on_support(
+            _poisoned(half, bad), np.sqrt
+        ),
+        "is_hermitian": lambda bad: is_hermitian(_poisoned(half, bad)),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case", sorted(_non_finite_cases()))
+def test_non_finite_data_refused_the_same_way(case, bad):
+    # every validated type says "not finite", and numpy warns nowhere
+    call = _non_finite_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if case == "is_hermitian":
+            assert call(bad) is False
+        else:
+            with pytest.raises(ValueError, match="not finite"):
+                call(bad)
+
+
+def test_overflowing_deviation_is_not_hermitian_rather_than_not_finite():
+    # every entry is finite, but A - A^dag overflows to inf
+    m = np.array([[0.5, 1e308], [-1e308, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(m)

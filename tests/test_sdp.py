@@ -483,6 +483,14 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match=f"no block {block}"):
             b.block_side(block)
 
+    @pytest.mark.parametrize("coeff", [1.0, np.ones(2)])
+    def test_objective_shape_must_match_its_block(self, coeff):
+        # numpy would broadcast either one into an all-ones 2x2 objective
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        with pytest.raises(ValueError, match="shape"):
+            b.add_objective(blk, coeff)
+
     def test_non_hermitian_objective_rejected(self):
         b = SdpBuilder()
         blk = b.add_block(2)
