@@ -3,15 +3,13 @@ measures, recovery maps and broadcast-fidelity optimization."""
 
 __version__ = "0.1.0"
 
-from .states import DensityMatrix, PureState, Povm, project_to_nearest_state
+from .states import DensityMatrix, PureState, Povm
 from .channels import (
     Channel,
     CompletelyPositiveMap,
     apply,
     apply_on_subsystem,
     channel_from_kraus,
-    compose,
-    dual_channel,
     entanglement_breaking,
     identity_channel,
     kraus_from_choi,
@@ -65,7 +63,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     audit,
-    dump_sdpa,
     fidelity_sdp,
     hermitian_basis,
     recording,

@@ -31,6 +31,7 @@ from .linalg import (
     partial_trace,
     require_hermitian,
     require_psd,
+    subsystem_indices,
 )
 from .states import DensityMatrix, Povm, _as_dims, _freeze
 
@@ -217,38 +218,6 @@ def stinespring(ch: Channel) -> np.ndarray:
     return v
 
 
-def dual_channel(ch: CompletelyPositiveMap) -> CompletelyPositiveMap:
-    """Adjoint map with respect to the Hilbert-Schmidt inner product.
-
-    Unital whenever ``ch`` is trace preserving; generally not trace
-    preserving itself, hence returned as a plain CP map.
-    """
-    kraus = kraus_from_choi(ch)
-
-    def action(x):
-        return sum(dag(k) @ x @ k for k in kraus)
-
-    j = choi_from_action(action, ch.out_dims, ch.in_dims)
-    return CompletelyPositiveMap(ch.out_dims, ch.in_dims, j)
-
-
-def compose(after: CompletelyPositiveMap, first: CompletelyPositiveMap):
-    """The map ``rho -> after(first(rho))``."""
-    if first.out_dim != after.in_dim:
-        raise ValueError(
-            f"cannot compose: inner output dim {first.out_dim} != "
-            f"outer input dim {after.in_dim}"
-        )
-    j = choi_from_action(
-        lambda x: after.apply_matrix(first.apply_matrix(x)),
-        first.in_dims,
-        after.out_dims,
-    )
-    cls = Channel if isinstance(first, Channel) and isinstance(after, Channel) \
-        else CompletelyPositiveMap
-    return cls(first.in_dims, after.out_dims, j)
-
-
 def identity_channel(dims) -> Channel:
     dims = _as_dims(dims)
     d = int(np.prod(dims))
@@ -258,9 +227,7 @@ def identity_channel(dims) -> Channel:
 def trace_out_channel(dims, keep) -> Channel:
     """Partial trace over the unlisted factors, as a channel."""
     dims = _as_dims(dims)
-    if np.isscalar(keep):
-        keep = [keep]
-    keep = sorted(set(int(k) for k in keep))
+    keep = subsystem_indices(keep, len(dims))
     out_dims = tuple(dims[k] for k in keep)
     j = choi_from_action(lambda x: partial_trace(x, dims, keep), dims, out_dims)
     return Channel(dims, out_dims, j)

@@ -10,7 +10,6 @@ basis a measure-and-prepare broadcaster needs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +46,9 @@ def commute_test(rho: DensityMatrix, sigma: DensityMatrix):
 def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
     """Common eigenbasis of a family of pairwise-commuting Hermitian ops.
 
-    Diagonalizes a random positive mixture; if that mixture has a
-    near-degenerate spectrum the basis is refined by block-diagonalizing
-    the individual operators inside each degenerate eigenspace (with a
-    warning, since the generic mixture should separate eigenvalues).
+    Diagonalizes a random positive mixture, then refines the basis inside
+    each near-degenerate eigenspace of the mixture by block-diagonalizing
+    the individual operators in turn.
     """
     ops = [np.asarray(o, dtype=complex) for o in ops]
     d = ops[0].shape[0]
@@ -67,11 +65,6 @@ def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
             start = i
     if all(len(b) == 1 for b in blocks):
         return vecs
-    warnings.warn(
-        "generic mixture has a near-degenerate spectrum; refining the "
-        "common eigenbasis by joint block diagonalization",
-        RuntimeWarning,
-    )
     basis = vecs.copy()
     for op in ops:
         new_blocks = []
@@ -139,9 +132,7 @@ def _side_witness(rho: DensityMatrix, measured: int):
     if witness < COMMUTE_TOL:
         # any basis of a joint eigenspace serves, so degeneracy is no fault;
         # a fixed mixture keeps every verdict's basis reproducible
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "generic mixture", RuntimeWarning)
-            basis = common_eigenbasis(supported, np.random.default_rng(8))
+        basis = common_eigenbasis(supported, np.random.default_rng(8))
     return witness, basis
 
 

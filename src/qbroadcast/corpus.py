@@ -161,10 +161,10 @@ def named_state(spec: str) -> DensityMatrix:
     """Parse corpus names used by the command line: bell, ghz, cc, cq,
     werner:p, random:seed."""
     name, _, arg = spec.partition(":")
-    if name == "bell":
-        return bell_state()
-    if name == "ghz":
-        return ghz_state()
+    if name in ("bell", "ghz"):
+        if arg:
+            raise ValueError(f"state {name!r} takes no argument, got {spec!r}")
+        return bell_state() if name == "bell" else ghz_state()
     if name == "cc":
         return classical_classical_state(2, 2, _rng(int(arg) if arg else 7))
     if name == "cq":

@@ -10,9 +10,10 @@ channel, POVM or spectrum counts as zero, equal or valid: the tolerance
 constants below, the support rule (``HermitianEig.on_support``), the PSD
 projection (``nearest_psd``) and one check per validation rule, each naming
 what it refuses: ``require_hermitian`` (finite, and max |A - A^dag| within
-a bound), ``require_psd`` and ``require_subsystems``.  Other modules import
-them; no public function takes a tolerance argument but ``require_hermitian``
-(``sdp`` passes its ``COEFF_HERM_TOL``).  Stopping rules of an algorithm stay
+a bound), ``require_psd``, ``require_subsystems`` and ``subsystem_indices``
+(the factors a partial trace keeps).  Other modules import them; no public
+function takes a tolerance argument but ``require_hermitian`` (``sdp``
+passes its ``COEFF_HERM_TOL``).  Stopping rules of an algorithm stay
 with it: the SDP solver's in ``sdp``, the discord search's in ``broadcast``.
 """
 
@@ -90,15 +91,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray) -> bool:
-    """Finite and Hermitian within ``VALIDATION_ATOL``."""
-    try:
-        require_hermitian(a, "matrix")
-    except ValueError:
-        return False
-    return True
-
-
 @np.errstate(invalid="ignore", over="ignore")  # inf - inf, huge - -huge
 def require_hermitian(a: np.ndarray, what: str, tol: float = VALIDATION_ATOL):
     """``a``, a matrix or a stack, if it is finite and max |A - A^dag| is at
@@ -126,6 +118,17 @@ def require_subsystems(dims: Sequence[int], count: int, what: str):
         raise ValueError(f"{what} needs {words} subsystems, got dims {dims}")
 
 
+def subsystem_indices(keep, n: int) -> list[int]:
+    """``keep`` (an int or a sequence of ints) as sorted distinct subsystem
+    indices, or ValueError when one is out of range for ``n`` subsystems."""
+    if np.isscalar(keep):
+        keep = [keep]
+    keep = sorted(set(int(k) for k in keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep={keep} out of range for {n} subsystems")
+    return keep
+
+
 def _check_square(mat: np.ndarray, dims: Sequence[int]) -> int:
     d = int(np.prod(dims))
     if mat.shape[-2:] != (d, d):
@@ -149,13 +152,9 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
 
     Returns the reduced operator (or stack) on the kept factors.
     """
-    if np.isscalar(keep):
-        keep = [int(keep)]
-    keep = sorted(set(int(k) for k in keep))
     dims = [int(d) for d in dims]
     n = len(dims)
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep={keep} out of range for {n} subsystems")
+    keep = subsystem_indices(keep, n)
     mat = np.asarray(mat, dtype=complex)
     _check_square(mat, dims)
     lead = mat.shape[:-2]

@@ -681,50 +681,6 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     return ok, details
 
 
-def embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]] real-symmetric image of a Hermitian matrix."""
-    re, im = h.real, h.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
-
-
-def dump_sdpa(problem: SdpProblem, path: str):
-    """Write the real-embedded problem in sparse SDPA (.dat-s) format.
-
-    Layout: mDIM / nBLOCK / block sizes / rhs vector / entry lines
-    ``matno blkno i j value`` with 1-based upper-triangle indices, matno 0
-    holding the objective.  SDPA data is real, so each Hermitian block of
-    side n is written as its [[Re, -Im], [Im, Re]] image of side 2n with
-    coefficients halved, which keeps objective and constraint values.
-    Suitable for cross-checking with external SDPA-compatible solvers.
-    """
-    sides = [2 * n for n in problem.blocks]
-    lines = [
-        f"{problem.n_constraints} = mDIM",
-        f"{len(sides)} = nBLOCK",
-        " ".join(str(s) for s in sides) + " = bLOCKsTRUCT",
-        " ".join(repr(float(rhs)) for rhs in problem.rhs),
-    ]
-
-    def emit(matno, blkno, mat):
-        emb = embed_hermitian(mat) / 2.0
-        rows_i, cols_j = np.nonzero(np.triu(np.abs(emb) > 1e-16))
-        for i, j in zip(rows_i, cols_j):
-            lines.append(
-                f"{matno} {blkno + 1} {i + 1} {j + 1} {emb[i, j]!r}"
-            )
-
-    for k, c in enumerate(problem.objective):
-        if max_abs(c) > 0:
-            emit(0, k, c)
-    for i in range(problem.n_constraints):
-        for k, a in enumerate(problem.stacks):
-            emit(i + 1, k, a[i])
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # the fidelity gadget
 

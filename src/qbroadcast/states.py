@@ -1,8 +1,9 @@
 """Validated value types for states and measurements.
 
 Constructors reject anything that is not a state / POVM within a strict
-tolerance; noisy matrices (experimental data, solver output) have to go
-through :func:`project_to_nearest_state` explicitly first.
+tolerance; solver output is projected first, by
+:func:`qbroadcast.linalg.nearest_psd` or
+:func:`qbroadcast.channels.project_to_nearest_channel`.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import numpy as np
 
 from .linalg import (
     VALIDATION_ATOL,
-    hermitian_part,
     kron,
     max_abs,
-    nearest_psd,
     partial_trace,
     require_hermitian,
     require_psd,
+    subsystem_indices,
 )
 
 
@@ -79,9 +79,7 @@ class DensityMatrix:
 
     def marginal(self, keep) -> "DensityMatrix":
         """Reduced state on the given subsystem indices."""
-        if np.isscalar(keep):
-            keep = [keep]
-        keep = sorted(set(int(k) for k in keep))
+        keep = subsystem_indices(keep, len(self.dims))
         sub = partial_trace(self.matrix, self.dims, keep)
         return DensityMatrix(tuple(self.dims[k] for k in keep), sub)
 
@@ -170,17 +168,3 @@ class Povm:
         return cls(tuple(np.outer(basis[:, i], basis[:, i].conj())
                          for i in range(basis.shape[1])))
 
-
-def project_to_nearest_state(mat: np.ndarray, dims, label: str = "") -> DensityMatrix:
-    """Closest density matrix to an approximately-valid input.
-
-    Symmetrizes, clips negative eigenvalues to zero and renormalizes the
-    trace.  Intended for solver output or noisy data; raises only when the
-    input is so far off that no sensible projection exists (zero trace).
-    """
-    dims = _as_dims(dims)
-    psd = nearest_psd(np.asarray(mat, dtype=complex))
-    total = np.trace(psd).real
-    if total <= 0.0:
-        raise ValueError("matrix has no positive part to normalize")
-    return DensityMatrix(dims, hermitian_part(psd / total), label)

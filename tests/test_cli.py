@@ -394,6 +394,12 @@ class TestExitCodes:
         )
         assert code == 2 and "equal dimension" in err
 
+    @pytest.mark.parametrize("spec", ["bell:3", "ghz:x"])
+    def test_argument_to_a_fixed_state_exits_two(self, capsys, spec):
+        code, out, err = run_cli(capsys, "gen", "--gen", spec)
+        assert code == 2 and out == ""
+        assert f"{spec.partition(':')[0]!r} takes no argument" in err
+
     def test_negative_seed_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["broadcast", "--gen", "bell", "--seed", "-1"])

@@ -19,8 +19,6 @@ from qbroadcast.sdp import (
     SdpProblem,
     add_channel,
     audit,
-    dump_sdpa,
-    embed_hermitian,
     fidelity_sdp,
     hermitian_basis,
     solve,
@@ -47,22 +45,6 @@ class TestBasisAndEmbedding:
                 [[np.trace(a @ b).real for b in basis] for a in basis]
             )
             assert np.allclose(gram, np.eye(n * n), atol=1e-12)
-
-    def test_embedding_roundtrip_and_inner_products(self):
-        rng = np.random.default_rng(11)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = (g + g.conj().T) / 2
-        x = random_state(3, rng).matrix
-        lhs = np.trace(embed_hermitian(h) / 2 @ embed_hermitian(x)).real
-        assert abs(lhs - np.trace(h @ x).real) < 1e-12
-
-    def test_embedded_psd_iff_complex_psd(self):
-        rng = np.random.default_rng(12)
-        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        pos = g @ g.conj().T
-        assert np.linalg.eigvalsh(embed_hermitian(pos))[0] > -1e-12
-        indef = pos - np.eye(3) * np.trace(pos).real
-        assert np.linalg.eigvalsh(embed_hermitian(indef))[0] < -1e-9
 
 
 class TestSolverBasics:
@@ -271,16 +253,6 @@ class TestPreprocessingAndFailureModes:
             trace_constrained(np.diag([1.0, 0.0]).astype(complex)), corrupted
         )
         assert not ok_bad
-
-    def test_sdpa_dump_layout(self, tmp_path):
-        path = tmp_path / "prob.dat-s"
-        dump_sdpa(trace_constrained(np.diag([1.0, 2.0]).astype(complex)), str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("1 ")
-        assert lines[1].startswith("1 ")
-        assert lines[2].split("=")[0].strip() == "4"
-        entry = lines[4].split()
-        assert len(entry) == 5
 
 
 class TestChannelFidelity:

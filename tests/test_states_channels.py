@@ -9,8 +9,6 @@ from qbroadcast.channels import (
     channel_from_kraus,
     choi_from_action,
     choi_subsystem_action,
-    compose,
-    dual_channel,
     entanglement_breaking,
     identity_channel,
     kraus_from_choi,
@@ -21,12 +19,7 @@ from qbroadcast.channels import (
 )
 from qbroadcast.corpus import random_channel, random_state, random_unitary
 from qbroadcast.linalg import dag, kron, max_abs, partial_trace
-from qbroadcast.states import (
-    DensityMatrix,
-    Povm,
-    PureState,
-    project_to_nearest_state,
-)
+from qbroadcast.states import DensityMatrix, Povm, PureState
 
 
 class TestDensityMatrixValidation:
@@ -75,19 +68,6 @@ class TestDensityMatrixValidation:
         ab = a.tensor(b)
         assert max_abs(ab.marginal(0).matrix - a.matrix) < 1e-10
         assert max_abs(ab.marginal(1).matrix - b.matrix) < 1e-10
-
-
-class TestProjection:
-    def test_projection_fixes_noisy_state(self):
-        rng = np.random.default_rng(1)
-        rho = random_state(3, rng)
-        noisy = rho.matrix + 1e-6 * rng.normal(size=(3, 3))
-        fixed = project_to_nearest_state(noisy, (3,))
-        assert max_abs(fixed.matrix - rho.matrix) < 1e-5
-
-    def test_projection_clips_negative(self):
-        fixed = project_to_nearest_state(np.diag([1.05, -0.05]), (2,))
-        assert np.linalg.eigvalsh(fixed.matrix)[0] >= 0
 
 
 class TestPovm:
@@ -176,31 +156,6 @@ class TestChannelOps:
         out = partial_trace(big, [3, env], [0])
         assert max_abs(out - apply(ch, rho).matrix) < 1e-9
 
-    def test_dual_channel_is_unital_and_adjoint(self):
-        rng = np.random.default_rng(6)
-        ch = random_channel(2, 3, rng)
-        du = dual_channel(ch)
-        assert max_abs(du.apply_matrix(np.eye(3)) - np.eye(2)) < 1e-9
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = np.trace(dag(x) @ ch.apply_matrix(y))
-        rhs = np.trace(dag(du.apply_matrix(x)) @ y)
-        assert abs(lhs - rhs) < 1e-9
-
-    def test_compose_matches_sequential(self):
-        rng = np.random.default_rng(7)
-        ch1 = random_channel(2, 3, rng)
-        ch2 = random_channel(3, 2, rng)
-        both = compose(ch2, ch1)
-        rho = random_state(2, rng)
-        assert max_abs(apply(both, rho).matrix - apply(ch2, apply(ch1, rho)).matrix) < 1e-9
-        assert isinstance(both, Channel)
-
-    def test_compose_dim_mismatch(self):
-        rng = np.random.default_rng(8)
-        with pytest.raises(ValueError, match="compose"):
-            compose(random_channel(3, 2, rng), random_channel(2, 2, rng))
-
     def test_apply_on_subsystem_matches_extended_channel(self):
         rng = np.random.default_rng(9)
         ch = random_channel(2, 3, rng)
@@ -217,6 +172,33 @@ class TestChannelOps:
         rho = random_state((2, 3), rng)
         ch = trace_out_channel((2, 3), [0])
         assert max_abs(apply(ch, rho).matrix - rho.marginal(0).matrix) < 1e-10
+
+
+# the three ways to keep some factors of a state, as (rho, keep) -> matrix
+REDUCTIONS = {
+    "partial_trace": lambda rho, keep: partial_trace(rho.matrix, rho.dims, keep),
+    "marginal": lambda rho, keep: rho.marginal(keep).matrix,
+    "trace_out_channel": lambda rho, keep: apply(
+        trace_out_channel(rho.dims, keep), rho
+    ).matrix,
+}
+
+
+class TestKeepIndices:
+    @pytest.mark.parametrize("how", sorted(REDUCTIONS))
+    def test_spellings_of_keep_give_one_reduction(self, how):
+        rho = random_state((2, 3, 2), np.random.default_rng(4))
+        reduce = REDUCTIONS[how]
+        assert np.array_equal(reduce(rho, 1), reduce(rho, [1]))
+        assert np.array_equal(reduce(rho, [1, 1]), reduce(rho, [1]))
+        assert np.array_equal(reduce(rho, [2, 0]), reduce(rho, [0, 2]))
+
+    @pytest.mark.parametrize("keep", [5, [0, 5], -1])
+    @pytest.mark.parametrize("how", sorted(REDUCTIONS))
+    def test_out_of_range_keep_is_refused(self, how, keep):
+        rho = random_state((2, 3), np.random.default_rng(4))
+        with pytest.raises(ValueError, match="out of range"):
+            REDUCTIONS[how](rho, keep)
 
 
 class TestMeasurementChannels:
