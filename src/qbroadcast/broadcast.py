@@ -32,13 +32,12 @@ from scipy.optimize import minimize_scalar
 from .channels import (
     Channel,
     apply_on_subsystem,
-    channel_from_kraus,
     choi_subsystem_action,
     entanglement_breaking,
     project_to_nearest_channel,
 )
 from .classicality import ClassicalityVerdict, classify
-from .frames import build_ic_povm
+from .frames import build_ic_povm, conditional_states, renormalized_povm
 from .info import entropy, fidelity, mutual_information
 from .linalg import (
     SUPPORT_CUTOFF,
@@ -61,7 +60,7 @@ from .sdp import (
     hermitian_basis,
     recording,
 )
-from .states import DensityMatrix, Povm
+from .states import DensityMatrix, Povm, PureState
 
 MAX_BROADCAST_DIM = 4
 DEFAULT_RESTARTS = 32
@@ -493,13 +492,7 @@ def _wootters_measure_prepare(choi: np.ndarray):
     weights, a_kets, b_kets = _product_decomposition(j)
     elements = [w * np.outer(a.conj(), a) for w, a in zip(weights, a_kets)]
     preps = [DensityMatrix((2,), np.outer(b, b.conj())) for b in b_kets]
-    return _renormalized_povm(elements), preps
-
-
-def _renormalized_povm(elements) -> Povm:
-    """The POVM S^{-1/2} E_i S^{-1/2} of PSD elements E_i with sum S ~ I."""
-    s_isqrt = matrix_function_on_support(sum(elements), lambda x: x ** -0.5)
-    return Povm(tuple(s_isqrt @ e @ s_isqrt for e in elements))
+    return renormalized_povm(elements), preps
 
 
 def _product_decomposition(j: np.ndarray):
@@ -572,23 +565,19 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
     (POVM, preparations) pair the last round ends at, the POVM
     renormalized to sum to I exactly.
     """
-    d_a, d_b = rho.dims
+    d_b = rho.dims[1]
     k = d_b * d_b
-    rho4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     elements = build_ic_povm(d_b).povm.elements
     # the measurement sum_i E_i = I is trace preservation of a channel
     # B -> outcome register whose Choi matrix has one block per outcome
     outcomes = [kron(np.eye(d_b), np.eye(k)[:, [i]]) for i in range(k)]
-
-    def conditional(e):
-        return np.einsum("abcd,...db->...ac", rho4, e)
 
     for _ in range(MEASURE_PREPARE_ROUNDS):
         # optimize preparations (unit-trace states) for the measurement
         builder = SdpBuilder()
         blocks = [add_channel(builder, 1, d_b)[0] for _ in range(k)]
         terms = [
-            (blk, lambda e, c=conditional(el): np.kron(c, e))
+            (blk, lambda e, c=conditional_states(rho, el, 1): np.kron(c, e))
             for blk, el in zip(blocks, elements)
         ]
         _, sol = certified_fidelity(
@@ -602,7 +591,7 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
         builder = SdpBuilder()
         blocks = add_channel(builder, d_b, k, outcomes)
         terms = [
-            (blk, lambda e, t=tau: np.kron(conditional(e), t))
+            (blk, lambda e, t=tau: np.kron(conditional_states(rho, e, 1), t))
             for blk, tau in zip(blocks, preps)
         ]
         _, sol = certified_fidelity(
@@ -611,7 +600,7 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
             "measure-and-prepare measurement", tol, max_iters,
         )
         elements = [nearest_psd(sol.primal_blocks[blk]) for blk in blocks]
-    return _renormalized_povm(elements), [DensityMatrix((d_b,), p) for p in preps]
+    return renormalized_povm(elements), [DensityMatrix((d_b,), p) for p in preps]
 
 
 def _a_support(rho: DensityMatrix, b_support: np.ndarray) -> np.ndarray:
@@ -647,18 +636,11 @@ def measurement_copy_broadcaster(
         )
 
     d_reg = prep_basis.shape[0]
-    kraus = []
-    for i, element in enumerate(povm.elements):
-        ket = prep_basis[:, i]
-        stacked = ket
-        for _ in range(copies - 1):
-            stacked = np.kron(stacked, ket)
-        vals, vecs = hermitian_eig(element).on_support()
-        for lam, vec in zip(vals, vecs.T):
-            kraus.append(np.sqrt(lam) * np.outer(stacked, vec.conj()))
-    return channel_from_kraus(
-        kraus, (povm.dim,), (d_reg,) * copies
-    )
+    preps = [
+        PureState((d_reg,) * copies, kron(*[ket] * copies)).to_density()
+        for ket in prep_basis.T[:k]
+    ]
+    return entanglement_breaking(povm, preps)
 
 
 def average_mi_loss(rho: DensityMatrix, channel: Channel) -> float:

@@ -33,7 +33,7 @@ from .linalg import (
     require_psd,
     subsystem_indices,
 )
-from .states import DensityMatrix, Povm, _as_dims, _freeze
+from .states import DensityMatrix, Povm, PureState, _as_dims, _freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,26 +233,12 @@ def trace_out_channel(dims, keep) -> Channel:
     return Channel(dims, out_dims, j)
 
 
-def povm_kraus(povm: Povm) -> list:
-    """Rank-one Kraus pieces |i><phi_ir| splitting each POVM element.
-
-    Element i contributes one operator per nonzero eigenvalue r, with
-    E_i = sum_r |phi_ir><phi_ir|.  Output lives in C^k, k = n_outcomes.
-    """
-    k = povm.n_outcomes
-    ops = []
-    for i, e in enumerate(povm.elements):
-        vals, vecs = hermitian_eig(e).on_support()
-        for lam, v in zip(vals, vecs.T):
-            op = np.zeros((k, povm.dim), dtype=complex)
-            op[i, :] = np.sqrt(lam) * v.conj()
-            ops.append(op)
-    return ops
-
-
 def quantum_to_classical(povm: Povm) -> Channel:
     """Measure-and-record channel: rho -> sum_i Tr(E_i rho) |i><i|."""
-    return channel_from_kraus(povm_kraus(povm), (povm.dim,), (povm.n_outcomes,))
+    k = povm.n_outcomes
+    return entanglement_breaking(
+        povm, [PureState((k,), ket).to_density() for ket in np.eye(k)]
+    )
 
 
 def entanglement_breaking(povm: Povm, preps: Sequence[DensityMatrix]) -> Channel:

@@ -2,10 +2,11 @@
 
 A state can be broadcast on B by some channel iff it is classical on B
 (block-diagonal in an orthonormal B basis); it can be broadcast on both
-sides iff it is classical-classical.  Detection works through the frame
-decomposition: the conditional states on one side commute pairwise iff
-the state is classical on that side, and their common eigenbasis is the
-basis a measure-and-prepare broadcaster needs.
+sides iff it is classical-classical.  Detection works through the
+conditional states an informationally complete POVM on one side leaves on
+the other: they commute pairwise iff the state is classical on that side,
+and their common eigenbasis is the basis a measure-and-prepare
+broadcaster needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply, apply_on_subsystem, channel_from_kraus
+from .channels import Channel, apply, apply_on_subsystem, entanglement_breaking
 from .frames import build_ic_povm, decompose
 from .info import mutual_information
 from .linalg import (
@@ -28,7 +29,7 @@ from .linalg import (
     require_subsystems,
     trace_norm,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, Povm, PureState
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -166,8 +167,10 @@ def basis_broadcaster(basis: np.ndarray) -> Channel:
     if (basis.shape != (d, d)
             or max_abs(dag(basis) @ basis - np.eye(d)) > VALIDATION_ATOL):
         raise ValueError("basis columns are not orthonormal")
-    kraus = [np.outer(np.kron(ket, ket), ket.conj()) for ket in basis.T]
-    return channel_from_kraus(kraus, (d,), (d, d))
+    preps = [
+        PureState((d, d), np.kron(ket, ket)).to_density() for ket in basis.T
+    ]
+    return entanglement_breaking(Povm.from_basis(basis), preps)
 
 
 def verify_broadcast(rho: DensityMatrix, ch: Channel):

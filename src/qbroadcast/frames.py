@@ -1,14 +1,14 @@
-"""Informationally complete POVMs and local frame decompositions.
+"""Informationally complete POVMs and the conditional states they leave.
 
-An IC-POVM with d^2 elements spans the operator space of C^d, so every
-bipartite state can be written as
+Measuring one side of a bipartite state with a POVM {E_i} leaves the
+other side in the unnormalized conditional states
 
-    rho_AB = sum_i p_i  F^A_i (x) rho^B_i
+    p_i rho_i = Tr_measured[(E_i (x) I) rho]
 
-with Born weights p_i, dual-frame operators F_i (Hermitian, generally not
-positive) and normalized conditional states rho^B_i.  This decomposition
-is the workhorse for the classicality tests: properties of the
-conditional-state family decide broadcastability.
+with Born weights p_i.  An IC-POVM has d^2 elements spanning the operator
+space of C^d, so these states determine rho; they are the workhorse of
+the classicality tests, since they commute pairwise iff the state is
+classical on the unmeasured side.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import numpy as np
 
 from .linalg import (
     ZERO_WEIGHT,
-    dag,
     hermitian_part,
-    kron,
-    partial_trace,
+    matrix_function_on_support,
     require_subsystems,
 )
 from .states import DensityMatrix, Povm
@@ -40,40 +38,13 @@ _PAULI = {
 
 @dataclass(frozen=True, eq=False)
 class InformationallyCompletePovm:
-    """A d^2-outcome POVM spanning operator space, with its dual frame.
-
-    ``dual[i]`` are the Hermitian operators satisfying
-    Tr(dual[i] @ elements[j]) = delta_ij, so any X decomposes as
-    X = sum_i Tr(E_i X) dual[i].
-    """
+    """A d^2-outcome POVM whose elements span operator space."""
 
     povm: Povm
-    dual: tuple
-    gram_condition: float
 
     @property
     def dim(self) -> int:
         return self.povm.dim
-
-
-def _gram(elements) -> np.ndarray:
-    k = len(elements)
-    g = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            g[i, j] = np.trace(elements[i] @ elements[j]).real
-    return g
-
-
-def _dual_frame(elements) -> tuple:
-    g = _gram(elements)
-    cond = float(np.linalg.cond(g))
-    ginv = np.linalg.inv(g)
-    dual = tuple(
-        sum(ginv[i, j] * elements[j] for j in range(len(elements)))
-        for i in range(len(elements))
-    )
-    return dual, cond
 
 
 def _tetrahedral_qubit_povm() -> tuple:
@@ -100,59 +71,50 @@ def _two_design_style_projectors(d: int) -> list:
     return [np.outer(v, v.conj()) for v in vecs]
 
 
-def _psd_sqrt(m):
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * np.sqrt(np.clip(vals, 0, None))) @ dag(vecs)
+def renormalized_povm(elements) -> Povm:
+    """The POVM S^{-1/2} E_i S^{-1/2} of PSD elements E_i with sum S."""
+    s_isqrt = matrix_function_on_support(sum(elements), lambda x: x ** -0.5)
+    return Povm(tuple(s_isqrt @ e @ s_isqrt for e in elements))
 
 
 def build_ic_povm(d: int) -> InformationallyCompletePovm:
     """Construct an informationally complete POVM on C^d.
 
     For qubits this is the tetrahedral (SIC) POVM.  For larger d a fixed
-    set of d^2 rank-one projectors is renormalized into a POVM.  Its Gram
-    condition number grows like 4 d^2 (3, 21.5, 45.5, 121, 385 at
-    d = 2, 3, 4, 6, 10), so the dual frame stays well conditioned at every
-    dimension the package can hold in memory.
+    set of d^2 rank-one projectors is renormalized into a POVM.
     """
     if d < 2:
         raise ValueError("need dimension at least 2")
     if d == 2:
-        els = _tetrahedral_qubit_povm()
-    else:
-        projs = _two_design_style_projectors(d)
-        total = sum(projs)
-        isqrt = np.linalg.inv(_psd_sqrt(total))
-        els = tuple(isqrt @ p @ isqrt for p in projs)
-    dual, cond = _dual_frame(els)
-    # symmetrize away roundoff before validation
-    els = tuple(hermitian_part(e) for e in els)
-    return InformationallyCompletePovm(Povm(els), dual, cond)
+        return InformationallyCompletePovm(Povm(_tetrahedral_qubit_povm()))
+    return InformationallyCompletePovm(
+        renormalized_povm(_two_design_style_projectors(d))
+    )
+
+
+def conditional_states(rho: DensityMatrix, elements, measured: int) -> np.ndarray:
+    """Tr_measured[(E (x) I) rho] of a bipartite state, unnormalized.
+
+    ``elements`` is an operator on the ``measured`` side (0 or 1) or a
+    stack of them (leading axes); the result is the operator, or stack,
+    left on the other side.  Applies E (x) I to the state reshaped to
+    (d0, d1, d0, d1), then traces the measured factor out.
+    """
+    rho4 = rho.matrix.reshape(rho.dims + rho.dims)
+    if measured == 0:
+        applied = np.einsum("...xa,abcd->...xbcd", elements, rho4)
+        return np.einsum("...abad->...bd", applied)
+    applied = np.einsum("...xb,abcd->...axcd", elements, rho4)
+    return np.einsum("...abcb->...ac", applied)
 
 
 @dataclass(frozen=True, eq=False)
 class LocalDecomposition:
-    """Frame decomposition of a bipartite state along one side.
+    """Born weights of an IC-POVM on one side of a bipartite state and
+    the normalized conditional states it leaves on the other side."""
 
-    rho = sum_i weights[i] * (frame_ops[i] on the measured side)
-                (x) (cond_states[i] on the other side)
-
-    with the tensor factors in the original order.  ``weights`` are the
-    Born probabilities of the IC-POVM on the measured subsystem.
-    """
-
-    measured_subsystem: int
     weights: np.ndarray
-    frame_ops: tuple
     cond_states: tuple
-
-    def reconstruct(self) -> np.ndarray:
-        pieces = []
-        for w, f, c in zip(self.weights, self.frame_ops, self.cond_states):
-            local = (f, w * c.matrix)
-            if self.measured_subsystem == 1:
-                local = local[::-1]
-            pieces.append(kron(*local))
-        return sum(pieces)
 
 
 def decompose(
@@ -170,20 +132,14 @@ def decompose(
         raise ValueError(
             f"subsystem dim {rho.dims[measured]} != POVM dim {ic.dim}"
         )
-    other = 1 - measured
-    d_other = rho.dims[other]
-    weights = []
-    conds = []
-    for e in ic.povm.elements:
-        op = kron(e, np.eye(d_other)) if measured == 0 else kron(np.eye(d_other), e)
-        block = hermitian_part(partial_trace(op @ rho.matrix, rho.dims, other))
-        p = float(block.trace().real)
-        if p > ZERO_WEIGHT:
-            conds.append(DensityMatrix((d_other,), block / p))
-        else:
-            p = max(p, 0.0)
-            conds.append(DensityMatrix.maximally_mixed(d_other))
-        weights.append(p)
-    return LocalDecomposition(
-        measured, np.array(weights), ic.dual, tuple(conds)
+    d_other = rho.dims[1 - measured]
+    blocks = hermitian_part(
+        conditional_states(rho, np.array(ic.povm.elements), measured)
     )
+    weights = np.trace(blocks, axis1=1, axis2=2).real
+    conds = tuple(
+        DensityMatrix((d_other,), block / p) if p > ZERO_WEIGHT
+        else DensityMatrix.maximally_mixed(d_other)
+        for block, p in zip(blocks, weights)
+    )
+    return LocalDecomposition(np.maximum(weights, 0.0), conds)

@@ -15,6 +15,7 @@ from .linalg import (
     SUPPORT_CUTOFF,
     SUPPORT_LEAK_TOL,
     matrix_function_on_support,
+    subsystem_indices,
     support_projector,
     trace_norm,
 )
@@ -85,16 +86,14 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _split_groups(dims, *groups):
-    seen = []
-    for g in groups:
-        idx = [int(i) for i in ([g] if np.isscalar(g) else g)]
-        for i in idx:
-            if i < 0 or i >= len(dims):
-                raise ValueError(f"subsystem index {i} out of range")
-            if i in seen:
-                raise ValueError(f"subsystem index {i} listed twice")
-            seen.append(i)
-        yield idx
+    """Each group as ``subsystem_indices``; ValueError on a subsystem listed
+    twice, within a group or across groups."""
+    split = [subsystem_indices(g, len(dims)) for g in groups]
+    listed = [int(i) for g in groups for i in np.atleast_1d(g)]
+    for i in listed:
+        if listed.count(i) > 1:
+            raise ValueError(f"subsystem index {i} listed twice")
+    return split
 
 
 def mutual_information(rho: DensityMatrix, side_a=(0,)) -> float:

@@ -11,10 +11,11 @@ constants below, the support rule (``HermitianEig.on_support``), the PSD
 projection (``nearest_psd``) and one check per validation rule, each naming
 what it refuses: ``require_hermitian`` (finite, and max |A - A^dag| within
 a bound), ``require_psd``, ``require_subsystems`` and ``subsystem_indices``
-(the factors a partial trace keeps).  Other modules import them; no public
-function takes a tolerance argument but ``require_hermitian`` (``sdp``
-passes its ``COEFF_HERM_TOL``).  Stopping rules of an algorithm stay
-with it: the SDP solver's in ``sdp``, the discord search's in ``broadcast``.
+(the factors a partial trace keeps, or the sides of a mutual information).
+Other modules import them; no public function takes a tolerance argument
+but ``require_hermitian`` (``sdp`` passes its ``COEFF_HERM_TOL``).
+Stopping rules of an algorithm stay with it: the SDP solver's in ``sdp``,
+the discord search's in ``broadcast``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ SUPPORT_LEAK_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 # Conditional states with less Born weight are roundoff in a verdict.
 WEIGHT_FLOOR = 1e-12
-# Frame outcomes with at most this weight get a placeholder conditional state.
+# Outcomes with at most this weight get a placeholder conditional state.
 ZERO_WEIGHT = 1e-14
 # Relative eigenvalue gaps below this are degenerate in common_eigenbasis.
 DEGENERACY_GAP = 1e-6
@@ -120,9 +121,13 @@ def require_subsystems(dims: Sequence[int], count: int, what: str):
 
 def subsystem_indices(keep, n: int) -> list[int]:
     """``keep`` (an int or a sequence of ints) as sorted distinct subsystem
-    indices, or ValueError when one is out of range for ``n`` subsystems."""
+    indices, or ValueError when one is not an integer or is out of range
+    for ``n`` subsystems."""
     if np.isscalar(keep):
         keep = [keep]
+    for k in keep:
+        if k != int(k):
+            raise ValueError(f"subsystem index {k!r} is not an integer")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} out of range for {n} subsystems")

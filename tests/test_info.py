@@ -110,6 +110,16 @@ def test_mi_rejects_overlapping_cut():
         conditional_mutual_information(ghz_state(), side_a=0, side_c=0)
 
 
+def test_fractional_side_is_refused():
+    rho = ghz_state()
+    with pytest.raises(ValueError, match="0.5 is not an integer"):
+        mutual_information(rho, (0.5,))
+    with pytest.raises(ValueError, match="0.4 is not an integer"):
+        conditional_mutual_information(rho, (0.4,), (2.9,))
+    with pytest.raises(ValueError, match="2.9 is not an integer"):
+        conditional_mutual_information(rho, (0,), (2.9,))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_entropy_unitary_invariant_and_additive(seed):

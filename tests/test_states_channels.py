@@ -17,7 +17,10 @@ from qbroadcast.channels import (
     stinespring,
     trace_out_channel,
 )
+from qbroadcast.broadcast import measurement_copy_broadcaster
+from qbroadcast.classicality import basis_broadcaster
 from qbroadcast.corpus import random_channel, random_state, random_unitary
+from qbroadcast.frames import build_ic_povm
 from qbroadcast.linalg import dag, kron, max_abs, partial_trace
 from qbroadcast.states import DensityMatrix, Povm, PureState
 
@@ -200,6 +203,13 @@ class TestKeepIndices:
         with pytest.raises(ValueError, match="out of range"):
             REDUCTIONS[how](rho, keep)
 
+    @pytest.mark.parametrize("keep", [1.7, [0.9]])
+    @pytest.mark.parametrize("how", sorted(REDUCTIONS))
+    def test_fractional_keep_is_refused(self, how, keep):
+        rho = random_state((2, 3), np.random.default_rng(4))
+        with pytest.raises(ValueError, match="not an integer"):
+            REDUCTIONS[how](rho, keep)
+
 
 class TestMeasurementChannels:
     def test_quantum_to_classical_diagonal_born(self):
@@ -228,6 +238,45 @@ class TestMeasurementChannels:
         j4 = ch.choi.reshape(2, 2, 2, 2)
         jpt = np.einsum("iojp->ipjo", j4).reshape(4, 4)
         assert np.linalg.eigvalsh(jpt)[0] > -1e-10
+
+
+def _pure(dims, ket):
+    return PureState(dims, ket).to_density()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+class TestOneMeasurePreparePath:
+    """Each measure-and-prepare constructor is entanglement_breaking with
+    its preparations."""
+
+    def test_quantum_to_classical(self, d):
+        povm = build_ic_povm(d).povm
+        k = povm.n_outcomes
+        want = entanglement_breaking(povm, [_pure((k,), e) for e in np.eye(k)])
+        assert max_abs(quantum_to_classical(povm).choi - want.choi) < 1e-12
+
+    def test_basis_broadcaster(self, d):
+        u = random_unitary(d, np.random.default_rng(d))
+        preps = [_pure((d, d), np.kron(ket, ket)) for ket in u.T]
+        want = entanglement_breaking(Povm.from_basis(u), preps)
+        assert max_abs(basis_broadcaster(u).choi - want.choi) < 1e-12
+
+    @pytest.mark.parametrize("custom", [False, True])
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_measurement_copy_broadcaster(self, d, copies, custom):
+        rng = np.random.default_rng(10 * d + copies)
+        povm = Povm.from_basis(random_unitary(d, rng))
+        # a custom basis with a spare column, which the channel ignores
+        basis = random_unitary(d + 1, rng) if custom else np.eye(d)
+        preps = [
+            _pure((basis.shape[0],) * copies, kron(*[ket] * copies))
+            for ket in basis.T[:d]
+        ]
+        want = entanglement_breaking(povm, preps)
+        got = measurement_copy_broadcaster(
+            povm, copies, basis if custom else None
+        )
+        assert max_abs(got.choi - want.choi) < 1e-12
 
 
 class TestChannelProjection:
