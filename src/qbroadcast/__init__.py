@@ -45,7 +45,7 @@ from .corpus import (
     random_state,
     werner_state,
 )
-from .frames import build_ic_povm, decompose
+from .frames import build_ic_povm
 from .classicality import (
     ClassicalityVerdict,
     basis_broadcaster,

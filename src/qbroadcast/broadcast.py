@@ -38,7 +38,7 @@ from .channels import (
 )
 from .classicality import ClassicalityVerdict, classify
 from .frames import build_ic_povm, conditional_states, renormalized_povm
-from .info import entropy, fidelity, mutual_information
+from .info import _clamp_dust, entropy, fidelity, mutual_information
 from .linalg import (
     SUPPORT_CUTOFF,
     VALIDATION_ATOL,
@@ -131,6 +131,15 @@ def _require_dimension_two(rho: DensityMatrix, what: str, factors=(0, 1)):
         )
 
 
+def _require_broadcast_dim(rho: DensityMatrix):
+    """ValueError unless B is small enough for the broadcast SDP."""
+    if rho.dims[1] > MAX_BROADCAST_DIM:
+        raise ValueError(
+            f"B dimension {rho.dims[1]} too large for the broadcast SDP "
+            f"(limit {MAX_BROADCAST_DIM})"
+        )
+
+
 def _swap_sides(rho: DensityMatrix) -> DensityMatrix:
     d0, d1 = rho.dims
     mat = (
@@ -212,7 +221,8 @@ def discord(
     the restart.  Any measurement only bounds discord from above, so
     ``converged`` says the best restart ended in a failed scan with
     ``grad_norm <= STATIONARY_GRAD`` and agrees with the runner-up (if
-    any) within ``CONVERGENCE_WINDOW``.
+    any) within ``CONVERGENCE_WINDOW``.  A value below 0 by at most
+    ``NEGATIVE_DUST`` is roundoff and reads 0; a lower one raises.
     """
     _require_dimension_two(rho, "discord")
     side = side.upper()
@@ -240,7 +250,7 @@ def discord(
     if verdict.basis_b is not None:
         starts.append(_projective_rows(verdict.basis_b, k))
     # one row r^dag per rank-one element |r><r| of the d^2-outcome IC POVM
-    ic_eigs = map(hermitian_eig, build_ic_povm(d_meas).povm.elements)
+    ic_eigs = map(hermitian_eig, build_ic_povm(d_meas).elements)
     starts.append(np.array([np.sqrt(w[0]) * u[:, 0].conj() for w, u in ic_eigs]))
     while len(starts) < restarts:
         g = rng.normal(size=(k, d_meas)) + 1j * rng.normal(size=(k, d_meas))
@@ -323,7 +333,7 @@ def discord(
     ]
     best_povm = Povm(tuple(elements))
     return DiscordResult(
-        value=float(quantum_mi - classical_mi),
+        value=_clamp_dust(float(quantum_mi - classical_mi), "discord"),
         best_povm=best_povm,
         classical_mi=float(classical_mi),
         restarts=len(starts),
@@ -368,12 +378,8 @@ def f_max_broadcast(
     Returns the certified optimum and an optimal channel.
     """
     require_subsystems(rho.dims, 2, "f_max_broadcast")
+    _require_broadcast_dim(rho)
     d_a, d_b = rho.dims
-    if d_b > MAX_BROADCAST_DIM:
-        raise ValueError(
-            f"B dimension {d_b} too large for the broadcast SDP "
-            f"(limit {MAX_BROADCAST_DIM})"
-        )
     d_out = d_b * d_b
 
     builder = SdpBuilder()
@@ -567,7 +573,7 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
     """
     d_b = rho.dims[1]
     k = d_b * d_b
-    elements = build_ic_povm(d_b).povm.elements
+    elements = build_ic_povm(d_b).elements
     # the measurement sum_i E_i = I is trace preservation of a channel
     # B -> outcome register whose Choi matrix has one block per outcome
     outcomes = [kron(np.eye(d_b), np.eye(k)[:, [i]]) for i in range(k)]
@@ -672,6 +678,7 @@ def broadcast_report(
 ) -> BroadcastReport:
     """All broadcastability quantifiers for one bipartite state."""
     _require_dimension_two(rho, "broadcast_report")
+    _require_broadcast_dim(rho)  # before the seconds-long discord search
     disc = discord(rho, side="B", seed=seed, restarts=restarts)
     with recording() as records:
         fmax, _ = f_max_broadcast(rho, tol=tol, max_iters=max_iters)
@@ -694,4 +701,4 @@ def _discord_bound(solution) -> float:
     fid = min(max(solution.dual_value, 0.0), 1.0)
     if fid <= 0:
         return float("inf")
-    return float(-2.0 * np.log2(fid))
+    return float(0.0 - 2.0 * np.log2(fid))  # +0.0, not -0.0, at fid = 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, apply, apply_on_subsystem, entanglement_breaking
-from .frames import build_ic_povm, decompose
+from .frames import build_ic_povm, conditional_states
 from .info import mutual_information
 from .linalg import (
     COMMUTE_TOL,
@@ -117,23 +117,19 @@ class ClassicalityVerdict:
 def _side_witness(rho: DensityMatrix, measured: int):
     """Conditional states from an IC-POVM on ``measured``; max pairwise
     spectral-norm commutator and (if commuting) their common basis."""
-    ic = build_ic_povm(rho.dims[measured])
-    dec = decompose(rho, ic, measured=measured)
-    supported = [
-        c.matrix for w, c in zip(dec.weights, dec.cond_states) if w > WEIGHT_FLOOR
-    ]
-    witness = 0.0
-    for i in range(len(supported)):
-        for j in range(i + 1, len(supported)):
-            norm = float(
-                np.linalg.norm(commutator(supported[i], supported[j]), ord=2)
-            )
-            witness = max(witness, norm)
+    elements = np.array(build_ic_povm(rho.dims[measured]).elements)
+    blocks = hermitian_part(conditional_states(rho, elements, measured))
+    weights = np.trace(blocks, axis1=1, axis2=2).real
+    kept = weights > WEIGHT_FLOOR
+    states = blocks[kept] / weights[kept, None, None]
+    i, j = np.triu_indices(len(states), 1)
+    norms = np.linalg.norm(commutator(states[i], states[j]), ord=2, axis=(1, 2))
+    witness = float(norms.max(initial=0.0))
     basis = None
     if witness < COMMUTE_TOL:
         # any basis of a joint eigenspace serves, so degeneracy is no fault;
         # a fixed mixture keeps every verdict's basis reproducible
-        basis = common_eigenbasis(supported, np.random.default_rng(8))
+        basis = common_eigenbasis(states, np.random.default_rng(8))
     return witness, basis
 
 

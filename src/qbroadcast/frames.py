@@ -1,28 +1,23 @@
-"""Informationally complete POVMs and the conditional states they leave.
+"""POVMs and the conditional states they leave on the other side.
 
-Measuring one side of a bipartite state with a POVM {E_i} leaves the
-other side in the unnormalized conditional states
+``build_ic_povm`` gives an informationally complete POVM on C^d, whose d^2
+elements span operator space; ``renormalized_povm`` renormalizes PSD
+elements into a POVM.  ``conditional_states`` measures one side of a
+bipartite state with elements {E_i} and returns the unnormalized states
 
     p_i rho_i = Tr_measured[(E_i (x) I) rho]
 
-with Born weights p_i.  An IC-POVM has d^2 elements spanning the operator
-space of C^d, so these states determine rho; they are the workhorse of
-the classicality tests, since they commute pairwise iff the state is
-classical on the unmeasured side.
+left on the other side, with Born weights p_i = Tr(p_i rho_i).  For an IC
+POVM they commute pairwise iff the state is classical on the unmeasured
+side, which is the classicality test; the measure-and-prepare SDPs of
+``broadcast`` read them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import (
-    ZERO_WEIGHT,
-    hermitian_part,
-    matrix_function_on_support,
-    require_subsystems,
-)
+from .linalg import matrix_function_on_support
 from .states import DensityMatrix, Povm
 
 _TETRAHEDRON = np.array(
@@ -34,17 +29,6 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class InformationallyCompletePovm:
-    """A d^2-outcome POVM whose elements span operator space."""
-
-    povm: Povm
-
-    @property
-    def dim(self) -> int:
-        return self.povm.dim
 
 
 def _tetrahedral_qubit_povm() -> tuple:
@@ -77,7 +61,7 @@ def renormalized_povm(elements) -> Povm:
     return Povm(tuple(s_isqrt @ e @ s_isqrt for e in elements))
 
 
-def build_ic_povm(d: int) -> InformationallyCompletePovm:
+def build_ic_povm(d: int) -> Povm:
     """Construct an informationally complete POVM on C^d.
 
     For qubits this is the tetrahedral (SIC) POVM.  For larger d a fixed
@@ -86,10 +70,8 @@ def build_ic_povm(d: int) -> InformationallyCompletePovm:
     if d < 2:
         raise ValueError("need dimension at least 2")
     if d == 2:
-        return InformationallyCompletePovm(Povm(_tetrahedral_qubit_povm()))
-    return InformationallyCompletePovm(
-        renormalized_povm(_two_design_style_projectors(d))
-    )
+        return Povm(_tetrahedral_qubit_povm())
+    return renormalized_povm(_two_design_style_projectors(d))
 
 
 def conditional_states(rho: DensityMatrix, elements, measured: int) -> np.ndarray:
@@ -106,40 +88,3 @@ def conditional_states(rho: DensityMatrix, elements, measured: int) -> np.ndarra
         return np.einsum("...abad->...bd", applied)
     applied = np.einsum("...xb,abcd->...axcd", elements, rho4)
     return np.einsum("...abcb->...ac", applied)
-
-
-@dataclass(frozen=True, eq=False)
-class LocalDecomposition:
-    """Born weights of an IC-POVM on one side of a bipartite state and
-    the normalized conditional states it leaves on the other side."""
-
-    weights: np.ndarray
-    cond_states: tuple
-
-
-def decompose(
-    rho: DensityMatrix, ic: InformationallyCompletePovm, measured: int = 0
-) -> LocalDecomposition:
-    """Split a bipartite state along an IC-POVM on one subsystem.
-
-    Outcomes with zero Born weight keep a maximally mixed placeholder as
-    their conditional state (their weight annihilates the term anyway).
-    """
-    require_subsystems(rho.dims, 2, "decompose")
-    if measured not in (0, 1):
-        raise ValueError("measured side must be 0 or 1")
-    if rho.dims[measured] != ic.dim:
-        raise ValueError(
-            f"subsystem dim {rho.dims[measured]} != POVM dim {ic.dim}"
-        )
-    d_other = rho.dims[1 - measured]
-    blocks = hermitian_part(
-        conditional_states(rho, np.array(ic.povm.elements), measured)
-    )
-    weights = np.trace(blocks, axis1=1, axis2=2).real
-    conds = tuple(
-        DensityMatrix((d_other,), block / p) if p > ZERO_WEIGHT
-        else DensityMatrix.maximally_mixed(d_other)
-        for block, p in zip(blocks, weights)
-    )
-    return LocalDecomposition(np.maximum(weights, 0.0), conds)

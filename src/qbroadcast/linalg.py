@@ -38,8 +38,6 @@ SUPPORT_LEAK_TOL = 1e-9
 COMMUTE_TOL = 1e-9
 # Conditional states with less Born weight are roundoff in a verdict.
 WEIGHT_FLOOR = 1e-12
-# Outcomes with at most this weight get a placeholder conditional state.
-ZERO_WEIGHT = 1e-14
 # Relative eigenvalue gaps below this are degenerate in common_eigenbasis.
 DEGENERACY_GAP = 1e-6
 # A Stinespring dilation must be an isometry within this, entrywise.
@@ -60,9 +58,9 @@ class HermitianEig(NamedTuple):
     def on_support(self) -> "HermitianEig":
         """The eigenpairs on the support: values > SUPPORT_CUTOFF * values[0].
 
-        None when the largest eigenvalue is not positive.  Since values
-        descend, these are the leading pairs; the remaining columns of
-        ``vectors`` span the kernel.
+        Empty (no values, no columns) when the largest eigenvalue is not
+        positive.  Since values descend, these are the leading pairs; the
+        remaining columns of ``vectors`` span the kernel.
         """
         top = self.values[0] if self.values.size else 0.0
         rank = int((self.values > SUPPORT_CUTOFF * top).sum()) if top > 0 else 0
@@ -130,7 +128,7 @@ def subsystem_indices(keep, n: int) -> list[int]:
             raise ValueError(f"subsystem index {k!r} is not an integer")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep={keep} out of range for {n} subsystems")
+        raise ValueError(f"subsystem indices {keep} out of range for {n} subsystems")
     return keep
 
 

@@ -1,5 +1,6 @@
 """Discord optimizer, broadcast-fidelity SDPs, and the MI-loss functional."""
 
+import math
 import re
 
 import numpy as np
@@ -35,6 +36,7 @@ from qbroadcast.corpus import (
     bell_state,
     classical_classical_state,
     classical_on_b_state,
+    named_state,
     random_channel,
     random_state,
     werner_state,
@@ -456,7 +458,7 @@ class TestWoottersDecomposition:
 
 class TestMeasurementCopy:
     def test_single_copy_equals_measurement_channel(self):
-        povm = build_ic_povm(2).povm
+        povm = build_ic_povm(2)
         ch = measurement_copy_broadcaster(povm, 1)
         assert max_abs(ch.choi - quantum_to_classical(povm).choi) < 1e-10
 
@@ -472,7 +474,7 @@ class TestMeasurementCopy:
 
     def test_all_marginals_identical(self):
         rng = np.random.default_rng(15)
-        povm = build_ic_povm(2).povm
+        povm = build_ic_povm(2)
         ch = measurement_copy_broadcaster(povm, 3)
         rho = random_state((2, 2), rng)
         out = apply_on_subsystem(ch, rho, 1)
@@ -481,7 +483,7 @@ class TestMeasurementCopy:
             assert max_abs(out.marginal((0, i)).matrix - first) < 1e-10
 
     def test_rejects_bad_inputs(self):
-        povm = build_ic_povm(2).povm
+        povm = build_ic_povm(2)
         with pytest.raises(ValueError, match="copies"):
             measurement_copy_broadcaster(povm, 0)
         skewed = np.eye(4, dtype=complex)
@@ -510,7 +512,7 @@ class TestAverageMiLoss:
     def test_bell_loses_under_every_two_register_channel(self):
         rng = np.random.default_rng(17)
         channels = [
-            measurement_copy_broadcaster(build_ic_povm(2).povm, 2),
+            measurement_copy_broadcaster(build_ic_povm(2), 2),
             measurement_copy_broadcaster(
                 Povm.from_basis(np.eye(2, dtype=complex)), 2
             ),
@@ -531,7 +533,7 @@ class TestAverageMiLoss:
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(19)
         rho = random_state((2, 3), rng)
-        ch = measurement_copy_broadcaster(build_ic_povm(2).povm, 2)
+        ch = measurement_copy_broadcaster(build_ic_povm(2), 2)
         with pytest.raises(ValueError, match="dim"):
             average_mi_loss(rho, ch)
 
@@ -557,6 +559,29 @@ class TestBroadcastReport:
         assert report.eb_exact
         assert not report.exact.classical_on_b
         assert isinstance(report, BroadcastReport)
+
+    # classical-on-B states whose best measured MI lands a few ulps above I(A:B)
+    @pytest.mark.parametrize("rho", [
+        *(pytest.param(classical_on_b_state(2, 2, np.random.default_rng(s)),
+                       id=f"cq-seed{s}") for s in (0, 1, 7, 8, 11)),
+        pytest.param(named_state("cq"), id="named-cq"),
+    ])
+    def test_classical_on_b_discord_and_bounds_are_plain_zeros(self, rho):
+        report = broadcast_report(rho, restarts=4)
+        assert report.discord.value >= 0.0
+        for bound in (report.discord_bound_eb, report.discord_bound_max):
+            assert math.copysign(1.0, bound) == 1.0
+
+    def test_large_b_is_refused_before_the_discord_search(self, monkeypatch):
+        import qbroadcast.broadcast as module
+
+        def no_discord(*args, **kwargs):
+            raise AssertionError("discord ran before the dimension check")
+
+        monkeypatch.setattr(module, "discord", no_discord)
+        rho = random_state((2, 5), np.random.default_rng(5))
+        with pytest.raises(ValueError, match="too large"):
+            broadcast_report(rho, restarts=1)
 
 
 class TestClassifyOnce:

@@ -24,9 +24,16 @@ from qbroadcast.corpus import (
     random_unitary,
     werner_state,
 )
-from qbroadcast.frames import build_ic_povm, decompose
+from qbroadcast.frames import build_ic_povm, conditional_states
 from qbroadcast.info import mutual_information
-from qbroadcast.linalg import dag, kron, max_abs
+from qbroadcast.linalg import (
+    COMMUTE_TOL,
+    WEIGHT_FLOOR,
+    dag,
+    hermitian_part,
+    kron,
+    max_abs,
+)
 from qbroadcast.states import DensityMatrix, PureState
 
 
@@ -82,8 +89,11 @@ def test_classify_degenerate_conditional_states_without_warning():
     assert verdict.classical_on_b
     basis = verdict.basis_b
     assert max_abs(dag(basis) @ basis - np.eye(3)) < 1e-10
-    for cond in decompose(rho, build_ic_povm(2), measured=0).cond_states:
-        rotated = dag(basis) @ cond.matrix @ basis
+    blocks = conditional_states(rho, np.array(build_ic_povm(2).elements), 0)
+    weights = np.trace(blocks, axis1=1, axis2=2).real
+    assert weights.min() > 1e-3  # every outcome occurs, so each block normalizes
+    for block, w in zip(blocks, weights):
+        rotated = dag(basis) @ (block / w) @ basis
         assert max_abs(rotated - np.diag(np.diagonal(rotated))) < 1e-8
 
 
@@ -97,6 +107,50 @@ def test_common_eigenbasis_refinement_splits_blocks():
     rotated = dag(basis) @ a @ basis
     off = rotated - np.diag(np.diagonal(rotated))
     assert max_abs(off) < 1e-8
+
+
+def _pairwise_side_witness(rho, measured):
+    """Reference witness: a Python loop over every pair of normalized
+    conditional states with weight above WEIGHT_FLOOR."""
+    elements = np.array(build_ic_povm(rho.dims[measured]).elements)
+    blocks = hermitian_part(conditional_states(rho, elements, measured))
+    weights = np.trace(blocks, axis1=1, axis2=2).real
+    supported = [b / w for b, w in zip(blocks, weights) if w > WEIGHT_FLOOR]
+    witness = 0.0
+    for i in range(len(supported)):
+        for j in range(i + 1, len(supported)):
+            x, y = supported[i], supported[j]
+            witness = max(witness, float(np.linalg.norm(x @ y - y @ x, ord=2)))
+    basis = None
+    if witness < COMMUTE_TOL:
+        basis = common_eigenbasis(supported, np.random.default_rng(8))
+    return witness, basis
+
+
+def _witness_cases():
+    for dims in [(2, 2), (3, 2), (2, 3), (3, 3)]:
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            tag = f"{dims[0]}x{dims[1]}-{seed}"
+            yield pytest.param(random_state(dims, rng), id=f"random-{tag}")
+            yield pytest.param(
+                classical_classical_state(*dims, rng), id=f"cc-{tag}"
+            )
+            yield pytest.param(classical_on_b_state(*dims, rng), id=f"cq-{tag}")
+
+
+@pytest.mark.parametrize("rho", list(_witness_cases()))
+def test_stacked_witness_equals_pairwise_loop(rho):
+    verdict = classify(rho)
+    sides = [(verdict.witness_b, verdict.basis_b, 0),
+             (verdict.witness_a, verdict.basis_a, 1)]
+    for witness, basis, measured in sides:
+        want_witness, want_basis = _pairwise_side_witness(rho, measured)
+        assert witness == want_witness
+        if want_basis is None:
+            assert basis is None
+        else:
+            assert np.array_equal(basis, want_basis)
 
 
 class TestClassify:

@@ -110,6 +110,19 @@ def test_mi_rejects_overlapping_cut():
         conditional_mutual_information(ghz_state(), side_a=0, side_c=0)
 
 
+def test_out_of_range_side_is_refused_without_naming_keep():
+    rho = ghz_state()
+    with pytest.raises(
+        ValueError,
+        match=r"^subsystem indices \[0, 5\] out of range for 3 subsystems$",
+    ):
+        mutual_information(rho, (0, 5))
+    with pytest.raises(
+        ValueError, match=r"^subsystem indices \[7\] out of range for 3 subsystems$"
+    ):
+        conditional_mutual_information(rho, (0,), (7,))
+
+
 def test_fractional_side_is_refused():
     rho = ghz_state()
     with pytest.raises(ValueError, match="0.5 is not an integer"):

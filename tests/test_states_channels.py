@@ -250,7 +250,7 @@ class TestOneMeasurePreparePath:
     its preparations."""
 
     def test_quantum_to_classical(self, d):
-        povm = build_ic_povm(d).povm
+        povm = build_ic_povm(d)
         k = povm.n_outcomes
         want = entanglement_breaking(povm, [_pure((k,), e) for e in np.eye(k)])
         assert max_abs(quantum_to_classical(povm).choi - want.choi) < 1e-12
