@@ -44,7 +44,7 @@ def commute_test(rho: DensityMatrix, sigma: DensityMatrix):
     return norm < COMMUTE_TOL, norm
 
 
-def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
+def common_eigenbasis(ops, rng) -> np.ndarray:
     """Common eigenbasis of a family of pairwise-commuting Hermitian ops.
 
     Diagonalizes a random positive mixture, then refines the basis inside
@@ -61,7 +61,7 @@ def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
     blocks = []
     start = 0
     for i in range(1, d + 1):
-        if i == d or vals[i] - vals[i - 1] > gap_tol * scale:
+        if i == d or vals[i] - vals[i - 1] > DEGENERACY_GAP * scale:
             blocks.append(list(range(start, i)))
             start = i
     if all(len(b) == 1 for b in blocks):
@@ -77,10 +77,10 @@ def common_eigenbasis(ops, rng, gap_tol: float = DEGENERACY_GAP) -> np.ndarray:
             ivals, ivecs = np.linalg.eigh(hermitian_part(dag(sub) @ op @ sub))
             basis[:, block] = sub @ ivecs
             # split the block wherever this operator separates eigenvalues
-            iscale = max(1.0, float(np.abs(ivals).max()))
+            gap = DEGENERACY_GAP * max(1.0, float(np.abs(ivals).max()))
             sub_start = 0
             for k in range(1, len(block) + 1):
-                if k == len(block) or ivals[k] - ivals[k - 1] > gap_tol * iscale:
+                if k == len(block) or ivals[k] - ivals[k - 1] > gap:
                     new_blocks.append(block[sub_start:k])
                     sub_start = k
         blocks = new_blocks

@@ -160,17 +160,19 @@ def random_channel(in_dim: int, out_dim: int, rng) -> Channel:
 def named_state(spec: str) -> DensityMatrix:
     """Parse corpus names used by the command line: bell, ghz, cc, cq,
     werner:p, random:seed."""
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
     if name in ("bell", "ghz"):
-        if arg:
+        if sep:
             raise ValueError(f"state {name!r} takes no argument, got {spec!r}")
         return bell_state() if name == "bell" else ghz_state()
+    if name not in ("cc", "cq", "werner", "random"):
+        raise ValueError(f"unknown state name {spec!r}")
+    if sep and not arg:
+        raise ValueError(f"state {name!r} needs a value after ':'")
     if name == "cc":
-        return classical_classical_state(2, 2, _rng(int(arg) if arg else 7))
+        return classical_classical_state(2, 2, _rng(int(arg or 7)))
     if name == "cq":
-        return classical_on_b_state(2, 2, _rng(int(arg) if arg else 7))
+        return classical_on_b_state(2, 2, _rng(int(arg or 7)))
     if name == "werner":
-        return werner_state(float(arg if arg else 0.5))
-    if name == "random":
-        return random_state((2, 2), _rng(int(arg) if arg else 0))
-    raise ValueError(f"unknown state name {spec!r}")
+        return werner_state(float(arg or 0.5))
+    return random_state((2, 2), _rng(int(arg or 0)))

@@ -1,8 +1,8 @@
 """Entropic and distance measures, all in bits (base-2 logarithms).
 
-Small negative results caused by floating-point dust are clamped to zero
-within ``linalg.NEGATIVE_DUST``; anything more negative raises, since it
-signals an invalid input rather than roundoff.
+Entropic quantities that are nonnegative in exact arithmetic, I(A:C|B)
+included, read 0 within ``linalg.NEGATIVE_DUST`` below zero; anything more
+negative raises, since it signals an invalid input rather than roundoff.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    CMI_DUST,
     NEGATIVE_DUST,
     SUPPORT_CUTOFF,
     SUPPORT_LEAK_TOL,
@@ -116,17 +115,15 @@ def conditional_mutual_information(
 ) -> float:
     """I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B).
 
-    ``side_b`` defaults to all remaining subsystems.  Tiny negative values
-    down to -CMI_DUST are returned as-is (strong subadditivity guarantees the
-    exact quantity is nonnegative); anything lower raises.
+    ``side_b`` defaults to all remaining subsystems.  Strong subadditivity
+    makes the exact quantity nonnegative, so it clamps like every entropic
+    difference: 0 within ``NEGATIVE_DUST`` below zero, ValueError lower.
     """
-    a, c = _split_groups(rho.dims, side_a, side_c)
     if side_b is None:
+        a, c = _split_groups(rho.dims, side_a, side_c)
         b = [i for i in range(len(rho.dims)) if i not in a and i not in c]
     else:
-        (b,) = _split_groups(rho.dims, side_b)
-        if set(b) & (set(a) | set(c)):
-            raise ValueError("conditioning system overlaps A or C")
+        a, c, b = _split_groups(rho.dims, side_a, side_c, side_b)
     if not a or not c:
         raise ValueError("A and C must be nonempty")
     value = (
@@ -135,9 +132,4 @@ def conditional_mutual_information(
         - entropy(rho.marginal(sorted(a + b + c)))
         - (entropy(rho.marginal(sorted(b))) if b else 0.0)
     )
-    if value < -CMI_DUST:
-        raise ValueError(
-            f"conditional mutual information {value:.3e} violates strong "
-            f"subadditivity beyond roundoff"
-        )
-    return value
+    return _clamp_dust(value, "conditional mutual information")

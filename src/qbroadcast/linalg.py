@@ -12,10 +12,11 @@ projection (``nearest_psd``) and one check per validation rule, each naming
 what it refuses: ``require_hermitian`` (finite, and max |A - A^dag| within
 a bound), ``require_psd``, ``require_subsystems`` and ``subsystem_indices``
 (the factors a partial trace keeps, or the sides of a mutual information).
-Other modules import them; no public function takes a tolerance argument
-but ``require_hermitian`` (``sdp`` passes its ``COEFF_HERM_TOL``).
-Stopping rules of an algorithm stay with it: the SDP solver's in ``sdp``,
-the discord search's in ``broadcast``.
+Other modules import them.  The only tolerance arguments are
+``require_hermitian``'s (``sdp`` passes its ``COEFF_HERM_TOL``) and the
+SDP solve tolerance, whose ``sdp.fidelity_slack`` is how far a certified
+fidelity may fall short of a bound.  Stopping rules of an algorithm stay
+with it: the SDP solver's in ``sdp``, the discord search's in ``broadcast``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ SUPPORT_CUTOFF = 1e-12
 VALIDATION_ATOL = 1e-10
 # Entropies this far below 0, or fidelities this far above 1, are roundoff.
 NEGATIVE_DUST = 1e-9
-# I(A:C|B) sums four entropies; down to -CMI_DUST its sign is roundoff.
-CMI_DUST = 1e-8
 # S(rho||sigma) is infinite once more weight of rho leaks out of supp(sigma).
 SUPPORT_LEAK_TOL = 1e-9
 # Commutators below this are zero: two states commute, a side is classical.
@@ -42,8 +41,6 @@ WEIGHT_FLOOR = 1e-12
 DEGENERACY_GAP = 1e-6
 # A Stinespring dilation must be an isometry within this, entrywise.
 ISOMETRY_ATOL = 1e-8
-# Slack on "fidelity >= 2^(-drop/2)", covering the SDP solver's tolerance.
-FIDELITY_SLACK = 1e-6
 
 
 class HermitianEig(NamedTuple):

@@ -24,9 +24,9 @@ from .channels import (
     project_to_nearest_channel,
     trace_out_channel,
 )
-from .info import conditional_mutual_information, fidelity, relative_entropy
+from .info import (_clamp_dust, conditional_mutual_information, fidelity,
+                   relative_entropy)
 from .linalg import (
-    FIDELITY_SLACK,
     dag,
     hermitian_eig,
     kron,
@@ -41,6 +41,7 @@ from .sdp import (
     _basis_overlaps,
     add_channel,
     certified_fidelity,
+    fidelity_slack,
     hermitian_basis,
 )
 from .states import DensityMatrix
@@ -169,7 +170,7 @@ def recovery_report(
         cmi=cmi,
         petz_fidelity=_rebuilt_fidelity(rho_abc, petz),
         optimal_fidelity=optimal,
-        bound=float(2.0 ** (-max(cmi, 0.0) / 2.0)),
+        bound=float(2.0 ** (-cmi / 2.0)),
         sigma_recovery_residual=float(residual),
     )
 
@@ -236,21 +237,23 @@ def relative_entropy_recovery_check(
     Petz recovery fidelity for rho, and the SDP optimum over all channels
     that send channel(sigma) back to sigma.  The optimum must reach
     2^(-drop/2); the plain Petz map is only reported against that bound.
-    Both count as meeting it within ``FIDELITY_SLACK``.
+    Both count as meeting it within ``fidelity_slack(DEFAULT_TOL)``, the
+    tolerance the optimum is solved at; ``drop`` clamps like any entropy.
     """
     rel_before = _relative_entropy_in_support(rho, sigma)
     rel_after = relative_entropy(apply(channel, rho), apply(channel, sigma))
-    drop = rel_before - rel_after
+    drop = _clamp_dust(rel_before - rel_after, "relative entropy drop")
 
     petz = petz_map(sigma, channel)
     petz_fid = fidelity(rho, apply(petz, apply(channel, rho)))
     optimal = optimal_fixing_recovery_fidelity(rho, sigma, channel)
-    bound = float(2.0 ** (-max(drop, 0.0) / 2.0))
+    bound = float(2.0 ** (-drop / 2.0))
+    slack = fidelity_slack(DEFAULT_TOL)
     return MonotonicityReport(
         drop=float(drop),
         petz_fidelity=float(petz_fid),
         optimal_fidelity=float(optimal),
         bound=bound,
-        petz_meets_bound=bool(petz_fid >= bound - FIDELITY_SLACK),
-        optimal_meets_bound=bool(optimal >= bound - FIDELITY_SLACK),
+        petz_meets_bound=bool(petz_fid >= bound - slack),
+        optimal_meets_bound=bool(optimal >= bound - slack),
     )

@@ -73,6 +73,11 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 500
 
 
+def fidelity_slack(tol: float) -> float:
+    """How far below a bound a fidelity solved at ``tol`` may still meet it."""
+    return 10.0 * tol
+
+
 # ---------------------------------------------------------------------------
 # problem containers
 

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qbroadcast import classicality
 from qbroadcast.channels import apply
 from qbroadcast.classicality import (
     basis_broadcaster,
@@ -97,13 +98,14 @@ def test_classify_degenerate_conditional_states_without_warning():
         assert max_abs(rotated - np.diag(np.diagonal(rotated))) < 1e-8
 
 
-def test_common_eigenbasis_refinement_splits_blocks():
-    # force everything into one cluster via a huge gap tolerance; the
+def test_common_eigenbasis_refinement_splits_blocks(monkeypatch):
+    # force everything into one cluster via a huge degeneracy gap; the
     # per-operator refinement has to recover the eigenbasis on its own
+    monkeypatch.setattr(classicality, "DEGENERACY_GAP", 10.0)
     rng = np.random.default_rng(0)
     u = random_unitary(3, rng)
     a = (u * [1.0, 2.0, 3.0]) @ dag(u)
-    basis = common_eigenbasis([a], np.random.default_rng(2), gap_tol=10.0)
+    basis = common_eigenbasis([a], np.random.default_rng(2))
     rotated = dag(basis) @ a @ basis
     off = rotated - np.diag(np.diagonal(rotated))
     assert max_abs(off) < 1e-8

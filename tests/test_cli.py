@@ -66,6 +66,9 @@ class TestStateFiles:
             ({"dims": [2], "matrix": [[[0.5, False], [0, 0]],
                                       [[0, 0], [0.5, 0]]]},
              "re, im"),
+            # an integer JSON entry too large for a float, like 1e400
+            ({"dims": [1], "matrix": [[[10 ** 400, 0]]]},
+             r"entry \(0, 0\) is not finite"),
         ],
     )
     def test_malformed_files_name_the_problem(self, obj, fragment):
@@ -338,6 +341,27 @@ class TestDemoChains:
         assert "F_opt >= F_petz" in err
 
 
+class TestLooseTolerance:
+    """The chain and demo checks allow the slack of the solves' tolerance."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("broadcast", "--gen", "bell", "--restarts", "2"),
+            ("broadcast", "--gen", "cq", "--restarts", "2"),
+            ("recover", "--gen", "ghz"),
+            ("demo", "no-unilocal-broadcast", "--restarts", "2"),
+            ("demo", "recoverability", "--restarts", "2"),
+            ("demo", "discord-bounds", "--restarts", "2"),
+        ],
+    )
+    def test_exits_zero_at_tolerance_1e_3(self, capsys, argv):
+        code, _, err = run_cli(
+            capsys, *argv, "--tolerance", "1e-3", "--output", "json"
+        )
+        assert code == 0, err
+
+
 class TestExitCodes:
     """2 for input the command cannot take, 1 for a failed computation."""
 
@@ -399,6 +423,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "gen", "--gen", spec)
         assert code == 2 and out == ""
         assert f"{spec.partition(':')[0]!r} takes no argument" in err
+
+    @pytest.mark.parametrize("spec", ["werner:", "random:", "cc:", "cq:"])
+    def test_missing_value_after_the_colon_exits_two(self, capsys, spec):
+        code, out, err = run_cli(capsys, "gen", "--gen", spec)
+        assert code == 2 and out == ""
+        assert f"state {spec[:-1]!r} needs a value after ':'" in err
 
     def test_negative_seed_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from qbroadcast.channels import apply, apply_on_subsystem, stinespring
 from qbroadcast.corpus import (
     bell_state,
     ghz_state,
+    markov_chain_state,
     random_channel,
     random_pure,
     random_state,
@@ -95,6 +96,15 @@ def test_cmi_zero_for_products():
     rho = random_state((2, 2), rng).tensor(random_state(2, rng))
     got = conditional_mutual_information(rho, side_a=0, side_c=2)
     assert abs(got) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [("product-right", 2), ("product-left", 1), ("classical-b", 1)]
+)
+def test_cmi_of_a_markov_chain_clamps_roundoff_to_zero(kind, seed):
+    # the four entropies of each state sum to -5.6e-16 .. -1.0e-15 in floats
+    rho = markov_chain_state(kind, (2, 2, 2), np.random.default_rng(seed))
+    assert conditional_mutual_information(rho, side_a=0, side_c=2) >= 0.0
 
 
 def test_rejects_dimension_mismatch():

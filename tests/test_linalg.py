@@ -223,6 +223,9 @@ class TestNumericalPolicy:
                     assert not params & {"atol", "dust", "slack"}, (
                         f"{mod.__name__}.{name}"
                     )
+                    assert not [p for p in params if p.endswith("_tol")], (
+                        f"{mod.__name__}.{name}"
+                    )
 
     def test_tolerances_are_the_linalg_objects(self):
         import importlib
