@@ -42,6 +42,7 @@ from .info import _clamp_dust, entropy, fidelity, mutual_information
 from .linalg import (
     SUPPORT_CUTOFF,
     VALIDATION_ATOL,
+    InputError,
     dag,
     hermitian_eig,
     kron,
@@ -120,21 +121,21 @@ class BroadcastReport:
 
 
 def _require_dimension_two(rho: DensityMatrix, what: str, factors=(0, 1)):
-    """ValueError naming ``what`` unless each of ``factors`` of the
+    """InputError naming ``what`` unless each of ``factors`` of the
     bipartite ``rho`` has dimension at least 2 (a frame or a measurement
     needs that much room)."""
     require_subsystems(rho.dims, 2, what)
     if min(rho.dims[k] for k in factors) < 2:
         names = " and ".join("AB"[k] for k in factors)
-        raise ValueError(
+        raise InputError(
             f"{what} needs dimension at least 2 on {names}, got dims {rho.dims}"
         )
 
 
 def _require_broadcast_dim(rho: DensityMatrix):
-    """ValueError unless B is small enough for the broadcast SDP."""
+    """InputError unless B is small enough for the broadcast SDP."""
     if rho.dims[1] > MAX_BROADCAST_DIM:
-        raise ValueError(
+        raise InputError(
             f"B dimension {rho.dims[1]} too large for the broadcast SDP "
             f"(limit {MAX_BROADCAST_DIM})"
         )

@@ -14,6 +14,7 @@ Kraus and Stinespring forms are derived views of the Choi matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,8 +51,7 @@ class CompletelyPositiveMap:
     def __post_init__(self):
         in_dims = _as_dims(self.in_dims)
         out_dims = _as_dims(self.out_dims)
-        din = int(np.prod(in_dims))
-        dout = int(np.prod(out_dims))
+        din, dout = math.prod(in_dims), math.prod(out_dims)  # exact, no wrap
         j = np.asarray(self.choi, dtype=complex)
         if j.shape != (din * dout, din * dout):
             raise ValueError(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import Channel, apply, apply_on_subsystem, entanglement_breaking
 from .frames import build_ic_povm, conditional_states
-from .info import mutual_information
+from .info import _require_equal_dim, mutual_information
 from .linalg import (
     COMMUTE_TOL,
     DEGENERACY_GAP,
@@ -38,8 +38,7 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def commute_test(rho: DensityMatrix, sigma: DensityMatrix):
     """Do two states commute?  Returns (flag, max-entry commutator norm)."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch {rho.dim} != {sigma.dim}")
+    _require_equal_dim(rho, sigma, "commute_test")
     norm = max_abs(commutator(rho.matrix, sigma.matrix))
     return norm < COMMUTE_TOL, norm
 

@@ -8,9 +8,10 @@ reproduces the JSON output byte for byte; wall time therefore appears
 only in the table rendering.
 
 Exit codes: 0 success, 1 computation or demo-suite failure, 2 invalid
-input (malformed files, non-states, unknown names, a state with the wrong
-number of subsystems or dimensions for the command, bad flags).  Only
-``InputError`` and argparse errors exit 2; a ``ValueError`` raised inside
+input (malformed files, non-states, unknown names, bad flags, a state of
+the wrong shape for the command).  Only ``InputError`` and argparse errors
+exit 2; the library raises ``linalg.InputError`` where each shape rule
+lives, so no rule is restated here.  Any other ``ValueError`` raised inside
 a computation is a failed computation and exits 1.
 """
 
@@ -25,12 +26,7 @@ import time
 
 import numpy as np
 
-from .broadcast import (
-    DEFAULT_RESTARTS,
-    MAX_BROADCAST_DIM,
-    broadcast_report,
-    f_max_broadcast,
-)
+from .broadcast import DEFAULT_RESTARTS, broadcast_report, f_max_broadcast
 from .channels import apply_on_subsystem
 from .classicality import (
     basis_broadcaster,
@@ -54,18 +50,13 @@ from .info import (
     fidelity,
     mutual_information,
 )
-from .linalg import dag, hermitian_eig
+from .linalg import InputError, dag, hermitian_eig
 from .recovery import recovery_report
 from .sdp import (DEFAULT_MAX_ITERS, DEFAULT_TOL, fidelity_slack, recording,
                   solution_diagnostics)
 from .states import DensityMatrix
 
 _PART_LETTERS = "ABCDEFGH"
-
-
-class InputError(Exception):
-    """Anything wrong with what the user handed us (exit code 2)."""
-
 
 # ---------------------------------------------------------------------------
 # state files
@@ -98,7 +89,7 @@ def parse_state_json(obj, origin: str = "state") -> DensityMatrix:
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise InputError(f"{origin}: label must be a string")
-    side = int(np.prod(dims))
+    side = math.prod(dims)  # exact: np.prod would wrap past int64
     rows = obj["matrix"]
     if not isinstance(rows, list) or len(rows) != side:
         raise InputError(
@@ -237,10 +228,7 @@ def _resolve_state(args, second: bool = False):
         rho = load_state_file(path)
         label = rho.label or path
     elif spec:
-        try:
-            rho = named_state(spec)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        rho = named_state(spec)
         label = spec
     else:
         flags = "--input2/--gen2" if second else "--input/-i or --gen"
@@ -251,17 +239,6 @@ def _resolve_state(args, second: bool = False):
         "label": label,
     }
     return rho, stanza
-
-
-def _require_subsystems(rho, what: str, count: int, exactly: bool = True):
-    """InputError unless ``rho`` has ``count`` subsystems (or at least
-    ``count`` when not ``exactly``)."""
-    n = len(rho.dims)
-    if n < count or (exactly and n != count):
-        need = f"{count}" if exactly else f"at least {count}"
-        raise InputError(
-            f"{what} needs {need} subsystems, got dims {list(rho.dims)}"
-        )
 
 
 def _parse_parts(text: str, n: int, expected: int):
@@ -308,6 +285,10 @@ def _parse_parts(text: str, n: int, expected: int):
 
 
 def cmd_measure(args):
+    unread = ("parts",) if args.quantity == "fidelity" else ("input2", "gen2")
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise InputError(f"measure {args.quantity} does not read --{flag}")
     rho, stanza = _resolve_state(args)
     n = len(rho.dims)
     quantities: dict = {}
@@ -318,39 +299,32 @@ def cmd_measure(args):
         "quantities": quantities,
     }
     if args.quantity == "entropy":
-        if args.parts:
+        if args.parts is not None:
             (group,) = _parse_parts(args.parts, n, expected=1)
             quantities["entropy"] = entropy(rho.marginal(group))
             report["parts"] = args.parts
         else:
             quantities["entropy"] = entropy(rho)
     elif args.quantity == "mutual-info":
-        if args.parts:
+        if args.parts is not None:
             side_a, side_b = _parse_parts(args.parts, n, expected=2)
             if sorted(side_a + side_b) != list(range(n)):
                 raise InputError("parts: the two groups must cover all subsystems")
             report["parts"] = args.parts
         else:
-            _require_subsystems(rho, "mutual-info", 2, exactly=False)
             side_a = (0,)
         quantities["mutual_information"] = mutual_information(rho, side_a)
     elif args.quantity == "cmi":
-        if args.parts:
+        if args.parts is not None:
             side_a, side_c, side_b = _parse_parts(args.parts, n, expected=3)
             report["parts"] = args.parts
         else:
-            _require_subsystems(rho, "cmi", 3, exactly=False)
             side_a, side_c, side_b = (0,), (2,), None
         quantities["conditional_mutual_information"] = (
             conditional_mutual_information(rho, side_a, side_c, side_b)
         )
     elif args.quantity == "fidelity":
         sigma, stanza2 = _resolve_state(args, second=True)
-        if sigma.dim != rho.dim:
-            raise InputError(
-                f"fidelity needs states of equal dimension, got {rho.dim} "
-                f"and {sigma.dim}"
-            )
         report["input2"] = stanza2
         quantities["fidelity"] = fidelity(rho, sigma)
     else:  # pragma: no cover - argparse restricts choices
@@ -397,17 +371,6 @@ def _recovery_quantities(rep) -> dict:
 
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
-    _require_subsystems(rho, "broadcast", 2)
-    if min(rho.dims) < 2:
-        raise InputError(
-            f"broadcast: every dimension must be at least 2, got dims "
-            f"{list(rho.dims)}"
-        )
-    if rho.dims[1] > MAX_BROADCAST_DIM:
-        raise InputError(
-            f"broadcast: B dimension {rho.dims[1]} exceeds the limit "
-            f"{MAX_BROADCAST_DIM}"
-        )
     with recording() as records:
         rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
                                tol=args.tolerance, max_iters=args.sdp_max_iters)
@@ -448,7 +411,6 @@ def cmd_broadcast(args):
 
 def cmd_recover(args):
     rho, stanza = _resolve_state(args)
-    _require_subsystems(rho, "recover", 3)
     with recording() as records:
         rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
     _check_chain("recovery", _recovery_links(rep), args.tolerance)
@@ -466,10 +428,7 @@ def cmd_gen(args):
     if not args.gen:
         raise InputError("gen needs --gen <name> (bell, ghz, cc, cq, "
                          "werner:p, random:seed)")
-    try:
-        rho = named_state(args.gen)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rho = named_state(args.gen)
     print(json.dumps(state_to_json(rho, label=args.gen), sort_keys=True, indent=2))
     return None, 0
 

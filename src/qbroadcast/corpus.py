@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import Channel, channel_from_kraus
-from .linalg import dag, kron
+from .linalg import InputError, dag, kron
 from .states import DensityMatrix, PureState
 
 
@@ -159,20 +159,23 @@ def random_channel(in_dim: int, out_dim: int, rng) -> Channel:
 
 def named_state(spec: str) -> DensityMatrix:
     """Parse corpus names used by the command line: bell, ghz, cc, cq,
-    werner:p, random:seed."""
+    werner:p, random:seed.  InputError names ``spec`` when it is not one."""
     name, sep, arg = spec.partition(":")
     if name in ("bell", "ghz"):
         if sep:
-            raise ValueError(f"state {name!r} takes no argument, got {spec!r}")
+            raise InputError(f"state {name!r} takes no argument, got {spec!r}")
         return bell_state() if name == "bell" else ghz_state()
     if name not in ("cc", "cq", "werner", "random"):
-        raise ValueError(f"unknown state name {spec!r}")
+        raise InputError(f"unknown state name {spec!r}")
     if sep and not arg:
-        raise ValueError(f"state {name!r} needs a value after ':'")
-    if name == "cc":
-        return classical_classical_state(2, 2, _rng(int(arg or 7)))
-    if name == "cq":
-        return classical_on_b_state(2, 2, _rng(int(arg or 7)))
-    if name == "werner":
-        return werner_state(float(arg or 0.5))
-    return random_state((2, 2), _rng(int(arg or 0)))
+        raise InputError(f"state {name!r} needs a value after ':'")
+    try:
+        if name == "cc":
+            return classical_classical_state(2, 2, _rng(int(arg or 7)))
+        if name == "cq":
+            return classical_on_b_state(2, 2, _rng(int(arg or 7)))
+        if name == "werner":
+            return werner_state(float(arg or 0.5))
+        return random_state((2, 2), _rng(int(arg or 0)))
+    except ValueError as exc:  # an unreadable or out-of-range argument
+        raise InputError(f"state {spec!r}: {exc}") from exc

@@ -13,12 +13,19 @@ from .linalg import (
     NEGATIVE_DUST,
     SUPPORT_CUTOFF,
     SUPPORT_LEAK_TOL,
+    InputError,
     matrix_function_on_support,
     subsystem_indices,
     support_projector,
     trace_norm,
 )
 from .states import DensityMatrix
+
+
+def _require_equal_dim(rho: DensityMatrix, sigma: DensityMatrix, what: str):
+    if rho.dim != sigma.dim:
+        raise InputError(f"{what} needs states of equal dimension, got "
+                         f"{rho.dim} and {sigma.dim}")
 
 
 def _clamp_dust(value: float, what: str) -> float:
@@ -56,8 +63,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     the support of sigma (more than SUPPORT_LEAK_TOL of rho's weight sits
     outside).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch {rho.dim} != {sigma.dim}")
+    _require_equal_dim(rho, sigma, "relative entropy")
     proj = support_projector(sigma.matrix)
     leak = float(np.trace(rho.matrix @ (np.eye(rho.dim) - proj)).real)
     if leak > SUPPORT_LEAK_TOL:
@@ -74,8 +80,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Square-root convention: F is 1 iff the states coincide, and for pure
     |psi> it reduces to sqrt(<psi| sigma |psi>).
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch {rho.dim} != {sigma.dim}")
+    _require_equal_dim(rho, sigma, "fidelity")
     sq_r = matrix_function_on_support(rho.matrix, np.sqrt)
     sq_s = matrix_function_on_support(sigma.matrix, np.sqrt)
     value = trace_norm(sq_r @ sq_s)
@@ -85,13 +90,13 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _split_groups(dims, *groups):
-    """Each group as ``subsystem_indices``; ValueError on a subsystem listed
+    """Each group as ``subsystem_indices``; InputError on a subsystem listed
     twice, within a group or across groups."""
     split = [subsystem_indices(g, len(dims)) for g in groups]
     listed = [int(i) for g in groups for i in np.atleast_1d(g)]
     for i in listed:
         if listed.count(i) > 1:
-            raise ValueError(f"subsystem index {i} listed twice")
+            raise InputError(f"subsystem index {i} listed twice")
     return split
 
 
@@ -103,7 +108,7 @@ def mutual_information(rho: DensityMatrix, side_a=(0,)) -> float:
     (a,) = _split_groups(rho.dims, side_a)
     b = [i for i in range(len(rho.dims)) if i not in a]
     if not a or not b:
-        raise ValueError("both sides of the cut must be nonempty")
+        raise InputError("both sides of the cut must be nonempty")
     value = (
         entropy(rho.marginal(a)) + entropy(rho.marginal(b)) - entropy(rho)
     )
@@ -125,7 +130,7 @@ def conditional_mutual_information(
     else:
         a, c, b = _split_groups(rho.dims, side_a, side_c, side_b)
     if not a or not c:
-        raise ValueError("A and C must be nonempty")
+        raise InputError("A and C must be nonempty")
     value = (
         entropy(rho.marginal(sorted(a + b)))
         + entropy(rho.marginal(sorted(b + c)))

@@ -12,7 +12,10 @@ projection (``nearest_psd``) and one check per validation rule, each naming
 what it refuses: ``require_hermitian`` (finite, and max |A - A^dag| within
 a bound), ``require_psd``, ``require_subsystems`` and ``subsystem_indices``
 (the factors a partial trace keeps, or the sides of a mutual information).
-Other modules import them.  The only tolerance arguments are
+Other modules import them.  A refusal of the input's shape (factor count,
+index, dimension, name) is an ``InputError``, which the command line exits
+2 on; a numerical refusal (not PSD, negative beyond roundoff) is a plain
+``ValueError``.  The only tolerance arguments are
 ``require_hermitian``'s (``sdp`` passes its ``COEFF_HERM_TOL``) and the
 SDP solve tolerance, whose ``sdp.fidelity_slack`` is how far a certified
 fidelity may fall short of a bound.  Stopping rules of an algorithm stay
@@ -41,6 +44,10 @@ WEIGHT_FLOOR = 1e-12
 DEGENERACY_GAP = 1e-6
 # A Stinespring dilation must be an isometry within this, entrywise.
 ISOMETRY_ATOL = 1e-8
+
+
+class InputError(ValueError):
+    """The input has the wrong shape for the quantity asked of it."""
 
 
 class HermitianEig(NamedTuple):
@@ -108,24 +115,23 @@ def require_psd(a: np.ndarray, what: str, scale: float = 1.0):
 
 
 def require_subsystems(dims: Sequence[int], count: int, what: str):
-    """ValueError naming ``what`` unless ``dims`` lists ``count`` factors."""
+    """InputError naming ``what`` unless ``dims`` lists ``count`` factors."""
     if len(dims) != count:
-        words = {2: "two", 3: "three"}[count]
-        raise ValueError(f"{what} needs {words} subsystems, got dims {dims}")
+        raise InputError(f"{what} needs {count} subsystems, got dims {dims}")
 
 
 def subsystem_indices(keep, n: int) -> list[int]:
     """``keep`` (an int or a sequence of ints) as sorted distinct subsystem
-    indices, or ValueError when one is not an integer or is out of range
+    indices, or InputError when one is not an integer or is out of range
     for ``n`` subsystems."""
     if np.isscalar(keep):
         keep = [keep]
     for k in keep:
         if k != int(k):
-            raise ValueError(f"subsystem index {k!r} is not an integer")
+            raise InputError(f"subsystem index {k!r} is not an integer")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"subsystem indices {keep} out of range for {n} subsystems")
+        raise InputError(f"subsystem indices {keep} out of range for {n} subsystems")
     return keep
 
 

@@ -8,6 +8,7 @@ tolerance; solver output is projected first, by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         mat = np.asarray(self.matrix, dtype=complex)
-        d = int(np.prod(dims))
+        d = math.prod(dims)  # exact: np.prod would wrap past int64
         if mat.shape != (d, d):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dims {list(dims)}"
@@ -106,7 +107,7 @@ class PureState:
     def __post_init__(self):
         dims = _as_dims(self.dims)
         vec = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if vec.size != int(np.prod(dims)):
+        if vec.size != math.prod(dims):
             raise ValueError(
                 f"vector length {vec.size} does not match dims {list(dims)}"
             )

@@ -69,6 +69,10 @@ class TestStateFiles:
             # an integer JSON entry too large for a float, like 1e400
             ({"dims": [1], "matrix": [[[10 ** 400, 0]]]},
              r"entry \(0, 0\) is not finite"),
+            # 3 * 6148914691236517206 = 2^64 + 2, which int64 wraps to 2
+            ({"dims": [3, 6148914691236517206],
+              "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]},
+             "matrix must have"),
         ],
     )
     def test_malformed_files_name_the_problem(self, obj, fragment):
@@ -188,6 +192,27 @@ class TestMeasure:
         code, _, err = run_cli(capsys, "measure", "entropy", "-i", "/no/such")
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("entropy", "--gen", "bell", "--gen2", "ghz"), "--gen2"),
+            (("entropy", "--gen", "bell", "--input2", "/no/such"), "--input2"),
+            (("mutual-info", "--gen", "bell", "--gen2", "bell"), "--gen2"),
+            (("fidelity", "--gen", "bell", "--gen2", "bell", "--parts", "A|B"),
+             "--parts"),
+        ],
+    )
+    def test_flag_the_quantity_does_not_read_is_refused(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "measure", *argv)
+        assert code == 2 and out == ""
+        assert f"measure {argv[0]} does not read {flag}" in err
+
+    def test_empty_parts_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "measure", "entropy", "--gen", "bell", "--parts", ""
+        )
+        assert code == 2 and out == "" and "parts: empty group" in err
+
 
 class TestGen:
     def test_gen_emits_a_loadable_state(self, capsys):
@@ -203,6 +228,11 @@ class TestGen:
     def test_gen_requires_a_name(self, capsys):
         code, _, err = run_cli(capsys, "gen")
         assert code == 2
+
+    def test_unreadable_argument_names_the_state(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--gen", "cc:abc")
+        assert code == 2 and out == ""
+        assert "state 'cc:abc'" in err
 
 
 class TestBroadcastAndRecover:

@@ -168,7 +168,7 @@ class TestOptimalRecovery:
 
     def test_rejects_bipartite_input(self):
         rng = np.random.default_rng(9)
-        with pytest.raises(ValueError, match="three subsystems"):
+        with pytest.raises(ValueError, match="3 subsystems"):
             optimal_recovery_fidelity(random_state((2, 2), rng))
 
 

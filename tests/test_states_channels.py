@@ -47,6 +47,16 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="shape"):
             DensityMatrix((2, 2), np.eye(2) / 2)
 
+    def test_rejects_dims_whose_size_overflows_int64(self):
+        # 3 * 6148914691236517206 = 2^64 + 2, which int64 wraps to 2
+        big = (3, 6148914691236517206)
+        with pytest.raises(ValueError, match="shape"):
+            DensityMatrix(big, np.eye(2) / 2)
+        with pytest.raises(ValueError, match="length"):
+            PureState(big, [1.0, 0.0])
+        with pytest.raises(ValueError, match="Choi shape"):
+            CompletelyPositiveMap((1,), big, np.eye(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entry(self, bad):
         # every comparison with NaN is False, so no tolerance test fails
