@@ -318,6 +318,10 @@ def cmd_measure(args):
         if args.parts is not None:
             side_a, side_c, side_b = _parse_parts(args.parts, n, expected=3)
             report["parts"] = args.parts
+        elif n < 3:
+            raise InputError(
+                f"measure cmi needs 3 subsystems or --parts, got dims {rho.dims}"
+            )
         else:
             side_a, side_c, side_b = (0,), (2,), None
         quantities["conditional_mutual_information"] = (

@@ -24,6 +24,7 @@ with it: the SDP solver's in ``sdp``, the discord search's in ``broadcast``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -136,7 +137,7 @@ def subsystem_indices(keep, n: int) -> list[int]:
 
 
 def _check_square(mat: np.ndarray, dims: Sequence[int]) -> int:
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     if mat.shape[-2:] != (d, d):
         raise ValueError(
             f"operator shape {mat.shape} does not match dims {list(dims)} "
@@ -171,7 +172,7 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     for k in sorted(traced, reverse=True):
         half = (tensor.ndim - len(lead)) // 2
         tensor = np.trace(tensor, axis1=len(lead) + k, axis2=len(lead) + k + half)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    d_keep = math.prod(dims[k] for k in keep)
     return tensor.reshape(lead + (d_keep, d_keep))
 
 

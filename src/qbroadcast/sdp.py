@@ -19,22 +19,33 @@ pivoted Cholesky of the rows' Gram matrix, which resolves independence to
 about 1e-6 relative, and dropped once their right-hand sides are checked
 against the kept rows.
 
-Each solve then lays out the kept, scaled rows once per block
-(``_BlockRows``), and every per-iterate operation (the map
+Each solve then lays out the kept, scaled rows once per block group
+(``_layout``), and every per-iterate operation (the map
 X -> (<A_i, X>)_i, its adjoint, the Schur complement, the starting point)
-runs from that layout.  A block holds only the rows that touch it.  A
-row with at most 2 nonzero entries there, as the orthonormal basis
-elements of the fidelity gadget are, is held as its entries: W A_i W is
-a sum of two outer products, and Re Tr(A_j W A_i W) is read off it at
-row j's entries, as in the sparse-row Schur formulas of Fujisawa, Kojima
-and Nakata (Math. Program. 79, 235, 1997).  Other rows keep dense W A W
-products.  The reduced problem is solved by primal-dual path following
-with Nesterov-Todd scaling run directly on the Hermitian blocks, as
-SDPT3 does for complex data (Toh, Todd and Tutuncu 1999); each iterate
-is factored once, and its step lengths reuse that factorization.  A
-predictor step picks the centering weight, and the corrector adds
-Mehrotra's second-order term in the NT-scaled space, where the scaled
-point is diagonal and the Lyapunov solve is entrywise.  A Schur
+runs from that layout.  An entry row of a block has at most 2 nonzero
+entries there, as the orthonormal basis elements of the fidelity gadget
+have; a block group is the blocks of one side whose entry rows are the
+same rows with entries at the same positions.  The k outcome or
+preparation blocks of a measure-and-prepare half-step form one group;
+every other block the library builds is a group of its own.  X, Z and
+every per-block quantity are one (b, n, n) stack per group, so the NT
+scaling, the step lengths, the Newton right-hand sides and the updates
+run once per group, in stacked LAPACK and BLAS calls, as SDPT3 uses the
+block-diagonal structure.  A group (``_BlockRows``) holds only the rows
+that touch it.  An entry row is held as its entries, with one value per
+block: W A_i W is a sum of two outer products, and Re Tr(A_j W A_i W) is
+read off it at row j's entries, as in the sparse-row Schur formulas of
+Fujisawa, Kojima and Nakata (Math. Program. 79, 235, 1997).  The other
+rows form one real matrix over the flattened stack, so A(X) and A^*(y)
+are one matrix-vector product each, and keep dense W A W products.
+Stacking blocks whose entry rows differ would hold those rows densely,
+hence the grouping rule.  The reduced problem is solved by primal-dual
+path following with Nesterov-Todd scaling run directly on the Hermitian
+blocks, as SDPT3 does for complex data (Toh, Todd and Tutuncu 1999);
+each iterate is factored once, and its step lengths reuse that
+factorization.  A predictor step picks the centering weight, and the
+corrector adds Mehrotra's second-order term in the NT-scaled space,
+where the scaled point is diagonal and the Lyapunov solve is entrywise.  A Schur
 complement that is numerically singular is solved on its range; only a
 Schur complement or direction that is not finite ends a solve with
 ``breakdown``.  A solve reports the row-scaled residuals, over the kept
@@ -233,55 +244,112 @@ def _real_rows(stacks) -> list:
     return [a.reshape(len(a), a.shape[-1] ** 2).view(float) for a in stacks]
 
 
-class _BlockRows:
-    """The rows ``kept`` of one block's stack, each divided by its
-    ``scale``, as the interior-point iteration reads them.
+def _entry_rows(a: np.ndarray, kept: np.ndarray, scale: np.ndarray):
+    """One block's kept rows that touch it, split by kind: the entry rows
+    (at most 2 nonzero entries there) as positions in ``kept``, their
+    entries' flat positions (e, 2) in the block and scaled values (e, 2),
+    padded with value 0 after a lone entry, and the other touching rows
+    as positions in ``kept``."""
+    n = a.shape[-1]
+    flat_a = a.reshape(len(a), n * n)
+    # nonzero entries row by row, in flat order within a row, so an
+    # off-diagonal pair's upper entry comes first
+    row, t = np.nonzero(flat_a)
+    nnz = np.bincount(row, minlength=len(a))[kept]
+    basis = np.flatnonzero((nnz > 0) & (nnz <= 2))
+    position = np.full(len(a), -1)
+    position[kept[basis]] = np.arange(len(basis))
+    i = position[row]
+    row, t, i = row[i >= 0], t[i >= 0], i[i >= 0]
+    slot = np.zeros(len(i), dtype=int)
+    slot[1:] = i[1:] == i[:-1]
+    flat = np.zeros((len(basis), 2), dtype=int)
+    v = np.zeros((len(basis), 2), dtype=complex)
+    flat[i, slot], v[i, slot] = t, flat_a[row, t] / scale[basis][i]
+    return basis, flat, v, np.flatnonzero(nnz > 2)
 
-    Only the rows that touch the block are held, listed in ``rows`` (as
-    positions in ``kept``), basis-element rows first.  A basis-element row
-    has at most 2 nonzero entries in the block and is held as those entries
-    A_i[p, q] = v, padded with v = 0: W A_i W is then a sum of two outer
-    products, Re Tr(A_i M) a gather and sum_i y_i A_i a scatter.  The other
-    touching rows are held densely.  Every index the iteration needs is
-    built here, once per solve.
+
+def _layout(stacks, kept: np.ndarray, scale: np.ndarray) -> list:
+    """The rows ``kept`` of the stacks, each divided by its ``scale``, as
+    one ``_BlockRows`` per block group, in order of each group's first
+    block.  A group is the blocks of one side whose entry rows are the
+    same rows with entries at the same positions (the values may differ),
+    so stacking the group's blocks adds no dense row to any entry row."""
+    groups = {}
+    for k, a in enumerate(stacks):
+        basis, flat, v, dense = _entry_rows(a, kept, scale)
+        key = (a.shape[-1], basis.tobytes(), flat.tobytes())
+        groups.setdefault(key, (basis, flat, []))[2].append((k, v, dense))
+    return [
+        _BlockRows(stacks, kept, scale, basis, flat, members)
+        for basis, flat, members in groups.values()
+    ]
+
+
+def _gather(layout, mats) -> list:
+    """Per-block matrices as one (b, n, n) stack per group of ``layout``."""
+    return [np.stack([mats[k] for k in blk.blocks]) for blk in layout]
+
+
+def _scatter(layout, stacks) -> list:
+    """The inverse of ``_gather``: one matrix per block, in block order."""
+    out = [None] * sum(blk.b for blk in layout)
+    for blk, stack in zip(layout, stacks):
+        for k, mat in zip(blk.blocks, stack):
+            out[k] = mat
+    return out
+
+
+class _BlockRows:
+    """The layout of one block group: b blocks of side n, held as one
+    (b, n, n) stack, and the kept, scaled rows that touch any of them, as
+    the interior-point iteration reads them.
+
+    The rows are listed in ``rows`` (as positions in ``kept``), entry rows
+    first.  An entry row has at most 2 nonzero entries in each block, at
+    positions ``flat`` that the group shares, and is held as the values
+    ``v`` (e, b, 2) of those entries: W A_i W is then a sum of two outer
+    products, Re Tr(A_i M) a gather and sum_i y_i A_i a scatter.  The
+    other rows are one real (d, b 2n^2) matrix ``dense_real`` over the
+    flattened stack (zero on the blocks a row leaves out), so A(X) and
+    A^*(y) are one matrix-vector product each.  A lone block (b = 1) forms
+    W A W by two matrix products per dense row; a group of several forms
+    all of them by one batched product with W (x) W^T, as vec(W A W) =
+    (W (x) W^T) vec(A) for the row-major vec.  Every index the iteration
+    needs is built here, once per solve.
     """
 
-    def __init__(self, a: np.ndarray, kept: np.ndarray, scale: np.ndarray):
-        n = self.n = a.shape[-1]
-        flat_a = a.reshape(len(a), n * n)
-        # nonzero entries row by row, in flat order within a row, so an
-        # off-diagonal pair's upper entry comes first
-        row, t = np.nonzero(flat_a)
-        nnz = np.bincount(row, minlength=len(a))[kept]
-        basis = np.flatnonzero((nnz > 0) & (nnz <= 2))
-        dense = np.flatnonzero(nnz > 2)
+    def __init__(self, stacks, kept, scale, basis, flat, members):
+        self.blocks = tuple(k for k, _, _ in members)
+        b = self.b = len(members)
+        n = self.n = stacks[self.blocks[0]].shape[-1]
+        dense = np.unique(np.concatenate([d for _, _, d in members]))
         self.rows, self.n_basis = np.concatenate([basis, dense]), len(basis)
-        self.dense = a[kept[dense]]
-        self.dense /= scale[dense, None, None]
-        self.dense_real = _real_rows([self.dense])[0]
+        by_row = np.stack([stacks[k][kept[dense]] for k in self.blocks], axis=1)
+        by_row /= scale[dense, None, None, None]
+        self.dense_real = by_row.reshape(len(dense), b * n * n).view(float)
+        # the same rows block by block, for the W A W products
+        self.dense = np.ascontiguousarray(by_row.swapaxes(0, 1))
 
-        position = np.full(len(a), -1)
-        position[kept[basis]] = np.arange(len(basis))
-        i = position[row]
-        row, t, i = row[i >= 0], t[i >= 0], i[i >= 0]
-        slot = np.zeros(len(i), dtype=int)
-        slot[1:] = i[1:] == i[:-1]
-        flat = np.zeros((len(basis), 2), dtype=int)
-        v = np.zeros((len(basis), 2), dtype=complex)
-        flat[i, slot], v[i, slot] = t, flat_a[row, t] / scale[basis][i]
-        self.flat, self.v, self.v_bar = flat, v, v.conj()
-        self.p, self.q, self.v_col = flat // n, flat % n, v[..., None]
-        # each entry's (Re, Im) positions in the real view of the flat block
-        self.flat_real = (2 * flat[..., None] + np.arange(2)).reshape(-1)
+        # entry values (e, b, 2), and their positions in the flat stack
+        v = self.v = np.stack([v for _, v, _ in members], axis=1)
+        at = n * n * np.arange(b)[:, None] + flat[:, None, :]
+        self.entry_at = at.reshape(len(v), 2 * b)
+        self.v_bar = v.conj().reshape(len(v), 2 * b)
+        # each entry's (Re, Im) positions in the real view of the flat stack
+        self.flat_real = (2 * at[..., None] + np.arange(2)).reshape(-1)
+        by_block = v.transpose(1, 0, 2)
+        self.p, self.q, self.v_col = flat // n, flat % n, by_block[..., None]
         # On a Hermitian M an entry below the diagonal reads the conjugate
         # of its upper mirror, so Re Tr(A_i M) sums only the entries on or
         # above it: Re(v^* M[p, q]), doubled above the diagonal.
-        read_w = self.v_bar * (np.sign(self.q - self.p) + 1)
+        read_w = by_block.conj() * (np.sign(self.q - self.p) + 1)
         self.reads = [
-            (f.copy(), c.copy()) for f, c in zip(flat.T, read_w.T) if c.any()
+            (f.copy(), c[:, None, :].copy())
+            for f, c in zip(flat.T, read_w.transpose(2, 0, 1)) if c.any()
         ]
 
-        # where this block's terms go in A(X) and in the Schur complement
+        # where this group's terms go in A(X) and in the Schur complement
         start = self.rows[0] if len(self.rows) else 0
         if np.array_equal(self.rows, np.arange(start, start + len(self.rows))):
             self.at = slice(start, start + len(self.rows))
@@ -290,54 +358,67 @@ class _BlockRows:
             self.at, self.where = self.rows, np.ix_(self.rows, self.rows)
 
     def norms(self) -> np.ndarray:
-        """Frobenius norm of each touching row."""
+        """Frobenius norm of each touching row in each block, (b, rows)."""
+        by_block = self.dense_real.reshape(-1, self.b, 2 * self.n ** 2)
         return np.concatenate([
-            np.linalg.norm(self.v, axis=1), np.linalg.norm(self.dense_real, axis=1)
-        ])
+            np.linalg.norm(self.v, axis=2).T, np.linalg.norm(by_block, axis=2).T
+        ], axis=1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Re Tr(A_i X) for each touching row i."""
+        """sum_k Re Tr(A_ik X_k) for each touching row i."""
         xr = np.ascontiguousarray(x).reshape(-1)
         dense = self.dense_real @ xr.view(float)
         if not self.n_basis:
             return dense
-        basis = (xr[self.flat] * self.v_bar).sum(1).real
+        basis = (xr[self.entry_at] * self.v_bar).sum(1).real
         return np.concatenate([basis, dense]) if len(dense) else basis
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """sum_i y_i A_i over the touching rows, ``y`` indexed like them."""
-        nb, n = self.n_basis, self.n
+        """The (b, n, n) stack of sum_i y_i A_ik, ``y`` indexed like the
+        touching rows."""
+        nb, b, n = self.n_basis, self.b, self.n
         out = y[nb:] @ self.dense_real
         if nb:
             out += np.bincount(
                 self.flat_real,
-                (y[:nb, None] * self.v).view(float).reshape(-1),
-                minlength=2 * n * n,
+                (y[:nb, None, None] * self.v).view(float).reshape(-1),
+                minlength=2 * b * n * n,
             )
-        return out.view(complex).reshape(n, n)
+        return out.view(complex).reshape(b, n, n)
 
     def schur(self, w: np.ndarray) -> np.ndarray:
-        """Re Tr(A_i W A_j W) over pairs of touching rows."""
-        nb, n, mt = self.n_basis, self.n, len(self.rows)
+        """sum_k Re Tr(A_ik W_k A_jk W_k) over pairs of touching rows."""
+        nb, b, n, mt = self.n_basis, self.b, self.n, len(self.rows)
         if not mt:
             return np.zeros((0, 0))
-        waw = np.empty((mt, n, n), dtype=complex)
+        flat = np.empty((b, mt, n * n), dtype=complex)
         if nb:  # W[:, p] v W[q, :], summed over the two entries
             np.matmul(
-                (w.T[self.p] * self.v_col).swapaxes(1, 2), w[self.q], out=waw[:nb]
+                (w.swapaxes(1, 2)[:, self.p] * self.v_col).swapaxes(2, 3),
+                w[:, self.q],
+                out=flat[:, :nb].reshape(b, nb, n, n),
             )
-        if nb < mt:
-            np.matmul(w @ self.dense, w, out=waw[nb:])
-        flat = waw.reshape(mt, n * n)
+        if nb < mt and b == 1:
+            np.matmul(
+                w[0] @ self.dense[0], w[0], out=flat[0, nb:].reshape(-1, n, n)
+            )
+        elif nb < mt:  # (W (x) W^T)^T, indexed [k, (b, c), (a, d)]
+            kron_t = w.swapaxes(1, 2)[:, :, None, :, None] * w[:, None, :, None, :]
+            np.matmul(
+                self.dense.reshape(b, -1, n * n),
+                kron_t.reshape(b, n * n, n * n),
+                out=flat[:, nb:],
+            )
         cols = []
-        if nb:  # row i's entries read off each W A_j W
+        if nb:  # row i's entries read off each W A_j W, summed over blocks
             (f, c), *more = self.reads
-            read = np.take(flat, f, axis=1) * c
+            read = np.take(flat, f, axis=2) * c
             for f, c in more:
-                read += np.take(flat, f, axis=1) * c
-            cols.append(read.real)
+                read += np.take(flat, f, axis=2) * c
+            cols.append((read.sum(0) if b > 1 else read[0]).real)
         if nb < mt:
-            cols.append(flat.view(float) @ self.dense_real.T)
+            by_row = flat.swapaxes(0, 1).reshape(mt, b * n * n)
+            cols.append(by_row.view(float) @ self.dense_real.T)
         return cols[0] if len(cols) == 1 else np.hstack(cols)
 
 
@@ -382,10 +463,11 @@ def _residuals(layout, objective, b, xs, y, zs):
 def _max_step(factors, ds) -> float:
     """Largest alpha with every iterate + alpha*d still PSD, from the
     iterate's factor H (H^dag iterate H = I): the least eigenvalue of
-    H^dag d H bounds alpha."""
+    H^dag d H bounds alpha.  One ``eigvalsh`` per group's stack."""
     alpha = np.inf
     for h, d in zip(factors, ds):
-        lam_min = float(np.linalg.eigvalsh(hermitian_part(dag(h) @ d @ h))[0])
+        lam = np.linalg.eigvalsh(hermitian_part(dag(h) @ d @ h))
+        lam_min = min(lam[..., 0].tolist())
         if lam_min < -1e-14:
             alpha = min(alpha, -1.0 / lam_min)
     return alpha
@@ -398,15 +480,18 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
     S_M^{1/2}, from X = U_x S_x U_x^dag and X^{1/2} Z X^{1/2} = U_M S_M
     U_M^dag: one factorization serves the whole iteration.  G G^dag = W,
     the scaled point G^dag Z G = G^{-1} X G^{-dag} is V = diag(lam), and
-    Z^{-1} = G V^{-1} G^dag."""
+    Z^{-1} = G V^{-1} G^dag.  X and Z may be (b, n, n) stacks, each
+    matrix scaled on its own by one ``eigh`` pair over the stack."""
     sx, ux = np.linalg.eigh(x)
-    hx = ux / np.sqrt(np.clip(sx, 1e-14 * max(sx.max(), 1e-300), None))
-    rx = (ux * np.sqrt(np.clip(sx, 1e-300, None))) @ dag(ux)
+    floor = 1e-14 * np.maximum(sx.max(-1, keepdims=True), 1e-300)
+    hx = ux / np.sqrt(np.maximum(sx, floor))[..., None, :]
+    rx = (ux * np.sqrt(np.maximum(sx, 1e-300))[..., None, :]) @ dag(ux)
     sm, um = np.linalg.eigh(hermitian_part(rx @ z @ rx))
-    sm = np.clip(sm, 1e-300, None)
+    sm = np.maximum(sm, 1e-300)
     lam = np.sqrt(sm)
-    g = rx @ (um * sm ** -0.25)
-    return g @ dag(g), (g / lam) @ dag(g), hx, g / np.sqrt(lam), g, lam
+    g = rx @ (um * (sm ** -0.25)[..., None, :])
+    cols = lam[..., None, :]
+    return g @ dag(g), (g / cols) @ dag(g), hx, g / np.sqrt(cols), g, lam
 
 
 def _second_order(g, lam, z, dx, dz) -> np.ndarray:
@@ -414,10 +499,11 @@ def _second_order(g, lam, z, dx, dz) -> np.ndarray:
     space.  R = dX~ dZ~ + dZ~ dX~ for the scaled directions dX~ = G^{-1} dX
     G^{-dag} = V^{-1} G^dag Z dX Z G V^{-1} and dZ~ = G^dag dZ G, and
     L_V(U) = V U + U V, V = diag(lam), is inverted entrywise: U_ij =
-    R_ij / (lam_i + lam_j)."""
-    ginv = (dag(g) @ z) / lam[:, None]
+    R_ij / (lam_i + lam_j).  Stacks are taken matrix by matrix."""
+    rows = lam[..., :, None]
+    ginv = (dag(g) @ z) / rows
     half = (ginv @ dx @ dag(ginv)) @ (dag(g) @ dz @ g)
-    return g @ ((half + dag(half)) / (lam[:, None] + lam)) @ dag(g)
+    return g @ ((half + dag(half)) / (rows + lam[..., None, :])) @ dag(g)
 
 
 def _finite(*arrays) -> bool:
@@ -452,10 +538,14 @@ def _schur_solver(schur: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _path_following(blocks, objective, layout, b, tol, max_iters):
+def _path_following(objective, layout, b, tol, max_iters):
     """NT-scaled primal-dual path following over the row ``layout``.
 
-    Each iterate is factored once: ``_nt_scaling`` per block and one
+    X, Z, the ``objective`` and every per-block quantity are held as one
+    (b, n, n) stack per block group of the layout, so each step below
+    runs once per group, not once per block: the NT scaling, the Newton
+    right-hand sides and directions, the step lengths and the updates.
+    Each iterate is factored once: ``_nt_scaling`` per group and one
     Cholesky of the Schur complement (``_schur_solver``), whose Newton
     solves both directions share.  The predictor (affine-scaling)
     direction picks the centering weight sigma; the corrector aims at
@@ -469,22 +559,25 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
 
     Iterates 0..``max_iters`` each get one ``_residuals`` pass, which sets
     ``status``.  Every exit returns (xs, y, zs, status, iterations,
-    residuals) of its point, the residuals row-scaled over the kept rows.
+    residuals) of its point, the stacks by group and the residuals
+    row-scaled over the kept rows.
     """
     m = b.size
 
     xs, zs = [], []
-    for n, c, blk in zip(blocks, objective, layout):
-        a_norms = np.zeros(m)
-        a_norms[blk.at] = blk.norms()
-        xi = max(10.0, np.sqrt(n))
-        eta = max(10.0, np.sqrt(n), float(np.linalg.norm(c)))
+    for c, blk in zip(objective, layout):
+        n = blk.n
+        a_norms = np.zeros((blk.b, m))
+        a_norms[:, blk.at] = blk.norms()
+        xi = np.full(blk.b, max(10.0, np.sqrt(n)))
+        eta = np.array([max(10.0, np.sqrt(n), np.linalg.norm(ck)) for ck in c])
         if m:
-            xi = max(xi, n * float(((1 + np.abs(b)) / (1 + a_norms)).max()))
-            eta = max(eta, float(a_norms.max()))
-        xs.append(xi * np.eye(n, dtype=complex))
-        zs.append(eta * np.eye(n, dtype=complex))
+            xi = np.maximum(xi, n * ((1 + np.abs(b)) / (1 + a_norms)).max(1))
+            eta = np.maximum(eta, a_norms.max(1))
+        xs.append(xi[:, None, None] * np.eye(n, dtype=complex))
+        zs.append(eta[:, None, None] * np.eye(n, dtype=complex))
     y = np.zeros(m)
+    total_side = sum(blk.b * blk.n for blk in layout)
 
     status = "max-iterations"
     for it in range(max_iters + 1):
@@ -498,7 +591,7 @@ def _path_following(blocks, objective, layout, b, tol, max_iters):
         if it == max_iters:
             break
         gap = _inner(xs, zs)
-        mu = gap / sum(blocks)
+        mu = gap / total_side
 
         ws, zinvs, hxs, hzs, gs, lams = zip(
             *(_nt_scaling(x, z) for x, z in zip(xs, zs))
@@ -614,14 +707,15 @@ def solve(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     kept, scales = _reduce_constraints(problem)
     row_scale = scales[kept]
-    xs, y_kept, zs, status, iterations, res = _path_following(
-        problem.blocks,
-        problem.objective,
-        [_BlockRows(a, kept, row_scale) for a in problem.stacks],
+    layout = _layout(problem.stacks, kept, row_scale)
+    stacks, y_kept, _, status, iterations, res = _path_following(
+        _gather(layout, problem.objective),
+        layout,
         problem.rhs[kept] / row_scale,
         tol,
         max_iters,
     )
+    xs = _scatter(layout, stacks)
     y = np.zeros(problem.n_constraints)
     y[kept] = y_kept / row_scale
     pval = _inner(problem.objective, xs)

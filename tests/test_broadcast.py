@@ -44,7 +44,7 @@ from qbroadcast.corpus import (
 from qbroadcast.frames import build_ic_povm
 from qbroadcast.info import entropy, fidelity, mutual_information
 from qbroadcast.linalg import VALIDATION_ATOL, max_abs, trace_norm
-from qbroadcast.sdp import recording
+from qbroadcast.sdp import DEFAULT_TOL, fidelity_slack, recording
 from qbroadcast.states import DensityMatrix, Povm
 
 SQRT_HALF = 0.7071067811865476
@@ -388,6 +388,91 @@ class TestFEb:
             rho, apply_on_subsystem(ch, rho, 1)
         )
         assert detail.lower_bound <= detail.value + 1e-6
+
+
+def isotropic_state(d: int, p: float) -> DensityMatrix:
+    """rho_p = p Phi_d + (1 - p) I / d^2, Phi_d maximally entangled."""
+    phi = np.zeros(d * d)
+    phi[:: d + 1] = d ** -0.5
+    mixed = np.eye(d * d) / d ** 2
+    return DensityMatrix((d, d), p * np.outer(phi, phi) + (1 - p) * mixed)
+
+
+def isotropic_fidelity(d: int, p: float, q: float) -> float:
+    """F(rho_p, rho_q): both are diagonal in one basis, with weight
+    x + (1 - x) / d^2 on Phi_d and (1 - x) / d^2 on each of the other
+    d^2 - 1 vectors, so F is a sum of two square roots."""
+    lo_p, lo_q = (1 - p) / d ** 2, (1 - q) / d ** 2
+    return math.sqrt((p + lo_p) * (q + lo_q)) + (d * d - 1) * math.sqrt(lo_p * lo_q)
+
+
+def cloning_shrink(d: int) -> float:
+    """The largest shrink of a symmetric 1 -> 2 broadcast (optimal cloning)."""
+    return (d + 2) / (2 * (d + 1))
+
+
+def eb_shrink(d: int) -> float:
+    """The largest shrink of an entanglement-breaking (or PPT) channel."""
+    return 1 / (d + 1)
+
+
+ISOTROPIC = [(d, p) for d in (2, 3) for p in (0.3, 0.7, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def isotropic_solves():
+    """Per (d, p): the f_max and f_eb solutions and the f_eb detail.
+
+    A twirl makes an optimal channel covariant, so depolarizing with some
+    shrink eta, and its output on rho_p is rho_{eta p}."""
+    solved = {}
+    for d, p in ISOTROPIC:
+        with recording() as records:
+            f_max_broadcast(isotropic_state(d, p))
+            detail = f_eb_detailed(isotropic_state(d, p))
+        (_, f_max_sol), (_, f_eb_sol) = records[:2]
+        solved[d, p] = f_max_sol, f_eb_sol, detail
+    return solved
+
+
+def closed_form_misses(solved, d, p, shrinks, tol=DEFAULT_TOL) -> list:
+    """The checks of the SDP optima against F(rho_p, rho_{eta p}) that fail.
+
+    The primal may fall short by ``fidelity_slack(tol)`` and the dual
+    overshoot by as much; neither may pass the optimum by more than
+    ``tol``, and the measure-and-prepare bound stays below it."""
+    f_max_sol, f_eb_sol, detail = solved[d, p]
+    exact = [isotropic_fidelity(d, p, eta * p) for eta in shrinks]
+    slack, misses = fidelity_slack(tol), []
+    for name, sol, want in zip(("f_max", "f_eb"), (f_max_sol, f_eb_sol), exact):
+        if not want - slack <= sol.primal_value <= want + tol:
+            misses.append(f"{name} primal {sol.primal_value} vs {want}")
+        if not want - tol <= sol.dual_value <= want + slack:
+            misses.append(f"{name} dual {sol.dual_value} vs {want}")
+    if not detail.lower_bound <= exact[1] + tol:
+        misses.append(f"lower_bound {detail.lower_bound} above {exact[1]}")
+    if detail.eb_exact != (d == 2):
+        misses.append(f"eb_exact {detail.eb_exact}")
+    return misses
+
+
+class TestIsotropicClosedForms:
+    """f_max and f_eb of isotropic states against their closed forms."""
+
+    @pytest.mark.parametrize("d, p", ISOTROPIC)
+    def test_optima_meet_the_closed_forms(self, isotropic_solves, d, p):
+        shrinks = (cloning_shrink(d), eb_shrink(d))
+        assert closed_form_misses(isotropic_solves, d, p, shrinks) == []
+
+    @pytest.mark.parametrize("d, p", ISOTROPIC)
+    @pytest.mark.parametrize("off", [-1e-3, 1e-3])
+    def test_a_shrink_off_by_1e_3_is_caught(self, isotropic_solves, d, p, off):
+        for shrinks, name in (
+            ((cloning_shrink(d) + off, eb_shrink(d)), "f_max"),
+            ((cloning_shrink(d), eb_shrink(d) + off), "f_eb"),
+        ):
+            misses = closed_form_misses(isotropic_solves, d, p, shrinks)
+            assert any(m.startswith(name) for m in misses)
 
 
 def random_separable(rng, terms: int) -> np.ndarray:

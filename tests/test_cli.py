@@ -185,8 +185,10 @@ class TestMeasure:
         assert code == 2 and "cannot read" in err
 
     def test_wrong_arity_is_invalid_input(self, capsys):
-        code, _, err = run_cli(capsys, "measure", "cmi", "--gen", "bell")
-        assert code == 2
+        code, out, err = run_cli(capsys, "measure", "cmi", "--gen", "bell")
+        assert code == 2 and out == ""
+        # names what cmi needs, not a default index the user never typed
+        assert "measure cmi needs 3 subsystems or --parts" in err
 
     def test_missing_file_is_invalid_input(self, capsys):
         code, _, err = run_cli(capsys, "measure", "entropy", "-i", "/no/such")

@@ -86,6 +86,12 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace(np.eye(6), [2, 3], [2])
 
 
+def test_partial_trace_sizes_dims_exactly():
+    # 3 * 6148914691236517206 = 2^64 + 2, which int64 arithmetic wraps to 2
+    with pytest.raises(ValueError, match="does not match dims"):
+        partial_trace(np.eye(2) / 2, (3, 6148914691236517206), 0)
+
+
 def test_hermitian_eig_descending_and_reconstructs():
     rng = np.random.default_rng(3)
     h = random_herm(7, rng)

@@ -8,6 +8,7 @@ from qbroadcast import broadcast, recovery, sdp
 from qbroadcast.broadcast import f_eb, f_max_broadcast
 from qbroadcast.channels import identity_channel
 from qbroadcast.corpus import bell_state, ghz_state, random_channel, random_state
+from qbroadcast.frames import conditional_states
 from qbroadcast.info import fidelity
 from qbroadcast.recovery import (
     optimal_fixing_recovery_fidelity,
@@ -529,9 +530,36 @@ class TestOneCallPerConstraintFamily:
         assert calls == 4
 
 
+@pytest.fixture(scope="module")
+def measurement_program():
+    """A measure-and-prepare measurement program, built as
+    ``f_eb_detailed`` builds it for a random 3x3 state: nine side-3
+    outcome blocks, touched by the trace-preservation rows (entries) and
+    the sigma rows (dense), and the fidelity block."""
+    rng = np.random.default_rng(31)
+    rho = random_state((3, 3), rng)
+    preps = [random_state(3, rng).matrix for _ in range(9)]
+    builder = SdpBuilder()
+    outcomes = [np.kron(np.eye(3), np.eye(9)[:, [i]]) for i in range(9)]
+    blocks = add_channel(builder, 3, 9, outcomes)
+    terms = tuple(
+        (blk, lambda e, t=tau: np.kron(conditional_states(rho, e, 1), t))
+        for blk, tau in zip(blocks, preps)
+    )
+    zero = np.zeros((9, 9), dtype=complex)
+    fidelity_sdp(builder, rho.matrix, AffineMatrixExpr(9, zero, terms))
+    return builder.build()
+
+
+def kept_layout(problem):
+    """The block groups ``solve`` lays the problem's kept rows out in."""
+    kept, scales = sdp._reduce_constraints(problem)
+    return sdp._layout(problem.stacks, kept, scales[kept])
+
+
 class TestEachJobOnce:
-    """One factorization per block per IPM iteration, and one map call per
-    sigma term when the fidelity gadget is built."""
+    """One factorization per block group per IPM iteration, and one map
+    call per sigma term when the fidelity gadget is built."""
 
     def test_two_eigh_per_block_per_iteration(self, monkeypatch):
         problems = []
@@ -556,6 +584,24 @@ class TestEachJobOnce:
         solution = original_solve(problem)
         assert solution.status == "optimal"
         assert len(calls) == 2 * len(problem.blocks) * solution.iterations
+
+    def test_two_eigh_per_group_per_iteration(
+        self, monkeypatch, measurement_program
+    ):
+        # the nine outcome blocks are one group: 4 eigh per iteration, not 20
+        groups = kept_layout(measurement_program)
+        assert [blk.blocks for blk in groups] == [tuple(range(9)), (9,)]
+        calls = []
+        original_eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(None)
+            return original_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        solution = solve(measurement_program)
+        assert solution.status == "optimal"
+        assert len(calls) == 2 * len(groups) * solution.iterations
 
     def test_one_cholesky_and_no_qr_or_lstsq_per_iteration(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -644,12 +690,13 @@ def random_hermitian(n, rng):
 
 
 class TestRowLayout:
-    """The per-block row layout against independent dense contractions."""
+    """The row layout of each block group against independent dense
+    contractions."""
 
     def layout_and_points(self, problem):
         rng = np.random.default_rng(13)
         m = problem.n_constraints
-        layout = [sdp._BlockRows(a, np.arange(m), np.ones(m)) for a in problem.stacks]
+        layout = sdp._layout(problem.stacks, np.arange(m), np.ones(m))
         points = []
         for n in problem.blocks:
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -668,7 +715,9 @@ class TestRowLayout:
     def test_schur_complement_matches_dense_contraction(self):
         problem = mixed_rows_problem()
         layout, ws = self.layout_and_points(problem)
-        got = sdp._schur_complement(layout, ws, problem.n_constraints)
+        got = sdp._schur_complement(
+            layout, sdp._gather(layout, ws), problem.n_constraints
+        )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w).real
             for a, w in zip(problem.stacks, ws)
@@ -679,13 +728,14 @@ class TestRowLayout:
         problem = mixed_rows_problem()
         layout, xs = self.layout_and_points(problem)
         m = problem.n_constraints
-        got = sdp._a_apply(layout, xs, m)
+        got = sdp._a_apply(layout, sdp._gather(layout, xs), m)
         want = sum(
             np.einsum("mij,ji->m", a, x).real for a, x in zip(problem.stacks, xs)
         )
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         y = np.random.default_rng(14).normal(size=m)
-        for got, a in zip(sdp._a_adjoint(layout, y), problem.stacks):
+        adjoint = sdp._scatter(layout, sdp._a_adjoint(layout, y))
+        for got, a in zip(adjoint, problem.stacks):
             want = np.tensordot(y, a, axes=(0, 0))
             assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
 
@@ -703,11 +753,52 @@ class TestRowLayout:
             problem.rhs,
         )
         layout, _ = self.layout_and_points(rotated)
-        assert [blk.n_basis for blk in layout] == [0, 0, 0]
+        assert [blk.n_basis for blk in layout] == [0, 0]  # both side-2 in one
         sparse, dense = solve(problem), solve(rotated)
         assert sparse.status == dense.status == "optimal"
         assert sparse.iterations == dense.iterations
         assert abs(sparse.primal_value - dense.primal_value) < sdp.DEFAULT_TOL
+
+
+class TestGroupedLayout:
+    """A layout with a group of nine blocks against independent dense
+    contractions over ``problem.stacks``, block by block."""
+
+    def layout_and_points(self, problem):
+        rng = np.random.default_rng(16)
+        m = problem.n_constraints
+        layout = sdp._layout(problem.stacks, np.arange(m), np.ones(m))
+        assert [blk.b for blk in layout] == [9, 1]
+        points = [random_pd(n, rng) for n in problem.blocks]
+        return layout, points
+
+    def test_schur_complement_matches_dense_contraction(self, measurement_program):
+        problem = measurement_program
+        layout, ws = self.layout_and_points(problem)
+        got = sdp._schur_complement(
+            layout, sdp._gather(layout, ws), problem.n_constraints
+        )
+        want = sum(
+            np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
+            for a, w in zip(problem.stacks, ws)
+        )
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_adjoint_is_the_transpose_of_the_map(self, measurement_program):
+        problem = measurement_program
+        layout, xs = self.layout_and_points(problem)
+        m = problem.n_constraints
+        stacks = sdp._gather(layout, xs)
+        got = sdp._a_apply(layout, stacks, m)
+        want = sum(
+            np.einsum("mij,ji->m", a, x).real for a, x in zip(problem.stacks, xs)
+        )
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        y = np.random.default_rng(17).normal(size=m)
+        adjoint = sdp._a_adjoint(layout, y)
+        assert [a.shape for a in adjoint] == [s.shape for s in stacks]
+        lhs, rhs = sdp._inner(stacks, adjoint), float(got @ y)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def unbounded_problem():
