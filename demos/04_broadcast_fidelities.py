@@ -18,7 +18,6 @@ from qbroadcast import (
     broadcast_report,
     classical_on_b_state,
     f_max_broadcast,
-    recording,
     werner_state,
 )
 
@@ -32,9 +31,8 @@ print(f"  returned optimizer is a channel {channel.in_dims} -> {channel.out_dims
 for name, rho in (("Bell pair", bell_state()),
                   ("Werner p=0.3", werner_state(0.3)),
                   ("Werner p=0.7", werner_state(0.7))):
-    with recording() as records:  # one (what, solution) per certified solve
-        rep = broadcast_report(rho)
-    fmax_solution = dict(records)["broadcast"]
+    rep = broadcast_report(rho)  # raises if the paper's chain breaks
+    fmax_solution = rep.f_max_solution
     print(f"\n{name}:")
     print(f"  f_max   = {rep.f_max:.8f}   "
           f"(solver residual {fmax_solution.residuals.primal:.1e}, "

@@ -18,7 +18,7 @@ copied:
   mutual information over rank-one POVMs.
 
 The three obey f_max >= f_eb and discord >= -2 log2 f_eb, which
-``broadcast_report`` assembles into one record.
+``broadcast_report`` assembles into one record that checks them.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ from .sdp import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     SdpBuilder,
+    SdpSolution,
     add_channel,
     certified_fidelity,
+    check_chain,
     hermitian_basis,
     recording,
 )
@@ -107,7 +109,10 @@ class BroadcastReport:
     The discord bounds are -2 log2 of the ``f_eb`` and ``f_max`` solves'
     dual objectives.  Those sit on the high side of each optimum, where
     the primal values sit low, so the bounds stay on the low side of the
-    discord.
+    discord.  ``f_max_solution`` and ``f_eb_solution`` are those solves,
+    run at ``tol``.  Building a report checks f_max >= f_eb >= f_eb_lower
+    and f_eb >= 2^(-D/2) within ``fidelity_slack(tol)`` and raises
+    RuntimeError naming the first broken link.
     """
 
     f_max: float
@@ -118,6 +123,16 @@ class BroadcastReport:
     discord: DiscordResult
     exact: ClassicalityVerdict
     eb_exact: bool
+    f_max_solution: SdpSolution
+    f_eb_solution: SdpSolution
+    tol: float
+
+    def __post_init__(self):
+        check_chain("broadcast", (
+            ("f_max >= f_eb", self.f_max, self.f_eb),
+            ("f_eb >= f_eb_lower", self.f_eb, self.f_eb_lower),
+            ("f_eb >= 2^(-D/2)", self.f_eb, 2.0 ** (-self.discord.value / 2.0)),
+        ), self.tol)
 
 
 def _require_dimension_two(rho: DensityMatrix, what: str, factors=(0, 1)):
@@ -694,6 +709,9 @@ def broadcast_report(
         discord=disc,
         exact=disc.verdict,
         eb_exact=eb.eb_exact,
+        f_max_solution=solutions["broadcast"],
+        f_eb_solution=solutions["EB broadcast"],
+        tol=tol,
     )
 
 

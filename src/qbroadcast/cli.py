@@ -18,6 +18,7 @@ a computation is a failed computation and exits 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -52,7 +53,7 @@ from .info import (
 )
 from .linalg import InputError, dag, hermitian_eig
 from .recovery import recovery_report
-from .sdp import (DEFAULT_MAX_ITERS, DEFAULT_TOL, fidelity_slack, recording,
+from .sdp import (DEFAULT_MAX_ITERS, DEFAULT_TOL, fidelity_slack,
                   solution_diagnostics)
 from .states import DensityMatrix
 
@@ -336,33 +337,6 @@ def cmd_measure(args):
     return report, 0
 
 
-def _check_chain(chain: str, links, tol: float) -> None:
-    """Raise RuntimeError naming the first link (name, high, low) of the
-    chain with high < low beyond the slack of the solves' tolerance ``tol``."""
-    for link, high, low in links:
-        if high < low - fidelity_slack(tol):
-            raise RuntimeError(
-                f"{chain} chain broken: {link} fails ({high!r} < {low!r})"
-            )
-
-
-def _broadcast_links(rep) -> tuple:
-    """f_max >= f_eb >= f_eb_lower and D >= -2 log2 f_eb, as chain links."""
-    return (
-        ("f_max >= f_eb", rep.f_max, rep.f_eb),
-        ("f_eb >= f_eb_lower", rep.f_eb, rep.f_eb_lower),
-        ("f_eb >= 2^(-D/2)", rep.f_eb, 2.0 ** (-rep.discord.value / 2.0)),
-    )
-
-
-def _recovery_links(rep) -> tuple:
-    """F_opt >= max(F_petz, 2^(-I/2)), as chain links."""
-    return (
-        ("F_opt >= F_petz", rep.optimal_fidelity, rep.petz_fidelity),
-        ("F_opt >= 2^(-I/2)", rep.optimal_fidelity, rep.bound),
-    )
-
-
 def _recovery_quantities(rep) -> dict:
     return {
         "cmi": rep.cmi,
@@ -375,11 +349,8 @@ def _recovery_quantities(rep) -> dict:
 
 def cmd_broadcast(args):
     rho, stanza = _resolve_state(args)
-    with recording() as records:
-        rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
-                               tol=args.tolerance, max_iters=args.sdp_max_iters)
-    _check_chain("broadcast", _broadcast_links(rep), args.tolerance)
-    solutions = dict(records)  # solves labelled by what they certify
+    rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
+                           tol=args.tolerance, max_iters=args.sdp_max_iters)
     report = {
         "command": "broadcast",
         "input": stanza,
@@ -406,8 +377,8 @@ def cmd_broadcast(args):
             },
         },
         "diagnostics": {
-            "f_max": solution_diagnostics(solutions["broadcast"]),
-            "f_eb": solution_diagnostics(solutions["EB broadcast"]),
+            "f_max": solution_diagnostics(rep.f_max_solution),
+            "f_eb": solution_diagnostics(rep.f_eb_solution),
         },
     }
     return report, 0
@@ -415,15 +386,13 @@ def cmd_broadcast(args):
 
 def cmd_recover(args):
     rho, stanza = _resolve_state(args)
-    with recording() as records:
-        rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
-    _check_chain("recovery", _recovery_links(rep), args.tolerance)
+    rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
     report = {
         "command": "recover",
         "input": stanza,
         "tolerance": args.tolerance,
         "quantities": _recovery_quantities(rep),
-        "diagnostics": solution_diagnostics(dict(records)["recovery"]),
+        "diagnostics": solution_diagnostics(rep.optimal_solution),
     }
     return report, 0
 
@@ -445,12 +414,28 @@ def _case(name: str, passed: bool, values: dict) -> dict:
     return {"name": name, "passed": bool(passed), "values": values}
 
 
+@contextlib.contextmanager
+def _naming_case(name: str):
+    """Prefix the case name to a RuntimeError (a report's broken chain, a
+    failed solve) raised inside the block."""
+    try:
+        yield
+    except RuntimeError as exc:
+        raise RuntimeError(f"case {name}: {exc}") from exc
+
+
 def _eigenbasis(mat: np.ndarray) -> np.ndarray:
     return hermitian_eig(mat).vectors
 
 
 def _suite_no_broadcast(args) -> list:
-    """Pairs of single-system states: commuting clone, non-commuting don't."""
+    """Pairs of single-system states: commuting pairs are broadcast exactly.
+
+    A non-commuting case passes when the best of four hand-picked
+    measure-and-reprepare channels (in either state's eigenbasis, the
+    computational basis or the eigenbasis of their mean) misses; that
+    shows those four fail, not that every channel does.
+    """
     rng = np.random.default_rng(args.seed)
     cases = []
     for d in (2, 3):
@@ -500,7 +485,12 @@ def _suite_no_broadcast(args) -> list:
 
 
 def _suite_no_local_broadcast(args) -> list:
-    """Two-sided broadcasting: exact for CC states, lossy otherwise."""
+    """Two-sided broadcasting: exact for CC states, lossy otherwise.
+
+    A lossy case tests one strategy, copying each side in the eigenbasis
+    of its marginal, and passes when that loses mutual information; it
+    does not test every pair of local channels.
+    """
     rng = np.random.default_rng(args.seed)
     cases = []
     cc = classical_classical_state(2, 2, rng)
@@ -588,8 +578,9 @@ def _suite_recoverability(args) -> list:
         ("random", random_state((2, 2, 2), rng)),
     ]
     for name, rho in states:
-        rep = recovery_report(rho, tol=args.tolerance, max_iters=args.sdp_max_iters)
-        _check_chain(f"recovery ({name})", _recovery_links(rep), args.tolerance)
+        with _naming_case(name):
+            rep = recovery_report(rho, tol=args.tolerance,
+                                  max_iters=args.sdp_max_iters)
         ok = rep.sigma_recovery_residual < 1e-8
         if name.startswith("markov"):
             ok = ok and abs(rep.optimal_fidelity - 1) <= fidelity_slack(args.tolerance)
@@ -608,9 +599,10 @@ def _suite_discord_bounds(args) -> list:
         ("random", random_state((2, 2), rng)),
     ]
     for name, rho in states:
-        rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
-                               tol=args.tolerance, max_iters=args.sdp_max_iters)
-        _check_chain(f"broadcast ({name})", _broadcast_links(rep), args.tolerance)
+        with _naming_case(name):
+            rep = broadcast_report(rho, seed=args.seed, restarts=args.restarts,
+                                   tol=args.tolerance,
+                                   max_iters=args.sdp_max_iters)
         values = {
             "discord": rep.discord.value,
             "f_eb": rep.f_eb,

@@ -38,24 +38,41 @@ from .sdp import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     SdpBuilder,
+    SdpSolution,
     _basis_overlaps,
     add_channel,
     certified_fidelity,
+    check_chain,
     fidelity_slack,
     hermitian_basis,
+    recording,
 )
 from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Recoverability summary for one tripartite state."""
+    """Recoverability summary for one tripartite state.
+
+    ``optimal_solution`` is the solve of ``optimal_fidelity``, run at
+    ``tol``.  Building a report checks F_opt >= max(F_petz, 2^(-I/2))
+    within ``fidelity_slack(tol)`` and raises RuntimeError naming the
+    first broken link.
+    """
 
     cmi: float
     petz_fidelity: float
     optimal_fidelity: float
     bound: float
     sigma_recovery_residual: float
+    optimal_solution: SdpSolution
+    tol: float
+
+    def __post_init__(self):
+        check_chain("recovery", (
+            ("F_opt >= F_petz", self.optimal_fidelity, self.petz_fidelity),
+            ("F_opt >= 2^(-I/2)", self.optimal_fidelity, self.bound),
+        ), self.tol)
 
 
 @dataclass(frozen=True)
@@ -165,13 +182,16 @@ def recovery_report(
     rho_b = rho_abc.marginal((1,))
     rho_bc = rho_abc.marginal((1, 2))
     residual = trace_norm(apply(petz, rho_b).matrix - rho_bc.matrix)
-    optimal, _ = optimal_recovery_fidelity(rho_abc, tol, max_iters)
+    with recording() as records:
+        optimal, _ = optimal_recovery_fidelity(rho_abc, tol, max_iters)
     return RecoveryReport(
         cmi=cmi,
         petz_fidelity=_rebuilt_fidelity(rho_abc, petz),
         optimal_fidelity=optimal,
         bound=float(2.0 ** (-cmi / 2.0)),
         sigma_recovery_residual=float(residual),
+        optimal_solution=dict(records)["recovery"],
+        tol=tol,
     )
 
 

@@ -57,8 +57,11 @@ elements.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
-``audit``.  Inside ``recording()`` each such solve is also logged as a
-(what, solution) record, the one route by which solver certificates leave.
+``audit``, and it returns its ``SdpSolution`` with the value.  Inside
+``recording()`` each such solve is also logged as a (what, solution)
+record; the reports of ``broadcast`` and ``recovery`` read their solutions
+from it and keep them, and check the paper's inequality chain with
+``check_chain`` when they are built.
 """
 
 from __future__ import annotations
@@ -87,6 +90,16 @@ DEFAULT_MAX_ITERS = 500
 def fidelity_slack(tol: float) -> float:
     """How far below a bound a fidelity solved at ``tol`` may still meet it."""
     return 10.0 * tol
+
+
+def check_chain(chain: str, links, tol: float) -> None:
+    """Raise RuntimeError naming the first link (name, high, low) of the
+    chain with high < low beyond the slack of the solves' tolerance ``tol``."""
+    for link, high, low in links:
+        if high < low - fidelity_slack(tol):
+            raise RuntimeError(
+                f"{chain} chain broken: {link} fails ({high!r} < {low!r})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -896,7 +909,9 @@ _RECORDS: contextvars.ContextVar = contextvars.ContextVar("sdp_records")
 def recording():
     """Yield a list that gets the (what, solution) record of every certified
     solve inside the block, in solve order; a nested block's records also
-    reach the enclosing one.  Outside, solves keep nothing."""
+    reach the enclosing one.  Outside, solves keep nothing.  A report reads
+    the solutions of its own solves this way, so they also reach a caller's
+    enclosing block."""
     outer, records = _RECORDS.get(None), []
     token = _RECORDS.set(records)
     try:

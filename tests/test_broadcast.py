@@ -1,5 +1,6 @@
 """Discord optimizer, broadcast-fidelity SDPs, and the MI-loss functional."""
 
+import dataclasses
 import math
 import re
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from qbroadcast.broadcast import (
     STATIONARY_GRAD,
     BroadcastReport,
+    EbDetail,
     _ascent_generator,
     _classical_mi_stack,
     _f_eb_solve,
@@ -691,6 +693,33 @@ class TestClassifyOnce:
         swapped = discord(rho, side="A", restarts=2).verdict
         assert swapped.classical_on_a and not swapped.classical_on_b
         assert swapped.witness_b == pytest.approx(direct.witness_a)
+
+
+class TestReportChain:
+    """A report checks the paper's chain when built, from Python too."""
+
+    def test_lower_bound_above_f_eb_raises(self, monkeypatch):
+        import qbroadcast.broadcast as module
+
+        original = module.f_eb_detailed
+
+        def inflated(*args, **kwargs):
+            detail = original(*args, **kwargs)
+            return EbDetail(detail.value, detail.value + 1e-3, detail.eb_exact)
+
+        monkeypatch.setattr(module, "f_eb_detailed", inflated)
+        with pytest.raises(RuntimeError, match="f_eb >= f_eb_lower"):
+            broadcast_report(bell_state(), restarts=2)
+
+    def test_replace_checks_again_and_keeps_the_recorded_solves(self):
+        with recording() as records:
+            report = broadcast_report(bell_state(), restarts=2)
+        solutions = dict(records)
+        assert report.f_max_solution is solutions["broadcast"]
+        assert report.f_eb_solution is solutions["EB broadcast"]
+        assert report.tol == DEFAULT_TOL
+        with pytest.raises(RuntimeError, match="f_max >= f_eb"):
+            dataclasses.replace(report, f_eb=report.f_max + 1e-3)
 
 
 class TestOneDimensionalFactors:

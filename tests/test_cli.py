@@ -373,6 +373,36 @@ class TestDemoChains:
         assert "F_opt >= F_petz" in err
 
 
+class TestDemoFailureNamesTheCase:
+    """A report that raises inside a demo suite names the case it ran."""
+
+    def test_recoverability(self, capsys, monkeypatch):
+        original = recovery.optimal_recovery_fidelity
+
+        def deflated(*args, **kwargs):
+            value, channel = original(*args, **kwargs)
+            return value - 0.5, channel
+
+        monkeypatch.setattr(recovery, "optimal_recovery_fidelity", deflated)
+        code, out, err = run_cli(capsys, "demo", "recoverability",
+                                 "--output", "json")
+        assert code == 1 and out == ""
+        assert "markov-product" in err and "F_opt >= F_petz" in err
+
+    def test_discord_bounds(self, capsys, monkeypatch):
+        original = broadcast.f_eb_detailed
+
+        def inflated(*args, **kwargs):
+            detail = original(*args, **kwargs)
+            return EbDetail(detail.value, detail.value + 1e-3, detail.eb_exact)
+
+        monkeypatch.setattr(broadcast, "f_eb_detailed", inflated)
+        code, out, err = run_cli(capsys, "demo", "discord-bounds",
+                                 "--restarts", "2", "--output", "json")
+        assert code == 1 and out == ""
+        assert "bell" in err and "f_eb >= f_eb_lower" in err
+
+
 class TestLooseTolerance:
     """The chain and demo checks allow the slack of the solves' tolerance."""
 

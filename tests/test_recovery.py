@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbroadcast import sdp
+from qbroadcast import recovery, sdp
 from qbroadcast.channels import (
     Channel,
     apply,
@@ -178,6 +178,27 @@ def test_recovery_chain_on_random_states(d_c, seed):
     report = recovery_report(random_state((2, 2, d_c), np.random.default_rng(seed)))
     floor = max(report.petz_fidelity, report.bound)
     assert report.optimal_fidelity >= floor - 1e-6
+
+
+class TestReportChain:
+    """A recovery report checks F_opt >= max(F_petz, 2^(-I/2)) when built."""
+
+    def test_optimal_below_petz_raises(self, monkeypatch):
+        original = recovery.optimal_recovery_fidelity
+
+        def deflated(*args, **kwargs):
+            value, channel = original(*args, **kwargs)
+            return value - 0.5, channel
+
+        monkeypatch.setattr(recovery, "optimal_recovery_fidelity", deflated)
+        with pytest.raises(RuntimeError, match="F_opt >= F_petz"):
+            recovery_report(ghz_state())
+
+    def test_report_keeps_the_recorded_solve(self):
+        with sdp.recording() as records:
+            report = recovery_report(ghz_state(), tol=1e-6)
+        assert report.optimal_solution is dict(records)["recovery"]
+        assert report.tol == 1e-6
 
 
 class TestRelativeEntropyCheck:
