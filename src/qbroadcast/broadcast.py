@@ -38,9 +38,9 @@ from .channels import (
 )
 from .classicality import ClassicalityVerdict, classify
 from .frames import build_ic_povm, conditional_states, renormalized_povm
-from .info import _clamp_dust, entropy, fidelity, mutual_information
+from .info import (_clamp_dust, entropy, entropy_of_spectrum, fidelity,
+                   mutual_information)
 from .linalg import (
-    SUPPORT_CUTOFF,
     VALIDATION_ATOL,
     InputError,
     dag,
@@ -50,6 +50,7 @@ from .linalg import (
     nearest_psd,
     partial_trace,
     require_subsystems,
+    support_mask,
     support_projector,
 )
 from .sdp import (
@@ -177,17 +178,18 @@ def _classical_mi_stack(rho4, s_keep: float, v_stack: np.ndarray) -> np.ndarray:
     outcomes given by rows w (element = outer(conj(w), w)).  Uses
     I = S(A) + H(p) - sum_i S_raw(A_i) with A_i the unnormalized
     conditional states on A, which is smooth through zero-weight outcomes.
+    Both entropies are ``entropy_of_spectrum``: each A_i and each candidate's
+    outcome weights are cut to their own ``support_mask``.
     """
-    elements = np.einsum("ria,rib->riab", v_stack.conj(), v_stack)
-    cond = np.einsum("abcd,ridb->riac", rho4, elements)
+    r, k, _ = v_stack.shape
+    d_a = rho4.shape[0]
+    elements = v_stack.conj()[..., :, None] * v_stack[..., None, :]
+    pairs = rho4.transpose(0, 2, 3, 1).reshape(d_a * d_a, -1)  # [ac, db]
+    cond = (elements.reshape(r * k, -1) @ pairs.T).reshape(r, k, d_a, d_a)
     weights = np.einsum("riaa->ri", cond).real
-    spectra = np.clip(np.linalg.eigvalsh(cond), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent_terms = np.where(spectra > 0, -spectra * np.log2(spectra), 0.0)
-        weight_terms = np.where(
-            weights > 0, -weights * np.log2(weights), 0.0
-        )
-    return s_keep + weight_terms.sum(axis=1) - ent_terms.sum(axis=(1, 2))
+    spectra = np.linalg.eigvalsh(cond)
+    return (s_keep + entropy_of_spectrum(weights)
+            - entropy_of_spectrum(spectra).sum(axis=1))
 
 
 def _ascent_generator(rho4, v: np.ndarray) -> np.ndarray:
@@ -198,11 +200,12 @@ def _ascent_generator(rho4, v: np.ndarray) -> np.ndarray:
     1/ln 2 terms of the entropy and Shannon parts cancel.  The rows
     G_i = w_i N_i, N_i = sum_ac rho4[a, :, c, :] L_i[c, a], give
     X = (G v^dag - v G^dag) / 2 and d/dt I(exp(tY) v) = 2 Re Tr(Y^dag X)
-    at t = 0 for every anti-Hermitian Y.
+    at t = 0 for every anti-Hermitian Y.  Each A_i is cut to its own
+    ``support_mask``, as the score ``_classical_mi_stack`` cuts it.
     """
     cond = np.einsum("abcd,id,ib->iac", rho4, v.conj(), v)
     vals, vecs = np.linalg.eigh(cond)
-    support = vals > SUPPORT_CUTOFF * vals.max()
+    support = support_mask(vals)
     weights = vals.sum(axis=1, where=support, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(support, np.log2(vals / weights), 0.0)

@@ -46,43 +46,27 @@ def commute_test(rho: DensityMatrix, sigma: DensityMatrix):
 def common_eigenbasis(ops, rng) -> np.ndarray:
     """Common eigenbasis of a family of pairwise-commuting Hermitian ops.
 
-    Diagonalizes a random positive mixture, then refines the basis inside
-    each near-degenerate eigenspace of the mixture by block-diagonalizing
-    the individual operators in turn.
+    Diagonalizes a random positive mixture and clusters its eigenvalues,
+    splitting where neighbours differ by more than ``DEGENERACY_GAP``
+    times max(1, largest |eigenvalue|).  Inside each cluster it then
+    diagonalizes a second random mixture, drawn after the first, which
+    separates the joint eigenspaces the first one ran together.
     """
     ops = [np.asarray(o, dtype=complex) for o in ops]
-    d = ops[0].shape[0]
-    coeffs = rng.uniform(0.5, 1.5, size=len(ops))
-    mix = sum(c * o for c, o in zip(coeffs, ops))
-    vals, vecs = np.linalg.eigh(hermitian_part(mix))
-    # cluster eigenvalues into degenerate groups
+
+    def mixture():
+        coeffs = rng.uniform(0.5, 1.5, size=len(ops))
+        return hermitian_part(sum(c * o for c, o in zip(coeffs, ops)))
+
+    vals, basis = np.linalg.eigh(mixture())
     scale = max(1.0, float(np.abs(vals).max()))
-    blocks = []
-    start = 0
-    for i in range(1, d + 1):
-        if i == d or vals[i] - vals[i - 1] > DEGENERACY_GAP * scale:
-            blocks.append(list(range(start, i)))
-            start = i
-    if all(len(b) == 1 for b in blocks):
-        return vecs
-    basis = vecs.copy()
-    for op in ops:
-        new_blocks = []
-        for block in blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            sub = basis[:, block]
-            ivals, ivecs = np.linalg.eigh(hermitian_part(dag(sub) @ op @ sub))
-            basis[:, block] = sub @ ivecs
-            # split the block wherever this operator separates eigenvalues
-            gap = DEGENERACY_GAP * max(1.0, float(np.abs(ivals).max()))
-            sub_start = 0
-            for k in range(1, len(block) + 1):
-                if k == len(block) or ivals[k] - ivals[k - 1] > gap:
-                    new_blocks.append(block[sub_start:k])
-                    sub_start = k
-        blocks = new_blocks
+    cuts = np.flatnonzero(np.diff(vals) > DEGENERACY_GAP * scale) + 1
+    clusters = [c for c in np.split(np.arange(len(vals)), cuts) if len(c) > 1]
+    if clusters:
+        second = mixture()
+        for c in clusters:
+            sub = basis[:, c]
+            basis[:, c] = sub @ np.linalg.eigh(dag(sub) @ second @ sub)[1]
     return basis
 
 

@@ -1,5 +1,7 @@
 """Entropic and distance measures, all in bits (base-2 logarithms).
 
+Every entropy, here and in the discord search, is ``entropy_of_spectrum``
+of a spectrum, which counts the eigenvalues ``linalg.support_mask`` keeps.
 Entropic quantities that are nonnegative in exact arithmetic, I(A:C|B)
 included, read 0 within ``linalg.NEGATIVE_DUST`` below zero; anything more
 negative raises, since it signals an invalid input rather than roundoff.
@@ -11,12 +13,13 @@ import numpy as np
 
 from .linalg import (
     NEGATIVE_DUST,
-    SUPPORT_CUTOFF,
     SUPPORT_LEAK_TOL,
     InputError,
+    dag,
+    hermitian_eig,
     matrix_function_on_support,
     subsystem_indices,
-    support_projector,
+    support_mask,
     trace_norm,
 )
 from .states import DensityMatrix
@@ -34,26 +37,18 @@ def _clamp_dust(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def entropy_of_spectrum(p: np.ndarray) -> float:
-    """Shannon entropy in bits of a (sub)normalized nonnegative vector."""
-    p = np.asarray(p, dtype=float)
-    top = p.max(initial=0.0)
-    p = p[p > SUPPORT_CUTOFF * max(top, 1.0)]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
-
-
-def entropy_matrix(mat: np.ndarray) -> float:
-    """von Neumann entropy of a raw density matrix (no validation)."""
-    vals = np.linalg.eigvalsh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return _clamp_dust(entropy_of_spectrum(vals), "entropy")
+def entropy_of_spectrum(p: np.ndarray):
+    """-sum p log2 p over the ``support_mask`` of a spectrum, or of each
+    spectrum (last axis) of a stack; entries off the support, negative
+    roundoff included, count as zeros.  Not normalized or clamped."""
+    q = np.where(support_mask(p), p, 1.0)  # 1 log2 1 = 0 off the support
+    return -(q * np.log2(q)).sum(axis=-1)
 
 
 def entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy S(rho) in bits."""
-    return entropy_matrix(rho.matrix)
+    value = float(entropy_of_spectrum(np.linalg.eigvalsh(rho.matrix)))
+    return _clamp_dust(value, "entropy")
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -64,11 +59,12 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     outside).
     """
     _require_equal_dim(rho, sigma, "relative entropy")
-    proj = support_projector(sigma.matrix)
-    leak = float(np.trace(rho.matrix @ (np.eye(rho.dim) - proj)).real)
+    vals, vecs = hermitian_eig(sigma.matrix).on_support()
+    outside = np.eye(rho.dim) - vecs @ dag(vecs)
+    leak = float(np.trace(rho.matrix @ outside).real)
     if leak > SUPPORT_LEAK_TOL:
         return float("inf")
-    log_sigma = matrix_function_on_support(sigma.matrix, np.log2)
+    log_sigma = (vecs * np.log2(vals)) @ dag(vecs)
     cross = float(np.trace(rho.matrix @ log_sigma).real)
     value = -entropy(rho) - cross
     return _clamp_dust(value, "relative entropy")

@@ -7,16 +7,17 @@ reshape ``(dA, dB, dA, dB)``.
 
 This module is the one place that decides when a number about a state,
 channel, POVM or spectrum counts as zero, equal or valid: the tolerance
-constants below, the support rule (``HermitianEig.on_support``), the PSD
-projection (``nearest_psd``) and one check per validation rule, each naming
-what it refuses: ``require_hermitian`` (finite, and max |A - A^dag| within
-a bound), ``require_psd``, ``require_subsystems`` and ``subsystem_indices``
-(the factors a partial trace keeps, or the sides of a mutual information).
-Other modules import them.  A refusal of the input's shape (factor count,
-index, dimension, name) is an ``InputError``, which the command line exits
-2 on; a numerical refusal (not PSD, negative beyond roundoff) is a plain
-``ValueError``.  The only tolerance arguments are
-``require_hermitian``'s (``sdp`` passes its ``COEFF_HERM_TOL``) and the
+constants below, the support rule (``support_mask``, which
+``HermitianEig.on_support``, every entropy and the discord search read),
+the PSD projection (``nearest_psd``) and one check per validation rule,
+each naming what it refuses: ``require_hermitian`` (finite, and
+max |A - A^dag| within a bound), ``require_psd``, ``require_subsystems``
+and ``subsystem_indices`` (the factors a partial trace keeps, or the sides
+of a mutual information).  Other modules import them.  A refusal of the
+input's shape (factor count, index, dimension, name) is an ``InputError``,
+which the command line exits 2 on; a numerical refusal (not PSD, negative
+beyond roundoff) is a plain ``ValueError``.  The only tolerance arguments
+are ``require_hermitian``'s (``sdp`` passes its ``COEFF_HERM_TOL``) and the
 SDP solve tolerance, whose ``sdp.fidelity_slack`` is how far a certified
 fidelity may fall short of a bound.  Stopping rules of an algorithm stay
 with it: the SDP solver's in ``sdp``, the discord search's in ``broadcast``.
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-# Support rule: eigenvalues <= SUPPORT_CUTOFF * (largest one) are zeros.
+# Support rule, read by support_mask alone: eigenvalues <= this * top are 0.
 SUPPORT_CUTOFF = 1e-12
 # Input slack (Hermiticity, trace, positivity, orthonormality) before refusal.
 VALIDATION_ATOL = 1e-10
@@ -51,6 +52,16 @@ class InputError(ValueError):
     """The input has the wrong shape for the quantity asked of it."""
 
 
+def support_mask(values: np.ndarray) -> np.ndarray:
+    """The support rule: True where an eigenvalue exceeds SUPPORT_CUTOFF
+    times the largest of its spectrum, the last axis of ``values`` (one
+    spectrum or a stack of them).  A spectrum whose largest eigenvalue is
+    not positive has no support."""
+    values = np.asarray(values)
+    top = values.max(axis=-1, keepdims=True, initial=0.0)
+    return values > SUPPORT_CUTOFF * top
+
+
 class HermitianEig(NamedTuple):
     """Eigendecomposition with eigenvalues sorted in descending order.
 
@@ -61,14 +72,13 @@ class HermitianEig(NamedTuple):
     vectors: np.ndarray
 
     def on_support(self) -> "HermitianEig":
-        """The eigenpairs on the support: values > SUPPORT_CUTOFF * values[0].
+        """The eigenpairs on the support (``support_mask``).
 
         Empty (no values, no columns) when the largest eigenvalue is not
         positive.  Since values descend, these are the leading pairs; the
         remaining columns of ``vectors`` span the kernel.
         """
-        top = self.values[0] if self.values.size else 0.0
-        rank = int((self.values > SUPPORT_CUTOFF * top).sum()) if top > 0 else 0
+        rank = int(support_mask(self.values).sum())
         return HermitianEig(self.values[:rank], self.vectors[:, :rank])
 
 

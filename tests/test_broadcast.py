@@ -18,6 +18,7 @@ from qbroadcast.broadcast import (
     _classical_mi_stack,
     _f_eb_solve,
     _product_decomposition,
+    _projective_rows,
     _swap_sides,
     _wootters_measure_prepare,
     average_mi_loss,
@@ -41,6 +42,7 @@ from qbroadcast.corpus import (
     named_state,
     random_channel,
     random_state,
+    random_unitary,
     werner_state,
 )
 from qbroadcast.frames import build_ic_povm
@@ -173,6 +175,40 @@ class TestDiscord:
         v = np.linalg.qr(g)[0][:, :d_b]
         x = _ascent_generator(rho4, v)
         assert np.abs(x + x.conj().T).max() < 1e-12
+        step = 1e-5
+        for _ in range(3):
+            h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            y = (h - h.conj().T) / 2
+            ends = np.stack(
+                [scipy.linalg.expm(t * y) @ v for t in (step, -step)]
+            )
+            plus, minus = _classical_mi_stack(rho4, s_a, ends)
+            numeric = (plus - minus) / (2 * step)
+            analytic = 2 * np.vdot(y, x).real
+            assert abs(numeric - analytic) <= 1e-6 * abs(analytic)
+
+    @pytest.mark.parametrize("dims, rank, padded", [
+        ((3, 2), 2, False),  # every conditional state on A has a kernel
+        ((2, 2), None, True),  # two zero-weight outcomes
+        ((2, 3), None, True),
+        ((3, 2), 2, True),
+    ])
+    def test_ascent_generator_matches_finite_difference_at_the_support_edge(
+        self, dims, rank, padded
+    ):
+        # score and gradient cut each conditional state to its own support
+        rng = np.random.default_rng(sum(dims) + 10 * padded)
+        rho = random_state(dims, rng, rank=rank)
+        d_a, d_b = dims
+        k = d_b * d_b
+        rho4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+        s_a = entropy(rho.marginal((0,)))
+        if padded:
+            v = _projective_rows(random_unitary(d_b, rng), k)
+        else:
+            g = rng.normal(size=(k, d_b)) + 1j * rng.normal(size=(k, d_b))
+            v = np.linalg.qr(g)[0][:, :d_b]
+        x = _ascent_generator(rho4, v)
         step = 1e-5
         for _ in range(3):
             h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))

@@ -111,6 +111,24 @@ def test_common_eigenbasis_refinement_splits_blocks(monkeypatch):
     assert max_abs(off) < 1e-8
 
 
+def test_common_eigenbasis_splits_a_cluster_the_first_mixture_merges():
+    # joint eigenvalues (a_j, b_j): columns 0 and 1 are jointly degenerate;
+    # columns 2 and 3 differ in each operator, but the first mixture
+    # c_a a + c_b b (the first draw of the rng) takes one value on both
+    c_a, c_b = np.random.default_rng(5).uniform(0.5, 1.5, size=2)
+    a = np.array([1.0, 1.0, 2.0, 3.0])
+    b = np.array([0.5, 0.5, 1.0, 1.0 - c_a / c_b])
+    u = random_unitary(4, np.random.default_rng(6))
+    ops = [(u * a) @ dag(u), (u * b) @ dag(u)]
+    basis = common_eigenbasis(ops, np.random.default_rng(5))
+    assert max_abs(dag(basis) @ basis - np.eye(4)) < 1e-10
+    for op in ops:
+        rotated = dag(basis) @ op @ basis
+        assert max_abs(rotated - np.diag(np.diagonal(rotated))) < 1e-8
+    again = common_eigenbasis(ops, np.random.default_rng(5))
+    assert np.array_equal(basis, again)
+
+
 def _pairwise_side_witness(rho, measured):
     """Reference witness: a Python loop over every pair of normalized
     conditional states with weight above WEIGHT_FLOOR."""

@@ -250,6 +250,41 @@ class TestNumericalPolicy:
                     f"{mod.__name__}.{name}"
                 )
 
+    def test_entropy_cuts_relative_to_the_largest_eigenvalue(self):
+        from qbroadcast.info import entropy
+        from qbroadcast.linalg import SUPPORT_CUTOFF
+        from qbroadcast.states import DensityMatrix
+
+        # top < 1: an absolute floor of SUPPORT_CUTOFF would drop both
+        top = 0.6
+        above, below = 1.1 * SUPPORT_CUTOFF * top, 0.9 * SUPPORT_CUTOFF * top
+        vals = np.array([top, 1.0 - top - above - below, above, below])
+        u = np.linalg.qr(random_herm(4, np.random.default_rng(4)))[0]
+        rho = DensityMatrix((2, 2), (u * vals) @ dag(u))
+        kept = vals[:3]
+        expected = float(-(kept * np.log2(kept)).sum())
+        assert -below * np.log2(below) > 1e-11  # each small term shows
+        assert abs(entropy(rho) - expected) < 1e-13
+
+    def test_only_linalg_reads_support_cutoff(self):
+        import ast
+        import inspect
+
+        import qbroadcast
+
+        for mod in [qbroadcast, *self.modules()]:
+            if mod.__name__ == "qbroadcast.linalg":
+                continue
+            names = set()
+            for node in ast.walk(ast.parse(inspect.getsource(mod))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            assert "SUPPORT_CUTOFF" not in names, mod.__name__
+
 
 def _poisoned(mat, bad):
     out = np.array(mat, dtype=complex)
