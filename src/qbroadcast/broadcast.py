@@ -10,9 +10,12 @@ copied:
   channels, imposed as positivity of the partially transposed Choi
   (exact for a qubit B side, a relaxation above that).
   ``f_eb_detailed`` brackets it from below with the fidelity of an
-  explicit measure-and-prepare channel: for a qubit B one read off the
-  PPT optimum by Wootters' product decomposition, with no further SDP;
-  above that the one that alternating measure-and-prepare SDPs end at.
+  explicit entanglement-breaking channel.  For a qubit B that is the PPT
+  optimum itself, made a channel with a positive definite partial
+  transpose: on 2 (x) 2, PPT implies separable, and a separable Choi
+  matrix is an entanglement-breaking channel, so no further SDP runs.
+  Above that it is the one that alternating measure-and-prepare SDPs
+  end at.
 * ``discord`` — mutual information lost by the best measurement on one
   side, found by multi-start conjugate-gradient ascent of the measured
   mutual information over rank-one POVMs.
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 from scipy.optimize import minimize_scalar
 
 from .channels import (
@@ -41,7 +43,6 @@ from .frames import build_ic_povm, conditional_states, renormalized_povm
 from .info import (_clamp_dust, entropy, entropy_of_spectrum, fidelity,
                    mutual_information)
 from .linalg import (
-    VALIDATION_ATOL,
     InputError,
     dag,
     hermitian_eig,
@@ -93,9 +94,10 @@ class EbDetail:
     """Entanglement-breaking fidelity with its certification status.
 
     ``value`` is the PPT optimum, ``lower_bound`` the fidelity of an
-    explicit measure-and-prepare channel (for every B dimension), and
+    explicit entanglement-breaking channel (for every B dimension), and
     ``eb_exact`` says that ``value`` is the EB optimum itself (a qubit B
-    side).
+    side, where the channel behind ``lower_bound`` is the PPT optimum's
+    own).
     """
 
     value: float
@@ -445,20 +447,24 @@ def f_eb_detailed(
     transpose: exactly the EB set for a qubit B, a superset (hence an
     upper bound on the fidelity) in higher dimension, reported via
     ``eb_exact``.  ``lower_bound`` is the fidelity of an explicit
-    measure-and-prepare channel, so it is achievable whatever the
-    roundoff.  For a qubit B that channel is read off the PPT optimum by
-    Wootters' product decomposition (``_wootters_measure_prepare``), with no
-    further SDP, and matches the value to solver accuracy; above that it
-    is the channel the alternating measure-and-prepare ascent ends at.
+    entanglement-breaking channel, so it is achievable whatever the
+    roundoff.  For a qubit B that channel is the PPT optimum's own
+    (``_qubit_eb_channel``): projected onto a channel and mixed with a
+    little depolarizing Choi until its partial transpose is positive
+    definite, which is checked.  A 2 (x) 2 PPT Choi matrix is separable,
+    so the channel is entanglement breaking; no further SDP runs, and the
+    bound matches the value to solver accuracy.  Above that PPT does not
+    certify separability, and the channel is the one the alternating
+    measure-and-prepare ascent ends at.
     """
     _require_dimension_two(rho, "f_eb_detailed", factors=(1,))
     value, solution = _f_eb_solve(rho, tol, max_iters)
     qubit_b = rho.dims[1] == 2
     if qubit_b:
-        povm, preps = _wootters_measure_prepare(solution.primal_blocks[0])
+        channel = _qubit_eb_channel(solution.primal_blocks[0])
     else:
         povm, preps = _measure_prepare_ascent(rho, tol, max_iters)
-    channel = entanglement_breaking(povm, preps)
+        channel = entanglement_breaking(povm, preps)
     lower = fidelity(rho, apply_on_subsystem(channel, rho, 1))
     return EbDetail(value, lower, eb_exact=qubit_b)
 
@@ -494,90 +500,28 @@ def _f_eb_solve(rho: DensityMatrix, tol, max_iters):
     )
 
 
-# sigma_y (x) sigma_y, real: psi^T SPIN_FLIP psi = -2 det(psi as 2x2)
-_SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real
-# real orthogonal with every entry +-1/2, so it spreads weight evenly
-_HADAMARD_4 = hadamard(4) / 2.0
+def _qubit_eb_channel(choi: np.ndarray) -> Channel:
+    """The channel of a qubit PPT Choi matrix, entanglement breaking as is.
 
-
-def _wootters_measure_prepare(choi: np.ndarray):
-    """Measure-and-prepare channel read off a qubit PPT Choi matrix.
-
-    Projects ``choi`` onto a channel, mixes in just enough of the
-    depolarizing Choi I (x) I / 2 to make it full rank with a positive
-    definite partial transpose, and splits it into four product terms
-    w_k |a_k><a_k| (x) |b_k><b_k|.  Returns (POVM, preparations): the
-    elements w_k |a_k><a_k|^T, renormalized to sum to I exactly, and the
-    states |b_k><b_k|.
+    Projects ``choi`` onto a channel and mixes in just enough of the
+    depolarizing Choi I (x) I / 2 to make its partial transpose positive
+    definite.  On 2 (x) 2 a PPT operator is separable (Horodecki,
+    Horodecki and Horodecki 1996), and a channel with a separable Choi
+    matrix is entanglement breaking (Horodecki, Shor and Ruskai 2003).
+    Raises RuntimeError if the mixed partial transpose is not positive
+    definite, as it is not for a Choi matrix far from PPT.
     """
     j = project_to_nearest_channel(choi, (2,), (2,)).choi
     pt_min = float(np.linalg.eigvalsh(_partial_transpose_output(j, 2, 2))[0])
     eps = 1e-9 + 4.0 * max(0.0, -pt_min)
     j = (1.0 - eps) * j + eps * np.eye(4) / 2.0
-    weights, a_kets, b_kets = _product_decomposition(j)
-    elements = [w * np.outer(a.conj(), a) for w, a in zip(weights, a_kets)]
-    preps = [DensityMatrix((2,), np.outer(b, b.conj())) for b in b_kets]
-    return renormalized_povm(elements), preps
-
-
-def _product_decomposition(j: np.ndarray):
-    """Four product terms of a separable 2 (x) 2 PSD operator (Wootters 1998).
-
-    Returns (weights, a, b), each a_k and b_k a unit row, with
-    j = sum_k weights[k] |a_k><a_k| (x) |b_k><b_k| up to roundoff.  The
-    columns of X = V conj(Q), V the subnormalized eigenvectors of j and
-    T = V^T SPIN_FLIP V = Q diag(lambda) Q^T a Takagi factorization, give
-    j = X X^dag with X^T SPIN_FLIP X diagonal.  Phases making the diagonal
-    sum to zero (possible because j is separable) and a Hadamard mix then
-    leave each column with zero concurrence, i.e. a product vector.
-    """
-    vals, vecs = hermitian_eig(j).on_support()
-    v = np.zeros((4, 4), dtype=complex)
-    v[:, : vals.size] = vecs * np.sqrt(vals)
-    t = v.T @ _SPIN_FLIP @ v
-    # T conj(q) = lambda q, i.e. [x; y] with q = x + iy is an eigenvector of
-    # this real symmetric matrix, whose spectrum is +-lambda
-    embedding = np.block([[t.real, t.imag], [t.imag, -t.real]])
-    _, embedded = np.linalg.eigh(embedding)
-    q = embedded[:4, 4:] + 1j * embedded[4:, 4:]
-    # use the unitary polar factor of q: a singular T makes q rank-deficient
-    left, _, right = np.linalg.svd(q)
-    x = v @ (left @ right).conj()
-    diag = np.einsum("ij,ik,kj->j", x, _SPIN_FLIP, x)
-    phases = _close_quadrilateral(np.abs(diag))
-    z = (x * np.exp(0.5j * (phases - np.angle(diag)))) @ _HADAMARD_4
-    u, s, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
-    return s[:, 0] ** 2, u[:, :, 0], vh[:, 0, :]
-
-
-def _close_quadrilateral(lengths: np.ndarray) -> np.ndarray:
-    """Phases theta with sum_k exp(i theta_k) lengths[k] = 0.
-
-    Needs the longest of the four lengths to be at most the sum of the
-    others.  The two longest and the two shortest each close a triangle
-    with a shared third side r, chosen mid-range so both stay as far from
-    degenerate as the lengths allow.
-    """
-    order = np.argsort(lengths)[::-1]
-    l1, l2, l3, l4 = lengths[order]
-    r = (max(l1 - l2, l3 - l4) + min(l1 + l2, l3 + l4)) / 2.0
-    t2, t4 = _turn(l1, l2, r), _turn(l3, l4, r)
-    rot = np.angle(-(l1 + l2 * np.exp(1j * t2)))
-    rot -= np.angle(l3 + l4 * np.exp(1j * t4))
-    phases = np.empty(4)
-    phases[order] = [0.0, t2, rot, rot + t4]
-    return phases
-
-
-def _turn(a: float, b: float, c: float) -> float:
-    """phi with |a + b exp(i phi)| = c, by the half-angle formula.
-
-    Unlike the law of cosines, its error in c stays linear in the error of
-    the sides when the triangle is nearly degenerate.
-    """
-    num = max(c - a + b, 0.0) * max(c + a - b, 0.0)
-    den = max(a + b + c, 0.0) * max(a + b - c, 0.0)
-    return float(np.pi - 2.0 * np.arctan2(np.sqrt(num), np.sqrt(den)))
+    pt_min = float(np.linalg.eigvalsh(_partial_transpose_output(j, 2, 2))[0])
+    if not pt_min > 0.0:
+        raise RuntimeError(
+            f"qubit EB channel not certified: its partial transpose has "
+            f"eigenvalue {pt_min:.3e}, not positive definite"
+        )
+    return Channel((2,), (2,), j)
 
 
 def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
@@ -637,33 +581,19 @@ def _a_support(rho: DensityMatrix, b_support: np.ndarray) -> np.ndarray:
 # measurement-copy broadcasting and the MI-loss functional
 
 
-def measurement_copy_broadcaster(
-    povm: Povm, copies: int, prep_basis: np.ndarray | None = None
-) -> Channel:
+def measurement_copy_broadcaster(povm: Povm, copies: int) -> Channel:
     """Measure, then write the outcome into ``copies`` classical registers.
 
-    Each output register carries the outcome in ``prep_basis``
-    (computational basis of dimension n_outcomes by default), so every
-    single-register marginal equals the plain measurement channel output.
+    Each output register carries the outcome in the computational basis
+    of dimension n_outcomes, so every single-register marginal equals the
+    plain measurement channel output.
     """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")
     k = povm.n_outcomes
-    if prep_basis is None:
-        prep_basis = np.eye(k, dtype=complex)
-    prep_basis = np.asarray(prep_basis, dtype=complex)
-    gram = dag(prep_basis) @ prep_basis
-    if np.abs(gram - np.eye(prep_basis.shape[1])).max() > VALIDATION_ATOL:
-        raise ValueError("prep basis columns must be orthonormal")
-    if prep_basis.shape[1] < k:
-        raise ValueError(
-            f"need {k} prep vectors, got {prep_basis.shape[1]}"
-        )
-
-    d_reg = prep_basis.shape[0]
     preps = [
-        PureState((d_reg,) * copies, kron(*[ket] * copies)).to_density()
-        for ket in prep_basis.T[:k]
+        PureState((k,) * copies, kron(*[ket] * copies)).to_density()
+        for ket in np.eye(k, dtype=complex)
     ]
     return entanglement_breaking(povm, preps)
 

@@ -73,14 +73,6 @@ class CompletelyPositiveMap:
     def out_dim(self) -> int:
         return int(np.prod(self.out_dims))
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        """Action on an arbitrary operator (no state validation)."""
-        mat = np.asarray(mat, dtype=complex)
-        din, dout = self.in_dim, self.out_dim
-        if mat.shape != (din, din):
-            raise ValueError(f"operator shape {mat.shape}, expected {(din, din)}")
-        return choi_subsystem_action(self.choi, din, dout, mat, (din,), 0)
-
 
 @dataclass(frozen=True, eq=False)
 class Channel(CompletelyPositiveMap):
@@ -130,7 +122,10 @@ def apply(ch: CompletelyPositiveMap, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to a whole state."""
     if rho.dim != ch.in_dim:
         raise ValueError(f"state dim {rho.dim} != channel input dim {ch.in_dim}")
-    return DensityMatrix(ch.out_dims, hermitian_part(ch.apply_matrix(rho.matrix)))
+    out = choi_subsystem_action(
+        ch.choi, ch.in_dim, ch.out_dim, rho.matrix, (rho.dim,), 0
+    )
+    return DensityMatrix(ch.out_dims, hermitian_part(out))
 
 
 def apply_on_subsystem(

@@ -17,10 +17,10 @@ from qbroadcast.broadcast import (
     _ascent_generator,
     _classical_mi_stack,
     _f_eb_solve,
-    _product_decomposition,
+    _partial_transpose_output,
     _projective_rows,
+    _qubit_eb_channel,
     _swap_sides,
-    _wootters_measure_prepare,
     average_mi_loss,
     broadcast_report,
     discord,
@@ -32,6 +32,8 @@ from qbroadcast.broadcast import (
 from qbroadcast.channels import (
     Channel,
     apply_on_subsystem,
+    identity_channel,
+    project_to_nearest_channel,
     quantum_to_classical,
 )
 from qbroadcast.classicality import classify
@@ -47,7 +49,7 @@ from qbroadcast.corpus import (
 )
 from qbroadcast.frames import build_ic_povm
 from qbroadcast.info import entropy, fidelity, mutual_information
-from qbroadcast.linalg import VALIDATION_ATOL, max_abs, trace_norm
+from qbroadcast.linalg import max_abs, trace_norm
 from qbroadcast.sdp import DEFAULT_TOL, fidelity_slack, recording
 from qbroadcast.states import DensityMatrix, Povm
 
@@ -408,17 +410,20 @@ class TestFEb:
     def test_lower_bound_is_the_fidelity_of_its_channel(
         self, dims, monkeypatch
     ):
-        # both B dimensions build one explicit measure-and-prepare channel,
-        # and the bound is exactly the fidelity of its output
+        # both B dimensions build one explicit entanglement-breaking
+        # channel, and the bound is exactly the fidelity of its output
         import qbroadcast.broadcast as module
 
-        build, channels = module.entanglement_breaking, []
+        channels = []
 
-        def spy(povm, preps):
-            channels.append(build(povm, preps))
-            return channels[-1]
+        def spy(build):
+            def built(*args):
+                channels.append(build(*args))
+                return channels[-1]
+            return built
 
-        monkeypatch.setattr(module, "entanglement_breaking", spy)
+        for name in ("entanglement_breaking", "_qubit_eb_channel"):
+            monkeypatch.setattr(module, name, spy(getattr(module, name)))
         rho = random_state(dims, np.random.default_rng(16))
         detail = f_eb_detailed(rho)
         (ch,) = channels
@@ -513,54 +518,24 @@ class TestIsotropicClosedForms:
             assert any(m.startswith(name) for m in misses)
 
 
-def random_separable(rng, terms: int) -> np.ndarray:
-    """Sum of ``terms`` randomly weighted random product projectors on 2x2."""
-    out = np.zeros((4, 4), dtype=complex)
-    for _ in range(terms):
-        a, b = (rng.normal(size=(2, 2)) @ [1, 1j] for _ in range(2))
-        out += rng.uniform(0.1, 1.0) * np.kron(
-            np.outer(a, a.conj()) / np.vdot(a, a).real,
-            np.outer(b, b.conj()) / np.vdot(b, b).real,
-        )
-    return out
-
-
-def assert_product_decomposition(j: np.ndarray):
-    weights, a_kets, b_kets = _product_decomposition(j)
-    rebuilt = sum(
-        w * np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
-        for w, a, b in zip(weights, a_kets, b_kets)
-    )
-    assert max_abs(rebuilt - j) <= 1e-10
-    # the same terms as raw vectors: each 2x2 reshape has rank one
-    terms = np.sqrt(weights)[:, None, None] * np.einsum(
-        "ka,kb->kab", a_kets, b_kets
-    )
-    second = np.linalg.svd(terms, compute_uv=False)[:, 1]
-    assert second.max() <= 1e-10
-
-
 class TestWoottersDecomposition:
-    @pytest.mark.parametrize("terms", [1, 2, 3, 4, 5, 6])
-    def test_random_separable_operators(self, terms):
-        rng = np.random.default_rng(40 + terms)
-        for _ in range(20):
-            assert_product_decomposition(random_separable(rng, terms))
+    """The qubit-B bound's channel is the PPT optimum's own; no solve
+    follows the PPT program for a qubit B, and d_B >= 3 keeps the ascent."""
 
-    def test_bell_ppt_optimum(self):
-        _, solution = _f_eb_solve(bell_state(), 1e-7, 500)
-        assert_product_decomposition(solution.primal_blocks[0])
-
-    def test_werner_at_the_separability_edge(self):
-        assert_product_decomposition(werner_state(1 / 3).matrix)
-
-    def test_povm_sums_to_identity(self):
+    def test_qubit_channel_is_the_ppt_optimum_with_pd_partial_transpose(self):
         for rho in (bell_state(), werner_state(0.7),
                     random_state((3, 2), np.random.default_rng(41))):
             _, solution = _f_eb_solve(rho, 1e-7, 500)
-            povm, preps = _wootters_measure_prepare(solution.primal_blocks[0])
-            assert max_abs(sum(povm.elements) - np.eye(2)) <= VALIDATION_ATOL
-            assert len(preps) == povm.n_outcomes == 4
+            choi = solution.primal_blocks[0]
+            ch = _qubit_eb_channel(choi)
+            pt = _partial_transpose_output(ch.choi, 2, 2)
+            assert np.linalg.eigvalsh(pt)[0] > 0
+            projected = project_to_nearest_channel(choi, (2,), (2,))
+            assert max_abs(ch.choi - projected.choi) <= 1e-8
+
+    def test_choi_far_from_ppt_is_refused(self):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            _qubit_eb_channel(identity_channel(2).choi)
 
     def test_qubit_b_needs_no_further_solve(self):
         with recording() as records:
@@ -609,10 +584,6 @@ class TestMeasurementCopy:
         povm = build_ic_povm(2)
         with pytest.raises(ValueError, match="copies"):
             measurement_copy_broadcaster(povm, 0)
-        skewed = np.eye(4, dtype=complex)
-        skewed[0, 1] = 0.5
-        with pytest.raises(ValueError, match="orthonormal"):
-            measurement_copy_broadcaster(povm, 2, prep_basis=skewed)
 
 
 class TestAverageMiLoss:

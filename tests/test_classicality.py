@@ -98,9 +98,10 @@ def test_classify_degenerate_conditional_states_without_warning():
         assert max_abs(rotated - np.diag(np.diagonal(rotated))) < 1e-8
 
 
-def test_common_eigenbasis_refinement_splits_blocks(monkeypatch):
-    # force everything into one cluster via a huge degeneracy gap; the
-    # per-operator refinement has to recover the eigenbasis on its own
+def test_common_eigenbasis_of_one_operator_in_one_cluster(monkeypatch):
+    # a huge degeneracy gap puts every eigenvalue into one cluster; with a
+    # single operator each random mixture is a multiple of it, so the
+    # basis must still diagonalize it
     monkeypatch.setattr(classicality, "DEGENERACY_GAP", 10.0)
     rng = np.random.default_rng(0)
     u = random_unitary(3, rng)

@@ -271,21 +271,15 @@ class TestOneMeasurePreparePath:
         want = entanglement_breaking(Povm.from_basis(u), preps)
         assert max_abs(basis_broadcaster(u).choi - want.choi) < 1e-12
 
-    @pytest.mark.parametrize("custom", [False, True])
     @pytest.mark.parametrize("copies", [1, 2, 3])
-    def test_measurement_copy_broadcaster(self, d, copies, custom):
+    def test_measurement_copy_broadcaster(self, d, copies):
         rng = np.random.default_rng(10 * d + copies)
         povm = Povm.from_basis(random_unitary(d, rng))
-        # a custom basis with a spare column, which the channel ignores
-        basis = random_unitary(d + 1, rng) if custom else np.eye(d)
         preps = [
-            _pure((basis.shape[0],) * copies, kron(*[ket] * copies))
-            for ket in basis.T[:d]
+            _pure((d,) * copies, kron(*[ket] * copies)) for ket in np.eye(d)
         ]
         want = entanglement_breaking(povm, preps)
-        got = measurement_copy_broadcaster(
-            povm, copies, basis if custom else None
-        )
+        got = measurement_copy_broadcaster(povm, copies)
         assert max_abs(got.choi - want.choi) < 1e-12
 
 
