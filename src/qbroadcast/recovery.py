@@ -222,7 +222,7 @@ def optimal_fixing_recovery_fidelity(
     basis = hermitian_basis(d_out)[1:]
     builder.add_constraint(
         {j_blk: kron(image_sigma.conj(), basis)},
-        _basis_overlaps(basis, sigma.matrix),
+        _basis_overlaps(sigma.matrix).real[1:],
     )
 
     def rebuild(choi):

@@ -9,26 +9,31 @@ Standard form over complex Hermitian PSD blocks X_k:
 with <A, B> = Re Tr(A B).  A constraint family enters ``SdpBuilder`` as
 one row block: a (q, n_k, n_k) coefficient stack per block it touches and
 q right-hand sides.  The builder refuses coefficients that are not
-Hermitian, and ``SdpBuilder.build`` concatenates the row blocks into one
-complex (m, n_k, n_k) array per block plus the vector b: the public data
-that ``audit`` checks and redundancy removal reads.  Flattened and viewed
-as real pairs, a stack becomes real rows whose dot product with a
-flattened Hermitian X is Re Tr(A_i X), so the real linear algebra needs
-neither a copy nor an embedding.  Dependent constraints are found by one
-pivoted Cholesky of the rows' Gram matrix, which resolves independence to
-about 1e-6 relative, and dropped once their right-hand sides are checked
-against the kept rows.
+Hermitian, once, as each row block comes in, and ``SdpBuilder.build``
+concatenates the row blocks into one complex (m, n_k, n_k) array per
+block plus the vector b: the public data that ``audit`` checks (an
+``SdpProblem`` constructed directly validates its own data).  A solve
+scans each block's stack once (``_Nonzeros``) for its entry rows, with
+at most 2 nonzero entries there, as the orthonormal basis elements of
+the fidelity gadget have, and its dense rows; preprocessing and the row
+layout both read that scan.  Dependent constraints are found by one
+pivoted Cholesky of the rows' Gram matrix, which resolves independence
+to about 1e-6 relative, and dropped once their right-hand sides are
+checked against the kept rows.  The Gram matrix is formed block by
+block: entry rows against each other from their entries, against dense
+rows by gathers, dense rows against each other by one symmetric product.
+Flattened and viewed as real pairs, a row is a real vector whose dot
+product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
+algebra needs neither a copy nor an embedding.
 
 Each solve then lays out the kept, scaled rows once per block group
 (``_layout``), and every per-iterate operation (the map
 X -> (<A_i, X>)_i, its adjoint, the Schur complement, the starting point)
-runs from that layout.  An entry row of a block has at most 2 nonzero
-entries there, as the orthonormal basis elements of the fidelity gadget
-have; a block group is the blocks of one side whose entry rows are the
-same rows with entries at the same positions.  The k outcome or
-preparation blocks of a measure-and-prepare half-step form one group;
-every other block the library builds is a group of its own.  X, Z and
-every per-block quantity are one (b, n, n) stack per group, so the NT
+runs from that layout.  A block group is the blocks of one side whose
+entry rows are the same rows with entries at the same positions.  The k
+outcome or preparation blocks of a measure-and-prepare half-step form one
+group; every other block the library builds is a group of its own.  X, Z
+and every per-block quantity are one (b, n, n) stack per group, so the NT
 scaling, the step lengths, the Newton right-hand sides and the updates
 run once per group, in stacked LAPACK and BLAS calls, as SDPT3 uses the
 block-diagonal structure.  A group (``_BlockRows``) holds only the rows
@@ -37,7 +42,10 @@ block: W A_i W is a sum of two outer products, and Re Tr(A_j W A_i W) is
 read off it at row j's entries, as in the sparse-row Schur formulas of
 Fujisawa, Kojima and Nakata (Math. Program. 79, 235, 1997).  The other
 rows form one real matrix over the flattened stack, so A(X) and A^*(y)
-are one matrix-vector product each, and keep dense W A W products.
+are one matrix-vector product each.  With W = G G^dag their Schur terms
+are Re <G^dag A_i G, G^dag A_j G>, one symmetric product of the real
+views of the G^dag A_j G, and each group adds its terms into the Schur
+complement in place.
 Stacking blocks whose entry rows differ would hold those rows densely,
 hence the grouping rule.  The reduced problem is solved by primal-dual
 path following with Nesterov-Todd scaling run directly on the Hermitian
@@ -53,7 +61,8 @@ rows, of the point it returns; ``audit`` is the unscaled check.
 Instances here are small (block side <= ~40, <= ~700 constraints), so
 dense linear algebra per iteration is the right tool.  The fidelity
 gadget applies each linear term of sigma once, to a whole stack of basis
-elements.
+elements, and reads its overlaps with the basis by gathers and builds its
+coupling rows by scatters, as each basis element has at most 2 entries.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
@@ -69,6 +78,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -112,6 +122,8 @@ class SdpProblem:
 
     ``stacks[k][i]`` is the coefficient of block k in constraint i (zero
     where the constraint leaves the block out) and ``rhs[i]`` is b_i.
+    Constructed directly, it validates its data; ``SdpBuilder.build``
+    hands over data it validated as each row block came in.
     """
 
     blocks: tuple[int, ...]
@@ -122,14 +134,28 @@ class SdpProblem:
     def __post_init__(self):
         if not len(self.blocks) == len(self.objective) == len(self.stacks):
             raise ValueError("blocks, objective and stacks differ in length")
-        if not np.isfinite(self.rhs).all():
-            raise ValueError("rhs is not finite")
+        _check_rhs(self.rhs)
         m = self.n_constraints
         for k, (n, c, a) in enumerate(
             zip(self.blocks, self.objective, self.stacks)
         ):
             _check_block(c, (n, n), "objective", k)
             _check_block(a, (m, n, n), "constraint", k)
+
+    @classmethod
+    def _from_validated(cls, blocks, objective, stacks, rhs) -> SdpProblem:
+        """A problem of data already validated, without checking it again."""
+        problem = object.__new__(cls)
+        for name, value in zip(
+            ("blocks", "objective", "stacks", "rhs"), (blocks, objective, stacks, rhs)
+        ):
+            object.__setattr__(problem, name, value)
+        return problem
+
+    @cached_property
+    def _nonzeros(self) -> tuple:
+        """One ``_Nonzeros`` scan per block, shared by every reader."""
+        return tuple(_Nonzeros(a) for a in self.stacks)
 
     @property
     def n_constraints(self) -> int:
@@ -192,10 +218,12 @@ class SdpBuilder:
         """Add rows sum_k <A_ik, X_k> = b_i: one matrix per block and a
         scalar ``rhs``, or a row block of (q, n_k, n_k) stacks and q values.
         Blocks left out of ``coeffs`` get zeros.  A block index that
-        ``add_block`` did not return, or a coefficient not finite or further
-        than ``COEFF_HERM_TOL`` from Hermitian, raises ValueError; roundoff
-        below that is symmetrized away."""
-        rhs = np.asarray(rhs, dtype=float)
+        ``add_block`` did not return, a right-hand side not finite, or a
+        coefficient not finite or further than ``COEFF_HERM_TOL`` from
+        Hermitian, raises ValueError; roundoff below that is symmetrized
+        away.  This is the one check of the rows: ``build`` does not
+        repeat it."""
+        rhs = _check_rhs(np.asarray(rhs, dtype=float))
         stacks = {k: np.asarray(a, dtype=complex) for k, a in coeffs.items()}
         if rhs.ndim == 0:
             rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
@@ -216,7 +244,9 @@ class SdpBuilder:
             hermitian_part(_check_block(c, (n, n), "objective", k))
             for k, (n, c) in enumerate(zip(self._blocks, self._objective))
         )
-        return SdpProblem(tuple(self._blocks), objective, tuple(stacks), rhs)
+        return SdpProblem._from_validated(
+            tuple(self._blocks), objective, tuple(stacks), rhs
+        )
 
 
 def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
@@ -224,6 +254,12 @@ def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
     if a.shape != shape:
         raise ValueError(f"{what} block {block} has shape {a.shape}")
     return require_hermitian(a, f"{what} block {block}", COEFF_HERM_TOL)
+
+
+def _check_rhs(rhs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs is not finite")
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -236,65 +272,123 @@ def hermitian_basis(n: int) -> np.ndarray:
     Stacked as an (n^2, n, n) array: the diagonal units first, then for
     each i < j the real and the imaginary off-diagonal element.
     """
+    i, j = np.triu_indices(n, 1)
+    t, diag = n + 2 * np.arange(len(i)), np.arange(n)
     basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    t = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            basis[t, i, j] = basis[t, j, i] = 1.0 / np.sqrt(2)
-            basis[t + 1, i, j] = -1j / np.sqrt(2)
-            basis[t + 1, j, i] = 1j / np.sqrt(2)
-            t += 2
+    basis[diag, diag, diag] = 1.0
+    basis[t, i, j] = basis[t, j, i] = 1.0 / np.sqrt(2)
+    basis[t + 1, i, j] = -1j / np.sqrt(2)
+    basis[t + 1, j, i] = 1j / np.sqrt(2)
     return basis
+
+
+def _basis_combinations(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_e c_e H_e over ``hermitian_basis(n)`` for each row c of the real
+    (q, n^2) ``coeffs``: a scatter, as each H_e has at most 2 entries."""
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    out = np.zeros((len(coeffs), n, n), dtype=complex)
+    out[:, diag, diag] = coeffs[:, :n]
+    upper = (coeffs[:, n::2] - 1j * coeffs[:, n + 1::2]) / np.sqrt(2)
+    out[:, i, j] = upper
+    out[:, j, i] = upper.conj()
+    return out
+
+
+def _basis_overlaps(mats: np.ndarray) -> np.ndarray:
+    """Tr(H_e M) for each element H_e of ``hermitian_basis(n)`` and each M
+    of an (..., n, n) stack, as (..., n^2), complex: a gather, as each
+    H_e has at most 2 entries.  Real where M is Hermitian."""
+    n = mats.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    upper, lower = mats[..., i, j] / np.sqrt(2), mats[..., j, i] / np.sqrt(2)
+    out = np.empty(mats.shape[:-2] + (n * n,), dtype=complex)
+    out[..., :n] = np.diagonal(mats, axis1=-2, axis2=-1)
+    out[..., n::2] = upper + lower
+    out[..., n + 1::2] = 1j * (upper - lower)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the interior-point core (complex Hermitian blocks)
 
 
-def _real_rows(stacks) -> list:
-    """Zero-copy real (m, 2 n^2) views of the stacks: row . x is Re Tr(A X)."""
-    return [a.reshape(len(a), a.shape[-1] ** 2).view(float) for a in stacks]
+class _Nonzeros:
+    """One block's constraint rows by their nonzero entries there, from one
+    scan of its (m, n, n) stack.  The entry rows (1 or 2 nonzero entries)
+    are listed in ``entry``, with their entries' flat positions ``flat``
+    (e, 2) and values ``v`` (e, 2) in flat order within a row, so an
+    off-diagonal pair's upper entry comes first, padded with value 0 after
+    a lone entry.  The rows with more nonzero entries are listed in
+    ``dense``; a row in neither leaves the block out."""
+
+    def __init__(self, a: np.ndarray):
+        flat_a = a.reshape(len(a), a.shape[-1] ** 2)
+        nonzero = flat_a != 0
+        nnz = nonzero.sum(1)
+        self.entry = np.flatnonzero((nnz > 0) & (nnz <= 2))
+        self.dense = np.flatnonzero(nnz > 2)
+        i, t = np.nonzero(nonzero[self.entry])
+        slot = np.zeros(len(i), dtype=int)
+        slot[1:] = i[1:] == i[:-1]
+        self.flat = np.zeros((len(self.entry), 2), dtype=int)
+        self.v = np.zeros((len(self.entry), 2), dtype=complex)
+        self.flat[i, slot], self.v[i, slot] = t, flat_a[self.entry[i], t]
+
+    def entry_pairs(self):
+        """The entry rows' terms of the Gram matrix: (i, j, Re(conj(a) b))
+        for each pair of entries a of row i and b of row j at one position,
+        found by sorting the entries by position."""
+        live = self.v != 0
+        rows = np.repeat(self.entry, live.sum(1))
+        order = np.argsort(self.flat[live], kind="stable")
+        rows, t, v = rows[order], self.flat[live][order], self.v[live][order]
+        # entry p pairs with each entry q of its run of equal positions
+        start = np.searchsorted(t, t)
+        count = np.searchsorted(t, t, side="right") - start
+        p = np.repeat(np.arange(len(t)), count)
+        q = np.arange(len(p)) - np.repeat(np.cumsum(count) - count - start, count)
+        return rows[p], rows[q], (v[p].conj() * v[q]).real
 
 
-def _entry_rows(a: np.ndarray, kept: np.ndarray, scale: np.ndarray):
-    """One block's kept rows that touch it, split by kind: the entry rows
-    (at most 2 nonzero entries there) as positions in ``kept``, their
-    entries' flat positions (e, 2) in the block and scaled values (e, 2),
-    padded with value 0 after a lone entry, and the other touching rows
-    as positions in ``kept``."""
-    n = a.shape[-1]
-    flat_a = a.reshape(len(a), n * n)
-    # nonzero entries row by row, in flat order within a row, so an
-    # off-diagonal pair's upper entry comes first
-    row, t = np.nonzero(flat_a)
-    nnz = np.bincount(row, minlength=len(a))[kept]
-    basis = np.flatnonzero((nnz > 0) & (nnz <= 2))
-    position = np.full(len(a), -1)
-    position[kept[basis]] = np.arange(len(basis))
-    i = position[row]
-    row, t, i = row[i >= 0], t[i >= 0], i[i >= 0]
-    slot = np.zeros(len(i), dtype=int)
-    slot[1:] = i[1:] == i[:-1]
-    flat = np.zeros((len(basis), 2), dtype=int)
-    v = np.zeros((len(basis), 2), dtype=complex)
-    flat[i, slot], v[i, slot] = t, flat_a[row, t] / scale[basis][i]
-    return basis, flat, v, np.flatnonzero(nnz > 2)
+def _runs(rows: np.ndarray) -> list:
+    """The runs of consecutive values in the increasing ``rows``, as pairs
+    (slice of the values, slice of their positions in ``rows``)."""
+    if not len(rows):
+        return []
+    bounds = [0, *(np.flatnonzero(rows[1:] - rows[:-1] != 1) + 1).tolist(), len(rows)]
+    return [
+        (slice(int(rows[a]), int(rows[b - 1]) + 1), slice(a, b))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
-def _layout(stacks, kept: np.ndarray, scale: np.ndarray) -> list:
-    """The rows ``kept`` of the stacks, each divided by its ``scale``, as
+def _add_block(out: np.ndarray, row_runs: list, col_runs: list, block):
+    """out[rows, cols] += block, one basic slice per pair of runs."""
+    for at_r, r in row_runs:
+        for at_c, c in col_runs:
+            out[at_r, at_c] += block[r, c]
+
+
+def _layout(problem: SdpProblem, kept: np.ndarray, scale: np.ndarray) -> list:
+    """The rows ``kept`` of the problem, each divided by its ``scale``, as
     one ``_BlockRows`` per block group, in order of each group's first
     block.  A group is the blocks of one side whose entry rows are the
     same rows with entries at the same positions (the values may differ),
-    so stacking the group's blocks adds no dense row to any entry row."""
+    so stacking the group's blocks adds no dense row to any entry row.
+    The rows of each block come from the problem's one ``_Nonzeros``
+    scan."""
+    position = np.full(problem.n_constraints, -1)
+    position[kept] = np.arange(len(kept))
     groups = {}
-    for k, a in enumerate(stacks):
-        basis, flat, v, dense = _entry_rows(a, kept, scale)
-        key = (a.shape[-1], basis.tobytes(), flat.tobytes())
-        groups.setdefault(key, (basis, flat, []))[2].append((k, v, dense))
+    for k, (n, nz) in enumerate(zip(problem.blocks, problem._nonzeros)):
+        at, dense = position[nz.entry], position[nz.dense]
+        basis, flat, v = at[at >= 0], nz.flat[at >= 0], nz.v[at >= 0]
+        key = (n, basis.tobytes(), flat.tobytes())
+        member = (k, v / scale[basis, None], dense[dense >= 0])
+        groups.setdefault(key, (basis, flat, []))[2].append(member)
     return [
-        _BlockRows(stacks, kept, scale, basis, flat, members)
+        _BlockRows(problem.stacks, kept, scale, basis, flat, members)
         for basis, flat, members in groups.values()
     ]
 
@@ -319,30 +413,36 @@ class _BlockRows:
     the interior-point iteration reads them.
 
     The rows are listed in ``rows`` (as positions in ``kept``), entry rows
-    first.  An entry row has at most 2 nonzero entries in each block, at
-    positions ``flat`` that the group shares, and is held as the values
-    ``v`` (e, b, 2) of those entries: W A_i W is then a sum of two outer
-    products, Re Tr(A_i M) a gather and sum_i y_i A_i a scatter.  The
-    other rows are one real (d, b 2n^2) matrix ``dense_real`` over the
-    flattened stack (zero on the blocks a row leaves out), so A(X) and
-    A^*(y) are one matrix-vector product each.  A lone block (b = 1) forms
-    W A W by two matrix products per dense row; a group of several forms
-    all of them by one batched product with W (x) W^T, as vec(W A W) =
-    (W (x) W^T) vec(A) for the row-major vec.  Every index the iteration
-    needs is built here, once per solve.
+    first; both kinds come from the ``_Nonzeros`` scan.  An entry row has
+    at most 2 nonzero entries in each block, at positions ``flat`` that
+    the group shares, and is held as the values ``v`` (e, b, 2) of those
+    entries: W A_i W is then a sum of two outer products, Re Tr(A_i M) a
+    gather and sum_i y_i A_i a scatter.  The other rows are one real
+    (d, b 2n^2) matrix ``dense_real`` over the flattened stack (zero on
+    the blocks a row leaves out), so A(X) and A^*(y) are one
+    matrix-vector product each, and a complex copy ``dense`` for their
+    Schur terms.  Every index and work array the iteration needs is built
+    here, once per solve.
     """
 
     def __init__(self, stacks, kept, scale, basis, flat, members):
         self.blocks = tuple(k for k, _, _ in members)
         b = self.b = len(members)
         n = self.n = stacks[self.blocks[0]].shape[-1]
-        dense = np.unique(np.concatenate([d for _, _, d in members]))
+        if b == 1:
+            dense = members[0][2]
+            by_row = stacks[self.blocks[0]][kept[dense], None]
+        else:
+            dense = np.unique(np.concatenate([d for _, _, d in members]))
+            by_row = np.stack([stacks[k][kept[dense]] for k in self.blocks], axis=1)
         self.rows, self.n_basis = np.concatenate([basis, dense]), len(basis)
-        by_row = np.stack([stacks[k][kept[dense]] for k in self.blocks], axis=1)
         by_row /= scale[dense, None, None, None]
         self.dense_real = by_row.reshape(len(dense), b * n * n).view(float)
-        # the same rows block by block, for the W A W products
-        self.dense = np.ascontiguousarray(by_row.swapaxes(0, 1))
+        # the same rows for the G^dag A G products: side by side, (n, d, n),
+        # for a lone block, block by block, (b, d, n, n), for a group
+        self.dense = np.ascontiguousarray(
+            by_row[:, 0].transpose(1, 0, 2) if b == 1 else by_row.swapaxes(0, 1)
+        )
 
         # entry values (e, b, 2), and their positions in the flat stack
         v = self.v = np.stack([v for _, v, _ in members], axis=1)
@@ -358,7 +458,7 @@ class _BlockRows:
         # above it: Re(v^* M[p, q]), doubled above the diagonal.
         read_w = by_block.conj() * (np.sign(self.q - self.p) + 1)
         self.reads = [
-            (f.copy(), c[:, None, :].copy())
+            (f.copy(), c.copy())
             for f, c in zip(flat.T, read_w.transpose(2, 0, 1)) if c.any()
         ]
 
@@ -366,9 +466,15 @@ class _BlockRows:
         start = self.rows[0] if len(self.rows) else 0
         if np.array_equal(self.rows, np.arange(start, start + len(self.rows))):
             self.at = slice(start, start + len(self.rows))
-            self.where = (self.at, self.at)
         else:
-            self.at, self.where = self.rows, np.ix_(self.rows, self.rows)
+            self.at = self.rows
+        self.entry_runs, self.dense_runs = _runs(basis), _runs(dense)
+        # work arrays of the Schur terms, written afresh by every iteration
+        self.waw = np.empty((len(basis), b, n * n), dtype=complex)
+        self.read = np.empty((len(basis), b, len(basis)), dtype=complex)
+        self.scaled = np.empty((2, len(dense) * b * n * n), dtype=complex)
+        self.coords = np.empty((len(dense), b * n * n))
+        self.upper = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # i < j
 
     def norms(self) -> np.ndarray:
         """Frobenius norm of each touching row in each block, (b, rows)."""
@@ -399,40 +505,68 @@ class _BlockRows:
             )
         return out.view(complex).reshape(b, n, n)
 
-    def schur(self, w: np.ndarray) -> np.ndarray:
-        """sum_k Re Tr(A_ik W_k A_jk W_k) over pairs of touching rows."""
-        nb, b, n, mt = self.n_basis, self.b, self.n, len(self.rows)
-        if not mt:
-            return np.zeros((0, 0))
-        flat = np.empty((b, mt, n * n), dtype=complex)
-        if nb:  # W[:, p] v W[q, :], summed over the two entries
+    def add_schur(self, schur: np.ndarray, g: np.ndarray):
+        """Add sum_k Re Tr(A_ik W_k A_jk W_k), W_k = G_k G_k^dag, for each
+        pair of touching rows into their entry of ``schur``, in place.
+
+        An entry row's W A_i W is two outer products: row j's entries read
+        off it if j is an entry row, and its dot product with row j if j is
+        dense.  For dense rows i, j the term is Re Tr(M_i M_j) for the
+        Hermitian M_j = G^dag A_j G, so all of them are one symmetric
+        product (SYRK) of the real coordinates of the M_j, n^2 per block.  A
+        lone block (b = 1) forms the M_j by two GEMMs over its rows side by
+        side, a group of several by one batched product with G^dag (x) G^T,
+        as vec(G^dag A G) = (G^dag (x) G^T) vec(A) for the row-major vec."""
+        nb, b, n, nd = self.n_basis, self.b, self.n, len(self.rows) - self.n_basis
+        if nb:  # W[:, p] v W[q, :], summed over the two entries, by row
+            w, waw, read = g @ dag(g), self.waw, self.read
             np.matmul(
                 (w.swapaxes(1, 2)[:, self.p] * self.v_col).swapaxes(2, 3),
                 w[:, self.q],
-                out=flat[:, :nb].reshape(b, nb, n, n),
+                out=waw.reshape(nb, b, n, n).swapaxes(0, 1),
             )
-        if nb < mt and b == 1:
-            np.matmul(
-                w[0] @ self.dense[0], w[0], out=flat[0, nb:].reshape(-1, n, n)
-            )
-        elif nb < mt:  # (W (x) W^T)^T, indexed [k, (b, c), (a, d)]
-            kron_t = w.swapaxes(1, 2)[:, :, None, :, None] * w[:, None, :, None, :]
-            np.matmul(
-                self.dense.reshape(b, -1, n * n),
-                kron_t.reshape(b, n * n, n * n),
-                out=flat[:, nb:],
-            )
-        cols = []
-        if nb:  # row i's entries read off each W A_j W, summed over blocks
+            # the indices are in range; mode "raise" would buffer ``out``
             (f, c), *more = self.reads
-            read = np.take(flat, f, axis=2) * c
+            np.multiply(np.take(waw, f, axis=2, out=read, mode="clip"), c, out=read)
             for f, c in more:
-                read += np.take(flat, f, axis=2) * c
-            cols.append((read.sum(0) if b > 1 else read[0]).real)
-        if nb < mt:
-            by_row = flat.swapaxes(0, 1).reshape(mt, b * n * n)
-            cols.append(by_row.view(float) @ self.dense_real.T)
-        return cols[0] if len(cols) == 1 else np.hstack(cols)
+                read += np.take(waw, f, axis=2) * c
+            entry = read.sum(1) if b > 1 else read[:, 0]
+            _add_block(schur, self.entry_runs, self.entry_runs, entry.real)
+            if nd:
+                cross = waw.reshape(nb, -1).view(float) @ self.dense_real.T
+                _add_block(schur, self.entry_runs, self.dense_runs, cross)
+                _add_block(schur, self.dense_runs, self.entry_runs, cross.T)
+        if nd:
+            half, scaled = self.scaled
+            if b == 1:  # G^dag [A_1 ... A_d], then each row's product with G
+                half = np.matmul(
+                    dag(g[0]), self.dense.reshape(n, -1), out=half.reshape(n, -1)
+                )
+                np.matmul(half.reshape(-1, n), g[0], out=scaled.reshape(-1, n))
+                by_row = scaled.reshape(n, nd, 1, n).transpose(1, 2, 0, 3)
+            else:  # (G^dag (x) G^T)^T, indexed [k, (a, b), (c, d)]
+                kron_t = g.conj()[:, :, None, :, None] * g[:, None, :, None, :]
+                np.matmul(
+                    self.dense.reshape(b, nd, n * n),
+                    kron_t.reshape(b, n * n, n * n),
+                    out=scaled.reshape(nd, b, n * n).swapaxes(0, 1),
+                )
+                by_row = scaled.reshape(nd, b, n, n)
+            real = self.coords
+            _hermitian_coordinates(by_row, self.upper, real.reshape(nd, b, n * n))
+            _add_block(schur, self.dense_runs, self.dense_runs, real @ real.T)
+
+
+def _hermitian_coordinates(mats, upper, out):
+    """Real coordinates of each Hermitian n x n M of a stack, into ``out``
+    (..., n^2): the diagonal, then sqrt(2) times the real and the imaginary
+    parts of the entries at ``upper`` (above the diagonal), so Re Tr(M N)
+    is the dot product of the coordinates of M and N."""
+    n, (i, j) = mats.shape[-1], upper
+    above = mats[..., i, j]
+    out[..., :n] = np.diagonal(mats, axis1=-2, axis2=-1).real
+    np.multiply(above.real, np.sqrt(2), out=out[..., n:n + len(i)])
+    np.multiply(above.imag, np.sqrt(2), out=out[..., n + len(i):])
 
 
 def _a_apply(layout, xs, m: int) -> np.ndarray:
@@ -446,12 +580,15 @@ def _a_adjoint(layout, y: np.ndarray) -> list:
     return [blk.adjoint(y[blk.at]) for blk in layout]
 
 
-def _schur_complement(layout, ws, m: int) -> np.ndarray:
-    """S_ij = sum_k Re Tr(A_ik W_k A_jk W_k), symmetrized."""
+def _schur_complement(layout, gs, m: int) -> np.ndarray:
+    """S_ij = sum_k Re Tr(A_ik W_k A_jk W_k) for the NT scaling factors
+    G_k, W_k = G_k G_k^dag: each group adds its terms in place.  The dense
+    and mixed terms are exactly symmetric; an entry pair's two readings
+    agree to roundoff, and the Cholesky reads the lower one."""
     schur = np.zeros((m, m))
-    for blk, w in zip(layout, ws):
-        schur[blk.where] += blk.schur(w)
-    return (schur + schur.T) / 2.0
+    for blk, g in zip(layout, gs):
+        blk.add_schur(schur, g)
+    return schur
 
 
 def _inner(us, vs) -> float:
@@ -624,7 +761,7 @@ def _path_following(objective, layout, b, tol, max_iters):
             return dxs, dy, dzs
 
         try:
-            solve_schur = _schur_solver(_schur_complement(layout, ws, m))
+            solve_schur = _schur_solver(_schur_complement(layout, gs, m))
 
             # predictor: its step chooses the centering weight
             dxs_a, _, dzs_a = newton([-x for x in xs])
@@ -663,21 +800,40 @@ def _path_following(objective, layout, b, tol, max_iters):
 def _reduce_constraints(problem: SdpProblem):
     """Normalize rows, drop dependent ones, verify consistency.
 
-    Works on the Gram matrix G = sum_k R_k R_k^T of the real row views.
-    The row scales are sqrt(diag G); a zero row (norm below 1e-14) keeps
-    scale 1 and a zero pivot, so it is dropped with implied rhs 0.  One
-    pivoted Cholesky of the normalized G (unit diagonal set exactly, so
-    ties keep the earlier row) stops at the first pivot below 1e-12, which
-    resolves independence to about 1e-6 relative: a row within that of
-    the span of the kept rows is dropped, rows independent beyond it are
-    kept, and exact linear combinations leave pivots near 1e-15.  With
-    the factor split into L_11 (kept rows) and L_21 (dropped rows), each
-    dropped row must have the normalized rhs L_21 L_11^{-1} b_kept.
-    Returns (kept indices, row scales); raises ValueError on a
+    Works on the Gram matrix G = sum_k R_k R_k^T of the real row views,
+    formed block by block from the problem's one ``_Nonzeros`` scan:
+    entry rows against entry rows from their entries (pairs at a common
+    position), entry rows against dense rows by gathering the dense rows
+    at the entries, and dense rows against each other by one symmetric
+    product.  The row scales are sqrt(diag G); a zero row (norm below
+    1e-14) keeps scale 1 and a zero pivot, so it is dropped with implied
+    rhs 0.  One pivoted Cholesky of the normalized G (unit diagonal set
+    exactly, so ties keep the earlier row) stops at the first pivot below
+    1e-12, which resolves independence to about 1e-6 relative: a row
+    within that of the span of the kept rows is dropped, rows independent
+    beyond it are kept, and exact linear combinations leave pivots near
+    1e-15.  With the factor split into L_11 (kept rows) and L_21 (dropped
+    rows), each dropped row must have the normalized rhs L_21 L_11^{-1}
+    b_kept.  Returns (kept indices, row scales); raises ValueError on a
     structurally inconsistent system, a dropped row whose normalized rhs
     (a zero row's rhs itself) is off by more than 1e-8.
     """
-    gram = sum(r @ r.T for r in _real_rows(problem.stacks))
+    m = problem.n_constraints
+    gram = np.zeros((m, m))
+    for a, nz in zip(problem.stacks, problem._nonzeros):
+        dense = a.reshape(m, a.shape[-1] ** 2)[nz.dense]
+        dense_runs = _runs(nz.dense)
+        if len(nz.dense):
+            real = dense.view(float)
+            _add_block(gram, dense_runs, dense_runs, real @ real.T)
+        if len(nz.entry):
+            i, j, terms = nz.entry_pairs()
+            np.add.at(gram, (i, j), terms)
+        if len(nz.entry) and len(nz.dense):
+            entry_runs = _runs(nz.entry)
+            cross = (np.take(dense, nz.flat, axis=1) * nz.v.conj()).sum(2).real
+            _add_block(gram, dense_runs, entry_runs, cross)
+            _add_block(gram, entry_runs, dense_runs, cross.T)
     scales = np.sqrt(np.diagonal(gram))
     nonzero = scales >= 1e-14
     scales[~nonzero] = 1.0
@@ -720,7 +876,7 @@ def solve(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     kept, scales = _reduce_constraints(problem)
     row_scale = scales[kept]
-    layout = _layout(problem.stacks, kept, row_scale)
+    layout = _layout(problem, kept, row_scale)
     stacks, y_kept, _, status, iterations, res = _path_following(
         _gather(layout, problem.objective),
         layout,
@@ -797,11 +953,6 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
 # the fidelity gadget
 
 
-def _basis_overlaps(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Tr(H mat) for each H of a stacked Hermitian basis, real part."""
-    return np.trace(basis @ mat, axis1=1, axis2=2).real
-
-
 @dataclass(frozen=True, eq=False)
 class AffineMatrixExpr:
     """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued.
@@ -850,29 +1001,26 @@ def fidelity_sdp(
     builder.add_objective(w_blk, c_w)
 
     # each corner equals its target on a Hermitian basis, one row per element
-    rho_basis = hermitian_basis(r)
     rho_rows = np.zeros((r * r, r + s, r + s), dtype=complex)
-    rho_rows[:, :r, :r] = rho_basis
+    rho_rows[:, :r, :r] = hermitian_basis(r)
     builder.add_constraint(
-        {w_blk: rho_rows}, _basis_overlaps(rho_basis, dag(v1) @ rho @ v1)
+        {w_blk: rho_rows}, _basis_overlaps(dag(v1) @ rho @ v1).real
     )
 
     # sigma is affine: a term L puts -sum_e Tr(g L(e)) e over a basis e of
     # its block into the row of the basis element g of the sigma corner
-    sig_basis = hermitian_basis(s)
     sig_rows = np.zeros((s * s, r + s, r + s), dtype=complex)
-    sig_rows[:, r:, r:] = sig_basis
+    sig_rows[:, r:, r:] = hermitian_basis(s)
     coeffs = {w_blk: sig_rows}
     for blk, lin in sigma.terms:
-        basis_b = hermitian_basis(builder.block_side(blk))
-        images = dag(v2) @ lin(basis_b) @ v2
-        overlap = np.einsum("gij,eji->ge", sig_basis, images, optimize=True)
+        n = builder.block_side(blk)
+        images = dag(v2) @ lin(hermitian_basis(n)) @ v2
+        overlap = _basis_overlaps(images).T  # [g, e] = Tr(g L(e))
         if max_abs(overlap.imag) > 1e-9:
             raise ValueError("sigma coupling is not Hermiticity-preserving")
-        k_mats = np.einsum("ge,eij->gij", overlap.real, basis_b, optimize=True)
-        coeffs[blk] = coeffs.get(blk, 0.0) - k_mats
+        coeffs[blk] = coeffs.get(blk, 0.0) - _basis_combinations(overlap.real, n)
     builder.add_constraint(
-        coeffs, _basis_overlaps(sig_basis, dag(v2) @ sigma.const @ v2)
+        coeffs, _basis_overlaps(dag(v2) @ sigma.const @ v2).real
     )
     return w_blk
 

@@ -518,7 +518,7 @@ class TestIsotropicClosedForms:
             assert any(m.startswith(name) for m in misses)
 
 
-class TestWoottersDecomposition:
+class TestQubitEbChannelAndSolveCounts:
     """The qubit-B bound's channel is the PPT optimum's own; no solve
     follows the PPT program for a qubit B, and d_B >= 3 keeps the ascent."""
 

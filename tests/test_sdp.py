@@ -10,6 +10,7 @@ from qbroadcast.channels import identity_channel
 from qbroadcast.corpus import bell_state, ghz_state, random_channel, random_state
 from qbroadcast.frames import conditional_states
 from qbroadcast.info import fidelity
+from qbroadcast.linalg import support_isometry
 from qbroadcast.recovery import (
     optimal_fixing_recovery_fidelity,
     optimal_recovery_fidelity,
@@ -256,6 +257,40 @@ class TestPreprocessingAndFailureModes:
         assert not ok_bad
 
 
+class TestBlockwiseGram:
+    """The Gram matrix that preprocessing forms from the one scan: pairs of
+    entry rows at a common position and entry rows against dense rows
+    decide dependencies, and the row scales are the rows' norms."""
+
+    @staticmethod
+    def program(rhs_off):
+        # rows 0-3 are basis elements, row 4 (two diagonal entries) is
+        # rows 0 + 1, and the dense row 5 is rows 0 + 2 * 3 - 2
+        h = hermitian_basis(3)
+        b = SdpBuilder()
+        blk = b.add_block(3)
+        b.add_objective(blk, np.diag([1.0, 0.0, 0.0]).astype(complex))
+        two_diagonal = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        b.add_constraint(
+            {blk: np.concatenate([h[:4], two_diagonal[None]])},
+            [0.5, 0.3, 0.2, 0.1, 0.8],
+        )
+        b.add_constraint({blk: h[0] + 2 * h[3] - h[2]}, 0.5 + 0.2 - 0.2 + rhs_off)
+        return b.build()
+
+    def test_dependent_entry_and_dense_rows_are_dropped(self):
+        problem = self.program(0.0)
+        kept, scales = sdp._reduce_constraints(problem)
+        assert list(kept) == [0, 1, 2, 3]
+        norms = np.linalg.norm(problem.stacks[0], axis=(1, 2))
+        assert np.abs(scales - norms).max() <= 1e-15
+        assert solve(problem).status == "optimal"
+
+    def test_dense_row_off_its_combination_raises(self):
+        with pytest.raises(ValueError, match="structurally inconsistent"):
+            sdp._reduce_constraints(self.program(1e-6))
+
+
 class TestChannelFidelity:
     def test_identity_channel_maximizes_choi_overlap(self):
         # over 2 -> 2 channels, <Phi, J> <= ||Phi|| Tr(J) = 2 * 2 with
@@ -429,6 +464,34 @@ class TestRowBlocks:
         assert not one.stacks[2].any()
         assert not one.stacks[1][0].any()
 
+    def test_each_row_block_is_validated_once(self, monkeypatch):
+        # where it enters the builder; build checks only the objectives
+        calls = []
+        original = sdp.require_hermitian
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "require_hermitian", counting)
+        b = SdpBuilder()
+        blk1, blk2 = b.add_block(2), b.add_block(3)
+        b.add_constraint({blk1: np.eye(2), blk2: np.eye(3)}, 1.0)
+        b.add_constraint({blk2: hermitian_basis(3)}, np.zeros(9))
+        assert calls == [(1, 2, 2), (1, 3, 3), (9, 3, 3)]
+        calls.clear()
+        b.build()
+        assert calls == [(2, 2), (3, 3)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected_where_it_enters(self, bad):
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        with pytest.raises(ValueError, match="rhs is not finite"):
+            b.add_constraint({blk: np.eye(2)}, bad)
+        with pytest.raises(ValueError, match="rhs is not finite"):
+            b.add_constraint({blk: hermitian_basis(2)}, [0.0, bad, 0.0, 0.0])
+
     @pytest.mark.parametrize(
         "coeff, rhs",
         [
@@ -554,7 +617,7 @@ def measurement_program():
 def kept_layout(problem):
     """The block groups ``solve`` lays the problem's kept rows out in."""
     kept, scales = sdp._reduce_constraints(problem)
-    return sdp._layout(problem.stacks, kept, scales[kept])
+    return sdp._layout(problem, kept, scales[kept])
 
 
 class TestEachJobOnce:
@@ -696,7 +759,7 @@ class TestRowLayout:
     def layout_and_points(self, problem):
         rng = np.random.default_rng(13)
         m = problem.n_constraints
-        layout = sdp._layout(problem.stacks, np.arange(m), np.ones(m))
+        layout = sdp._layout(problem, np.arange(m), np.ones(m))
         points = []
         for n in problem.blocks:
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -715,8 +778,9 @@ class TestRowLayout:
     def test_schur_complement_matches_dense_contraction(self):
         problem = mixed_rows_problem()
         layout, ws = self.layout_and_points(problem)
+        factors = [np.linalg.cholesky(w) for w in ws]
         got = sdp._schur_complement(
-            layout, sdp._gather(layout, ws), problem.n_constraints
+            layout, sdp._gather(layout, factors), problem.n_constraints
         )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w).real
@@ -767,7 +831,7 @@ class TestGroupedLayout:
     def layout_and_points(self, problem):
         rng = np.random.default_rng(16)
         m = problem.n_constraints
-        layout = sdp._layout(problem.stacks, np.arange(m), np.ones(m))
+        layout = sdp._layout(problem, np.arange(m), np.ones(m))
         assert [blk.b for blk in layout] == [9, 1]
         points = [random_pd(n, rng) for n in problem.blocks]
         return layout, points
@@ -775,8 +839,9 @@ class TestGroupedLayout:
     def test_schur_complement_matches_dense_contraction(self, measurement_program):
         problem = measurement_program
         layout, ws = self.layout_and_points(problem)
+        factors = [np.linalg.cholesky(w) for w in ws]
         got = sdp._schur_complement(
-            layout, sdp._gather(layout, ws), problem.n_constraints
+            layout, sdp._gather(layout, factors), problem.n_constraints
         )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
@@ -799,6 +864,106 @@ class TestGroupedLayout:
         assert [a.shape for a in adjoint] == [s.shape for s in stacks]
         lhs, rhs = sdp._inner(stacks, adjoint), float(got @ y)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+class _Built(Exception):
+    """Stops a certified solve once its problem is built."""
+
+
+def built_problem(monkeypatch, fn, *args, gadget=None):
+    """The problem ``fn(*args)`` hands to ``sdp.solve``, built with the
+    fidelity ``gadget`` in place of ``sdp.fidelity_sdp`` if one is given."""
+    if gadget is not None:
+        monkeypatch.setattr(sdp, "fidelity_sdp", gadget)
+
+    def stop(problem, *rest, **kwargs):
+        raise _Built(problem)
+
+    monkeypatch.setattr(sdp, "solve", stop)
+    with pytest.raises(_Built) as built:
+        fn(*args)
+    return built.value.args[0]
+
+
+def dense_fidelity_gadget(builder, rho, sigma, sigma_support=None):
+    """``fidelity_sdp`` with every basis overlap a trace of a matrix product
+    and every coupling row an einsum over the dense ``hermitian_basis``."""
+    def overlaps(basis, mat):
+        return np.trace(basis @ mat, axis1=1, axis2=2).real
+
+    v1 = support_isometry(np.asarray(rho, dtype=complex))
+    if sigma_support is None:
+        v2 = np.eye(sigma.side, dtype=complex)
+    else:
+        v2 = support_isometry(np.asarray(sigma_support, dtype=complex))
+    r, s = v1.shape[1], v2.shape[1]
+    w_blk = builder.add_block(r + s)
+    c12 = (v1.conj().T @ v2) / 2.0
+    c_w = np.zeros((r + s, r + s), dtype=complex)
+    c_w[:r, r:], c_w[r:, :r] = c12, c12.conj().T
+    builder.add_objective(w_blk, c_w)
+    rho_basis = hermitian_basis(r)
+    rho_rows = np.zeros((r * r, r + s, r + s), dtype=complex)
+    rho_rows[:, :r, :r] = rho_basis
+    builder.add_constraint(
+        {w_blk: rho_rows}, overlaps(rho_basis, v1.conj().T @ rho @ v1)
+    )
+    sig_basis = hermitian_basis(s)
+    sig_rows = np.zeros((s * s, r + s, r + s), dtype=complex)
+    sig_rows[:, r:, r:] = sig_basis
+    coeffs = {w_blk: sig_rows}
+    for blk, lin in sigma.terms:
+        basis_b = hermitian_basis(builder.block_side(blk))
+        images = v2.conj().T @ lin(basis_b) @ v2
+        overlap = np.einsum("gij,eji->ge", sig_basis, images, optimize=True)
+        k_mats = np.einsum("ge,eij->gij", overlap.real, basis_b, optimize=True)
+        coeffs[blk] = coeffs.get(blk, 0.0) - k_mats
+    builder.add_constraint(
+        coeffs, overlaps(sig_basis, v2.conj().T @ sigma.const @ v2)
+    )
+    return w_blk
+
+
+class TestGadgetRows:
+    """The fidelity gadget gathers its basis overlaps and scatters its
+    coupling rows; the rows equal those of the dense einsum formulas."""
+
+    @pytest.mark.parametrize(
+        "fn, dims",
+        [(optimal_recovery_fidelity, (2, 3, 3)), (f_max_broadcast, (2, 2))],
+        ids=["recovery_2x3x3", "f_max_2x2"],
+    )
+    def test_rows_equal_the_dense_reference(self, monkeypatch, fn, dims):
+        rho = random_state(dims, 51)
+        got = built_problem(monkeypatch, fn, rho)
+        want = built_problem(monkeypatch, fn, rho, gadget=dense_fidelity_gadget)
+        assert got.blocks == want.blocks
+        assert np.abs(got.rhs - want.rhs).max() <= 1e-14
+        for a, b in zip(got.stacks, want.stacks):
+            assert np.abs(a - b).max() <= 1e-14
+
+
+def test_recovery_schur_complement_matches_dense_contraction(monkeypatch):
+    # the Choi group holds dense rows only, at non-contiguous positions:
+    # the d_B^2 trace rows first and the sigma coupling rows last
+    problem = built_problem(
+        monkeypatch, optimal_recovery_fidelity, random_state((2, 2, 2), 52)
+    )
+    m = problem.n_constraints
+    layout = sdp._layout(problem, np.arange(m), np.ones(m))
+    choi = layout[0]
+    assert choi.blocks == (0,) and choi.n_basis == 0
+    assert choi.rows[0] == 0 and choi.rows[-1] == m - 1
+    assert np.any(np.diff(choi.rows) != 1)
+    rng = np.random.default_rng(53)
+    ws = [random_pd(n, rng) for n in problem.blocks]
+    factors = [np.linalg.cholesky(w) for w in ws]
+    got = sdp._schur_complement(layout, sdp._gather(layout, factors), m)
+    want = sum(
+        np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
+        for a, w in zip(problem.stacks, ws)
+    )
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def unbounded_problem():
