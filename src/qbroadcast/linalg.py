@@ -11,12 +11,13 @@ constants below, the support rule (``support_mask``, which
 ``HermitianEig.on_support``, every entropy and the discord search read),
 the PSD projection (``nearest_psd``) and one check per validation rule,
 each naming what it refuses: ``require_hermitian`` (finite, and
-max |A - A^dag| within a bound), ``require_psd``, ``require_subsystems``
-and ``subsystem_indices`` (the factors a partial trace keeps, or the sides
-of a mutual information).  Other modules import them.  A refusal of the
-input's shape (factor count, index, dimension, name) is an ``InputError``,
-which the command line exits 2 on; a numerical refusal (not PSD, negative
-beyond roundoff) is a plain ``ValueError``.  The only tolerance arguments
+max |A - A^dag| within a bound; it returns the Hermitian part),
+``require_psd``, ``require_subsystems`` and ``subsystem_indices`` (the
+factors a partial trace keeps, or the sides of a mutual information).
+Other modules import them.  A refusal of the input's shape (factor
+count, index, dimension, name) is an ``InputError``, which the command
+line exits 2 on; a numerical refusal (not PSD, negative beyond
+roundoff) is a plain ``ValueError``.  The only tolerance arguments
 are ``require_hermitian``'s (``sdp`` passes its ``COEFF_HERM_TOL``) and the
 SDP solve tolerance, whose ``sdp.fidelity_slack`` is how far a certified
 fidelity may fall short of a bound.  Stopping rules of an algorithm stay
@@ -107,14 +108,22 @@ def max_abs(a: np.ndarray) -> float:
 
 @np.errstate(invalid="ignore", over="ignore")  # inf - inf, huge - -huge
 def require_hermitian(a: np.ndarray, what: str, tol: float = VALIDATION_ATOL):
-    """``a``, a matrix or a stack, if it is finite and max |A - A^dag| is at
-    most ``tol``, else ValueError naming ``what``."""
-    dev = max_abs(a - dag(a))
+    """The Hermitian part A - (A - A^dag)/2 of ``a``, a matrix or a stack,
+    if it is finite and max |A - A^dag| is at most ``tol``, else ValueError
+    naming ``what``.  The part is built in place from the difference the
+    check forms, so an exactly Hermitian ``a`` comes back unchanged.  An
+    entry and its mirror agree exactly where their difference is exact
+    (within a factor 2 of each other, or one of them 0), else to the last
+    bit."""
+    skew = a - dag(a)
+    dev = max_abs(skew)
     if not dev <= tol:  # NaN fails too
         if not np.isfinite(a).all():
             raise ValueError(f"{what} is not finite")
         raise ValueError(f"{what} is not Hermitian: max |A - A^dag| = {dev:.3e}")
-    return a
+    skew *= -0.5
+    skew += a
+    return skew
 
 
 def require_psd(a: np.ndarray, what: str, scale: float = 1.0):
@@ -192,7 +201,7 @@ def hermitian_eig(mat: np.ndarray) -> HermitianEig:
     Raises ValueError unless ``mat`` is finite and Hermitian (VALIDATION_ATOL).
     """
     mat = require_hermitian(np.asarray(mat, dtype=complex), "matrix")
-    vals, vecs = np.linalg.eigh(hermitian_part(mat))
+    vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(vals)[::-1]
     return HermitianEig(vals[order], vecs[:, order])
 

@@ -9,14 +9,15 @@ Standard form over complex Hermitian PSD blocks X_k:
 with <A, B> = Re Tr(A B).  A constraint family enters ``SdpBuilder`` as
 one row block: a (q, n_k, n_k) coefficient stack per block it touches and
 q right-hand sides.  The builder refuses coefficients that are not
-Hermitian, once, as each row block comes in, and ``SdpBuilder.build``
-concatenates the row blocks into one complex (m, n_k, n_k) array per
-block plus the vector b: the public data that ``audit`` checks (an
-``SdpProblem`` constructed directly validates its own data).  A solve
-scans each block's stack once (``_Nonzeros``) for its entry rows, with
-at most 2 nonzero entries there, as the orthonormal basis elements of
-the fidelity gadget have, and its dense rows; preprocessing and the row
-layout both read that scan.  Dependent constraints are found by one
+Hermitian, once, as each row block comes in, and keeps the Hermitian
+part that check returns; ``SdpBuilder.build`` concatenates the row
+blocks into one complex (m, n_k, n_k) array per block plus the vector
+b: the public data that ``audit`` checks (an ``SdpProblem`` constructed
+directly validates its own data and keeps its Hermitian part too).  A
+solve scans each block's stack once (``_Nonzeros``) for its entry rows,
+with at most 2 nonzero entries there, as the orthonormal basis elements
+of the fidelity gadget have, and its dense rows; preprocessing and the
+row layout both read that scan.  Dependent constraints are found by one
 pivoted Cholesky of the rows' Gram matrix, which resolves independence
 to about 1e-6 relative, and dropped once their right-hand sides are
 checked against the kept rows.  The Gram matrix is formed block by
@@ -44,8 +45,9 @@ Fujisawa, Kojima and Nakata (Math. Program. 79, 235, 1997).  The other
 rows form one real matrix over the flattened stack, so A(X) and A^*(y)
 are one matrix-vector product each.  With W = G G^dag their Schur terms
 are Re <G^dag A_i G, G^dag A_j G>, one symmetric product of the real
-views of the G^dag A_j G, and each group adds its terms into the Schur
-complement in place.
+views of the G^dag A_j G, which two batched products form for the whole
+group from its dense rows held side by side, and each group adds its
+terms into the Schur complement in place.
 Stacking blocks whose entry rows differ would hold those rows densely,
 hence the grouping rule.  The reduced problem is solved by primal-dual
 path following with Nesterov-Todd scaling run directly on the Hermitian
@@ -60,9 +62,11 @@ Schur complement or direction that is not finite ends a solve with
 rows, of the point it returns; ``audit`` is the unscaled check.
 Instances here are small (block side <= ~40, <= ~700 constraints), so
 dense linear algebra per iteration is the right tool.  The fidelity
-gadget applies each linear term of sigma once, to a whole stack of basis
-elements, and reads its overlaps with the basis by gathers and builds its
-coupling rows by scatters, as each basis element has at most 2 entries.
+gadget applies each linear term L of sigma once, to the stack of matrix
+units E_ij of its block, and reads the overlaps of the images with the
+basis by gathers, as each basis element has at most 2 entries; the
+coupling row of a basis element g is L^dag(g) = sum_ij Tr(g L(E_ij)) E_ji,
+a transpose of those overlaps.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
@@ -122,8 +126,9 @@ class SdpProblem:
 
     ``stacks[k][i]`` is the coefficient of block k in constraint i (zero
     where the constraint leaves the block out) and ``rhs[i]`` is b_i.
-    Constructed directly, it validates its data; ``SdpBuilder.build``
-    hands over data it validated as each row block came in.
+    Constructed directly, it validates its data and keeps the complex
+    Hermitian part of its stacks and objective; ``SdpBuilder.build`` hands
+    over data it validated and symmetrized as each row block came in.
     """
 
     blocks: tuple[int, ...]
@@ -136,11 +141,15 @@ class SdpProblem:
             raise ValueError("blocks, objective and stacks differ in length")
         _check_rhs(self.rhs)
         m = self.n_constraints
+        objective, stacks = [], []
         for k, (n, c, a) in enumerate(
             zip(self.blocks, self.objective, self.stacks)
         ):
-            _check_block(c, (n, n), "objective", k)
-            _check_block(a, (m, n, n), "constraint", k)
+            c, a = np.asarray(c, dtype=complex), np.asarray(a, dtype=complex)
+            objective.append(_check_block(c, (n, n), "objective", k))
+            stacks.append(_check_block(a, (m, n, n), "constraint", k))
+        object.__setattr__(self, "objective", tuple(objective))
+        object.__setattr__(self, "stacks", tuple(stacks))
 
     @classmethod
     def _from_validated(cls, blocks, objective, stacks, rhs) -> SdpProblem:
@@ -220,16 +229,16 @@ class SdpBuilder:
         Blocks left out of ``coeffs`` get zeros.  A block index that
         ``add_block`` did not return, a right-hand side not finite, or a
         coefficient not finite or further than ``COEFF_HERM_TOL`` from
-        Hermitian, raises ValueError; roundoff below that is symmetrized
-        away.  This is the one check of the rows: ``build`` does not
-        repeat it."""
+        Hermitian, raises ValueError; the rows keep the Hermitian part the
+        check returns, so roundoff below that is symmetrized away.  This
+        is the one check of the rows: ``build`` does not repeat it."""
         rhs = _check_rhs(np.asarray(rhs, dtype=float))
         stacks = {k: np.asarray(a, dtype=complex) for k, a in coeffs.items()}
         if rhs.ndim == 0:
             rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
         for k, a in stacks.items():
             shape = (len(rhs),) + (self.block_side(k),) * 2
-            stacks[k] = hermitian_part(_check_block(a, shape, "constraint", k))
+            stacks[k] = _check_block(a, shape, "constraint", k)
         self._row_blocks.append((stacks, rhs))
 
     def build(self) -> SdpProblem:
@@ -241,7 +250,7 @@ class SdpBuilder:
                 stacks[k][start:start + len(b)] = a
             start += len(b)
         objective = tuple(
-            hermitian_part(_check_block(c, (n, n), "objective", k))
+            _check_block(c, (n, n), "objective", k)
             for k, (n, c) in enumerate(zip(self._blocks, self._objective))
         )
         return SdpProblem._from_validated(
@@ -250,7 +259,8 @@ class SdpBuilder:
 
 
 def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
-    """A if it has ``shape`` and is Hermitian within COEFF_HERM_TOL."""
+    """The Hermitian part of A if A has ``shape`` and is Hermitian within
+    COEFF_HERM_TOL."""
     if a.shape != shape:
         raise ValueError(f"{what} block {block} has shape {a.shape}")
     return require_hermitian(a, f"{what} block {block}", COEFF_HERM_TOL)
@@ -280,19 +290,6 @@ def hermitian_basis(n: int) -> np.ndarray:
     basis[t + 1, i, j] = -1j / np.sqrt(2)
     basis[t + 1, j, i] = 1j / np.sqrt(2)
     return basis
-
-
-def _basis_combinations(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """sum_e c_e H_e over ``hermitian_basis(n)`` for each row c of the real
-    (q, n^2) ``coeffs``: a scatter, as each H_e has at most 2 entries."""
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    out = np.zeros((len(coeffs), n, n), dtype=complex)
-    out[:, diag, diag] = coeffs[:, :n]
-    upper = (coeffs[:, n::2] - 1j * coeffs[:, n + 1::2]) / np.sqrt(2)
-    out[:, i, j] = upper
-    out[:, j, i] = upper.conj()
-    return out
 
 
 def _basis_overlaps(mats: np.ndarray) -> np.ndarray:
@@ -420,29 +417,25 @@ class _BlockRows:
     gather and sum_i y_i A_i a scatter.  The other rows are one real
     (d, b 2n^2) matrix ``dense_real`` over the flattened stack (zero on
     the blocks a row leaves out), so A(X) and A^*(y) are one
-    matrix-vector product each, and a complex copy ``dense`` for their
-    Schur terms.  Every index and work array the iteration needs is built
-    here, once per solve.
+    matrix-vector product each, and a complex copy ``dense`` (b, n, d, n)
+    for their Schur terms: each block's rows side by side.  A lone block
+    is a group of one.  Every index and work array the iteration needs is
+    built here, once per solve.
     """
 
     def __init__(self, stacks, kept, scale, basis, flat, members):
         self.blocks = tuple(k for k, _, _ in members)
         b = self.b = len(members)
         n = self.n = stacks[self.blocks[0]].shape[-1]
-        if b == 1:
-            dense = members[0][2]
-            by_row = stacks[self.blocks[0]][kept[dense], None]
-        else:
-            dense = np.unique(np.concatenate([d for _, _, d in members]))
-            by_row = np.stack([stacks[k][kept[dense]] for k in self.blocks], axis=1)
+        dense = np.unique(np.concatenate([d for _, _, d in members]))
         self.rows, self.n_basis = np.concatenate([basis, dense]), len(basis)
+        by_row = np.empty((len(dense), b, n, n), dtype=complex)
+        for j, k in enumerate(self.blocks):
+            # the indices are in range; mode "raise" would buffer ``out``
+            np.take(stacks[k], kept[dense], axis=0, out=by_row[:, j], mode="clip")
         by_row /= scale[dense, None, None, None]
         self.dense_real = by_row.reshape(len(dense), b * n * n).view(float)
-        # the same rows for the G^dag A G products: side by side, (n, d, n),
-        # for a lone block, block by block, (b, d, n, n), for a group
-        self.dense = np.ascontiguousarray(
-            by_row[:, 0].transpose(1, 0, 2) if b == 1 else by_row.swapaxes(0, 1)
-        )
+        self.dense = np.ascontiguousarray(by_row.transpose(1, 2, 0, 3))
 
         # entry values (e, b, 2), and their positions in the flat stack
         v = self.v = np.stack([v for _, v, _ in members], axis=1)
@@ -513,10 +506,9 @@ class _BlockRows:
         off it if j is an entry row, and its dot product with row j if j is
         dense.  For dense rows i, j the term is Re Tr(M_i M_j) for the
         Hermitian M_j = G^dag A_j G, so all of them are one symmetric
-        product (SYRK) of the real coordinates of the M_j, n^2 per block.  A
-        lone block (b = 1) forms the M_j by two GEMMs over its rows side by
-        side, a group of several by one batched product with G^dag (x) G^T,
-        as vec(G^dag A G) = (G^dag (x) G^T) vec(A) for the row-major vec."""
+        product (SYRK) of the real coordinates of the M_j, n^2 per block.
+        Each block's rows are held side by side, so two batched products
+        form G_k^dag [A_1k ... A_dk] G_k for every block k at once."""
         nb, b, n, nd = self.n_basis, self.b, self.n, len(self.rows) - self.n_basis
         if nb:  # W[:, p] v W[q, :], summed over the two entries, by row
             w, waw, read = g @ dag(g), self.waw, self.read
@@ -530,28 +522,19 @@ class _BlockRows:
             np.multiply(np.take(waw, f, axis=2, out=read, mode="clip"), c, out=read)
             for f, c in more:
                 read += np.take(waw, f, axis=2) * c
-            entry = read.sum(1) if b > 1 else read[:, 0]
+            entry = read[:, 0]
+            for j in range(1, b):  # in place: read.sum(1) would allocate
+                entry += read[:, j]
             _add_block(schur, self.entry_runs, self.entry_runs, entry.real)
             if nd:
                 cross = waw.reshape(nb, -1).view(float) @ self.dense_real.T
                 _add_block(schur, self.entry_runs, self.dense_runs, cross)
                 _add_block(schur, self.dense_runs, self.entry_runs, cross.T)
-        if nd:
+        if nd:  # G^dag [A_1 ... A_d], then each row's product with G
             half, scaled = self.scaled
-            if b == 1:  # G^dag [A_1 ... A_d], then each row's product with G
-                half = np.matmul(
-                    dag(g[0]), self.dense.reshape(n, -1), out=half.reshape(n, -1)
-                )
-                np.matmul(half.reshape(-1, n), g[0], out=scaled.reshape(-1, n))
-                by_row = scaled.reshape(n, nd, 1, n).transpose(1, 2, 0, 3)
-            else:  # (G^dag (x) G^T)^T, indexed [k, (a, b), (c, d)]
-                kron_t = g.conj()[:, :, None, :, None] * g[:, None, :, None, :]
-                np.matmul(
-                    self.dense.reshape(b, nd, n * n),
-                    kron_t.reshape(b, n * n, n * n),
-                    out=scaled.reshape(nd, b, n * n).swapaxes(0, 1),
-                )
-                by_row = scaled.reshape(nd, b, n, n)
+            np.matmul(dag(g), self.dense.reshape(b, n, -1), out=half.reshape(b, n, -1))
+            np.matmul(half.reshape(b, -1, n), g, out=scaled.reshape(b, -1, n))
+            by_row = scaled.reshape(b, n, nd, n).transpose(2, 0, 1, 3)
             real = self.coords
             _hermitian_coordinates(by_row, self.upper, real.reshape(nd, b, n * n))
             _add_block(schur, self.dense_runs, self.dense_runs, real @ real.T)
@@ -957,8 +940,10 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
 class AffineMatrixExpr:
     """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued.
 
-    Each L is linear and maps a stack of block operators (q, n, n) to the
-    stack of their images (q, side, side) in one call.
+    Each L is complex-linear and Hermiticity-preserving, and maps a stack
+    of block operators (q, n, n) to the stack of their images (q, side,
+    side) in one call; ``fidelity_sdp`` applies it to the n^2 matrix units
+    E_ij of its block, which are not Hermitian.
     """
 
     side: int
@@ -1007,18 +992,20 @@ def fidelity_sdp(
         {w_blk: rho_rows}, _basis_overlaps(dag(v1) @ rho @ v1).real
     )
 
-    # sigma is affine: a term L puts -sum_e Tr(g L(e)) e over a basis e of
-    # its block into the row of the basis element g of the sigma corner
+    # sigma is affine: a term L puts -L^dag(g) = -sum_ij Tr(g L(E_ij)) E_ji,
+    # over the matrix units E_ij of its block, into the row of the basis
+    # element g of the sigma corner
     sig_rows = np.zeros((s * s, r + s, r + s), dtype=complex)
     sig_rows[:, r:, r:] = hermitian_basis(s)
     coeffs = {w_blk: sig_rows}
     for blk, lin in sigma.terms:
         n = builder.block_side(blk)
-        images = dag(v2) @ lin(hermitian_basis(n)) @ v2
-        overlap = _basis_overlaps(images).T  # [g, e] = Tr(g L(e))
-        if max_abs(overlap.imag) > 1e-9:
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i n + j
+        images = dag(v2) @ lin(units) @ v2
+        rows = _basis_overlaps(images).T.reshape(s * s, n, n).swapaxes(1, 2)
+        if max_abs(rows - dag(rows)) > 1e-9:
             raise ValueError("sigma coupling is not Hermiticity-preserving")
-        coeffs[blk] = coeffs.get(blk, 0.0) - _basis_combinations(overlap.real, n)
+        coeffs[blk] = coeffs.get(blk, 0.0) - rows
     builder.add_constraint(
         coeffs, _basis_overlaps(dag(v2) @ sigma.const @ v2).real
     )

@@ -13,6 +13,7 @@ from qbroadcast.linalg import (
     matrix_function_on_support,
     max_abs,
     partial_trace,
+    require_hermitian,
     support_isometry,
     support_projector,
     trace_norm,
@@ -104,6 +105,20 @@ def test_hermitian_eig_descending_and_reconstructs():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("count", [None, 3], ids=["matrix", "stack"])
+def test_require_hermitian_returns_the_hermitian_part(count):
+    rng = np.random.default_rng(4)
+    h = random_herm(4, rng) if count is None else np.stack(
+        [random_herm(4, rng) for _ in range(count)]
+    )
+    skewed = h + 1e-13 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+    got = require_hermitian(skewed, "skewed")
+    assert np.array_equal(got, dag(got))
+    assert max_abs(got - (skewed + dag(skewed)) / 2) <= 1e-15
+    exact = require_hermitian(h, "exact")
+    assert exact.tobytes() == h.tobytes()
 
 
 def test_matrix_function_on_support_pseudoinverse():

@@ -552,6 +552,20 @@ class TestRowBlocks:
         for a in (problem.objective[0], problem.stacks[0][0]):
             assert np.array_equal(a, a.conj().T)
 
+    def test_sub_tolerance_asymmetry_is_symmetrized_when_constructed_directly(self):
+        dust = np.array([[1.0, 1e-14], [0.0, 0.0]], dtype=complex)
+        problem = SdpProblem((2,), (dust,), (dust[None],), np.ones(1))
+        for a in (problem.objective[0], problem.stacks[0][0]):
+            assert np.array_equal(a, a.conj().T)
+
+    def test_real_data_constructed_directly_is_held_complex(self):
+        c = np.array([[1.0, 0.5], [0.5, -1.0]])
+        problem = SdpProblem((2,), (c,), (np.eye(2)[None],), np.ones(1))
+        assert problem.objective[0].dtype == problem.stacks[0].dtype == complex
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value - np.sqrt(1.25)) < 1e-6  # top eigenvalue of c
+
 
 def count_add_constraint(monkeypatch, fn, *args) -> int:
     calls = []
