@@ -41,7 +41,8 @@ from .states import DensityMatrix, Povm, PureState, _as_dims, _freeze
 class CompletelyPositiveMap:
     """A completely positive (not necessarily trace-preserving) map.
 
-    Validation enforces hermiticity and positivity of the Choi matrix.
+    Validation enforces hermiticity and positivity of the Choi matrix, and
+    ``choi`` keeps the Hermitian part that the hermiticity check returns.
     """
 
     in_dims: tuple[int, ...]
@@ -58,7 +59,7 @@ class CompletelyPositiveMap:
                 f"Choi shape {j.shape} does not match dims "
                 f"{list(in_dims)} -> {list(out_dims)}"
             )
-        require_hermitian(j, "Choi matrix")
+        j = require_hermitian(j, "Choi matrix")
         require_psd(j, "the map is not completely positive; its Choi matrix",
                     scale=max(1.0, max_abs(j)))
         object.__setattr__(self, "in_dims", in_dims)

@@ -127,9 +127,10 @@ def require_hermitian(a: np.ndarray, what: str, tol: float = VALIDATION_ATOL):
 
 
 def require_psd(a: np.ndarray, what: str, scale: float = 1.0):
-    """ValueError naming ``what`` unless the least eigenvalue of the
-    Hermitian part of ``a`` is at least ``-VALIDATION_ATOL * scale``."""
-    lo = float(np.linalg.eigvalsh(hermitian_part(a))[0])
+    """ValueError naming ``what`` unless the least eigenvalue of ``a``, a
+    Hermitian part as ``require_hermitian`` returns it, is at least
+    ``-VALIDATION_ATOL * scale``."""
+    lo = float(np.linalg.eigvalsh(a)[0])
     if lo < -VALIDATION_ATOL * scale:
         raise ValueError(f"{what} is not positive semidefinite: eigenvalue {lo:.3e}")
 

@@ -35,12 +35,14 @@ entry rows are the same rows with entries at the same positions.  The k
 outcome or preparation blocks of a measure-and-prepare half-step form one
 group; every other block the library builds is a group of its own.  X, Z
 and every per-block quantity are one (b, n, n) stack per group, so the NT
-scaling, the step lengths, the Newton right-hand sides and the updates
-run once per group, in stacked LAPACK and BLAS calls, as SDPT3 uses the
-block-diagonal structure.  A group (``_BlockRows``) holds only the rows
-that touch it.  An entry row is held as its entries, with one value per
-block: W A_i W is a sum of two outer products, and Re Tr(A_j W A_i W) is
-read off it at row j's entries, as in the sparse-row Schur formulas of
+scaling, the Schur terms, the Newton directions and the step lengths run
+once per group, in stacked LAPACK and BLAS calls, as SDPT3 uses the
+block-diagonal structure; the stacks of all groups lie side by side in
+flat arrays, so each entrywise step of an iterate is one operation.  A
+group (``_BlockRows``) holds only the rows that touch it.  An entry row
+is held as its entries, with one value per block: W A_i W is a sum of
+two outer products, and Re Tr(A_j W A_i W) is read off it at row j's
+entries, as in the sparse-row Schur formulas of
 Fujisawa, Kojima and Nakata (Math. Program. 79, 235, 1997).  The other
 rows form one real matrix over the flattened stack, so A(X) and A^*(y)
 are one matrix-vector product each.  With W = G G^dag their Schur terms
@@ -361,10 +363,12 @@ def _runs(rows: np.ndarray) -> list:
 
 
 def _add_block(out: np.ndarray, row_runs: list, col_runs: list, block):
-    """out[rows, cols] += block, one basic slice per pair of runs."""
+    """out[rows, cols] += block, one basic slice per pair of runs, added in
+    place into the view of ``out``."""
     for at_r, r in row_runs:
         for at_c, c in col_runs:
-            out[at_r, at_c] += block[r, c]
+            view = out[at_r, at_c]
+            view += block[r, c]
 
 
 def _layout(problem: SdpProblem, kept: np.ndarray, scale: np.ndarray) -> list:
@@ -419,8 +423,9 @@ class _BlockRows:
     the blocks a row leaves out), so A(X) and A^*(y) are one
     matrix-vector product each, and a complex copy ``dense`` (b, n, d, n)
     for their Schur terms: each block's rows side by side.  A lone block
-    is a group of one.  Every index and work array the iteration needs is
-    built here, once per solve.
+    is a group of one.  Every index and work array the Schur terms need,
+    and the views of them they read and write, are built here, once per
+    solve.
     """
 
     def __init__(self, stacks, kept, scale, basis, flat, members):
@@ -462,11 +467,19 @@ class _BlockRows:
         else:
             self.at = self.rows
         self.entry_runs, self.dense_runs = _runs(basis), _runs(dense)
-        # work arrays of the Schur terms, written afresh by every iteration
-        self.waw = np.empty((len(basis), b, n * n), dtype=complex)
-        self.read = np.empty((len(basis), b, len(basis)), dtype=complex)
-        self.scaled = np.empty((2, len(dense) * b * n * n), dtype=complex)
-        self.coords = np.empty((len(dense), b * n * n))
+        # work arrays of the Schur terms, written afresh by every iterate,
+        # and the views of them that it reads and writes
+        nb, nd = len(basis), len(dense)
+        self.waw = np.empty((nb, b, n * n), dtype=complex)
+        self.waw_by_block = self.waw.reshape(nb, b, n, n).swapaxes(0, 1)
+        self.read = np.empty((nb, b, nb), dtype=complex)
+        half, scaled = np.empty((2, b, n, nd * n), dtype=complex)
+        self.dense_cols, self.half = self.dense.reshape(b, n, nd * n), half
+        self.half_rows = half.reshape(b, n * nd, n)
+        self.scaled_rows = scaled.reshape(b, n * nd, n)
+        self.scaled_by_row = scaled.reshape(b, n, nd, n).transpose(2, 0, 1, 3)
+        self.coords = np.empty((nd, b * n * n))
+        self.coords_by_block = self.coords.reshape(nd, b, n * n)
         self.upper = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # i < j
 
     def norms(self) -> np.ndarray:
@@ -478,29 +491,34 @@ class _BlockRows:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum_k Re Tr(A_ik X_k) for each touching row i."""
-        xr = np.ascontiguousarray(x).reshape(-1)
-        dense = self.dense_real @ xr.view(float)
+        xr = x.reshape(-1)
         if not self.n_basis:
-            return dense
+            return self.dense_real @ xr.view(float)
         basis = (xr[self.entry_at] * self.v_bar).sum(1).real
-        return np.concatenate([basis, dense]) if len(dense) else basis
+        if len(self.rows) == self.n_basis:
+            return basis
+        return np.concatenate([basis, self.dense_real @ xr.view(float)])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """The (b, n, n) stack of sum_i y_i A_ik, ``y`` indexed like the
         touching rows."""
         nb, b, n = self.n_basis, self.b, self.n
-        out = y[nb:] @ self.dense_real
         if nb:
-            out += np.bincount(
+            out = np.bincount(
                 self.flat_real,
                 (y[:nb, None, None] * self.v).view(float).reshape(-1),
                 minlength=2 * b * n * n,
             )
+            if len(self.rows) > nb:
+                out += y[nb:] @ self.dense_real
+        else:
+            out = y @ self.dense_real
         return out.view(complex).reshape(b, n, n)
 
-    def add_schur(self, schur: np.ndarray, g: np.ndarray):
+    def add_schur(self, schur: np.ndarray, g: np.ndarray, w: np.ndarray):
         """Add sum_k Re Tr(A_ik W_k A_jk W_k), W_k = G_k G_k^dag, for each
-        pair of touching rows into their entry of ``schur``, in place.
+        pair of touching rows into their entry of ``schur``, in place, from
+        the stacks of the G_k and the W_k.
 
         An entry row's W A_i W is two outer products: row j's entries read
         off it if j is an entry row, and its dot product with row j if j is
@@ -511,17 +529,19 @@ class _BlockRows:
         form G_k^dag [A_1k ... A_dk] G_k for every block k at once."""
         nb, b, n, nd = self.n_basis, self.b, self.n, len(self.rows) - self.n_basis
         if nb:  # W[:, p] v W[q, :], summed over the two entries, by row
-            w, waw, read = g @ dag(g), self.waw, self.read
+            waw, read = self.waw, self.read
             np.matmul(
                 (w.swapaxes(1, 2)[:, self.p] * self.v_col).swapaxes(2, 3),
                 w[:, self.q],
-                out=waw.reshape(nb, b, n, n).swapaxes(0, 1),
+                out=self.waw_by_block,
             )
             # the indices are in range; mode "raise" would buffer ``out``
             (f, c), *more = self.reads
             np.multiply(np.take(waw, f, axis=2, out=read, mode="clip"), c, out=read)
-            for f, c in more:
-                read += np.take(waw, f, axis=2) * c
+            for f, c in more:  # one temporary the size of ``read``, not two
+                term = np.take(waw, f, axis=2)
+                term *= c
+                read += term
             entry = read[:, 0]
             for j in range(1, b):  # in place: read.sum(1) would allocate
                 entry += read[:, j]
@@ -531,12 +551,10 @@ class _BlockRows:
                 _add_block(schur, self.entry_runs, self.dense_runs, cross)
                 _add_block(schur, self.dense_runs, self.entry_runs, cross.T)
         if nd:  # G^dag [A_1 ... A_d], then each row's product with G
-            half, scaled = self.scaled
-            np.matmul(dag(g), self.dense.reshape(b, n, -1), out=half.reshape(b, n, -1))
-            np.matmul(half.reshape(b, -1, n), g, out=scaled.reshape(b, -1, n))
-            by_row = scaled.reshape(b, n, nd, n).transpose(2, 0, 1, 3)
+            np.matmul(dag(g), self.dense_cols, out=self.half)
+            np.matmul(self.half_rows, g, out=self.scaled_rows)
             real = self.coords
-            _hermitian_coordinates(by_row, self.upper, real.reshape(nd, b, n * n))
+            _hermitian_coordinates(self.scaled_by_row, self.upper, self.coords_by_block)
             _add_block(schur, self.dense_runs, self.dense_runs, real @ real.T)
 
 
@@ -563,14 +581,25 @@ def _a_adjoint(layout, y: np.ndarray) -> list:
     return [blk.adjoint(y[blk.at]) for blk in layout]
 
 
-def _schur_complement(layout, gs, m: int) -> np.ndarray:
+def _views(layout, flat: np.ndarray) -> list:
+    """Per-group (..., b, n, n) views of a (..., N) array that holds the
+    stacks of the groups of ``layout`` flattened side by side."""
+    views, end = [], 0
+    for blk in layout:
+        start, end = end, end + blk.b * blk.n * blk.n
+        shape = flat.shape[:-1] + (blk.b, blk.n, blk.n)
+        views.append(flat[..., start:end].reshape(shape))
+    return views
+
+
+def _schur_complement(layout, gs, ws, m: int) -> np.ndarray:
     """S_ij = sum_k Re Tr(A_ik W_k A_jk W_k) for the NT scaling factors
-    G_k, W_k = G_k G_k^dag: each group adds its terms in place.  The dense
-    and mixed terms are exactly symmetric; an entry pair's two readings
-    agree to roundoff, and the Cholesky reads the lower one."""
+    G_k and points W_k = G_k G_k^dag: each group adds its terms in place.
+    The dense and mixed terms are exactly symmetric; an entry pair's two
+    readings agree to roundoff, and the Cholesky reads the lower one."""
     schur = np.zeros((m, m))
-    for blk, g in zip(layout, gs):
-        blk.add_schur(schur, g)
+    for blk, g, w in zip(layout, gs, ws):
+        blk.add_schur(schur, g, w)
     return schur
 
 
@@ -579,30 +608,20 @@ def _inner(us, vs) -> float:
     return float(sum(np.vdot(u, v).real for u, v in zip(us, vs)))
 
 
-def _residuals(layout, objective, b, xs, y, zs):
-    """Primal residual b - A(X), dual residuals C + Z - A^*(y), and their
-    relative norms with the relative primal-dual gap."""
-    rp = b - _a_apply(layout, xs, b.size)
-    rds = [c + z - at for c, z, at in zip(objective, zs, _a_adjoint(layout, y))]
-    pval, dval = _inner(objective, xs), float(b @ y)
-    norm_c = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in objective))
-    return rp, rds, SdpResiduals(
-        float(np.linalg.norm(rp) / (1 + np.linalg.norm(b))),
-        float(np.sqrt(sum(np.linalg.norm(r) ** 2 for r in rds)) / (1 + norm_c)),
-        float(abs(pval - dval) / (1 + (abs(pval) + abs(dval)) / 2)),
-    )
-
-
-def _max_step(factors, ds) -> float:
-    """Largest alpha with every iterate + alpha*d still PSD, from the
-    iterate's factor H (H^dag iterate H = I): the least eigenvalue of
-    H^dag d H bounds alpha.  One ``eigvalsh`` per group's stack."""
-    alpha = np.inf
-    for h, d in zip(factors, ds):
-        lam = np.linalg.eigvalsh(hermitian_part(dag(h) @ d @ h))
-        lam_min = min(lam[..., 0].tolist())
-        if lam_min < -1e-14:
-            alpha = min(alpha, -1.0 / lam_min)
+def _step_lengths(factors, directions) -> np.ndarray:
+    """The largest (alpha_p, alpha_d) with every X + alpha_p dX and every
+    Z + alpha_d dZ still PSD (inf where a direction stays PSD), from the
+    iterate's factors H (H^dag X H = I): the least eigenvalue of H^dag d H
+    bounds alpha.  Per group, ``factors`` is the stack [H_x; H_z] and
+    ``directions`` the stack [dX; dZ], each (2, b, n, n), so one
+    ``eigvalsh`` serves both sides; it reads one triangle of the Hermitian
+    H^dag d H."""
+    lam_min, alpha = np.zeros(2), np.full(2, np.inf)
+    for h, d in zip(factors, directions):
+        lam = np.linalg.eigvalsh(dag(h) @ d @ h)
+        np.minimum(lam_min, lam[..., 0].min(1), out=lam_min)
+    bounded = lam_min < -1e-14
+    alpha[bounded] = -1.0 / lam_min[bounded]
     return alpha
 
 
@@ -614,17 +633,18 @@ def _nt_scaling(x: np.ndarray, z: np.ndarray):
     U_M^dag: one factorization serves the whole iteration.  G G^dag = W,
     the scaled point G^dag Z G = G^{-1} X G^{-dag} is V = diag(lam), and
     Z^{-1} = G V^{-1} G^dag.  X and Z may be (b, n, n) stacks, each
-    matrix scaled on its own by one ``eigh`` pair over the stack."""
+    matrix scaled on its own by one ``eigh`` pair over the stack; each
+    ``eigh`` reads one triangle of its Hermitian argument."""
     sx, ux = np.linalg.eigh(x)
-    floor = 1e-14 * np.maximum(sx.max(-1, keepdims=True), 1e-300)
+    floor = 1e-14 * np.maximum(sx[..., -1:], 1e-300)  # eigh sorts ascending
     hx = ux / np.sqrt(np.maximum(sx, floor))[..., None, :]
     rx = (ux * np.sqrt(np.maximum(sx, 1e-300))[..., None, :]) @ dag(ux)
-    sm, um = np.linalg.eigh(hermitian_part(rx @ z @ rx))
+    sm, um = np.linalg.eigh(rx @ z @ rx)
     sm = np.maximum(sm, 1e-300)
     lam = np.sqrt(sm)
     g = rx @ (um * (sm ** -0.25)[..., None, :])
-    cols = lam[..., None, :]
-    return g @ dag(g), (g / cols) @ dag(g), hx, g / np.sqrt(cols), g, lam
+    g_dag, cols = dag(g), lam[..., None, :]
+    return g @ g_dag, (g / cols) @ g_dag, hx, g / np.sqrt(cols), g, lam
 
 
 def _second_order(g, lam, z, dx, dz) -> np.ndarray:
@@ -633,10 +653,10 @@ def _second_order(g, lam, z, dx, dz) -> np.ndarray:
     G^{-dag} = V^{-1} G^dag Z dX Z G V^{-1} and dZ~ = G^dag dZ G, and
     L_V(U) = V U + U V, V = diag(lam), is inverted entrywise: U_ij =
     R_ij / (lam_i + lam_j).  Stacks are taken matrix by matrix."""
-    rows = lam[..., :, None]
-    ginv = (dag(g) @ z) / rows
-    half = (ginv @ dx @ dag(ginv)) @ (dag(g) @ dz @ g)
-    return g @ ((half + dag(half)) / (rows + lam[..., None, :])) @ dag(g)
+    rows, g_dag = lam[..., :, None], dag(g)
+    ginv = (g_dag @ z) / rows
+    half = (ginv @ dx @ dag(ginv)) @ (g_dag @ dz @ g)
+    return g @ ((half + dag(half)) / (rows + lam[..., None, :])) @ g_dag
 
 
 def _finite(*arrays) -> bool:
@@ -648,15 +668,18 @@ def _schur_solver(schur: np.ndarray):
     S.  A numerically singular S is solved on its range instead: one
     pivoted Cholesky (``dpstrf`` at its default tolerance) factors the
     pivots it keeps, and dy is zero on those it drops.  A non-finite S
-    raises FloatingPointError; a non-finite rhs gives a non-finite dy."""
+    raises FloatingPointError; a non-finite rhs gives a non-finite dy.
+    Without rows there is nothing to solve."""
     if not _finite(schur):
         raise FloatingPointError("the Schur complement is not finite")
+    if not len(schur):
+        return lambda rhs: rhs
     try:
-        factor = scipy.linalg.cho_factor(schur, lower=True)
+        factor, _ = scipy.linalg.cho_factor(schur, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         pass
     else:
-        return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        return lambda rhs: scipy.linalg.lapack.dpotrs(factor, rhs, lower=1)[0]
     chol, piv, rank, _ = scipy.linalg.lapack.dpstrf(schur, lower=1)
     kept, range_factor = piv[:rank] - 1, (chol[:rank, :rank], True)
 
@@ -674,104 +697,144 @@ def _schur_solver(schur: np.ndarray):
 def _path_following(objective, layout, b, tol, max_iters):
     """NT-scaled primal-dual path following over the row ``layout``.
 
-    X, Z, the ``objective`` and every per-block quantity are held as one
-    (b, n, n) stack per block group of the layout, so each step below
-    runs once per group, not once per block: the NT scaling, the Newton
-    right-hand sides and directions, the step lengths and the updates.
-    Each iterate is factored once: ``_nt_scaling`` per group and one
-    Cholesky of the Schur complement (``_schur_solver``), whose Newton
-    solves both directions share.  The predictor (affine-scaling)
-    direction picks the centering weight sigma; the corrector aims at
-    sigma mu on the central path and carries Mehrotra's second-order term,
-    computed in the NT-scaled space as SDPT3 computes it (Todd, Toh and
-    Tutuncu, SIAM J. Optim. 8, 769, 1998): its right-hand side is
-    sigma mu Z^{-1} - X - G L_V^{-1}(dX~ dZ~ + dZ~ dX~) G^dag for the
-    predictor's scaled directions (``_second_order``).  A Schur
-    complement or a direction that is not finite (an overflow, so its
-    warning is silenced) ends the solve with ``breakdown``.
+    X, Z, the ``objective`` and every per-block quantity are one (b, n, n)
+    stack per block group of the layout, so the NT scaling, the Schur
+    terms, the Newton directions and the step lengths run once per group.
+    The stacks of all groups lie side by side in flat arrays laid out once
+    per solve, each with its group views ([X; Z], [dX; dZ], the dual
+    residual R_d, W R_d W, the right-hand sides), so each entrywise step
+    is one operation per iterate.  Each iterate is factored once:
+    ``_nt_scaling`` per group and one Cholesky of the Schur complement
+    (``_schur_solver``), whose two Newton solves also share W R_d W.
+    ``_step_lengths`` reads both step lengths of a direction off one
+    ``eigvalsh`` per group.  The predictor (affine-scaling) direction picks
+    the centering weight sigma; the corrector aims at sigma mu on the
+    central path and carries Mehrotra's second-order term, computed in the
+    NT-scaled space as SDPT3 computes it (Todd, Toh and Tutuncu, SIAM J.
+    Optim. 8, 769, 1998): its right-hand side is sigma mu Z^{-1} - X -
+    G L_V^{-1}(dX~ dZ~ + dZ~ dX~) G^dag for the predictor's scaled
+    directions (``_second_order``).  X moves by exactly Hermitian steps,
+    so only Z, whose residual comes from the row map, is symmetrized.  A
+    Schur complement or a direction that is not finite (an overflow, so
+    its warning is silenced) ends the solve with ``breakdown``.
 
-    Iterates 0..``max_iters`` each get one ``_residuals`` pass, which sets
+    Iterates 0..``max_iters`` each get one residual pass, which sets
     ``status``.  Every exit returns (xs, y, zs, status, iterations,
     residuals) of its point, the stacks by group and the residuals
     row-scaled over the kept rows.
     """
-    m = b.size
+    m, size = b.size, sum(blk.b * blk.n * blk.n for blk in layout)
+    point, step = np.zeros((2, 2, size), dtype=complex)  # [X; Z], [dX; dZ]
+    c, rd, wrw, rc, work = np.zeros((5, size), dtype=complex)
+    # the flat position of each entry's mirror: (A + A^dag) / 2 entrywise
+    mirror = np.zeros(size, dtype=int)
+    for v, k in zip(_views(layout, mirror), _views(layout, np.arange(size))):
+        v[...] = k.swapaxes(1, 2)
+    xs, zs = _views(layout, point[0]), _views(layout, point[1])
+    steps, dzs = _views(layout, step), _views(layout, step[1])
+    rds, wrws, rcs, works = (_views(layout, a) for a in (rd, wrw, rc, work))
+    hs = [np.zeros((2, blk.b, blk.n, blk.n), dtype=complex) for blk in layout]
 
-    xs, zs = [], []
-    for c, blk in zip(objective, layout):
+    for ck, x, z, cv, blk in zip(objective, xs, zs, _views(layout, c), layout):
         n = blk.n
         a_norms = np.zeros((blk.b, m))
         a_norms[:, blk.at] = blk.norms()
         xi = np.full(blk.b, max(10.0, np.sqrt(n)))
-        eta = np.array([max(10.0, np.sqrt(n), np.linalg.norm(ck)) for ck in c])
+        eta = np.array([max(10.0, np.sqrt(n), np.linalg.norm(c_k)) for c_k in ck])
         if m:
             xi = np.maximum(xi, n * ((1 + np.abs(b)) / (1 + a_norms)).max(1))
             eta = np.maximum(eta, a_norms.max(1))
-        xs.append(xi[:, None, None] * np.eye(n, dtype=complex))
-        zs.append(eta[:, None, None] * np.eye(n, dtype=complex))
+        x[...] = xi[:, None, None] * np.eye(n)
+        z[...] = eta[:, None, None] * np.eye(n)
+        cv[...] = ck
     y = np.zeros(m)
     total_side = sum(blk.b * blk.n for blk in layout)
+    scale = (
+        1 + np.linalg.norm(b),
+        1 + np.sqrt(sum(np.linalg.norm(ck) ** 2 for ck in objective)),
+    )
+
+    def residuals():
+        """The primal residual b - A(X), with the dual residual
+        C + Z - A^*(y) written into ``rd``, and the relative residuals and
+        gap."""
+        rp = b - _a_apply(layout, xs, m)
+        for r, at in zip(rds, _a_adjoint(layout, y)):
+            r[...] = at
+        np.subtract(c + point[1], rd, out=rd)
+        pval, dval = np.vdot(c, point[0]).real, float(b @ y)
+        return rp, SdpResiduals(
+            float(np.sqrt(rp @ rp) / scale[0]),
+            float(np.sqrt(np.vdot(rd, rd).real) / scale[1]),
+            float(abs(pval - dval) / (1 + (abs(pval) + abs(dval)) / 2)),
+        )
+
+    def newton():
+        """dy, and [dX; dZ] into ``step``, for the right-hand side whose
+        centering part is ``rc``."""
+        np.add(rc, wrw, out=work)
+        dy = solve_schur(_a_apply(layout, works, m) - rp)
+        for dz, da in zip(dzs, _a_adjoint(layout, dy)):
+            dz[...] = da
+        step[1] -= rd
+        for w, dz, wdzw in zip(ws, dzs, works):  # work is free again
+            np.matmul(w @ dz, w, out=wdzw)
+        np.subtract(rc, work, out=work)
+        np.add(work, work.conj()[mirror], out=step[0])
+        step[0] *= 0.5  # dX, the Hermitian part of rc - W dZ W
+        if not _finite(dy, step):
+            raise FloatingPointError("a Newton direction is not finite")
+        return dy
 
     status = "max-iterations"
     for it in range(max_iters + 1):
-        rp, rds, res = _residuals(layout, objective, b, xs, y, zs)
+        rp, res = residuals()
         if res.primal < tol and res.dual < tol and res.gap < tol:
             status = "optimal"
             break
-        if b @ y < -1e8 * (1 + np.linalg.norm(b)):
+        if b @ y < -1e8 * scale[0]:
             status = "infeasible"
             break
         if it == max_iters:
             break
-        gap = _inner(xs, zs)
+        gap = np.vdot(point[0], point[1]).real
         mu = gap / total_side
 
-        ws, zinvs, hxs, hzs, gs, lams = zip(
-            *(_nt_scaling(x, z) for x, z in zip(xs, zs))
-        )
-
-        def newton(rcs):
-            rhs = _a_apply(
-                layout, [rc + w @ rd @ w for rc, rd, w in zip(rcs, rds, ws)], m
-            ) - rp
-            dy = solve_schur(rhs)
-            dzs = [da - rd for da, rd in zip(_a_adjoint(layout, dy), rds)]
-            dxs = [
-                hermitian_part(rc - w @ dz @ w) for rc, w, dz in zip(rcs, ws, dzs)
-            ]
-            if not _finite(dy, *dxs, *dzs):
-                raise FloatingPointError("a Newton direction is not finite")
-            return dxs, dy, dzs
+        ws, zinvs, gs, lams = [], [], [], []
+        for x, z, rdk, wrwk, h in zip(xs, zs, rds, wrws, hs):
+            w, zinv, h[0], h[1], g, lam = _nt_scaling(x, z)
+            np.matmul(w @ rdk, w, out=wrwk)
+            ws.append(w), zinvs.append(zinv), gs.append(g), lams.append(lam)
 
         try:
-            solve_schur = _schur_solver(_schur_complement(layout, gs, m))
+            solve_schur = _schur_solver(_schur_complement(layout, gs, ws, m))
 
             # predictor: its step chooses the centering weight
-            dxs_a, _, dzs_a = newton([-x for x in xs])
-            ap = min(1.0, _max_step(hxs, dxs_a))
-            ad = min(1.0, _max_step(hzs, dzs_a))
-            gap_aff = _inner(
-                [x + ap * dx for x, dx in zip(xs, dxs_a)],
-                [z + ad * dz for z, dz in zip(zs, dzs_a)],
-            )
+            np.negative(point[0], out=rc)
+            newton()
+            alpha = np.minimum(1.0, _step_lengths(hs, steps))
+            trial = point + alpha[:, None] * step
+            gap_aff = np.vdot(trial[0], trial[1]).real
             sigma = min(max((max(gap_aff, 0.0) / gap) ** 3, 1e-6), 0.999999)
 
             # corrector: centering plus the predictor's second-order term
-            dxs, dy, dzs = newton([
-                sigma * mu * zi - x - _second_order(g, lam, z, dx, dz)
-                for zi, x, z, g, lam, dx, dz
-                in zip(zinvs, xs, zs, gs, lams, dxs_a, dzs_a)
-            ])
+            for rck, zinv, x, z, g, lam, (dx, dz) in zip(
+                rcs, zinvs, xs, zs, gs, lams, steps
+            ):
+                np.subtract(
+                    sigma * mu * zinv - x, _second_order(g, lam, z, dx, dz), out=rck
+                )
+            dy = newton()
         except FloatingPointError:
             status = "breakdown"
             break
 
-        ap = min(1.0, 0.98 * _max_step(hxs, dxs))
-        ad = min(1.0, 0.98 * _max_step(hzs, dzs))
-
-        xs = [hermitian_part(x + ap * dx) for x, dx in zip(xs, dxs)]
-        y = y + ad * dy
-        zs = [hermitian_part(z + ad * dz) for z, dz in zip(zs, dzs)]
+        alpha = np.minimum(1.0, 0.98 * _step_lengths(hs, steps))
+        point += alpha[:, None] * step
+        y = y + alpha[1] * dy
+        z = point[1]
+        np.add(z, z.conj()[mirror], out=z)
+        z *= 0.5  # the Hermitian part
 
     return xs, y, zs, status, it, res
 

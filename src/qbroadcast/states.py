@@ -45,7 +45,8 @@ class DensityMatrix:
 
     ``dims`` orders factors slowest-first, matching :func:`qbroadcast.linalg.kron`.
     Validation enforces hermiticity, unit trace and positivity within
-    ``VALIDATION_ATOL``.
+    ``VALIDATION_ATOL``, and ``matrix`` keeps the Hermitian part that the
+    hermiticity check returns (an exactly Hermitian input unchanged).
     """
 
     dims: tuple[int, ...]
@@ -60,7 +61,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dims {list(dims)}"
             )
-        require_hermitian(mat, "density matrix")
+        mat = require_hermitian(mat, "density matrix")
         tr_dev = abs(mat.trace() - 1.0)
         if tr_dev > VALIDATION_ATOL:
             raise ValueError(f"trace differs from 1 by {tr_dev:.3e}")
@@ -127,12 +128,13 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measure: PSD elements summing to identity."""
+    """A positive operator-valued measure: PSD elements summing to identity,
+    each kept as the Hermitian part its hermiticity check returns."""
 
     elements: tuple
 
     def __post_init__(self):
-        els = tuple(_freeze(np.asarray(e, dtype=complex)) for e in self.elements)
+        els = [np.asarray(e, dtype=complex) for e in self.elements]
         if not els:
             raise ValueError("POVM needs at least one element")
         d = els[0].shape[0]
@@ -140,13 +142,13 @@ class Povm:
         for i, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError(f"element {i} has shape {e.shape}, expected {(d, d)}")
-            require_hermitian(e, f"POVM element {i}")
+            els[i] = e = require_hermitian(e, f"POVM element {i}")
             require_psd(e, f"POVM element {i}")
             total += e
         dev = max_abs(total - np.eye(d))
         if dev > VALIDATION_ATOL * max(1, len(els)):
             raise ValueError(f"elements sum to identity only within {dev:.3e}")
-        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "elements", tuple(_freeze(e) for e in els))
 
     @property
     def dim(self) -> int:

@@ -680,6 +680,24 @@ class TestEachJobOnce:
         assert solution.status == "optimal"
         assert len(calls) == 2 * len(groups) * solution.iterations
 
+    def test_two_eigvalsh_per_group_per_iteration(
+        self, monkeypatch, measurement_program
+    ):
+        # one stacked eigvalsh per group reads both step lengths of the
+        # predictor, and one more those of the corrector: 4 per iteration
+        groups = kept_layout(measurement_program)
+        calls = []
+        original_eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(None)
+            return original_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        solution = solve(measurement_program)
+        assert solution.status == "optimal"
+        assert len(calls) == 2 * len(groups) * solution.iterations
+
     def test_one_cholesky_and_no_qr_or_lstsq_per_iteration(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("solve must not call qr or lstsq")
@@ -794,7 +812,10 @@ class TestRowLayout:
         layout, ws = self.layout_and_points(problem)
         factors = [np.linalg.cholesky(w) for w in ws]
         got = sdp._schur_complement(
-            layout, sdp._gather(layout, factors), problem.n_constraints
+            layout,
+            sdp._gather(layout, factors),
+            sdp._gather(layout, ws),
+            problem.n_constraints,
         )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w).real
@@ -855,7 +876,10 @@ class TestGroupedLayout:
         layout, ws = self.layout_and_points(problem)
         factors = [np.linalg.cholesky(w) for w in ws]
         got = sdp._schur_complement(
-            layout, sdp._gather(layout, factors), problem.n_constraints
+            layout,
+            sdp._gather(layout, factors),
+            sdp._gather(layout, ws),
+            problem.n_constraints,
         )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
@@ -939,8 +963,9 @@ def dense_fidelity_gadget(builder, rho, sigma, sigma_support=None):
 
 
 class TestGadgetRows:
-    """The fidelity gadget gathers its basis overlaps and scatters its
-    coupling rows; the rows equal those of the dense einsum formulas."""
+    """The fidelity gadget gathers its basis overlaps and reads its coupling
+    rows off them by a transpose; the rows equal those of the dense einsum
+    formulas."""
 
     @pytest.mark.parametrize(
         "fn, dims",
@@ -972,7 +997,9 @@ def test_recovery_schur_complement_matches_dense_contraction(monkeypatch):
     rng = np.random.default_rng(53)
     ws = [random_pd(n, rng) for n in problem.blocks]
     factors = [np.linalg.cholesky(w) for w in ws]
-    got = sdp._schur_complement(layout, sdp._gather(layout, factors), m)
+    got = sdp._schur_complement(
+        layout, sdp._gather(layout, factors), sdp._gather(layout, ws), m
+    )
     want = sum(
         np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
         for a, w in zip(problem.stacks, ws)
@@ -1056,6 +1083,42 @@ class TestCorrectorAndSchurSolve:
             assert {s.status for _, s in records} == {"optimal"}
             total += sum(s.iterations for _, s in records)
         assert total <= 0.7 * 349
+
+
+class TestStepLengths:
+    """Both step lengths of a block group from one stacked ``eigvalsh`` of
+    [H_x^dag dX H_x; H_z^dag dZ H_z], against independent references."""
+
+    @pytest.mark.parametrize("b, n", [(1, 5), (4, 3)])
+    def test_each_side_matches_a_per_matrix_reference(self, b, n):
+        rng = np.random.default_rng(60 + b)
+        points = [np.stack([random_pd(n, rng) for _ in range(b)]) for _ in "xz"]
+        _, _, hx, hz, _, _ = sdp._nt_scaling(*points)
+        dirs = [np.stack([random_hermitian(n, rng) for _ in range(b)]) for _ in "xz"]
+        alphas = sdp._step_lengths([np.stack([hx, hz])], [np.stack(dirs)])
+        for alpha, point, d in zip(alphas, points, dirs):
+            # the least eigenvalue of L^-1 d L^-dag, P = L L^dag, bounds alpha
+            least = []
+            for p_k, d_k in zip(point, d):
+                l_inv = np.linalg.inv(np.linalg.cholesky(p_k))
+                least.append(np.linalg.eigvalsh(l_inv @ d_k @ l_inv.conj().T)[0])
+            assert min(least) < 0
+            assert alpha == pytest.approx(-1.0 / min(least), rel=1e-10)
+            # the step ends on the boundary of the tightest block only
+            lows = sorted(np.linalg.eigvalsh(p_k + alpha * d_k)[0]
+                          for p_k, d_k in zip(point, d))
+            assert lows[0] == pytest.approx(0.0, abs=1e-9)
+            assert all(low > 0 for low in lows[1:])
+
+    def test_a_direction_that_stays_psd_gives_no_step_bound(self):
+        rng = np.random.default_rng(62)
+        points = [np.stack([random_pd(3, rng) for _ in range(2)]) for _ in "xz"]
+        _, _, hx, hz, _, _ = sdp._nt_scaling(*points)
+        # dX >= 0 keeps X + alpha dX PSD for every alpha; dZ = -Z does not
+        d = np.stack([np.stack([random_pd(3, rng) for _ in range(2)]), -points[1]])
+        alpha_p, alpha_d = sdp._step_lengths([np.stack([hx, hz])], [d])
+        assert alpha_p == np.inf
+        assert alpha_d == pytest.approx(1.0, rel=1e-10)
 
 
 def pauli_x_problem():
