@@ -368,18 +368,14 @@ def discord(
 # broadcast-fidelity SDPs
 
 
-def _swap_operator(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
-
-
 def _swap_eigenspaces(d: int) -> list:
-    """Isometries onto the +1 and -1 eigenspaces of I_B x SWAP, empty omitted."""
-    vals, vecs = np.linalg.eigh(kron(np.eye(d), _swap_operator(d)))
-    return [v for v in (vecs[:, vals > 0], vecs[:, vals < 0]) if v.shape[1]]
+    """Isometries onto the +1 and -1 eigenspaces of I_B x SWAP, empty omitted:
+    I_B x {|ii>, (|ij> + |ji>)/sqrt 2} and I_B x {(|ij> - |ji>)/sqrt 2}, i < j."""
+    i, j = np.triu_indices(d)
+    units, swapped = np.eye(d * d)[:, i * d + j], np.eye(d * d)[:, j * d + i]
+    plus = (units + swapped) * np.where(i == j, 0.5, np.sqrt(0.5))
+    minus = ((units - swapped) * np.sqrt(0.5))[:, i < j]
+    return [kron(np.eye(d), u) for u in (plus, minus) if u.shape[1]]
 
 
 def f_max_broadcast(

@@ -237,8 +237,10 @@ def support_isometry(mat: np.ndarray) -> np.ndarray:
     """Isometry V whose columns span the support of a PSD matrix.
 
     ``dag(V) @ mat @ V`` is the compression of ``mat`` onto its support.
+    V is exactly the identity when ``support_mask`` keeps every eigenvalue.
     """
-    return hermitian_eig(mat).on_support().vectors
+    vals, vecs = hermitian_eig(mat).on_support()
+    return vecs if len(vals) < len(vecs) else np.eye(len(vecs), dtype=complex)
 
 
 def nearest_psd(mat: np.ndarray) -> np.ndarray:

@@ -12,20 +12,21 @@ q right-hand sides.  The builder refuses coefficients that are not
 Hermitian, once, as each row block comes in, and keeps the Hermitian
 part that check returns; ``SdpBuilder.build`` concatenates the row
 blocks into one complex (m, n_k, n_k) array per block plus the vector
-b: the public data that ``audit`` checks (an ``SdpProblem`` constructed
-directly validates its own data and keeps its Hermitian part too).  A
-solve scans each block's stack once (``_Nonzeros``) for its entry rows,
-with at most 2 nonzero entries there, as the orthonormal basis elements
-of the fidelity gadget have, and its dense rows; preprocessing and the
-row layout both read that scan.  Dependent constraints are found by one
-pivoted Cholesky of the rows' Gram matrix, which resolves independence
-to about 1e-6 relative, and dropped once their right-hand sides are
-checked against the kept rows.  The Gram matrix is formed block by
-block: entry rows against each other from their entries, against dense
-rows by gathers, dense rows against each other by one symmetric product.
-Flattened and viewed as real pairs, a row is a real vector whose dot
-product with a flattened Hermitian X is Re Tr(A_i X), so the real linear
-algebra needs neither a copy nor an embedding.
+b, which the builder then keeps as its one row block: the public data
+that ``audit`` checks (an ``SdpProblem`` constructed directly validates
+its own data and keeps its Hermitian part too).  A solve scans each
+block's stack once (``_Nonzeros``) for its entry rows, with at most 2
+nonzero entries there, as the gadget's basis elements have, and its
+dense rows; preprocessing and the row layout both read that scan.
+Dependent constraints are found by one pivoted Cholesky of the rows'
+Gram matrix, which resolves independence to about 1e-6 relative, and
+dropped once their right-hand sides are checked against the kept rows.
+The Gram matrix is formed block by block: entry rows against each other
+from their entries, against dense rows by gathers, dense rows against
+each other by one symmetric product.  Flattened and viewed as real
+pairs, a row is a real vector whose dot product with a flattened
+Hermitian X is Re Tr(A_i X), so the real linear algebra needs neither a
+copy nor an embedding.
 
 Each solve then lays out the kept, scaled rows once per block group
 (``_layout``), and every per-iterate operation (the map
@@ -64,11 +65,11 @@ Schur complement or direction that is not finite ends a solve with
 rows, of the point it returns; ``audit`` is the unscaled check.
 Instances here are small (block side <= ~40, <= ~700 constraints), so
 dense linear algebra per iteration is the right tool.  The fidelity
-gadget applies each linear term L of sigma once, to the stack of matrix
-units E_ij of its block, and reads the overlaps of the images with the
-basis by gathers, as each basis element has at most 2 entries; the
+gadget keeps a full support in the natural basis (``support_isometry``),
+applies each linear term L of sigma once, to the matrix units E_ij of
+its block, and reads the overlaps with the basis by gathers; the
 coupling row of a basis element g is L^dag(g) = sum_ij Tr(g L(E_ij)) E_ji,
-a transpose of those overlaps.
+a transpose of those overlaps, with as few entries as L reaches.
 
 Every fidelity the library reports comes from ``certified_fidelity``: a
 solve counts only with status ``optimal`` and a passing, independent
@@ -251,6 +252,7 @@ class SdpBuilder:
             for k, a in coeffs.items():
                 stacks[k][start:start + len(b)] = a
             start += len(b)
+        self._row_blocks = [(dict(enumerate(stacks)), rhs)]  # no second copy
         objective = tuple(
             _check_block(c, (n, n), "objective", k)
             for k, (n, c) in enumerate(zip(self._blocks, self._objective))
@@ -1024,19 +1026,18 @@ def fidelity_sdp(
 
     Encodes max (Tr X + Tr X^dag)/2 over [[rho, X], [X^dag, sigma]] >= 0,
     where ``sigma`` may be affine in other problem blocks.  Both corners
-    are compressed onto supports: rho onto its own, sigma onto the
-    projector ``sigma_support`` (callers must guarantee every reachable
-    sigma lives inside it; identity if omitted).  The compression keeps
-    strictly feasible points available when rho or sigma is singular.
+    are compressed by ``support_isometry``: rho onto its own support,
+    sigma onto the projector ``sigma_support`` (callers must guarantee
+    every reachable sigma lives inside it; identity if omitted).  That
+    keeps a full support in the natural basis, with objective Re Tr X,
+    and strictly feasible points when rho or sigma is singular.
 
     Returns the index of the added PSD block.  The block's objective
     contribution equals the fidelity at the optimum.
     """
-    v1 = support_isometry(np.asarray(rho, dtype=complex))
     if sigma_support is None:
-        v2 = np.eye(sigma.side, dtype=complex)
-    else:
-        v2 = support_isometry(np.asarray(sigma_support, dtype=complex))
+        sigma_support = np.eye(sigma.side)
+    v1, v2 = support_isometry(rho), support_isometry(sigma_support)
     r, s = v1.shape[1], v2.shape[1]
     if r == 0:
         raise ValueError("rho has empty support")
@@ -1066,7 +1067,7 @@ def fidelity_sdp(
         units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i n + j
         images = dag(v2) @ lin(units) @ v2
         rows = _basis_overlaps(images).T.reshape(s * s, n, n).swapaxes(1, 2)
-        if max_abs(rows - dag(rows)) > 1e-9:
+        if max_abs(rows - dag(rows)) > COEFF_HERM_TOL:
             raise ValueError("sigma coupling is not Hermiticity-preserving")
         coeffs[blk] = coeffs.get(blk, 0.0) - rows
     builder.add_constraint(

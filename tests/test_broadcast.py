@@ -20,6 +20,7 @@ from qbroadcast.broadcast import (
     _partial_transpose_output,
     _projective_rows,
     _qubit_eb_channel,
+    _swap_eigenspaces,
     _swap_sides,
     average_mi_loss,
     broadcast_report,
@@ -269,6 +270,23 @@ class TestDiscord:
     def test_rejects_fewer_than_one_restart(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             discord(bell_state(), restarts=restarts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_swap_eigenspaces_are_written_down(d):
+    # I_B x {|ii>, (|ij> +- |ji>)/sqrt 2}: isometries that together resolve
+    # the identity, each in its eigenspace of I_B x SWAP, entries 0, +-1/sqrt 2, 1
+    swap = np.eye(d * d)[[(k % d) * d + k // d for k in range(d * d)]]
+    i_swap = np.kron(np.eye(d), swap)
+    plus, minus = _swap_eigenspaces(d)
+    assert plus.shape == (d ** 3, d * d * (d + 1) // 2)
+    assert minus.shape == (d ** 3, d * d * (d - 1) // 2)
+    for v, sign in ((plus, 1.0), (minus, -1.0)):
+        assert max_abs(v.conj().T @ v - np.eye(v.shape[1])) < 1e-15
+        assert np.array_equal(i_swap @ v, sign * v)
+        assert np.isin(v, [0.0, 1.0, np.sqrt(0.5), -np.sqrt(0.5)]).all()
+    both = plus @ plus.conj().T + minus @ minus.conj().T
+    assert max_abs(both - np.eye(d ** 3)) < 1e-15
 
 
 class TestFMaxBroadcast:

@@ -151,6 +151,15 @@ def test_support_isometry_spans_range():
     assert max_abs(v @ dag(v) - support_projector(m)) < 1e-10
 
 
+def test_support_isometry_of_a_full_support_is_the_identity():
+    # the natural basis, not an eigenbasis: exact, entry for entry
+    rng = np.random.default_rng(7)
+    for m in (random_psd(6, rng), np.eye(5), kron(np.eye(2), np.eye(3))):
+        v = support_isometry(m)
+        assert v.dtype == complex
+        assert np.array_equal(v, np.eye(len(m)))
+
+
 def test_trace_norm_known_values():
     assert abs(trace_norm(np.diag([1.0, -2.0, 3.0])) - 6.0) < 1e-12
     assert abs(trace_norm(np.zeros((3, 3)))) == 0.0

@@ -424,15 +424,18 @@ class TestFidelityGadget:
         assert abs(sol.primal_value - 0.5) < 1e-6
 
     def test_non_hermiticity_preserving_term_rejected(self):
-        b = SdpBuilder()
-        free = b.add_block(2)
-        expr = AffineMatrixExpr(
-            side=2,
-            const=np.zeros((2, 2), dtype=complex),
-            terms=((free, lambda e: 1j * e),),
-        )
-        with pytest.raises(ValueError, match="not Hermiticity-preserving"):
-            fidelity_sdp(b, np.eye(2, dtype=complex) / 2, expr)
+        # the gadget refuses at the builder's COEFF_HERM_TOL, by its own
+        # message, also a term only 2e-10 from Hermiticity-preserving
+        for term in (lambda e: 1j * e, lambda e: (1 + 1e-10j) * e):
+            b = SdpBuilder()
+            free = b.add_block(2)
+            expr = AffineMatrixExpr(
+                side=2,
+                const=np.zeros((2, 2), dtype=complex),
+                terms=((free, term),),
+            )
+            with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+                fidelity_sdp(b, np.eye(2, dtype=complex) / 2, expr)
 
 
 def test_density_matrix_inputs_accepted_via_matrix_attribute():
@@ -565,6 +568,27 @@ class TestRowBlocks:
         sol = solve(problem)
         assert sol.status == "optimal"
         assert abs(sol.primal_value - np.sqrt(1.25)) < 1e-6  # top eigenvalue of c
+
+    def test_built_stacks_become_the_one_row_block(self):
+        # the builder keeps no second copy of its rows, and still extends
+        b = SdpBuilder()
+        x, y = b.add_block(2), b.add_block(3)
+        b.add_constraint({x: np.eye(2)}, 1.0)
+        b.add_constraint({y: np.eye(3)}, 2.0)
+        first = b.build()
+        ((rows, rhs),) = b._row_blocks
+        assert rows[x] is first.stacks[x] and rows[y] is first.stacks[y]
+        assert rhs is first.rhs
+        z = b.add_block(2)
+        b.add_constraint({x: np.diag([1.0, 0.0]), z: np.eye(2)}, 0.5)
+        second = b.build()
+        assert second.blocks == (2, 3, 2)
+        assert np.array_equal(second.rhs, [1.0, 2.0, 0.5])
+        assert first.n_constraints == 2
+        for a, c in zip(first.stacks, second.stacks):
+            assert np.array_equal(a, c[:2])
+        assert not second.stacks[z][:2].any()
+        assert np.array_equal(second.stacks[x][2], np.diag([1.0, 0.0]))
 
 
 def count_add_constraint(monkeypatch, fn, *args) -> int:
@@ -980,6 +1004,91 @@ class TestGadgetRows:
         assert np.abs(got.rhs - want.rhs).max() <= 1e-14
         for a, b in zip(got.stacks, want.stacks):
             assert np.abs(a - b).max() <= 1e-14
+
+
+class TestNaturalBasis:
+    """On full-rank data the gadget's corners and the swap sectors stay in
+    the natural basis: the objective is Re Tr X, and a coupling row touches
+    only the Choi entries its sigma term reaches, 2 d_B^2 = 18 on a 2x3x3
+    recovery and 54 / 18 on the two swap sectors of a 2x3 f_max (of 729,
+    324 and 81)."""
+
+    @staticmethod
+    def coupling_nonzeros(problem, block, sigma_side):
+        rows = problem.stacks[block][-sigma_side ** 2:]  # the gadget's last rows
+        return np.count_nonzero(rows.reshape(len(rows), -1), axis=1)
+
+    @staticmethod
+    def assert_textbook_objective(problem, side):
+        want = np.zeros((2 * side, 2 * side))
+        want[:side, side:] = want[side:, :side] = np.eye(side) / 2
+        assert np.array_equal(problem.objective[-1], want)
+
+    def test_recovery_2x3x3(self, monkeypatch):
+        problem = built_problem(
+            monkeypatch, optimal_recovery_fidelity, random_state((2, 3, 3), 4)
+        )
+        assert problem.blocks == (27, 36)
+        self.assert_textbook_objective(problem, 18)
+        assert self.coupling_nonzeros(problem, 0, 18).max() <= 18
+
+    def test_f_max_2x3(self, monkeypatch):
+        problem = built_problem(monkeypatch, f_max_broadcast, random_state((2, 3), 4))
+        assert problem.blocks == (18, 9, 12)
+        self.assert_textbook_objective(problem, 6)
+        assert self.coupling_nonzeros(problem, 0, 6).max() <= 54
+        assert self.coupling_nonzeros(problem, 1, 6).max() <= 18
+
+
+def pure_a_product(rest: DensityMatrix) -> DensityMatrix:
+    """|0><0| (x) ``rest``: rho_A has rank one, so supp(rho_A) (x) I, which
+    holds every sigma the broadcast and recovery programs reach, is deficient."""
+    return DensityMatrix((2,), np.diag([1.0, 0.0]).astype(complex)).tensor(rest)
+
+
+class TestDeficientSigmaSupport:
+    """The gadget compresses a deficient sigma support onto its eigenbasis.
+    No state with a full rho_A takes that path, so these states do: every
+    solve is optimal and audited, and each fidelity is 1 within the slack."""
+
+    @pytest.fixture
+    def certified(self, monkeypatch):
+        audits, original = [], sdp.audit
+
+        def audited(*args, **kwargs):
+            audits.append(original(*args, **kwargs))
+            return audits[-1]
+
+        monkeypatch.setattr(sdp, "audit", audited)
+
+        def run(fn, rho):
+            del audits[:]
+            with sdp.recording() as records:
+                value = fn(rho)
+            assert records and len(audits) == len(records)
+            assert all(ok for ok, _ in audits)
+            for _, solution in records:
+                assert solution.status == "optimal"
+                # the gadget block, added last, holds both compressed corners
+                assert len(solution.primal_blocks[-1]) <= len(rho.matrix)
+            return value
+
+        return run
+
+    @pytest.mark.parametrize("d_b", [2, 3])
+    def test_broadcast_fidelities_reach_one(self, certified, d_b):
+        rho = pure_a_product(random_state(d_b, 7))
+        slack = sdp.fidelity_slack(sdp.DEFAULT_TOL)
+        f_max, _ = certified(f_max_broadcast, rho)
+        detail = certified(broadcast.f_eb_detailed, rho)
+        assert f_max >= 1 - slack
+        assert detail.value >= 1 - slack
+        assert detail.lower_bound >= 1 - slack
+
+    def test_recovery_reaches_one(self, certified):
+        rho = pure_a_product(random_state((2, 2), 7))
+        value, _ = certified(optimal_recovery_fidelity, rho)
+        assert value >= 1 - sdp.fidelity_slack(sdp.DEFAULT_TOL)
 
 
 def test_recovery_schur_complement_matches_dense_contraction(monkeypatch):
