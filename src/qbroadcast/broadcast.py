@@ -27,9 +27,10 @@ The three obey f_max >= f_eb and discord >= -2 log2 f_eb, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import OptimizeResult, minimize_scalar
 
 from .channels import (
     Channel,
@@ -204,15 +205,17 @@ def _ascent_generator(rho4, v: np.ndarray) -> np.ndarray:
     X = (G v^dag - v G^dag) / 2 and d/dt I(exp(tY) v) = 2 Re Tr(Y^dag X)
     at t = 0 for every anti-Hermitian Y.  Each A_i is cut to its own
     ``support_mask``, as the score ``_classical_mi_stack`` cuts it.
+    ``v`` may carry leading axes, (r, k, d) for r restarts; each gets
+    the X of its own POVM.
     """
-    cond = np.einsum("abcd,id,ib->iac", rho4, v.conj(), v)
+    cond = np.einsum("abcd,...id,...ib->...iac", rho4, v.conj(), v)
     vals, vecs = np.linalg.eigh(cond)
     support = support_mask(vals)
-    weights = vals.sum(axis=1, where=support, keepdims=True)
+    weights = vals.sum(axis=-1, where=support, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(support, np.log2(vals / weights), 0.0)
-    cond_logs = np.einsum("iak,ik,ick->iac", vecs, logs, vecs.conj())
-    g = np.einsum("ib,abcd,ica->id", v, rho4, cond_logs)
+    cond_logs = np.einsum("...iak,...ik,...ick->...iac", vecs, logs, vecs.conj())
+    g = np.einsum("...ib,abcd,...ica->...id", v, rho4, cond_logs)
     gv = g @ dag(v)
     return (gv - dag(gv)) / 2
 
@@ -223,6 +226,107 @@ def _projective_rows(basis: np.ndarray, k: int) -> np.ndarray:
     rows = np.zeros((k, d), dtype=complex)
     rows[:d] = basis.T.conj()
     return rows
+
+
+def _bounded_lane(x1, x2, xatol, maxiter):
+    """scipy's bounded Brent minimization on [x1, x2] as a coroutine.
+
+    A line-for-line copy of the arithmetic of scipy's
+    ``_minimize_scalar_bounded``: it yields each point to score, takes
+    f(point) back by ``send`` and returns (x, f(x), evaluations).
+    """
+    sqrt_eps = sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        if np.abs(e) > tol1:  # parabolic fit
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+        if golden:  # golden-section step
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf, fx, num
+
+
+def _lockstep_bounded(fun, args, bounds, xatol, maxiter=500, **_):
+    """Bounded Brent minimization of many scalar functions in lockstep.
+
+    A ``minimize_scalar`` method: ``bounds`` is a pair of arrays, one
+    interval per lane, and ``fun(x, lanes, *args)`` scores the points
+    ``x`` of the lanes at indices ``lanes`` in one call.  Each lane runs
+    ``_bounded_lane``, so its x, fun and nfev are scipy's bounded
+    method's to the bit; every iteration scores all lanes still running
+    at once.
+    """
+    runs = [_bounded_lane(lo, hi, xatol, maxiter) for lo, hi in zip(*bounds)]
+    points = {lane: run.send(None) for lane, run in enumerate(runs)}
+    ends = [None] * len(runs)
+    while points:
+        lanes = np.fromiter(points, dtype=int, count=len(points))
+        values = fun(np.fromiter(points.values(), dtype=float), lanes, *args)
+        points = {}
+        for lane, value in zip(lanes.tolist(), values):
+            try:
+                points[lane] = runs[lane].send(value)
+            except StopIteration as stop:
+                ends[lane] = stop.value
+    x, fx, nfev = (np.array(col) for col in zip(*ends))
+    return OptimizeResult(x=x, fun=fx, nfev=nfev)
 
 
 def discord(
@@ -239,11 +343,16 @@ def discord(
     gains nothing, or gains less than ``SWEEP_GAIN_FLOOR`` and lands where
     the gradient norm is at most ``STATIONARY_GRAD``, triggers one coarse
     scan along every coordinate generator, which escapes a saddle or ends
-    the restart.  Any measurement only bounds discord from above, so
-    ``converged`` says the best restart ended in a failed scan with
-    ``grad_norm <= STATIONARY_GRAD`` and agrees with the runner-up (if
-    any) within ``CONVERGENCE_WINDOW``.  A value below 0 by at most
-    ``NEGATIVE_DUST`` is roundoff and reads 0; a lower one raises.
+    the restart.  The restarts step in lockstep: each step takes one
+    stacked ``eigh`` and one stacked score of the coarse line-search grid
+    of every live restart, and each iteration of the bounded Brent
+    refinement (``_lockstep_bounded``) scores all restarts still refining
+    in one call.  A restart's arithmetic does not depend on the others',
+    so each ends where it would alone.  Any measurement only bounds
+    discord from above, so ``converged`` says the best restart ended in a
+    failed scan with ``grad_norm <= STATIONARY_GRAD`` and agrees with the
+    runner-up (if any) within ``CONVERGENCE_WINDOW``.  A value below 0 by
+    at most ``NEGATIVE_DUST`` is roundoff and reads 0; a lower one raises.
     """
     _require_dimension_two(rho, "discord")
     side = side.upper()
@@ -282,65 +391,100 @@ def discord(
     coarse = np.linspace(-np.pi, np.pi, 17)
     h = coarse[1] - coarse[0]
 
-    def rotate(gen, ts, v):
-        gvals, gvecs = gen
-        phases = np.exp(1j * np.outer(ts, gvals))
-        u = np.einsum("ab,tb,cb->tac", gvecs, phases, gvecs.conj())
-        return u @ v
+    def rotate(gvals, gvecs, ts, v):
+        """exp(i t G_r) v_r for each lane r at its times ts[r]: (r, t, k, d)."""
+        phases = np.exp(1j * (ts[:, :, None] * gvals[:, None, :]))
+        u = np.einsum("rab,rtb,rcb->rtac", gvecs, phases, gvecs.conj())
+        return u @ v[:, None]
 
-    scan = np.concatenate(  # every coordinate generator at every grid point
-        [rotate(np.linalg.eigh(g), coarse, np.eye(k)) for g in hermitian_basis(k)]
-    )
+    # every coordinate generator at every grid point
+    gvals, gvecs = np.linalg.eigh(hermitian_basis(k))
+    ts = np.broadcast_to(coarse, (k * k, len(coarse)))
+    scan = rotate(gvals, gvecs, ts, np.broadcast_to(np.eye(k), (k * k, k, k)))
+    scan = scan.reshape(-1, k, k)
 
     def line_search(direction, v):
+        """Best value and point along each lane's direction from its v."""
         gvals, gvecs = np.linalg.eigh(-1j * direction)
-        gen = (gvals / np.abs(gvals).max(), gvecs)
-        vals = score(rotate(gen, coarse, v))
-        pick = int(np.argmax(vals))
-        t_best, val_best = coarse[pick], float(vals[pick])
+        gvals = gvals / np.abs(gvals).max(axis=1, keepdims=True)
+        n = len(v)
+        ts = np.broadcast_to(coarse, (n, len(coarse)))
+        vals = score(rotate(gvals, gvecs, ts, v).reshape(-1, k, d_meas))
+        vals = vals.reshape(n, len(coarse))
+        pick = vals.argmax(axis=1)
+        t_best, val_best = coarse[pick], vals[np.arange(n), pick]
+
+        def refine(t, lanes):
+            at = rotate(gvals[lanes], gvecs[lanes], t[:, None], v[lanes])
+            return -score(at[:, 0])
+
         res = minimize_scalar(
-            lambda t: -float(score(rotate(gen, np.array([t]), v))[0]),
+            refine,
             bounds=(t_best - h, t_best + h),
-            method="bounded",
+            method=_lockstep_bounded,
             options={"xatol": 1e-9},
         )
-        if -res.fun > val_best:
-            t_best, val_best = float(res.x), float(-res.fun)
-        return val_best, rotate(gen, np.array([t_best]), v)[0]
+        better = -res.fun > val_best
+        t_best = np.where(better, res.x, t_best)
+        val_best = np.where(better, -res.fun, val_best)
+        return val_best, rotate(gvals, gvecs, t_best[:, None], v)[:, 0]
 
-    results = []
-    for v in starts:
-        best = float(score(v[None])[0])
-        grad = direction = _ascent_generator(rho4, v)
-        stalled = False
-        for _ in range(MAX_STEPS):
-            gain, old = 0.0, grad
-            if np.any(direction):
-                val, moved = line_search(direction, v)
-                if val > best + 1e-13:
-                    gain, best, v = val - best, val, moved
-                    grad = _ascent_generator(rho4, v)
-            # a small gain far from stationarity is slow progress, not a stall
-            scanned = gain < SWEEP_GAIN_FLOOR and (
-                gain == 0.0 or np.linalg.norm(grad) <= STATIONARY_GRAD
+    # per-restart state, stepped together; a restart leaves when its
+    # scan fails
+    v = list(starts)
+    best = score(np.array(v)).tolist()
+    grad = list(_ascent_generator(rho4, np.array(v)))
+    direction = list(grad)
+
+    def regrade(moved):
+        """Refresh ``grad`` at the restarts ``moved`` by one stacked call."""
+        if moved:
+            stacked = _ascent_generator(rho4, np.array([v[i] for i in moved]))
+            for i, g in zip(moved, stacked):
+                grad[i] = g
+
+    stalled = [False] * len(v)
+    live = list(range(len(v)))
+    for _ in range(MAX_STEPS):
+        if not live:
+            break
+        gain, old = dict.fromkeys(live, 0.0), {i: grad[i] for i in live}
+        searching = [i for i in live if np.any(direction[i])]
+        if searching:
+            vals, moved = line_search(
+                np.array([direction[i] for i in searching]),
+                np.array([v[i] for i in searching]),
             )
-            if scanned:
-                vals = score(scan @ v)
-                pick = int(np.argmax(vals))
-                if vals[pick] < best + SWEEP_GAIN_FLOOR:
-                    stalled = True
-                    break
-                best, v = float(vals[pick]), scan[pick] @ v
-                grad = _ascent_generator(rho4, v)
+            stepped = []
+            for i, val, w in zip(searching, vals.tolist(), moved):
+                if val > best[i] + 1e-13:
+                    gain[i], best[i], v[i] = val - best[i], val, w
+                    stepped.append(i)
+            regrade(stepped)
+        # a small gain far from stationarity is slow progress, not a stall
+        scanned = [i for i in live if gain[i] < SWEEP_GAIN_FLOOR and (
+            gain[i] == 0.0 or np.linalg.norm(grad[i]) <= STATIONARY_GRAD
+        )]
+        jumped = []
+        for i in scanned:
+            vals = score(scan @ v[i])
+            pick = int(np.argmax(vals))
+            if vals[pick] < best[i] + SWEEP_GAIN_FLOOR:
+                stalled[i] = True
+            else:
+                best[i], v[i] = float(vals[pick]), scan[pick] @ v[i]
+                jumped.append(i)
+        regrade(jumped)
+        live = [i for i in live if not stalled[i]]
+        for i in live:
             beta = 0.0  # Polak-Ribiere after a step; a scan move restarts
-            if not scanned:
-                beta = (np.vdot(grad, grad - old) / np.vdot(old, old)).real
-            direction = grad + beta * direction
-            if np.vdot(direction, grad).real <= 0:  # not an ascent direction
-                direction = grad
-        results.append((best, v, stalled))
-
-    results.sort(key=lambda item: item[0], reverse=True)
+            if i not in scanned:
+                beta = (np.vdot(grad[i], grad[i] - old[i])
+                        / np.vdot(old[i], old[i])).real
+            direction[i] = grad[i] + beta * direction[i]
+            if np.vdot(direction[i], grad[i]).real <= 0:  # not an ascent direction
+                direction[i] = grad[i]
+    results = sorted(zip(best, v, stalled), key=lambda item: item[0], reverse=True)
     classical_mi, v_best, stalled = results[0]
     # polish away rotation roundoff so the POVM sums to the identity exactly
     gram = dag(v_best) @ v_best

@@ -1029,8 +1029,9 @@ def fidelity_sdp(
     are compressed by ``support_isometry``: rho onto its own support,
     sigma onto the projector ``sigma_support`` (callers must guarantee
     every reachable sigma lives inside it; identity if omitted).  That
-    keeps a full support in the natural basis, with objective Re Tr X,
-    and strictly feasible points when rho or sigma is singular.
+    keeps a full support in the natural basis, with objective Re Tr X
+    and no product with the identity isometry (``_compress``), and
+    strictly feasible points when rho or sigma is singular.
 
     Returns the index of the added PSD block.  The block's objective
     contribution equals the fidelity at the optimum.
@@ -1043,7 +1044,7 @@ def fidelity_sdp(
         raise ValueError("rho has empty support")
     w_blk = builder.add_block(r + s)
 
-    c12 = (dag(v1) @ v2) / 2.0
+    c12 = _compress(np.eye(len(v1), dtype=complex), v1, v2) / 2.0
     c_w = np.zeros((r + s, r + s), dtype=complex)
     c_w[:r, r:] = c12
     c_w[r:, :r] = dag(c12)
@@ -1053,7 +1054,7 @@ def fidelity_sdp(
     rho_rows = np.zeros((r * r, r + s, r + s), dtype=complex)
     rho_rows[:, :r, :r] = hermitian_basis(r)
     builder.add_constraint(
-        {w_blk: rho_rows}, _basis_overlaps(dag(v1) @ rho @ v1).real
+        {w_blk: rho_rows}, _basis_overlaps(_compress(rho, v1, v1)).real
     )
 
     # sigma is affine: a term L puts -L^dag(g) = -sum_ij Tr(g L(E_ij)) E_ji,
@@ -1065,15 +1066,29 @@ def fidelity_sdp(
     for blk, lin in sigma.terms:
         n = builder.block_side(blk)
         units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i n + j
-        images = dag(v2) @ lin(units) @ v2
+        images = _compress(lin(units), v2, v2)
         rows = _basis_overlaps(images).T.reshape(s * s, n, n).swapaxes(1, 2)
         if max_abs(rows - dag(rows)) > COEFF_HERM_TOL:
             raise ValueError("sigma coupling is not Hermiticity-preserving")
         coeffs[blk] = coeffs.get(blk, 0.0) - rows
     builder.add_constraint(
-        coeffs, _basis_overlaps(dag(v2) @ sigma.const @ v2).real
+        coeffs, _basis_overlaps(_compress(sigma.const, v2, v2)).real
     )
     return w_blk
+
+
+def _compress(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """dag(left) @ mat @ right, skipping a factor that is the identity.
+
+    ``support_isometry`` returns a square isometry only for a full
+    support, and then it is exactly the identity, so the product it
+    skips would return ``mat`` bit for bit.
+    """
+    if left.shape[0] != left.shape[1]:
+        mat = dag(left) @ mat
+    if right.shape[0] != right.shape[1]:
+        mat = mat @ right
+    return mat
 
 
 # ---------------------------------------------------------------------------

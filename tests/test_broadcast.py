@@ -7,16 +7,20 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import minimize_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbroadcast.broadcast as broadcast_module
 from qbroadcast.broadcast import (
+    MAX_STEPS,
     STATIONARY_GRAD,
     BroadcastReport,
     EbDetail,
     _ascent_generator,
     _classical_mi_stack,
     _f_eb_solve,
+    _lockstep_bounded,
     _partial_transpose_output,
     _projective_rows,
     _qubit_eb_channel,
@@ -270,6 +274,73 @@ class TestDiscord:
     def test_rejects_fewer_than_one_restart(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             discord(bell_state(), restarts=restarts)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: random_state((2, 2), rng),
+        lambda rng: classical_classical_state(2, 2, rng),
+    ], ids=["random-2x2", "classical-classical"])
+    def test_restarts_stay_independent(self, make):
+        # the starts for r restarts are a prefix of those for r + 1, and a
+        # restart ends where it would alone, so adding one never loses
+        rho = make(np.random.default_rng(11))
+        found = [discord(rho, restarts=r).classical_mi for r in range(1, 9)]
+        assert all(a <= b for a, b in zip(found, found[1:]))
+
+    def test_one_line_search_call_per_lockstep_step(self, monkeypatch):
+        # every live restart rides in the one minimize_scalar call of a
+        # step; restarts only leave the lockstep, so the lanes per call
+        # never grow, and no restart makes more than MAX_STEPS steps
+        lanes = []
+
+        def counted(fun, bounds, **kwargs):
+            lanes.append(np.size(bounds[0]))
+            return minimize_scalar(fun, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(broadcast_module, "minimize_scalar", counted)
+        rho = random_state((2, 2), np.random.default_rng(12))
+        discord(rho, restarts=8)
+        assert lanes[0] == 8
+        assert all(a >= b >= 1 for a, b in zip(lanes, lanes[1:]))
+        assert len(lanes) <= MAX_STEPS
+        assert len(lanes) < sum(lanes)
+
+
+class TestLockstepBrent:
+    # lanes: an optimum on the lower bound, a constant, and interior optima
+    # that take different numbers of evaluations
+    LANES = (
+        (lambda x: x * x, 0.5, 2.0),
+        (lambda x: 1.0, -1.0, 1.0),
+        (lambda x: -np.cos(x), 2.0, 4.5),
+        (lambda x: (x - 0.3) ** 2 + 0.1 * abs(x - 0.3), -1.0, 1.0),
+        (lambda x: (x - 0.7) ** 4, 0.0, 1.0),
+        (lambda x: math.exp(x) - 2 * x, -3.0, 3.0),
+    )
+
+    def test_each_lane_matches_scipy_bounded(self):
+        calls = []
+
+        def stacked(x, lanes):
+            calls.append(len(lanes))
+            return np.array([self.LANES[i][0](t) for i, t in zip(lanes, x)])
+
+        lo, hi = (np.array([lane[j] for lane in self.LANES]) for j in (1, 2))
+        res = minimize_scalar(stacked, bounds=(lo, hi), method=_lockstep_bounded,
+                              options={"xatol": 1e-9})
+        nfevs = set()
+        for i, (f, a, b) in enumerate(self.LANES):
+            ref = minimize_scalar(f, bounds=(a, b), method="bounded",
+                                  options={"xatol": 1e-9})
+            assert res.x[i] == ref.x
+            assert res.fun[i] == ref.fun
+            assert res.nfev[i] == ref.nfev
+            nfevs.add(int(ref.nfev))
+        assert len(nfevs) > 2
+        assert res.x[0] == pytest.approx(0.5, abs=1e-8)  # on the bound
+        # one stacked call per iteration, over the lanes still running
+        assert len(calls) == max(nfevs)
+        assert calls[0] == len(self.LANES)
+        assert calls[-1] == sum(n == max(nfevs) for n in res.nfev)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
