@@ -26,8 +26,8 @@ The three obey f_max >= f_eb and discord >= -2 log2 f_eb, which
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize_scalar
@@ -228,105 +228,68 @@ def _projective_rows(basis: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
-def _bounded_lane(x1, x2, xatol, maxiter):
-    """scipy's bounded Brent minimization on [x1, x2] as a coroutine.
+def _rotate(gvals, gvecs, ts, v):
+    """exp(i t G_r) v_r for each lane r at its times ts[r], or at the one
+    row of ``ts`` that all lanes share: (r, t, k, d)."""
+    phases = np.exp(1j * (ts[:, :, None] * gvals[:, None, :]))
+    u = np.einsum("rab,rtb,rcb->rtac", gvecs, phases, gvecs.conj())
+    return u @ v[:, None]
 
-    A line-for-line copy of the arithmetic of scipy's
-    ``_minimize_scalar_bounded``: it yields each point to score, takes
-    f(point) back by ``send`` and returns (x, f(x), evaluations).
+
+@functools.cache
+def _coordinate_scan(k: int) -> np.ndarray:
+    """exp(i t G) at 17 points t on [-pi, pi] for each off-diagonal
+    generator G of ``hermitian_basis(k)``, stacked (17 k (k - 1), k, k).
+
+    The k diagonal units E_jj are left out: exp(i t E_jj) only rephases
+    row j of v, which leaves every POVM element as it is.  Built once per
+    k and read-only, since every discord call with that k shares it.
     """
-    sqrt_eps = sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - sqrt(5.0))
-    a, b = x1, x2
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = yield x
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        if np.abs(e) > tol1:  # parabolic fit
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = 1
-        if golden:  # golden-section step
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxiter:
-            break
-    return xf, fx, num
+    gvals, gvecs = np.linalg.eigh(hermitian_basis(k)[k:])
+    ts = np.linspace(-np.pi, np.pi, 17)[None]
+    scan = _rotate(gvals, gvecs, ts, np.eye(k)[None]).reshape(-1, k, k)
+    scan.flags.writeable = False
+    return scan
 
 
-def _lockstep_bounded(fun, args, bounds, xatol, maxiter=500, **_):
-    """Bounded Brent minimization of many scalar functions in lockstep.
+def _parabolic_lanes(fun, args, bounds, x0, fvals, xatol, maxiter=500, **_):
+    """Successive parabolic minimization of many scalar functions in lockstep.
 
     A ``minimize_scalar`` method: ``bounds`` is a pair of arrays, one
-    interval per lane, and ``fun(x, lanes, *args)`` scores the points
-    ``x`` of the lanes at indices ``lanes`` in one call.  Each lane runs
-    ``_bounded_lane``, so its x, fun and nfev are scipy's bounded
-    method's to the bit; every iteration scores all lanes still running
-    at once.
+    bracket (a, b) per lane, with a middle point a < x0 < b, and row i of
+    ``fvals`` holds f(a), f(x0), f(b) of lane i.  ``fun(t, lanes, *args)``
+    scores the points ``t`` of the lanes at indices ``lanes`` in one call.
+    Each iteration scores every running lane at the vertex of the parabola
+    through its three points and keeps the best point and its neighbours
+    as the next bracket.  A lane whose bracket has not halved in two steps
+    takes a golden-section step into its larger side instead, so a far end
+    that the parabola never moves cannot stall it.  A lane stops when its
+    middle is not its lowest point, when its parabola is flat, or when the
+    vertex lies within ``xatol`` of the middle; it ends at its best point.
     """
-    runs = [_bounded_lane(lo, hi, xatol, maxiter) for lo, hi in zip(*bounds)]
-    points = {lane: run.send(None) for lane, run in enumerate(runs)}
-    ends = [None] * len(runs)
-    while points:
-        lanes = np.fromiter(points, dtype=int, count=len(points))
-        values = fun(np.fromiter(points.values(), dtype=float), lanes, *args)
-        points = {}
-        for lane, value in zip(lanes.tolist(), values):
-            try:
-                points[lane] = runs[lane].send(value)
-            except StopIteration as stop:
-                ends[lane] = stop.value
-    x, fx, nfev = (np.array(col) for col in zip(*ends))
-    return OptimizeResult(x=x, fun=fx, nfev=nfev)
+    t = np.column_stack([bounds[0], x0, bounds[1]])
+    f = np.array(fvals, dtype=float)
+    halved = [np.inf, np.inf]  # half the bracket width one and two steps ago
+    running = f[:, 1] == f.min(axis=1)
+    for _ in range(maxiter):
+        (a, x, b), (fa, fx, fb) = t.T, f.T
+        p, q = (x - a) * (fx - fb), (x - b) * (fx - fa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = x - ((x - a) * p - (x - b) * q) / (2 * (p - q))
+        running &= (p < q) & (np.abs(u - x) >= xatol)
+        far = np.where(b - x > x - a, b, a)
+        u = np.where(b - a > halved[1], x + (3 - 5 ** 0.5) / 2 * (far - x), u)
+        halved = [(b - a) / 2, halved[0]]
+        lanes = np.flatnonzero(running)
+        if not lanes.size:
+            break
+        t4 = np.column_stack([t[lanes], u[lanes]])
+        f4 = np.column_stack([f[lanes], fun(u[lanes], lanes, *args)])
+        order = np.argsort(t4, axis=1)
+        t4, f4 = (np.take_along_axis(m, order, axis=1) for m in (t4, f4))
+        keep = np.clip(f4.argmin(axis=1), 1, 2)[:, None] + [-1, 0, 1]
+        t[lanes], f[lanes] = (np.take_along_axis(m, keep, axis=1) for m in (t4, f4))
+    return OptimizeResult(x=t[:, 1], fun=f[:, 1])
 
 
 def discord(
@@ -345,8 +308,9 @@ def discord(
     scan along every coordinate generator, which escapes a saddle or ends
     the restart.  The restarts step in lockstep: each step takes one
     stacked ``eigh`` and one stacked score of the coarse line-search grid
-    of every live restart, and each iteration of the bounded Brent
-    refinement (``_lockstep_bounded``) scores all restarts still refining
+    of every live restart.  The best coarse point and its two neighbours
+    bracket a successive parabolic refinement (``_parabolic_lanes``) to
+    1e-7 in t, each iteration of which scores all restarts still refining
     in one call.  A restart's arithmetic does not depend on the others',
     so each ends where it would alone.  Any measurement only bounds
     discord from above, so ``converged`` says the best restart ended in a
@@ -368,8 +332,7 @@ def discord(
     s_keep = entropy(work.marginal((0,)))
     quantum_mi = mutual_information(work, (0,))
 
-    def score(v_stack):
-        return _classical_mi_stack(rho4, s_keep, v_stack)
+    score = functools.partial(_classical_mi_stack, rho4, s_keep)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -388,46 +351,32 @@ def discord(
         starts.append(q[:, :d_meas])
     starts = starts[:restarts]
 
-    coarse = np.linspace(-np.pi, np.pi, 17)
-    h = coarse[1] - coarse[0]
-
-    def rotate(gvals, gvecs, ts, v):
-        """exp(i t G_r) v_r for each lane r at its times ts[r]: (r, t, k, d)."""
-        phases = np.exp(1j * (ts[:, :, None] * gvals[:, None, :]))
-        u = np.einsum("rab,rtb,rcb->rtac", gvecs, phases, gvecs.conj())
-        return u @ v[:, None]
-
-    # every coordinate generator at every grid point
-    gvals, gvecs = np.linalg.eigh(hermitian_basis(k))
-    ts = np.broadcast_to(coarse, (k * k, len(coarse)))
-    scan = rotate(gvals, gvecs, ts, np.broadcast_to(np.eye(k), (k * k, k, k)))
-    scan = scan.reshape(-1, k, k)
+    scan = _coordinate_scan(k)
+    # the 17 coarse line-search points on [-pi, pi] and one beyond each
+    # end, so that the best coarse point has both neighbours scored
+    h = np.pi / 8
+    grid = np.linspace(-np.pi - h, np.pi + h, 19)
 
     def line_search(direction, v):
         """Best value and point along each lane's direction from its v."""
         gvals, gvecs = np.linalg.eigh(-1j * direction)
         gvals = gvals / np.abs(gvals).max(axis=1, keepdims=True)
-        n = len(v)
-        ts = np.broadcast_to(coarse, (n, len(coarse)))
-        vals = score(rotate(gvals, gvecs, ts, v).reshape(-1, k, d_meas))
-        vals = vals.reshape(n, len(coarse))
-        pick = vals.argmax(axis=1)
-        t_best, val_best = coarse[pick], vals[np.arange(n), pick]
+        vals = score(_rotate(gvals, gvecs, grid[None], v).reshape(-1, k, d_meas))
+        vals = vals.reshape(len(v), -1)
+        pick = 1 + vals[:, 1:-1].argmax(axis=1)
+        fvals = -np.take_along_axis(vals, pick[:, None] + [-1, 0, 1], axis=1)
 
         def refine(t, lanes):
-            at = rotate(gvals[lanes], gvecs[lanes], t[:, None], v[lanes])
+            at = _rotate(gvals[lanes], gvecs[lanes], t[:, None], v[lanes])
             return -score(at[:, 0])
 
         res = minimize_scalar(
             refine,
-            bounds=(t_best - h, t_best + h),
-            method=_lockstep_bounded,
-            options={"xatol": 1e-9},
+            bounds=(grid[pick - 1], grid[pick + 1]),
+            method=_parabolic_lanes,
+            options={"xatol": 1e-7, "x0": grid[pick], "fvals": fvals},
         )
-        better = -res.fun > val_best
-        t_best = np.where(better, res.x, t_best)
-        val_best = np.where(better, -res.fun, val_best)
-        return val_best, rotate(gvals, gvecs, t_best[:, None], v)[:, 0]
+        return -res.fun, _rotate(gvals, gvecs, res.x[:, None], v)[:, 0]
 
     # per-restart state, stepped together; a restart leaves when its
     # scan fails

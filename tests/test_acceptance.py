@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+from scipy.special import xlogy
 
 from qbroadcast import cli
 from qbroadcast.broadcast import (
@@ -17,7 +18,7 @@ from qbroadcast.broadcast import (
     f_max_broadcast,
     measurement_copy_broadcaster,
 )
-from qbroadcast.channels import apply, apply_on_subsystem, quantum_to_classical
+from qbroadcast.channels import apply, apply_on_subsystem
 from qbroadcast.classicality import basis_broadcaster, classify, verify_broadcast
 from qbroadcast.corpus import (
     bell_state,
@@ -47,7 +48,7 @@ from qbroadcast.sdp import (
     fidelity_sdp,
     solve,
 )
-from qbroadcast.states import DensityMatrix, Povm
+from qbroadcast.states import DensityMatrix
 
 
 def _report(number: int, ok: bool, detail: str, seconds: float) -> None:
@@ -304,24 +305,35 @@ def test_criterion_06_recoverability():
 def _grid_discord_oracle(rho: DensityMatrix, n_theta: int, n_phi: int) -> float:
     """Discord upper-bounded by scanning projective qubit measurements.
 
-    Builds each measured state through the quantum-to-classical channel
-    and recomputes mutual information from entropies, sharing nothing
+    Builds the measured state sum_s <s|rho|s>_B (x) |s><s| of every grid
+    point in one stack and recomputes mutual information from the
+    entropies of the stacked states and their marginals, sharing nothing
     with the discord optimizer.
     """
-    mi = mutual_information(rho)
-    best = -np.inf
-    for theta in np.linspace(0.0, np.pi, n_theta):
-        for phi in np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False):
-            up = np.array(
-                [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]
-            )
-            down = np.array(
-                [-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)]
-            )
-            povm = Povm([np.outer(v, v.conj()) for v in (up, down)])
-            measured = apply_on_subsystem(quantum_to_classical(povm), rho, 1)
-            best = max(best, mutual_information(measured, (0,)))
-    return mi - best
+    d_a = rho.dims[0]
+
+    def mutual_info(states):
+        four = states.reshape(-1, d_a, 2, d_a, 2)
+        parts = (four.trace(axis1=2, axis2=4), four.trace(axis1=1, axis2=3))
+        spectra = [np.linalg.eigvalsh(m).clip(0.0) for m in (*parts, states)]
+        s_a, s_b, s_ab = (-xlogy(w, w).sum(axis=-1) / np.log(2) for w in spectra)
+        return s_a + s_b - s_ab
+
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, np.pi, n_theta),
+        np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False),
+        indexing="ij",
+    )
+    cos, sin = np.cos(theta / 2).ravel(), np.sin(theta / 2).ravel()
+    phase = np.exp(1j * phi).ravel()
+    # kets[n, s] is outcome s (up, down) of grid point n
+    kets = np.stack([np.stack([cos, phase * sin], axis=-1),
+                     np.stack([-phase.conj() * sin, cos], axis=-1)], axis=1)
+    rho4 = rho.matrix.reshape(d_a, 2, d_a, 2)
+    cond = np.einsum("nsb,abcd,nsd->nsac", kets.conj(), rho4, kets)
+    measured = np.einsum("nsac,st->nasct", cond, np.eye(2))
+    measured = measured.reshape(-1, 2 * d_a, 2 * d_a)
+    return mutual_info(rho.matrix)[0] - mutual_info(measured).max()
 
 
 def test_criterion_07_discord_and_bounds():

@@ -20,7 +20,7 @@ from qbroadcast.broadcast import (
     _ascent_generator,
     _classical_mi_stack,
     _f_eb_solve,
-    _lockstep_bounded,
+    _parabolic_lanes,
     _partial_transpose_output,
     _projective_rows,
     _qubit_eb_channel,
@@ -304,43 +304,60 @@ class TestDiscord:
         assert len(lanes) <= MAX_STEPS
         assert len(lanes) < sum(lanes)
 
+    def test_line_searches_take_few_evaluations(self, monkeypatch):
+        # each stacked call of a line search scores its slowest lane once;
+        # a refinement that starts from three scored points needs only a few
+        calls = []
 
-class TestLockstepBrent:
-    # lanes: an optimum on the lower bound, a constant, and interior optima
-    # that take different numbers of evaluations
+        def counted(fun, bounds, **kwargs):
+            calls.append(0)
+
+            def each(*args):
+                calls[-1] += 1
+                return fun(*args)
+
+            return minimize_scalar(each, bounds=bounds, **kwargs)
+
+        monkeypatch.setattr(broadcast_module, "minimize_scalar", counted)
+        discord(random_state((2, 2), np.random.default_rng(12)), restarts=8)
+        assert np.median(calls) <= 10
+
+
+class TestParabolicLanes:
+    # brackets (a, b) whose middle is lowest, with the true minimum: a
+    # lopsided lane, a flat-bottomed quartic, a constant and smooth minima
     LANES = (
-        (lambda x: x * x, 0.5, 2.0),
-        (lambda x: 1.0, -1.0, 1.0),
-        (lambda x: -np.cos(x), 2.0, 4.5),
-        (lambda x: (x - 0.3) ** 2 + 0.1 * abs(x - 0.3), -1.0, 1.0),
-        (lambda x: (x - 0.7) ** 4, 0.0, 1.0),
-        (lambda x: math.exp(x) - 2 * x, -3.0, 3.0),
+        (lambda x: math.exp(x) - 2 * x, -3.0, 3.0, 2 - 2 * math.log(2)),
+        (lambda x: (x - 0.7) ** 4, 0.0, 1.0, 0.0),
+        (lambda x: 1.0, -1.0, 1.0, 1.0),
+        (lambda x: math.cos(x), 2.0, 4.5, -1.0),
+        (lambda x: x * x + x ** 3, -0.5, 0.6, 0.0),
     )
 
-    def test_each_lane_matches_scipy_bounded(self):
+    def test_each_lane_ends_at_its_minimum(self):
         calls = []
 
         def stacked(x, lanes):
-            calls.append(len(lanes))
+            calls.append(lanes.tolist())
             return np.array([self.LANES[i][0](t) for i, t in zip(lanes, x)])
 
         lo, hi = (np.array([lane[j] for lane in self.LANES]) for j in (1, 2))
-        res = minimize_scalar(stacked, bounds=(lo, hi), method=_lockstep_bounded,
-                              options={"xatol": 1e-9})
-        nfevs = set()
-        for i, (f, a, b) in enumerate(self.LANES):
-            ref = minimize_scalar(f, bounds=(a, b), method="bounded",
-                                  options={"xatol": 1e-9})
-            assert res.x[i] == ref.x
-            assert res.fun[i] == ref.fun
-            assert res.nfev[i] == ref.nfev
-            nfevs.add(int(ref.nfev))
-        assert len(nfevs) > 2
-        assert res.x[0] == pytest.approx(0.5, abs=1e-8)  # on the bound
+        fvals = np.array(
+            [[f(a), f((a + b) / 2), f(b)] for f, a, b, _ in self.LANES]
+        )
+        res = minimize_scalar(stacked, bounds=(lo, hi), method=_parabolic_lanes,
+                              options={"xatol": 1e-7, "x0": (lo + hi) / 2,
+                                       "fvals": fvals})
+        for i, (f, _, _, least) in enumerate(self.LANES):
+            assert res.fun[i] == f(res.x[i])
+            assert res.fun[i] <= fvals[i, 1]
+            assert abs(res.fun[i] - least) <= 1e-12
+        nfev = np.bincount(sum(calls, []), minlength=len(self.LANES))
+        assert nfev[2] == 0  # the constant lane
         # one stacked call per iteration, over the lanes still running
-        assert len(calls) == max(nfevs)
-        assert calls[0] == len(self.LANES)
-        assert calls[-1] == sum(n == max(nfevs) for n in res.nfev)
+        for j, lanes in enumerate(calls):
+            assert lanes == np.flatnonzero(nfev > j).tolist()
+        assert nfev.max() <= 20  # against an iteration cap of 500
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
