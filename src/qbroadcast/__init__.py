@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .states import DensityMatrix, PureState, Povm
 from .channels import (
     Channel,
+    ChoiTerm,
     CompletelyPositiveMap,
     apply,
     apply_on_subsystem,

@@ -34,8 +34,8 @@ from scipy.optimize import OptimizeResult, minimize_scalar
 
 from .channels import (
     Channel,
+    ChoiTerm,
     apply_on_subsystem,
-    choi_subsystem_action,
     entanglement_breaking,
     project_to_nearest_channel,
 )
@@ -50,8 +50,8 @@ from .linalg import (
     kron,
     matrix_function_on_support,
     nearest_psd,
-    partial_trace,
     require_subsystems,
+    support_isometry,
     support_mask,
     support_projector,
 )
@@ -60,6 +60,7 @@ from .sdp import (
     DEFAULT_TOL,
     SdpBuilder,
     SdpSolution,
+    _basis_tiles,
     add_channel,
     certified_fidelity,
     check_chain,
@@ -495,18 +496,13 @@ def f_max_broadcast(
     builder = SdpBuilder()
     spaces = _swap_eigenspaces(d_b)
     blocks = add_channel(builder, d_b, d_out, spaces)
-    full_dims = (d_a, d_b, d_b)
-
-    def one_output(choi):
-        both = choi_subsystem_action(
-            choi, d_b, d_out, rho.matrix, rho.dims, 1
-        )
-        return partial_trace(both, full_dims, keep=(0, 2))
-
-    terms = [
-        (blk, lambda e, v=v: one_output(v @ e @ dag(v)))
-        for blk, v in zip(blocks, spaces)
-    ]
+    rho4 = rho.matrix.reshape(d_a, d_b, d_a, d_b)
+    terms = []
+    for blk, v in zip(blocks, spaces):
+        # V = I_B x U: a sector Y over U's columns reaches B1 B2 as U Y U^dag,
+        # and Tr_B1 leaves t[o, o', u, v] = sum_b U[(b o), u] conj(U[(b o'), v])
+        u = v[:d_out, :v.shape[1] // d_b].reshape(d_b, d_b, -1)
+        terms.append((blk, ChoiTerm(rho4, np.einsum("bou,bpv->opuv", u, u.conj()))))
     value, solution = certified_fidelity(
         builder, rho.matrix, terms, _a_support(rho, np.eye(d_b)), "broadcast",
         tol, max_iters,
@@ -566,7 +562,7 @@ def f_eb(rho: DensityMatrix, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
 def _f_eb_solve(rho: DensityMatrix, tol, max_iters):
     """The PPT-Choi program; returns (value, solution), Choi block first."""
     require_subsystems(rho.dims, 2, "f_eb")
-    d_b = rho.dims[1]
+    d_a, d_b = rho.dims
     builder = SdpBuilder()
     (j_blk,) = add_channel(builder, d_b, d_b)
     pt_blk = builder.add_block(d_b * d_b)
@@ -574,15 +570,14 @@ def _f_eb_solve(rho: DensityMatrix, tol, max_iters):
     # PT is self-adjoint, so <H, PT(J)> = <PT(H), J>
     basis = hermitian_basis(d_b * d_b)
     builder.add_constraint(
-        {pt_blk: basis, j_blk: -_partial_transpose_output(basis, d_b, d_b)},
+        {pt_blk: _basis_tiles(d_b * d_b),
+         j_blk: -_partial_transpose_output(basis, d_b, d_b)},
         np.zeros(len(basis)),
     )
 
-    def one_output(choi):
-        return choi_subsystem_action(
-            choi, d_b, d_b, rho.matrix, rho.dims, 1
-        )
-
+    one_output = ChoiTerm(
+        rho.matrix.reshape(d_a, d_b, d_a, d_b), ChoiTerm.on_output(d_b)
+    )
     return certified_fidelity(
         builder, rho.matrix, [(j_blk, one_output)],
         _a_support(rho, np.eye(d_b)), "EB broadcast", tol, max_iters,
@@ -623,9 +618,12 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
     (POVM, preparations) pair the last round ends at, the POVM
     renormalized to sum to I exactly.
     """
-    d_b = rho.dims[1]
+    d_a, d_b = rho.dims
     k = d_b * d_b
     elements = build_ic_povm(d_b).elements
+    # a measured X enters sigma as conditional_states(rho, X, 1) (x) tau,
+    # whose M_ij[a, c] = rho[(a j), (c i)]: rho with B transposed
+    measured = rho.matrix.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1)
     # the measurement sum_i E_i = I is trace preservation of a channel
     # B -> outcome register whose Choi matrix has one block per outcome
     outcomes = [kron(np.eye(d_b), np.eye(k)[:, [i]]) for i in range(k)]
@@ -635,7 +633,8 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
         builder = SdpBuilder()
         blocks = [add_channel(builder, 1, d_b)[0] for _ in range(k)]
         terms = [
-            (blk, lambda e, c=conditional_states(rho, el, 1): np.kron(c, e))
+            (blk, ChoiTerm(conditional_states(rho, el, 1).reshape(d_a, 1, d_a, 1),
+                           ChoiTerm.on_output(d_b)))
             for blk, el in zip(blocks, elements)
         ]
         _, sol = certified_fidelity(
@@ -649,7 +648,7 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
         builder = SdpBuilder()
         blocks = add_channel(builder, d_b, k, outcomes)
         terms = [
-            (blk, lambda e, t=tau: np.kron(conditional_states(rho, e, 1), t))
+            (blk, ChoiTerm(measured, tau[:, :, None, None]))
             for blk, tau in zip(blocks, preps)
         ]
         _, sol = certified_fidelity(
@@ -662,8 +661,11 @@ def _measure_prepare_ascent(rho: DensityMatrix, tol: float, max_iters: int):
 
 
 def _a_support(rho: DensityMatrix, b_support: np.ndarray) -> np.ndarray:
-    """Projector supp(rho_A) x b_support, which bounds every output on AB."""
-    return kron(support_projector(rho.marginal((0,)).matrix), b_support)
+    """An isometry onto supp(rho_A) x supp(b_support), which holds every
+    output on AB: a product, so a coupling row keeps its tiles."""
+    return kron(
+        support_isometry(rho.marginal((0,)).matrix), support_isometry(b_support)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,45 @@ def choi_subsystem_action(
     return out.reshape(lead + (side, side))
 
 
+@dataclass(frozen=True, eq=False)
+class ChoiTerm:
+    """The linear map X -> sum_ij M_ij (x) T(X_ij) of a block X over
+    (input, output), input slow, X_ij its output tile (i, j), with
+    M_ij[a, a'] = m[a, i, a', j] and T(Y)[o, o'] = sum_uv t[o, o', u, v]
+    Y[u, v].  A Choi matrix acting on one factor of a state rho
+    (``choi_subsystem_action``) is m = rho over (rest, target) and the
+    identity t (``on_output``); a trace over part of the output or a
+    symmetry sector goes into t, and so does the preparation tau of a
+    measure-and-prepare channel, t = tau.  The fidelity gadget reads its
+    constraint rows off m and t."""
+
+    m: np.ndarray  # (d_a, d_in, d_a, d_in)
+    t: np.ndarray  # (s, s, d_out, d_out)
+
+    @staticmethod
+    def on_output(d_out: int) -> np.ndarray:
+        """The ``t`` of the identity on a d_out-dimensional output."""
+        eye = np.eye(d_out, dtype=complex)
+        return eye[:, None, :, None] * eye[None, :, None, :]
+
+    @classmethod
+    def of_map(cls, lin, n: int) -> ChoiTerm:
+        """A linear map of side-n blocks, given on stacks, as the term with
+        d_in = n and a one-point output: M_ij = L(E_ij), one call on the
+        units."""
+        images = np.asarray(lin(np.eye(n * n, dtype=complex).reshape(n * n, n, n)))
+        side = images.shape[-1]
+        m = images.reshape(n, n, side, side).transpose(2, 0, 3, 1)
+        return cls(m, np.ones((1, 1, 1, 1), dtype=complex))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """L(X), or the stack of L(X) over the leading axes of X."""
+        (d_a, d_in), (s, d_out) = self.m.shape[:2], self.t.shape[1:3]
+        x6 = x.reshape(x.shape[:-2] + (d_in, d_out, d_in, d_out))
+        out = np.einsum("aibj,opuv,...iujv->...aobp", self.m, self.t, x6, optimize=True)
+        return out.reshape(x.shape[:-2] + (d_a * s, d_a * s))
+
+
 def apply(ch: CompletelyPositiveMap, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to a whole state."""
     if rho.dim != ch.in_dim:

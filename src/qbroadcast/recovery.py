@@ -16,9 +16,9 @@ import numpy as np
 
 from .channels import (
     Channel,
+    ChoiTerm,
     apply,
     apply_on_subsystem,
-    choi_subsystem_action,
     kraus_from_choi,
     channel_from_kraus,
     project_to_nearest_channel,
@@ -31,7 +31,7 @@ from .linalg import (
     hermitian_eig,
     kron,
     require_subsystems,
-    support_projector,
+    support_isometry,
     trace_norm,
 )
 from .sdp import (
@@ -151,14 +151,12 @@ def optimal_recovery_fidelity(
 
     builder = SdpBuilder()
     (j_blk,) = add_channel(builder, d_b, d_bc)
-
-    def rebuild(choi):
-        return choi_subsystem_action(
-            choi, d_b, d_bc, rho_ab.matrix, rho_ab.dims, 1
-        )
-
+    # sigma = (id_A x R)(rho_AB) lies in supp(rho_A) x BC
+    rebuild = ChoiTerm(
+        rho_ab.matrix.reshape(d_a, d_b, d_a, d_b), ChoiTerm.on_output(d_bc)
+    )
     support_bound = kron(
-        support_projector(rho_abc.marginal((0,)).matrix), np.eye(d_bc)
+        support_isometry(rho_abc.marginal((0,)).matrix), np.eye(d_bc)
     )
     value, solution = certified_fidelity(
         builder, rho_abc.matrix, [(j_blk, rebuild)], support_bound,
@@ -225,9 +223,9 @@ def optimal_fixing_recovery_fidelity(
         _basis_overlaps(sigma.matrix).real[1:],
     )
 
-    def rebuild(choi):
-        return choi_subsystem_action(choi, d_in, d_out, image_rho, (d_in,), 0)
-
+    rebuild = ChoiTerm(
+        image_rho.reshape(1, d_in, 1, d_in), ChoiTerm.on_output(d_out)
+    )
     return certified_fidelity(
         builder, rho.matrix, [(j_blk, rebuild)], sigma.matrix,
         "sigma-fixing recovery", tol, max_iters,

@@ -6,90 +6,50 @@ Standard form over complex Hermitian PSD blocks X_k:
     subject to  sum_k <A_ik, X_k> = b_i      (i = 1..m)
                 X_k >= 0
 
-with <A, B> = Re Tr(A B).  A constraint family enters ``SdpBuilder`` as
-one row block: a (q, n_k, n_k) coefficient stack per block it touches and
-q right-hand sides.  The builder refuses coefficients that are not
-Hermitian, once, as each row block comes in, and keeps the Hermitian
-part that check returns; ``SdpBuilder.build`` concatenates the row
-blocks into one complex (m, n_k, n_k) array per block plus the vector
-b, which the builder then keeps as its one row block: the public data
-that ``audit`` checks (an ``SdpProblem`` constructed directly validates
-its own data and keeps its Hermitian part too).  A solve scans each
-block's stack once (``_Nonzeros``) for its entry rows, with at most 2
-nonzero entries there, as the gadget's basis elements have, and its
-dense rows; preprocessing and the row layout both read that scan.
-Dependent constraints are found by one pivoted Cholesky of the rows'
-Gram matrix, which resolves independence to about 1e-6 relative, and
-dropped once their right-hand sides are checked against the kept rows.
-The Gram matrix is formed block by block: entry rows against each other
-from their entries, against dense rows by gathers, dense rows against
-each other by one symmetric product.  Flattened and viewed as real
-pairs, a row is a real vector whose dot product with a flattened
-Hermitian X is Re Tr(A_i X), so the real linear algebra needs neither a
-copy nor an embedding.
-
-Each solve then lays out the kept, scaled rows once per block group
-(``_layout``), and every per-iterate operation (the map
-X -> (<A_i, X>)_i, its adjoint, the Schur complement, the starting point)
-runs from that layout.  A block group is the blocks of one side whose
-entry rows are the same rows with entries at the same positions.  The k
-outcome or preparation blocks of a measure-and-prepare half-step form one
-group; every other block the library builds is a group of its own.  X, Z
-and every per-block quantity are one (b, n, n) stack per group, so the NT
-scaling, the Schur terms, the Newton directions and the step lengths run
-once per group, in stacked LAPACK and BLAS calls, as SDPT3 uses the
-block-diagonal structure; the stacks of all groups lie side by side in
-flat arrays, so each entrywise step of an iterate is one operation.  A
-group (``_BlockRows``) holds only the rows that touch it.  An entry row
-is held as its entries, with one value per block: W A_i W is a sum of
-two outer products, and Re Tr(A_j W A_i W) is read off it at row j's
-entries, as in the sparse-row Schur formulas of
-Fujisawa, Kojima and Nakata (Math. Program. 79, 235, 1997).  The other
-rows form one real matrix over the flattened stack, so A(X) and A^*(y)
-are one matrix-vector product each.  With W = G G^dag their Schur terms
-are Re <G^dag A_i G, G^dag A_j G>, one symmetric product of the real
-views of the G^dag A_j G, which two batched products form for the whole
-group from its dense rows held side by side, and each group adds its
-terms into the Schur complement in place.
-Stacking blocks whose entry rows differ would hold those rows densely,
-hence the grouping rule.  The reduced problem is solved by primal-dual
-path following with Nesterov-Todd scaling run directly on the Hermitian
-blocks, as SDPT3 does for complex data (Toh, Todd and Tutuncu 1999);
-each iterate is factored once, and its step lengths reuse that
-factorization.  A predictor step picks the centering weight, and the
-corrector adds Mehrotra's second-order term in the NT-scaled space,
-where the scaled point is diagonal and the Lyapunov solve is entrywise.  A Schur
-complement that is numerically singular is solved on its range; only a
-Schur complement or direction that is not finite ends a solve with
+with <A, B> = Re Tr(A B).  Every row is held, block by block, as a short
+sum of tiles (``Tiles``): A_ik = sum_t B_t (x) E_(p_t, q_t) over the
+block's index (input, output), input slow, B_t a d x d tile over the input
+and E_pq a unit over the output; an entry row is the case d = 1, a dense
+row one tile of side d = n.  ``SdpBuilder`` takes each constraint family
+as one row block and keeps the Hermitian part of its rows.  A solve reads
+only the tiles; ``audit`` reads the dense view ``SdpProblem.stacks``.
+Dependent rows are dropped by one pivoted Cholesky of the Gram matrix,
+and the kept rows are laid out once per block group (``_layout``), one
+(b, n, n) stack per group, in flat arrays over all groups.  The Schur terms
+are Tr(A_i W A_j W) = sum over t in i, u in j of Tr(B_t W_(q_t, p_u) B_u
+W_(q_u, p_t)), the tile form of the sparse-row formulas of Fujisawa,
+Kojima and Nakata (Math. Program. 79, 235, 1997).  The reduced problem is
+solved by primal-dual path following with Nesterov-Todd scaling on the
+Hermitian blocks, as SDPT3 does for complex data (Toh, Todd and Tutuncu
+1999), with Mehrotra's predictor-corrector in the NT-scaled space.  A
+numerically singular Schur complement is solved on its range; only a Schur
+complement or direction that is not finite ends a solve with
 ``breakdown``.  A solve reports the row-scaled residuals, over the kept
-rows, of the point it returns; ``audit`` is the unscaled check.
-Instances here are small (block side <= ~40, <= ~700 constraints), so
-dense linear algebra per iteration is the right tool.  The fidelity
-gadget keeps a full support in the natural basis (``support_isometry``),
-applies each linear term L of sigma once, to the matrix units E_ij of
-its block, and reads the overlaps with the basis by gathers; the
-coupling row of a basis element g is L^dag(g) = sum_ij Tr(g L(E_ij)) E_ji,
-a transpose of those overlaps, with as few entries as L reaches.
+rows, of the point it returns; ``audit`` is the unscaled check.  Instances
+are small (block side <= ~40, <= ~700 rows): dense linear algebra fits.
 
-Every fidelity the library reports comes from ``certified_fidelity``: a
-solve counts only with status ``optimal`` and a passing, independent
-``audit``, and it returns its ``SdpSolution`` with the value.  Inside
-``recording()`` each such solve is also logged as a (what, solution)
-record; the reports of ``broadcast`` and ``recovery`` read their solutions
-from it and keep them, and check the paper's inequality chain with
-``check_chain`` when they are built.
+The fidelity gadget keeps a full support in the natural basis and writes
+each coupling row down from its sigma term (``ChoiTerm``) as tiles of the
+state.  Every fidelity the library reports comes from
+``certified_fidelity``: a solve counts only with status ``optimal`` and a
+passing, independent ``audit``.  Inside ``recording()`` each such solve is
+logged as a (what, solution) record, which the reports of ``broadcast``
+and ``recovery`` keep, checking the paper's inequality chain
+(``check_chain``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
+from .channels import ChoiTerm
 from .linalg import (
     dag,
     hermitian_part,
@@ -120,54 +80,133 @@ def check_chain(chain: str, links, tol: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# problem containers
+# constraint rows as tiles
 
 
 @dataclass(frozen=True, eq=False)
-class SdpProblem:
-    """Standard-form SDP data over complex Hermitian blocks.
+class Tiles:
+    """Rows of one block: row i is the sum over the tiles t with
+    ``row[t] == i`` of ``b[t]`` (x) E_(p[t], q[t]), a d x d tile over the
+    input at output position (p, q) of the index (input, output), input
+    slow; a block of side n has n / d output positions per axis."""
 
-    ``stacks[k][i]`` is the coefficient of block k in constraint i (zero
-    where the constraint leaves the block out) and ``rhs[i]`` is b_i.
-    Constructed directly, it validates its data and keeps the complex
-    Hermitian part of its stacks and objective; ``SdpBuilder.build`` hands
-    over data it validated and symmetrized as each row block came in.
-    """
+    row: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    b: np.ndarray  # (T, d, d) complex
 
-    blocks: tuple[int, ...]
-    objective: tuple
-    stacks: tuple  # of (m, n_k, n_k) Hermitian stacks
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        if not len(self.blocks) == len(self.objective) == len(self.stacks):
-            raise ValueError("blocks, objective and stacks differ in length")
-        _check_rhs(self.rhs)
-        m = self.n_constraints
-        objective, stacks = [], []
-        for k, (n, c, a) in enumerate(
-            zip(self.blocks, self.objective, self.stacks)
-        ):
-            c, a = np.asarray(c, dtype=complex), np.asarray(a, dtype=complex)
-            objective.append(_check_block(c, (n, n), "objective", k))
-            stacks.append(_check_block(a, (m, n, n), "constraint", k))
-        object.__setattr__(self, "objective", tuple(objective))
-        object.__setattr__(self, "stacks", tuple(stacks))
+    @property
+    def d(self) -> int:
+        return self.b.shape[-1]
 
     @classmethod
-    def _from_validated(cls, blocks, objective, stacks, rhs) -> SdpProblem:
-        """A problem of data already validated, without checking it again."""
+    def dense(cls, stack: np.ndarray) -> Tiles:
+        """A tile of side n for each row of an (m, n, n) stack that is not 0."""
+        rows = stack.any((1, 2)).nonzero()[0]
+        return cls(rows, 0 * rows, 0 * rows, stack[rows])
+
+    def refined(self, d: int, n: int) -> Tiles:
+        """The rows of a side-n block over tiles of a side d that divides
+        this one: each tile splits into its nonzero d x d parts."""
+        f, d_out = self.d // d, n // self.d
+        if f == 1:
+            return self
+        parts = self.b.reshape(-1, d, f, d, f).transpose(0, 2, 4, 1, 3)
+        t, i, j = parts.any((3, 4)).nonzero()
+        return Tiles(self.row[t], i * d_out + self.p[t], j * d_out + self.q[t],
+                     parts[t, i, j])
+
+    @staticmethod
+    def joined(parts, n: int) -> Tiles:
+        """The tiles of (row offset, Tiles) parts of a side-n block over the
+        greatest common divisor of their sides, sorted by (row, p, q), those
+        at one position of a row summed and zero tiles dropped."""
+        d = math.gcd(n, *(t.d for _, t in parts))
+        parts = [(at, t.refined(d, n)) for at, t in parts]
+        none = np.zeros(0, dtype=int)
+        row = np.concatenate([none] + [at + t.row for at, t in parts])
+        p, q = (np.concatenate([none] + [getattr(t, a) for _, t in parts])
+                for a in "pq")
+        b = np.concatenate([np.zeros((0, d, d), complex)] + [t.b for _, t in parts])
+        key = (row * (n // d) + p) * (n // d) + q
+        order = key.argsort(kind="stable")
+        start = (np.diff(key[order], prepend=-1) != 0).nonzero()[0]
+        b = np.add.reduceat(b[order], start) if len(start) else b
+        keep, first = b.any((1, 2)), order[start]
+        return Tiles(row[first][keep], p[first][keep], q[first][keep], b[keep])
+
+
+def _check_tiles(tiles: Tiles, n: int, q: int, block: int) -> Tiles:
+    """The Hermitian part (A + A^dag) / 2 of q rows of a side-n block given
+    as tiles, if they fit and are Hermitian within COEFF_HERM_TOL, else
+    ValueError; an exactly Hermitian row comes back unchanged."""
+    at = [np.asarray(a, dtype=int) for a in (tiles.row, tiles.p, tiles.q)]
+    b = np.asarray(tiles.b, dtype=complex)
+    tops = (q,) + 2 * (n // b.shape[-1],)
+    if b.ndim != 3 or n % b.shape[-1] or any(len(a) != len(b) or len(a) and not (
+        0 <= a.min() <= a.max() < top) for a, top in zip(at, tops)):
+        raise ValueError(f"constraint block {block} has tiles that do not fit it")
+    if not np.isfinite(b).all():
+        raise ValueError(f"constraint block {block} is not finite")
+    t, d_out = Tiles.joined([(0, Tiles(*at, b))], n), n // b.shape[-1]
+    key, mirror = ((t.row * d_out + x) * d_out + y for x, y in ((t.p, t.q), (t.q, t.p)))
+    found = key.searchsorted(mirror).clip(0, len(key) - 1)
+    adjoint = dag(t.b[found]) * (key[found] == mirror)[:, None, None]  # 0 if none
+    dev = max_abs(t.b - adjoint)
+    if not dev <= COEFF_HERM_TOL:
+        raise ValueError(
+            f"constraint block {block} is not Hermitian: max |A - A^dag| = {dev:.3e}"
+        )
+    if (key[found] == mirror).all():
+        return Tiles(t.row, t.p, t.q, (t.b + adjoint) / 2)
+    half = [Tiles(t.row, t.p, t.q, t.b / 2), Tiles(t.row, t.q, t.p, dag(t.b) / 2)]
+    return Tiles.joined([(0, h) for h in half], n)
+
+
+# ---------------------------------------------------------------------------
+# problem containers
+
+
+class SdpProblem:
+    """Standard-form SDP data over complex Hermitian blocks: ``tiles[k]``
+    the rows of block k, ``rhs[i]`` b_i.  Constructed directly from dense
+    (m, n_k, n_k) ``stacks``, it validates them, keeps the Hermitian part of
+    them and of the objective, and holds each nonzero row as one tile;
+    ``SdpBuilder.build`` hands over tiles it validated as they came in.
+    ``stacks[k][i]``, the coefficient of block k in row i, is a view of the
+    tiles expanded when first read."""
+
+    def __init__(self, blocks, objective, stacks, rhs):
+        if not len(blocks) == len(objective) == len(stacks):
+            raise ValueError("blocks, objective and stacks differ in length")
+        self.blocks, self.rhs = tuple(blocks), _check_rhs(rhs)
+        self.objective = tuple(
+            _check_block(np.asarray(c, dtype=complex), (n, n), "objective", k)
+            for k, (n, c) in enumerate(zip(blocks, objective))
+        )
+        self.__dict__["stacks"] = tuple(
+            _check_block(np.asarray(a, complex), (len(rhs), n, n), "constraint", k)
+            for k, (n, a) in enumerate(zip(blocks, stacks))
+        )
+        self.tiles = tuple(map(Tiles.dense, self.stacks))
+
+    @classmethod
+    def _from_validated(cls, blocks, objective, tiles, rhs) -> SdpProblem:
+        """A problem of tiles already validated, without checking them again."""
         problem = object.__new__(cls)
-        for name, value in zip(
-            ("blocks", "objective", "stacks", "rhs"), (blocks, objective, stacks, rhs)
-        ):
-            object.__setattr__(problem, name, value)
+        problem.blocks, problem.objective = blocks, objective
+        problem.tiles, problem.rhs = tiles, rhs
         return problem
 
     @cached_property
-    def _nonzeros(self) -> tuple:
-        """One ``_Nonzeros`` scan per block, shared by every reader."""
-        return tuple(_Nonzeros(a) for a in self.stacks)
+    def stacks(self) -> tuple:
+        """Each block's dense (m, n_k, n_k) stack, for ``audit`` and tests."""
+        m, stacks = self.n_constraints, []
+        for n, t in zip(self.blocks, self.tiles):
+            a = np.zeros((m, t.d, n // t.d, t.d, n // t.d), dtype=complex)
+            a[t.row, :, t.p, :, t.q] = t.b
+            stacks.append(a.reshape(m, n, n))
+        return tuple(stacks)
 
     @property
     def n_constraints(self) -> int:
@@ -201,7 +240,7 @@ class SdpBuilder:
     def __init__(self):
         self._blocks: list[int] = []
         self._objective: list[np.ndarray] = []
-        self._row_blocks: list = []  # of (coefficient stacks by block, rhs)
+        self._row_blocks: list = []  # of (Tiles by block, rhs)
 
     def add_block(self, side: int) -> int:
         self._blocks.append(int(side))
@@ -228,37 +267,41 @@ class SdpBuilder:
 
     def add_constraint(self, coeffs: dict, rhs):
         """Add rows sum_k <A_ik, X_k> = b_i: one matrix per block and a
-        scalar ``rhs``, or a row block of (q, n_k, n_k) stacks and q values.
-        Blocks left out of ``coeffs`` get zeros.  A block index that
+        scalar ``rhs``, or q values and per block a (q, n_k, n_k) stack or a
+        ``Tiles`` of rows 0..q-1; blocks left out get zeros.  A block that
         ``add_block`` did not return, a right-hand side not finite, or a
         coefficient not finite or further than ``COEFF_HERM_TOL`` from
-        Hermitian, raises ValueError; the rows keep the Hermitian part the
-        check returns, so roundoff below that is symmetrized away.  This
-        is the one check of the rows: ``build`` does not repeat it."""
+        Hermitian raises ValueError; the rows keep the Hermitian part the
+        check returns.  This is the one check: ``build`` does not repeat it."""
         rhs = _check_rhs(np.asarray(rhs, dtype=float))
-        stacks = {k: np.asarray(a, dtype=complex) for k, a in coeffs.items()}
-        if rhs.ndim == 0:
-            rhs, stacks = rhs[None], {k: a[None] for k, a in stacks.items()}
-        for k, a in stacks.items():
-            shape = (len(rhs),) + (self.block_side(k),) * 2
-            stacks[k] = _check_block(a, shape, "constraint", k)
-        self._row_blocks.append((stacks, rhs))
+        rows = {}
+        for k, a in coeffs.items():
+            n = self.block_side(k)
+            if isinstance(a, Tiles):
+                rows[k] = _check_tiles(a, n, rhs.size, k)
+                continue
+            a = np.asarray(a, dtype=complex)
+            if rhs.ndim == 0:
+                a = a[None]
+            rows[k] = Tiles.dense(
+                _check_block(a, (rhs.size, n, n), "constraint", k)
+            )
+        self._row_blocks.append((rows, rhs.reshape(-1)))
 
     def build(self) -> SdpProblem:
         rhs = np.concatenate([np.zeros(0)] + [b for _, b in self._row_blocks])
-        stacks = [np.zeros((len(rhs), n, n), dtype=complex) for n in self._blocks]
-        start = 0
-        for coeffs, b in self._row_blocks:
-            for k, a in coeffs.items():
-                stacks[k][start:start + len(b)] = a
-            start += len(b)
-        self._row_blocks = [(dict(enumerate(stacks)), rhs)]  # no second copy
+        starts = np.cumsum([0] + [len(b) for _, b in self._row_blocks])
+        tiles = [Tiles.joined([(0, Tiles.dense(np.zeros((0, n, n), complex)))] + [
+            (at, block[k]) for at, (block, _) in zip(starts, self._row_blocks)
+            if k in block
+        ], n) for k, n in enumerate(self._blocks)]
+        self._row_blocks = [(dict(enumerate(tiles)), rhs)]  # no second copy
         objective = tuple(
             _check_block(c, (n, n), "objective", k)
             for k, (n, c) in enumerate(zip(self._blocks, self._objective))
         )
         return SdpProblem._from_validated(
-            tuple(self._blocks), objective, tuple(stacks), rhs
+            tuple(self._blocks), objective, tuple(tiles), rhs
         )
 
 
@@ -280,120 +323,81 @@ def _check_rhs(rhs: np.ndarray) -> np.ndarray:
 # hermitian operator basis
 
 
-def hermitian_basis(n: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis of n x n Hermitian matrices.
-
-    Stacked as an (n^2, n, n) array: the diagonal units first, then for
-    each i < j the real and the imaginary off-diagonal element.
-    """
+def _basis_tiles(n: int, at: int = 0) -> Tiles:
+    """``hermitian_basis(n)`` as entry tiles (d = 1) of a block, placed at
+    rows and columns at..at+n-1."""
     i, j = np.triu_indices(n, 1)
-    t, diag = n + 2 * np.arange(len(i)), np.arange(n)
+    t, diag, h = n + 2 * np.arange(len(i)), np.arange(n), 1.0 / np.sqrt(2)
+    v = np.repeat([1, h, h, -1j * h, 1j * h], [n] + 4 * [len(i)])
+    return Tiles(np.concatenate([diag, t, t, t + 1, t + 1]),
+                 at + np.concatenate([diag, i, j, i, j]),
+                 at + np.concatenate([diag, j, i, j, i]), v[:, None, None])
+
+
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of n x n Hermitian matrices,
+    stacked (n^2, n, n): the diagonal units first, then for each i < j the
+    real and the imaginary off-diagonal element."""
+    tiles = _basis_tiles(n)
     basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[diag, diag, diag] = 1.0
-    basis[t, i, j] = basis[t, j, i] = 1.0 / np.sqrt(2)
-    basis[t + 1, i, j] = -1j / np.sqrt(2)
-    basis[t + 1, j, i] = 1j / np.sqrt(2)
+    basis[tiles.row, tiles.p, tiles.q] = tiles.b[:, 0, 0]
     return basis
 
 
-def _basis_overlaps(mats: np.ndarray) -> np.ndarray:
-    """Tr(H_e M) for each element H_e of ``hermitian_basis(n)`` and each M
-    of an (..., n, n) stack, as (..., n^2), complex: a gather, as each
-    H_e has at most 2 entries.  Real where M is Hermitian."""
-    n = mats.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    upper, lower = mats[..., i, j] / np.sqrt(2), mats[..., j, i] / np.sqrt(2)
-    out = np.empty(mats.shape[:-2] + (n * n,), dtype=complex)
-    out[..., :n] = np.diagonal(mats, axis1=-2, axis2=-1)
-    out[..., n::2] = upper + lower
-    out[..., n + 1::2] = 1j * (upper - lower)
-    return out
+def _basis_overlaps(mat: np.ndarray) -> np.ndarray:
+    """Tr(H_e M) for each element H_e of ``hermitian_basis(n)``, complex,
+    gathered at the 1 or 2 entries of H_e; real where M is Hermitian."""
+    t = _basis_tiles(len(mat))
+    terms = t.b[:, 0, 0] * mat[t.q, t.p]
+    return np.bincount(t.row, terms.real) + 1j * np.bincount(t.row, terms.imag)
 
 
 # ---------------------------------------------------------------------------
 # the interior-point core (complex Hermitian blocks)
 
 
-class _Nonzeros:
-    """One block's constraint rows by their nonzero entries there, from one
-    scan of its (m, n, n) stack.  The entry rows (1 or 2 nonzero entries)
-    are listed in ``entry``, with their entries' flat positions ``flat``
-    (e, 2) and values ``v`` (e, 2) in flat order within a row, so an
-    off-diagonal pair's upper entry comes first, padded with value 0 after
-    a lone entry.  The rows with more nonzero entries are listed in
-    ``dense``; a row in neither leaves the block out."""
-
-    def __init__(self, a: np.ndarray):
-        flat_a = a.reshape(len(a), a.shape[-1] ** 2)
-        nonzero = flat_a != 0
-        nnz = nonzero.sum(1)
-        self.entry = np.flatnonzero((nnz > 0) & (nnz <= 2))
-        self.dense = np.flatnonzero(nnz > 2)
-        i, t = np.nonzero(nonzero[self.entry])
-        slot = np.zeros(len(i), dtype=int)
-        slot[1:] = i[1:] == i[:-1]
-        self.flat = np.zeros((len(self.entry), 2), dtype=int)
-        self.v = np.zeros((len(self.entry), 2), dtype=complex)
-        self.flat[i, slot], self.v[i, slot] = t, flat_a[self.entry[i], t]
-
-    def entry_pairs(self):
-        """The entry rows' terms of the Gram matrix: (i, j, Re(conj(a) b))
-        for each pair of entries a of row i and b of row j at one position,
-        found by sorting the entries by position."""
-        live = self.v != 0
-        rows = np.repeat(self.entry, live.sum(1))
-        order = np.argsort(self.flat[live], kind="stable")
-        rows, t, v = rows[order], self.flat[live][order], self.v[live][order]
-        # entry p pairs with each entry q of its run of equal positions
-        start = np.searchsorted(t, t)
-        count = np.searchsorted(t, t, side="right") - start
-        p = np.repeat(np.arange(len(t)), count)
-        q = np.arange(len(p)) - np.repeat(np.cumsum(count) - count - start, count)
-        return rows[p], rows[q], (v[p].conj() * v[q]).real
-
-
-def _runs(rows: np.ndarray) -> list:
-    """The runs of consecutive values in the increasing ``rows``, as pairs
-    (slice of the values, slice of their positions in ``rows``)."""
-    if not len(rows):
-        return []
-    bounds = [0, *(np.flatnonzero(rows[1:] - rows[:-1] != 1) + 1).tolist(), len(rows)]
-    return [
-        (slice(int(rows[a]), int(rows[b - 1]) + 1), slice(a, b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-
-
-def _add_block(out: np.ndarray, row_runs: list, col_runs: list, block):
-    """out[rows, cols] += block, one basic slice per pair of runs, added in
-    place into the view of ``out``."""
-    for at_r, r in row_runs:
-        for at_c, c in col_runs:
-            view = out[at_r, at_c]
-            view += block[r, c]
+def _row_order(problem: SdpProblem, kept: np.ndarray) -> np.ndarray:
+    """``kept`` ordered by the last, then the first block each row touches,
+    so that in every program the library builds the rows of a block group
+    are consecutive and it adds its Schur terms into one block."""
+    first = np.full(problem.n_constraints, len(problem.blocks))
+    last = np.full(problem.n_constraints, -1)
+    for k, t in enumerate(problem.tiles):
+        first[t.row] = np.minimum(first[t.row], k)
+        last[t.row] = k
+    return kept[np.lexsort((first[kept], last[kept]))]
 
 
 def _layout(problem: SdpProblem, kept: np.ndarray, scale: np.ndarray) -> list:
     """The rows ``kept`` of the problem, each divided by its ``scale``, as
     one ``_BlockRows`` per block group, in order of each group's first
-    block.  A group is the blocks of one side whose entry rows are the
-    same rows with entries at the same positions (the values may differ),
-    so stacking the group's blocks adds no dense row to any entry row.
-    The rows of each block come from the problem's one ``_Nonzeros``
-    scan."""
-    position = np.full(problem.n_constraints, -1)
+    block.  A group is the blocks of one side and tile side whose tiles lie
+    at the same positions of every row that several blocks touch (values
+    may differ); a row of one block alone, such as the unit trace of one
+    preparation, gets zero tiles on the others."""
+    m = problem.n_constraints
+    position = np.full(m, -1)
     position[kept] = np.arange(len(kept))
+    touched = sum(np.bincount(np.unique(t.row), minlength=m) for t in problem.tiles)
     groups = {}
-    for k, (n, nz) in enumerate(zip(problem.blocks, problem._nonzeros)):
-        at, dense = position[nz.entry], position[nz.dense]
-        basis, flat, v = at[at >= 0], nz.flat[at >= 0], nz.v[at >= 0]
-        key = (n, basis.tobytes(), flat.tobytes())
-        member = (k, v / scale[basis, None], dense[dense >= 0])
-        groups.setdefault(key, (basis, flat, []))[2].append(member)
-    return [
-        _BlockRows(problem.stacks, kept, scale, basis, flat, members)
-        for basis, flat, members in groups.values()
-    ]
+    for k, (n, t) in enumerate(zip(problem.blocks, problem.tiles)):
+        live = (position[t.row] >= 0).nonzero()[0]
+        live = live[position[t.row[live]].argsort(kind="stable")]
+        rows = position[t.row[live]]
+        at = (rows * n + t.p[live]) * n + t.q[live]  # row and position
+        key = (n, t.d, at[touched[t.row[live]] > 1].tobytes())
+        groups.setdefault(key, []).append((k, at, t.b[live] / scale[rows, None, None]))
+    layout = []
+    for (n, d, _), members in groups.items():
+        at, where = np.unique(np.concatenate([a for _, a, _ in members]),
+                              return_inverse=True)
+        values = np.zeros((len(at), len(members), d, d), dtype=complex)
+        for j, (_, a, b) in enumerate(members):
+            values[where[:len(a)], j], where = b, where[len(a):]
+        rows, pq = np.divmod(at, n * n)
+        blocks = tuple(k for k, _, _ in members)
+        layout.append(_BlockRows(blocks, n, rows, *np.divmod(pq, n), values))
+    return layout
 
 
 def _gather(layout, mats) -> list:
@@ -410,166 +414,159 @@ def _scatter(layout, stacks) -> list:
     return out
 
 
+def _at(rows: np.ndarray):
+    """A basic slice for increasing ``rows`` without gaps, else ``rows``."""
+    if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class _BlockRows:
-    """The layout of one block group: b blocks of side n, held as one
-    (b, n, n) stack, and the kept, scaled rows that touch any of them, as
-    the interior-point iteration reads them.
+    """One block group as the iteration reads it: b blocks of side n = d
+    d_out as one (b, n, n) stack, and the kept, scaled rows that touch them
+    (``rows``, positions in ``kept``) as tiles sorted by row, one value per
+    block.  A(X) gathers each tile's X_(q, p) from the stack, and A^*(y)
+    adds y_i B_t at the mirrors by one ``bincount``.  For the Schur terms,
+    rows of at most 2 tiles and the others form two classes padded with
+    zero tiles to their widest row K: W A_i W = [W_(., p_t) B_t]_t
+    [W_(q_t, .)]_t is one batched product of inner dimension K d, or two
+    products over the class for dense rows (d = n).  Row j reads it at
+    its tiles with p <= q, the others doubled (a Hermitian row's tile below
+    the diagonal is the adjoint of one above, as is W A_i W there): entries
+    (d = 1) by a gather, wider tiles by one real product per position
+    (q, p).  Every index and work array is built once per solve."""
 
-    The rows are listed in ``rows`` (as positions in ``kept``), entry rows
-    first; both kinds come from the ``_Nonzeros`` scan.  An entry row has
-    at most 2 nonzero entries in each block, at positions ``flat`` that
-    the group shares, and is held as the values ``v`` (e, b, 2) of those
-    entries: W A_i W is then a sum of two outer products, Re Tr(A_i M) a
-    gather and sum_i y_i A_i a scatter.  The other rows are one real
-    (d, b 2n^2) matrix ``dense_real`` over the flattened stack (zero on
-    the blocks a row leaves out), so A(X) and A^*(y) are one
-    matrix-vector product each, and a complex copy ``dense`` (b, n, d, n)
-    for their Schur terms: each block's rows side by side.  A lone block
-    is a group of one.  Every index and work array the Schur terms need,
-    and the views of them they read and write, are built here, once per
-    solve.
-    """
+    def __init__(self, blocks, n, tile_rows, p, q, values):
+        self.blocks, self.n, self.b, self.d = blocks, n, len(blocks), values.shape[-1]
+        b, d, d_out, size = self.b, self.d, n // self.d, len(tile_rows)
+        new = np.diff(tile_rows, prepend=-1) != 0
+        starts, tr = new.nonzero()[0], new.cumsum() - 1
+        self.rows, self.starts = tile_rows[starts], starts
+        self.at = _at(self.rows)
+        self.sq_norms = (np.abs(values) ** 2).sum((2, 3))
+        # tile t of block k pairs B_t[i, j] with X_k[(j, q_t), (i, p_t)]; y_i
+        # B_t is added on the real view, where an entry is 2 numbers
+        i, j, k = np.arange(d)[:, None], np.arange(d), n * n * np.arange(b)
+        k, p4, q4 = k[:, None, None], p.reshape(-1, 1, 1, 1), q.reshape(-1, 1, 1, 1)
+        self.reads = (k + (j * d_out + q4) * n + i * d_out + p4).reshape(-1)
+        writes = (k + (i * d_out + p4) * n + j * d_out + q4).reshape(-1, 1)
+        self.writes = (2 * writes + np.arange(2)).reshape(-1)
+        self.read_v, self.write_v = values.reshape(-1), values.view(float).reshape(-1)
+        self.read_at, self.write_rows = starts * b * d * d, tr.repeat(2 * b * d * d)
+        self.classes = []
+        if not size:
+            return
 
-    def __init__(self, stacks, kept, scale, basis, flat, members):
-        self.blocks = tuple(k for k, _, _ in members)
-        b = self.b = len(members)
-        n = self.n = stacks[self.blocks[0]].shape[-1]
-        dense = np.unique(np.concatenate([d for _, _, d in members]))
-        self.rows, self.n_basis = np.concatenate([basis, dense]), len(basis)
-        by_row = np.empty((len(dense), b, n, n), dtype=complex)
-        for j, k in enumerate(self.blocks):
-            # the indices are in range; mode "raise" would buffer ``out``
-            np.take(stacks[k], kept[dense], axis=0, out=by_row[:, j], mode="clip")
-        by_row /= scale[dense, None, None, None]
-        self.dense_real = by_row.reshape(len(dense), b * n * n).view(float)
-        self.dense = np.ascontiguousarray(by_row.transpose(1, 2, 0, 3))
+        read = (p <= q).nonzero()[0]  # slot j holds the j-th of each row
+        rp, rq = p[read], q[read]
+        rv = values[read] * np.where(rp < rq, 2.0, 1.0)[:, None, None, None]
+        depth = np.arange(len(read)) - tr[read].searchsorted(tr[read])
+        slots = [(depth == j).nonzero()[0] for j in range(depth.max() + 1)]
+        if d == 1:  # W A_i W at (q, p), times the entry
+            self.read_slots = [(_at(tr[read][u]), rq[u] * n + rp[u],
+                                rv[u, :, 0, 0].T[:, None]) for u in slots]
+        else:  # per position (q, p), the real coordinates of its tiles
+            position, at = np.unique(rq * d_out + rp, return_inverse=True)
+            order = at.argsort(kind="stable")
+            depth[order] = np.arange(len(read)) - at[order].searchsorted(at[order])
+            coords = np.stack([rv.real, -rv.imag], axis=-1).swapaxes(2, 3)
+            self.by_position = np.zeros((len(position), 2 * b * d * d, depth.max() + 1))
+            self.by_position[at, :, depth] = coords.reshape(len(read), -1)
+            self.read_slots = [(_at(tr[read][u]), at[u], depth[u]) for u in slots]
+            oq, op = np.divmod(position, d_out)  # (j, q) and (i, p): [P, m, b, j, i]
+            x_at = (j[:, None] * d_out + oq[:, None, None])[:, None, None]
+            y_at = (j * d_out + op[:, None, None])[:, None, None]
 
-        # entry values (e, b, 2), and their positions in the flat stack
-        v = self.v = np.stack([v for _, v, _ in members], axis=1)
-        at = n * n * np.arange(b)[:, None] + flat[:, None, :]
-        self.entry_at = at.reshape(len(v), 2 * b)
-        self.v_bar = v.conj().reshape(len(v), 2 * b)
-        # each entry's (Re, Im) positions in the real view of the flat stack
-        self.flat_real = (2 * at[..., None] + np.arange(2)).reshape(-1)
-        by_block = v.transpose(1, 0, 2)
-        self.p, self.q, self.v_col = flat // n, flat % n, by_block[..., None]
-        # On a Hermitian M an entry below the diagonal reads the conjugate
-        # of its upper mirror, so Re Tr(A_i M) sums only the entries on or
-        # above it: Re(v^* M[p, q]), doubled above the diagonal.
-        read_w = by_block.conj() * (np.sign(self.q - self.p) + 1)
-        self.reads = [
-            (f.copy(), c.copy())
-            for f, c in zip(flat.T, read_w.transpose(2, 0, 1)) if c.any()
-        ]
-
-        # where this group's terms go in A(X) and in the Schur complement
-        start = self.rows[0] if len(self.rows) else 0
-        if np.array_equal(self.rows, np.arange(start, start + len(self.rows))):
-            self.at = slice(start, start + len(self.rows))
-        else:
-            self.at = self.rows
-        self.entry_runs, self.dense_runs = _runs(basis), _runs(dense)
-        # work arrays of the Schur terms, written afresh by every iterate,
-        # and the views of them that it reads and writes
-        nb, nd = len(basis), len(dense)
-        self.waw = np.empty((nb, b, n * n), dtype=complex)
-        self.waw_by_block = self.waw.reshape(nb, b, n, n).swapaxes(0, 1)
-        self.read = np.empty((nb, b, nb), dtype=complex)
-        half, scaled = np.empty((2, b, n, nd * n), dtype=complex)
-        self.dense_cols, self.half = self.dense.reshape(b, n, nd * n), half
-        self.half_rows = half.reshape(b, n * nd, n)
-        self.scaled_rows = scaled.reshape(b, n * nd, n)
-        self.scaled_by_row = scaled.reshape(b, n, nd, n).transpose(2, 0, 1, 3)
-        self.coords = np.empty((nd, b * n * n))
-        self.coords_by_block = self.coords.reshape(nd, b, n * n)
-        self.upper = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # i < j
+        count = np.bincount(tr)
+        tile_b = np.concatenate([values.swapaxes(0, 1), np.zeros((b, 1, d, d))], 1)
+        tile_p, tile_q = np.append(p, 0), np.append(q, 0)
+        block = n * n * np.arange(b)[:, None, None, None]
+        for rows_k in ((count <= 2).nonzero()[0], (count > 2).nonzero()[0]):
+            if not len(rows_k):
+                continue
+            m_k, width = len(rows_k), count[rows_k].max()
+            idx = starts[rows_k, None] + np.arange(width)
+            idx[np.arange(width) >= count[rows_k, None]] = size
+            if d == n:  # W [B_1 ... B_m], then W B_i W laid out [b, x, i, y]
+                mats = (tile_b[:, idx[:, 0]].transpose(0, 2, 1, 3).reshape(b, n, -1),
+                        np.empty((b, n, m_k * n), dtype=complex))
+                stride = (m_k * n * n, n, m_k * n)  # of a block, a row, an x
+            else:  # W_(., p)[x, i] = W[x, (i, p)], W_(q, .)[j, y] = W[(j, q), y]
+                cols = np.arange(d) * d_out + tile_p[idx][..., None]
+                left = block + np.arange(n)[:, None] * n + cols.reshape(m_k, 1, -1)
+                jq = np.arange(d)[:, None] * d_out + tile_q[idx][..., None, None]
+                right = block + (jq * n + np.arange(n)).reshape(m_k, -1, n)
+                factor = tile_b[:, idx, 0, 0][:, :, None]  # B_t scales column t
+                if d > 1:  # blockdiag(B_t)
+                    factor = np.zeros((b, m_k, width, d, width, d), dtype=complex)
+                    factor[:, :, np.arange(width), :, np.arange(width)] = (
+                        tile_b[:, idx].transpose(2, 0, 1, 3, 4))
+                    factor = factor.reshape(b, m_k, width * d, -1)
+                mats = (left, factor, right, np.empty((b, m_k, n, width * d), complex))
+                stride = (m_k * n * n, n * n, n)
+            if d == 1:
+                work = np.empty((b, m_k, len(slots[0])), dtype=complex)
+                at = (self.rows[rows_k], self.rows)
+            else:
+                gather = (np.arange(b)[:, None, None] * stride[0] + x_at * stride[2]
+                          + y_at + np.arange(m_k)[:, None, None, None] * stride[1])
+                gather = gather.reshape(len(position), m_k, -1)
+                work = (gather, np.empty(gather.shape, dtype=complex),
+                        np.empty((len(position), m_k, depth.max() + 1)))
+                at = (self.rows, self.rows[rows_k])
+            contiguous = all(a[-1] - a[0] == len(a) - 1 for a in at)
+            at = tuple(map(_at, at)) if contiguous else np.ix_(*at)
+            self.classes.append((at, mats, np.empty((b, m_k, n, n), complex), work))
 
     def norms(self) -> np.ndarray:
         """Frobenius norm of each touching row in each block, (b, rows)."""
-        by_block = self.dense_real.reshape(-1, self.b, 2 * self.n ** 2)
-        return np.concatenate([
-            np.linalg.norm(self.v, axis=2).T, np.linalg.norm(by_block, axis=2).T
-        ], axis=1)
+        sq, starts = self.sq_norms, self.starts
+        return (np.sqrt(np.add.reduceat(sq, starts)) if len(starts) else sq).T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """sum_k Re Tr(A_ik X_k) for each touching row i."""
-        xr = x.reshape(-1)
-        if not self.n_basis:
-            return self.dense_real @ xr.view(float)
-        basis = (xr[self.entry_at] * self.v_bar).sum(1).real
-        if len(self.rows) == self.n_basis:
-            return basis
-        return np.concatenate([basis, self.dense_real @ xr.view(float)])
+        terms = x.reshape(-1)[self.reads] * self.read_v
+        return np.add.reduceat(terms.real, self.read_at)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """The (b, n, n) stack of sum_i y_i A_ik, ``y`` indexed like the
         touching rows."""
-        nb, b, n = self.n_basis, self.b, self.n
-        if nb:
-            out = np.bincount(
-                self.flat_real,
-                (y[:nb, None, None] * self.v).view(float).reshape(-1),
-                minlength=2 * b * n * n,
-            )
-            if len(self.rows) > nb:
-                out += y[nb:] @ self.dense_real
-        else:
-            out = y @ self.dense_real
+        b, n = self.b, self.n
+        out = np.bincount(self.writes, y[self.write_rows] * self.write_v, 2 * b * n * n)
         return out.view(complex).reshape(b, n, n)
 
-    def add_schur(self, schur: np.ndarray, g: np.ndarray, w: np.ndarray):
-        """Add sum_k Re Tr(A_ik W_k A_jk W_k), W_k = G_k G_k^dag, for each
-        pair of touching rows into their entry of ``schur``, in place, from
-        the stacks of the G_k and the W_k.
-
-        An entry row's W A_i W is two outer products: row j's entries read
-        off it if j is an entry row, and its dot product with row j if j is
-        dense.  For dense rows i, j the term is Re Tr(M_i M_j) for the
-        Hermitian M_j = G^dag A_j G, so all of them are one symmetric
-        product (SYRK) of the real coordinates of the M_j, n^2 per block.
-        Each block's rows are held side by side, so two batched products
-        form G_k^dag [A_1k ... A_dk] G_k for every block k at once."""
-        nb, b, n, nd = self.n_basis, self.b, self.n, len(self.rows) - self.n_basis
-        if nb:  # W[:, p] v W[q, :], summed over the two entries, by row
-            waw, read = self.waw, self.read
-            np.matmul(
-                (w.swapaxes(1, 2)[:, self.p] * self.v_col).swapaxes(2, 3),
-                w[:, self.q],
-                out=self.waw_by_block,
-            )
-            # the indices are in range; mode "raise" would buffer ``out``
-            (f, c), *more = self.reads
-            np.multiply(np.take(waw, f, axis=2, out=read, mode="clip"), c, out=read)
-            for f, c in more:  # one temporary the size of ``read``, not two
-                term = np.take(waw, f, axis=2)
-                term *= c
-                read += term
-            entry = read[:, 0]
-            for j in range(1, b):  # in place: read.sum(1) would allocate
-                entry += read[:, j]
-            _add_block(schur, self.entry_runs, self.entry_runs, entry.real)
-            if nd:
-                cross = waw.reshape(nb, -1).view(float) @ self.dense_real.T
-                _add_block(schur, self.entry_runs, self.dense_runs, cross)
-                _add_block(schur, self.dense_runs, self.entry_runs, cross.T)
-        if nd:  # G^dag [A_1 ... A_d], then each row's product with G
-            np.matmul(dag(g), self.dense_cols, out=self.half)
-            np.matmul(self.half_rows, g, out=self.scaled_rows)
-            real = self.coords
-            _hermitian_coordinates(self.scaled_by_row, self.upper, self.coords_by_block)
-            _add_block(schur, self.dense_runs, self.dense_runs, real @ real.T)
-
-
-def _hermitian_coordinates(mats, upper, out):
-    """Real coordinates of each Hermitian n x n M of a stack, into ``out``
-    (..., n^2): the diagonal, then sqrt(2) times the real and the imaginary
-    parts of the entries at ``upper`` (above the diagonal), so Re Tr(M N)
-    is the dot product of the coordinates of M and N."""
-    n, (i, j) = mats.shape[-1], upper
-    above = mats[..., i, j]
-    out[..., :n] = np.diagonal(mats, axis1=-2, axis2=-1).real
-    np.multiply(above.real, np.sqrt(2), out=out[..., n:n + len(i)])
-    np.multiply(above.imag, np.sqrt(2), out=out[..., n + len(i):])
+    def add_schur(self, schur: np.ndarray, w: np.ndarray):
+        """Add sum_k Re Tr(A_ik W_k A_jk W_k) for each pair of touching rows
+        into their entry of ``schur``, in place, from the stack of the W_k:
+        entry rows the terms of row i to row i, wider tiles to column i."""
+        b, n, d = self.b, self.n, self.d
+        for at, mats, waw, work in self.classes:
+            if d == n:
+                b_side, half = mats
+                np.matmul(w, b_side, out=half)
+                np.matmul(half.reshape(b, -1, n), w, out=waw.reshape(b, -1, n))
+            else:
+                left, factor, right, half = mats
+                product = np.multiply if d == 1 else np.matmul
+                product(w.reshape(-1).take(left), factor, out=half)
+                np.matmul(half, w.reshape(-1).take(right), out=waw)
+            if d == 1:
+                flat = waw.reshape(b, -1, n * n)
+                (_, cols, v), *more = self.read_slots
+                flat.take(cols, axis=2, out=work, mode="clip")
+                work *= v
+                part = work.real[0] if b == 1 else work.real.sum(0)
+                for rows, cols, v in more:
+                    part[:, rows] += (flat.take(cols, axis=2) * v).real.sum(0)
+            else:
+                gather, coords, terms = work
+                waw.reshape(-1).take(gather, out=coords, mode="clip")
+                np.matmul(coords.view(float), self.by_position, out=terms)
+                (_, position, depth), *more = self.read_slots
+                part = terms[position, :, depth]
+                for rows, position, depth in more:
+                    part[rows] += terms[position, :, depth]
+            schur[at] += part
 
 
 def _a_apply(layout, xs, m: int) -> np.ndarray:
@@ -594,14 +591,13 @@ def _views(layout, flat: np.ndarray) -> list:
     return views
 
 
-def _schur_complement(layout, gs, ws, m: int) -> np.ndarray:
-    """S_ij = sum_k Re Tr(A_ik W_k A_jk W_k) for the NT scaling factors
-    G_k and points W_k = G_k G_k^dag: each group adds its terms in place.
-    The dense and mixed terms are exactly symmetric; an entry pair's two
-    readings agree to roundoff, and the Cholesky reads the lower one."""
+def _schur_complement(layout, ws, m: int) -> np.ndarray:
+    """S_ij = sum_k Re Tr(A_ik W_k A_jk W_k) for the NT points W_k: each
+    group adds its terms in place.  The two readings of a pair of rows
+    agree to roundoff, and the Cholesky reads the lower one."""
     schur = np.zeros((m, m))
-    for blk, g, w in zip(layout, gs, ws):
-        blk.add_schur(schur, g, w)
+    for blk, w in zip(layout, ws):
+        blk.add_schur(schur, w)
     return schur
 
 
@@ -699,31 +695,23 @@ def _schur_solver(schur: np.ndarray):
 def _path_following(objective, layout, b, tol, max_iters):
     """NT-scaled primal-dual path following over the row ``layout``.
 
-    X, Z, the ``objective`` and every per-block quantity are one (b, n, n)
-    stack per block group of the layout, so the NT scaling, the Schur
-    terms, the Newton directions and the step lengths run once per group.
-    The stacks of all groups lie side by side in flat arrays laid out once
-    per solve, each with its group views ([X; Z], [dX; dZ], the dual
-    residual R_d, W R_d W, the right-hand sides), so each entrywise step
-    is one operation per iterate.  Each iterate is factored once:
-    ``_nt_scaling`` per group and one Cholesky of the Schur complement
-    (``_schur_solver``), whose two Newton solves also share W R_d W.
-    ``_step_lengths`` reads both step lengths of a direction off one
-    ``eigvalsh`` per group.  The predictor (affine-scaling) direction picks
-    the centering weight sigma; the corrector aims at sigma mu on the
-    central path and carries Mehrotra's second-order term, computed in the
-    NT-scaled space as SDPT3 computes it (Todd, Toh and Tutuncu, SIAM J.
-    Optim. 8, 769, 1998): its right-hand side is sigma mu Z^{-1} - X -
-    G L_V^{-1}(dX~ dZ~ + dZ~ dX~) G^dag for the predictor's scaled
-    directions (``_second_order``).  X moves by exactly Hermitian steps,
-    so only Z, whose residual comes from the row map, is symmetrized.  A
-    Schur complement or a direction that is not finite (an overflow, so
-    its warning is silenced) ends the solve with ``breakdown``.
-
+    X, Z and every per-block quantity are one (b, n, n) stack per block
+    group, all groups side by side in flat arrays laid out once per solve
+    with their group views ([X; Z], [dX; dZ], R_d, W R_d W, the right-hand
+    sides), so each entrywise step is one operation per iterate.  Each
+    iterate is factored once: ``_nt_scaling`` per group and one Cholesky of
+    the Schur complement, whose two Newton solves share W R_d W; one
+    ``eigvalsh`` per group reads both step lengths of a direction.  The
+    predictor picks the centering weight sigma; the corrector aims at
+    sigma mu with Mehrotra's second-order term in the NT-scaled space, as
+    SDPT3 computes it (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 769, 1998):
+    sigma mu Z^{-1} - X - G L_V^{-1}(dX~ dZ~ + dZ~ dX~) G^dag
+    (``_second_order``).  X moves by exactly Hermitian steps, so only Z is
+    symmetrized.  A Schur complement or direction that is not finite (an
+    overflow, its warning silenced) ends the solve with ``breakdown``.
     Iterates 0..``max_iters`` each get one residual pass, which sets
-    ``status``.  Every exit returns (xs, y, zs, status, iterations,
-    residuals) of its point, the stacks by group and the residuals
-    row-scaled over the kept rows.
+    ``status``; every exit returns (xs, y, zs, status, iterations,
+    residuals) of its point, residuals row-scaled over the kept rows.
     """
     m, size = b.size, sum(blk.b * blk.n * blk.n for blk in layout)
     point, step = np.zeros((2, 2, size), dtype=complex)  # [X; Z], [dX; dZ]
@@ -809,7 +797,7 @@ def _path_following(objective, layout, b, tol, max_iters):
             ws.append(w), zinvs.append(zinv), gs.append(g), lams.append(lam)
 
         try:
-            solve_schur = _schur_solver(_schur_complement(layout, gs, ws, m))
+            solve_schur = _schur_solver(_schur_complement(layout, ws, m))
 
             # predictor: its step chooses the centering weight
             np.negative(point[0], out=rc)
@@ -845,43 +833,44 @@ def _path_following(objective, layout, b, tol, max_iters):
 # preprocessing: row scaling and redundancy elimination
 
 
-def _reduce_constraints(problem: SdpProblem):
-    """Normalize rows, drop dependent ones, verify consistency.
-
-    Works on the Gram matrix G = sum_k R_k R_k^T of the real row views,
-    formed block by block from the problem's one ``_Nonzeros`` scan:
-    entry rows against entry rows from their entries (pairs at a common
-    position), entry rows against dense rows by gathering the dense rows
-    at the entries, and dense rows against each other by one symmetric
-    product.  The row scales are sqrt(diag G); a zero row (norm below
-    1e-14) keeps scale 1 and a zero pivot, so it is dropped with implied
-    rhs 0.  One pivoted Cholesky of the normalized G (unit diagonal set
-    exactly, so ties keep the earlier row) stops at the first pivot below
-    1e-12, which resolves independence to about 1e-6 relative: a row
-    within that of the span of the kept rows is dropped, rows independent
-    beyond it are kept, and exact linear combinations leave pivots near
-    1e-15.  With the factor split into L_11 (kept rows) and L_21 (dropped
-    rows), each dropped row must have the normalized rhs L_21 L_11^{-1}
-    b_kept.  Returns (kept indices, row scales); raises ValueError on a
-    structurally inconsistent system, a dropped row whose normalized rhs
-    (a zero row's rhs itself) is off by more than 1e-8.
-    """
+def _gram(problem: SdpProblem) -> np.ndarray:
+    """G_ij = sum_k Re <A_ik, A_jk>: two tiles of a block meet only at one
+    position, where they add Re Tr(B_t^dag B_u), so each tile, sorted by
+    position, pairs with every tile of its run of equal positions."""
     m = problem.n_constraints
-    gram = np.zeros((m, m))
-    for a, nz in zip(problem.stacks, problem._nonzeros):
-        dense = a.reshape(m, a.shape[-1] ** 2)[nz.dense]
-        dense_runs = _runs(nz.dense)
-        if len(nz.dense):
-            real = dense.view(float)
-            _add_block(gram, dense_runs, dense_runs, real @ real.T)
-        if len(nz.entry):
-            i, j, terms = nz.entry_pairs()
-            np.add.at(gram, (i, j), terms)
-        if len(nz.entry) and len(nz.dense):
-            entry_runs = _runs(nz.entry)
-            cross = (np.take(dense, nz.flat, axis=1) * nz.v.conj()).sum(2).real
-            _add_block(gram, dense_runs, entry_runs, cross)
-            _add_block(gram, entry_runs, dense_runs, cross.T)
+    at, terms = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for n, t in zip(problem.blocks, problem.tiles):
+        if t.d == n:  # dense rows meet at their one position: a product
+            rows = t.b.reshape(len(t.b), n * n)
+            at.append((t.row[:, None] * m + t.row).reshape(-1))
+            terms.append((rows.conj() @ rows.T).real.reshape(-1))
+            continue
+        key = t.p * (n // t.d) + t.q
+        order = key.argsort(kind="stable")
+        key, rows, b = key[order], t.row[order], t.b[order].reshape(len(key), t.d ** 2)
+        start = key.searchsorted(key)
+        count = key.searchsorted(key, "right") - start
+        i = np.arange(len(key)).repeat(count)
+        j = np.arange(len(i)) - (count.cumsum() - count - start).repeat(count)
+        at.append(rows[i] * m + rows[j])
+        terms.append(np.add.reduce((b[i].conj() * b[j]).real, axis=1))
+    gram = np.bincount(np.concatenate(at), np.concatenate(terms), minlength=m * m)
+    return gram.reshape(m, m)
+
+
+def _reduce_constraints(problem: SdpProblem):
+    """Normalize rows, drop dependent ones, verify consistency, on the Gram
+    matrix G of the rows (``_gram``).  The row scales are sqrt(diag G); a
+    zero row (norm below 1e-14) keeps scale 1 and a zero pivot, so it is
+    dropped with implied rhs 0.  One pivoted Cholesky of the normalized G
+    (unit diagonal set exactly, so ties keep the earlier row) stops at the
+    first pivot below 1e-12, which resolves independence to about 1e-6
+    relative; exact linear combinations leave pivots near 1e-15.  With the
+    factor split into L_11 (kept rows) and L_21 (dropped rows), each dropped
+    row must have the normalized rhs L_21 L_11^{-1} b_kept.  Returns (kept
+    indices, row scales); raises ValueError on a structurally inconsistent
+    system, a dropped row whose normalized rhs is off by more than 1e-8."""
+    gram = _gram(problem)
     scales = np.sqrt(np.diagonal(gram))
     nonzero = scales >= 1e-14
     scales[~nonzero] = 1.0
@@ -923,6 +912,7 @@ def solve(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     kept, scales = _reduce_constraints(problem)
+    kept = _row_order(problem, kept)
     row_scale = scales[kept]
     layout = _layout(problem, kept, row_scale)
     stacks, y_kept, _, status, iterations, res = _path_following(
@@ -965,9 +955,9 @@ def solution_diagnostics(solution: SdpSolution) -> dict:
 def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     """Independent feasibility check of a reported solution.
 
-    Recomputes constraint violations (a complex contraction of the stored
-    stacks) and block eigenvalues from scratch; returns (ok, details
-    dict).  Deliberately shares no code with the solver.
+    Recomputes constraint violations (a contraction of the dense view
+    ``problem.stacks``) and block eigenvalues from scratch; returns (ok,
+    details dict).  Deliberately shares no code with the solver.
     """
     details = {}
     worst_eig = 0.0
@@ -1003,17 +993,33 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
 
 @dataclass(frozen=True, eq=False)
 class AffineMatrixExpr:
-    """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued.
-
-    Each L is complex-linear and Hermiticity-preserving, and maps a stack
-    of block operators (q, n, n) to the stack of their images (q, side,
-    side) in one call; ``fidelity_sdp`` applies it to the n^2 matrix units
-    E_ij of its block, which are not Hermitian.
-    """
+    """sigma = const + sum over (block, L) of L(X_block), Hermitian-valued;
+    each L is complex-linear and Hermiticity-preserving, a ``ChoiTerm`` or a
+    map of stacks of block operators (read as ``ChoiTerm.of_map``)."""
 
     side: int
     const: np.ndarray
     terms: tuple = ()  # of (block index, L)
+
+
+def _coupling_tiles(term: ChoiTerm, units) -> Tiles:
+    """Tiles of -sum_k g_k L^dag(E_(x_k, y_k)) in rows e_k for the units
+    (e, x, y, g) of the sigma corner, L = ``term``: E_(a o),(a' o') reads
+    sigma[(a' o'), (a o)], the tile M_(a' .)(a .) transposed times
+    t[o', o, u, v], at each (v, u) where that is not 0."""
+    e, x, y, g = units
+    s = term.t.shape[0]
+    (a1, o1), (a2, o2) = np.divmod(x, s), np.divmod(y, s)
+    to2, to1, u, v = term.t.nonzero()  # grouped by (o', o)
+    per_key = np.bincount(to2 * s + to1, minlength=s * s)
+    key = o2 * s + o1
+    count = per_key[key]
+    k = np.arange(len(e)).repeat(count)
+    nz = np.arange(len(k)) + (per_key.cumsum()[key] - per_key[key]
+                              - count.cumsum() + count).repeat(count)
+    tiles = term.m.transpose(2, 0, 3, 1)[a1[k], a2[k]]  # [j, i] = m[a', i, a, j]
+    coeff = -g[k] * term.t[to2[nz], to1[nz], u[nz], v[nz]]
+    return Tiles(e[k], v[nz], u[nz], coeff[:, None, None] * tiles)
 
 
 def fidelity_sdp(
@@ -1022,23 +1028,20 @@ def fidelity_sdp(
     sigma: AffineMatrixExpr,
     sigma_support: np.ndarray | None = None,
 ) -> int:
-    """Add a fidelity block for F(rho, sigma) to a problem under construction.
-
-    Encodes max (Tr X + Tr X^dag)/2 over [[rho, X], [X^dag, sigma]] >= 0,
-    where ``sigma`` may be affine in other problem blocks.  Both corners
-    are compressed by ``support_isometry``: rho onto its own support,
-    sigma onto the projector ``sigma_support`` (callers must guarantee
-    every reachable sigma lives inside it; identity if omitted).  That
-    keeps a full support in the natural basis, with objective Re Tr X
-    and no product with the identity isometry (``_compress``), and
-    strictly feasible points when rho or sigma is singular.
-
-    Returns the index of the added PSD block.  The block's objective
-    contribution equals the fidelity at the optimum.
-    """
-    if sigma_support is None:
-        sigma_support = np.eye(sigma.side)
-    v1, v2 = support_isometry(rho), support_isometry(sigma_support)
+    """Add a fidelity block for F(rho, sigma) to a problem under construction
+    and return its index; its objective contribution is the fidelity at the
+    optimum.  Encodes max (Tr X + Tr X^dag)/2 over [[rho, X], [X^dag, sigma]]
+    >= 0, ``sigma`` affine in other blocks.  Rho is compressed onto its
+    support, sigma onto ``sigma_support``: a PSD matrix whose support holds
+    every reachable sigma, or an isometry (tall, orthonormal columns) onto
+    such a subspace; the whole space if omitted.  A full support stays in
+    the natural basis (``_compress``), a singular one keeps strictly
+    feasible points.  Each corner equals its target on a Hermitian basis;
+    a sigma term's coupling rows are tiles read off the units of each
+    compressed element V h V^dag, which V = V_A (x) I merges into 2 tiles."""
+    v1, v2 = support_isometry(rho), np.asarray(
+        np.eye(sigma.side) if sigma_support is None else sigma_support, dtype=complex)
+    v2 = support_isometry(v2) if v2.shape[0] == v2.shape[1] else v2
     r, s = v1.shape[1], v2.shape[1]
     if r == 0:
         raise ValueError("rho has empty support")
@@ -1046,33 +1049,29 @@ def fidelity_sdp(
 
     c12 = _compress(np.eye(len(v1), dtype=complex), v1, v2) / 2.0
     c_w = np.zeros((r + s, r + s), dtype=complex)
-    c_w[:r, r:] = c12
-    c_w[r:, :r] = dag(c12)
+    c_w[:r, r:], c_w[r:, :r] = c12, dag(c12)
     builder.add_objective(w_blk, c_w)
-
-    # each corner equals its target on a Hermitian basis, one row per element
-    rho_rows = np.zeros((r * r, r + s, r + s), dtype=complex)
-    rho_rows[:, :r, :r] = hermitian_basis(r)
     builder.add_constraint(
-        {w_blk: rho_rows}, _basis_overlaps(_compress(rho, v1, v1)).real
+        {w_blk: _basis_tiles(r)}, _basis_overlaps(_compress(rho, v1, v1)).real
     )
 
-    # sigma is affine: a term L puts -L^dag(g) = -sum_ij Tr(g L(E_ij)) E_ji,
-    # over the matrix units E_ij of its block, into the row of the basis
-    # element g of the sigma corner
-    sig_rows = np.zeros((s * s, r + s, r + s), dtype=complex)
-    sig_rows[:, r:, r:] = hermitian_basis(s)
-    coeffs = {w_blk: sig_rows}
+    corner = _basis_tiles(s, at=r)
+    units = (corner.row, corner.p - r, corner.q - r, corner.b[:, 0, 0])
+    if v2.shape[0] != v2.shape[1]:  # the units of V h_e V^dag
+        elements = v2 @ hermitian_basis(s) @ dag(v2)
+        units = elements.nonzero() + (elements[elements.nonzero()],)
+    coeffs = {w_blk: [(0, corner)]}
     for blk, lin in sigma.terms:
         n = builder.block_side(blk)
-        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # E_ij at i n + j
-        images = _compress(lin(units), v2, v2)
-        rows = _basis_overlaps(images).T.reshape(s * s, n, n).swapaxes(1, 2)
-        if max_abs(rows - dag(rows)) > COEFF_HERM_TOL:
+        term = lin if isinstance(lin, ChoiTerm) else ChoiTerm.of_map(lin, n)
+        m = term.m.reshape(2 * (term.m.shape[0] * term.m.shape[1],))
+        t = term.t - term.t.transpose(1, 0, 3, 2).conj()  # T(Y^dag) - T(Y)^dag
+        if max(max_abs(m - dag(m)), max_abs(t)) > COEFF_HERM_TOL:
             raise ValueError("sigma coupling is not Hermiticity-preserving")
-        coeffs[blk] = coeffs.get(blk, 0.0) - rows
+        coeffs.setdefault(blk, []).append((0, _coupling_tiles(term, units)))
     builder.add_constraint(
-        coeffs, _basis_overlaps(_compress(sigma.const, v2, v2)).real
+        {k: Tiles.joined(v, builder.block_side(k)) for k, v in coeffs.items()},
+        _basis_overlaps(_compress(sigma.const, v2, v2)).real,
     )
     return w_blk
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qbroadcast import broadcast, recovery, sdp
+from qbroadcast import broadcast, channels, sdp
 from qbroadcast.broadcast import f_eb, f_max_broadcast
 from qbroadcast.channels import identity_channel
 from qbroadcast.corpus import bell_state, ghz_state, random_channel, random_state
 from qbroadcast.frames import conditional_states
 from qbroadcast.info import fidelity
-from qbroadcast.linalg import support_isometry
+from qbroadcast.linalg import partial_trace, support_isometry
 from qbroadcast.recovery import (
     optimal_fixing_recovery_fidelity,
     optimal_recovery_fidelity,
@@ -257,10 +257,17 @@ class TestPreprocessingAndFailureModes:
         assert not ok_bad
 
 
+def entry_tiles(stack):
+    """The rows of an (m, n, n) stack as entry tiles (d = 1)."""
+    rows, i, j = np.nonzero(stack)
+    return sdp.Tiles(rows, i, j, stack[rows, i, j][:, None, None])
+
+
 class TestBlockwiseGram:
-    """The Gram matrix that preprocessing forms from the one scan: pairs of
-    entry rows at a common position and entry rows against dense rows
-    decide dependencies, and the row scales are the rows' norms."""
+    """The Gram matrix that preprocessing reads off the tiles: pairs of
+    entry tiles at a common position, among them those of a dense row split
+    into entries, decide dependencies, and the row scales are the rows'
+    norms."""
 
     @staticmethod
     def program(rhs_off):
@@ -272,7 +279,7 @@ class TestBlockwiseGram:
         b.add_objective(blk, np.diag([1.0, 0.0, 0.0]).astype(complex))
         two_diagonal = np.diag([1.0, 1.0, 0.0]).astype(complex)
         b.add_constraint(
-            {blk: np.concatenate([h[:4], two_diagonal[None]])},
+            {blk: entry_tiles(np.concatenate([h[:4], two_diagonal[None]]))},
             [0.5, 0.3, 0.2, 0.1, 0.8],
         )
         b.add_constraint({blk: h[0] + 2 * h[3] - h[2]}, 0.5 + 0.2 - 0.2 + rhs_off)
@@ -545,6 +552,21 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="Hermitian"):
             b.add_constraint({blk: np.array([[0.0, 1.0], [0.0, 0.0]])}, 0.5)
 
+    def test_tiles_are_checked_where_they_enter(self):
+        # a block of side 4 as 2x2 tiles at 2 x 2 output positions
+        b = SdpBuilder()
+        blk = b.add_block(4)
+        unit = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        one, at = np.array([0]), np.array([1])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            b.add_constraint({blk: sdp.Tiles(0 * one, 0 * one, at, unit)}, [0.0])
+        with pytest.raises(ValueError, match="do not fit"):
+            b.add_constraint({blk: sdp.Tiles(0 * one, 2 * at, at, unit)}, [0.0])
+        # dust without its mirror tile keeps the Hermitian part, half each
+        b.add_constraint({blk: sdp.Tiles(0 * one, 0 * one, at, 1e-14 * unit)}, [0.0])
+        row = b.build().stacks[0][0]
+        assert np.array_equal(row, row.conj().T) and np.abs(row).max() == 5e-15
+
     def test_sub_tolerance_asymmetry_is_symmetrized(self):
         b = SdpBuilder()
         blk = b.add_block(2)
@@ -577,7 +599,7 @@ class TestRowBlocks:
         b.add_constraint({y: np.eye(3)}, 2.0)
         first = b.build()
         ((rows, rhs),) = b._row_blocks
-        assert rows[x] is first.stacks[x] and rows[y] is first.stacks[y]
+        assert rows[x] is first.tiles[x] and rows[y] is first.tiles[y]
         assert rhs is first.rhs
         z = b.add_block(2)
         b.add_constraint({x: np.diag([1.0, 0.0]), z: np.eye(2)}, 0.5)
@@ -659,8 +681,8 @@ def kept_layout(problem):
 
 
 class TestEachJobOnce:
-    """One factorization per block group per IPM iteration, and one map
-    call per sigma term when the fidelity gadget is built."""
+    """One factorization per block group per IPM iteration, and one read of
+    its tiles per sigma term when the fidelity gadget is built."""
 
     def test_two_eigh_per_block_per_iteration(self, monkeypatch):
         problems = []
@@ -743,27 +765,30 @@ class TestEachJobOnce:
         assert len(calls) == solution.iterations
 
     @pytest.mark.parametrize(
-        "module, fn, state, expected",
+        "fn, state, expected",
         [
-            (broadcast, f_max_broadcast, ((2, 2), 31), 2),  # one per swap sector
-            (broadcast, f_eb, ((2, 2), 31), 1),
-            (recovery, optimal_recovery_fidelity, ((2, 2, 2), 32), 1),
+            (f_max_broadcast, ((2, 2), 31), 2),  # one per swap sector
+            (f_eb, ((2, 2), 31), 1),
+            (optimal_recovery_fidelity, ((2, 2, 2), 32), 1),
         ],
         ids=["f_max", "f_eb", "optimal_recovery"],
     )
-    def test_one_choi_action_per_sigma_term(
-        self, monkeypatch, module, fn, state, expected
-    ):
-        calls = []
-        original = module.choi_subsystem_action
+    def test_one_choi_action_per_sigma_term(self, monkeypatch, fn, state, expected):
+        # each sigma term is one ChoiTerm, whose coupling tiles are read off
+        # the state once; no Choi matrix goes through choi_subsystem_action
+        reads, actions = [], []
+        coupling = sdp._coupling_tiles
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
+        def counting(term, units):
+            reads.append(term)
+            return coupling(term, units)
 
-        monkeypatch.setattr(module, "choi_subsystem_action", counting)
-        fn(random_state(*state))
-        assert len(calls) == expected
+        monkeypatch.setattr(sdp, "_coupling_tiles", counting)
+        monkeypatch.setattr(
+            channels, "choi_subsystem_action", lambda *args: actions.append(args)
+        )
+        built_problem(monkeypatch, fn, random_state(*state))
+        assert len(reads) == expected and not actions
 
 
 def test_no_constraint_rows():
@@ -781,9 +806,10 @@ def test_no_constraint_rows():
 
 def mixed_rows_problem():
     """Every kind of row the solver's layout tells apart: basis elements
-    (one diagonal entry, an off-diagonal pair), the identity on a qubit
-    (two entries, not a basis element), dense rows, a block touched by both
-    kinds, one dense row over two blocks, and a block no row touches."""
+    given as entry tiles (one diagonal entry, an off-diagonal pair), the
+    identity on a qubit (a dense tile, not a basis element), a dense row
+    over two blocks, split into entry tiles on the block that holds them,
+    and a block no row touches."""
     rng = np.random.default_rng(12)
     b = SdpBuilder()
     (qubit,) = add_channel(b, 1, 2)
@@ -792,7 +818,9 @@ def mixed_rows_problem():
     rho = random_state(3, rng).matrix
     sigma = random_state(2, rng).matrix
     basis = hermitian_basis(3)[[0, 1, 3, 6]]
-    b.add_constraint({mixed: basis}, np.trace(basis @ rho, axis1=1, axis2=2).real)
+    b.add_constraint(
+        {mixed: entry_tiles(basis)}, np.trace(basis @ rho, axis1=1, axis2=2).real
+    )
     h, g = random_hermitian(3, rng), random_hermitian(2, rng)
     b.add_constraint(
         {mixed: h, qubit: g}, float(np.trace(h @ rho).real + np.trace(g @ sigma).real)
@@ -826,9 +854,12 @@ class TestRowLayout:
         problem = mixed_rows_problem()
         layout, _ = self.layout_and_points(problem)
         qubit, mixed, untouched = layout
-        assert qubit.n_basis == 1 and len(qubit.rows) == 2  # I_2, then dense
-        assert np.count_nonzero(qubit.v[0]) == 2
-        assert mixed.n_basis == 4 and len(mixed.rows) == 5
+        # I_2 and the row over two blocks, one dense tile each
+        assert (qubit.d, list(qubit.rows)) == (2, [0, 5])
+        assert list(np.bincount(problem.tiles[0].row)) == [1, 0, 0, 0, 0, 1]
+        # two diagonal units, two off-diagonal pairs, then the dense row's 9
+        assert (mixed.d, list(mixed.rows)) == (1, [1, 2, 3, 4, 5])
+        assert list(np.bincount(problem.tiles[1].row)) == [0, 1, 1, 2, 2, 9]
         assert len(untouched.rows) == 0
 
     def test_schur_complement_matches_dense_contraction(self):
@@ -836,10 +867,7 @@ class TestRowLayout:
         layout, ws = self.layout_and_points(problem)
         factors = [np.linalg.cholesky(w) for w in ws]
         got = sdp._schur_complement(
-            layout,
-            sdp._gather(layout, factors),
-            sdp._gather(layout, ws),
-            problem.n_constraints,
+            layout, sdp._gather(layout, ws), problem.n_constraints
         )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w).real
@@ -876,7 +904,7 @@ class TestRowLayout:
             problem.rhs,
         )
         layout, _ = self.layout_and_points(rotated)
-        assert [blk.n_basis for blk in layout] == [0, 0]  # both side-2 in one
+        assert [blk.d for blk in layout] == [2, 3, 2]  # one dense tile per row
         sparse, dense = solve(problem), solve(rotated)
         assert sparse.status == dense.status == "optimal"
         assert sparse.iterations == dense.iterations
@@ -900,10 +928,7 @@ class TestGroupedLayout:
         layout, ws = self.layout_and_points(problem)
         factors = [np.linalg.cholesky(w) for w in ws]
         got = sdp._schur_complement(
-            layout,
-            sdp._gather(layout, factors),
-            sdp._gather(layout, ws),
-            problem.n_constraints,
+            layout, sdp._gather(layout, ws), problem.n_constraints
         )
         want = sum(
             np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
@@ -1091,24 +1116,223 @@ class TestDeficientSigmaSupport:
         assert value >= 1 - sdp.fidelity_slack(sdp.DEFAULT_TOL)
 
 
+class TestDeficientSupportKeepsTiles:
+    """A rank-deficient rho_A compresses sigma by the product isometry
+    V_A (x) I, which acts on A alone, so each coupling row keeps at most 2
+    tiles of the Choi block (at most 2 d_B^2 of its entries); the solves
+    stay certified (``TestDeficientSigmaSupport``)."""
+
+    @pytest.mark.parametrize(
+        "fn, rest",
+        [
+            (optimal_recovery_fidelity, ((2, 2), 7)),
+            (f_eb, (2, 7)),
+            (f_eb, (3, 7)),
+        ],
+        ids=["recovery", "f_eb_2", "f_eb_3"],
+    )
+    def test_coupling_rows_have_at_most_two_tiles(self, monkeypatch, fn, rest):
+        rho = pure_a_product(random_state(*rest))
+        problem = built_problem(monkeypatch, fn, rho)
+        side = len(rho.matrix) // rho.dims[0]  # supp(rho_A) (x) the rest
+        assert problem.blocks[-1] == np.linalg.matrix_rank(rho.matrix) + side
+        choi = problem.tiles[0]
+        d_b = choi.d
+        coupling = choi.row >= problem.n_constraints - side ** 2
+        assert np.bincount(choi.row[coupling]).max() <= 2
+        rows = problem.stacks[0][-side ** 2:]
+        entries = np.count_nonzero(rows.reshape(len(rows), -1), axis=1)
+        assert entries.max() <= 2 * d_b ** 2
+
+
+class TestChoiTerms:
+    """Each sigma term the library builds, applied as a map, equals the
+    formula it replaced, on random stacks of block operators."""
+
+    @staticmethod
+    def stack(n, rng, q=3):
+        g = rng.normal(size=(q, n, n)) + 1j * rng.normal(size=(q, n, n))
+        return g + g.conj().transpose(0, 2, 1)
+
+    def test_recovery_and_f_eb_act_on_one_factor(self):
+        rng = np.random.default_rng(81)
+        rho = random_state((2, 3, 2), rng)
+        rho_ab = rho.marginal((0, 1)).matrix
+        term = channels.ChoiTerm(
+            rho_ab.reshape(2, 3, 2, 3), channels.ChoiTerm.on_output(6)
+        )
+        x = self.stack(18, rng)
+        want = channels.choi_subsystem_action(x, 3, 6, rho_ab, (2, 3), 1)
+        assert np.abs(term(x) - want).max() <= 1e-13
+
+    def test_f_max_sector_keeps_one_output(self):
+        rng = np.random.default_rng(82)
+        rho = random_state((2, 3), rng)
+        for v in broadcast._swap_eigenspaces(3):
+            u = v[:9, :v.shape[1] // 3].reshape(3, 3, -1)
+            term = channels.ChoiTerm(rho.matrix.reshape(2, 3, 2, 3),
+                                     np.einsum("bou,bpv->opuv", u, u.conj()))
+            x = self.stack(v.shape[1], rng)
+            both = channels.choi_subsystem_action(
+                v @ x @ v.conj().T, 3, 9, rho.matrix, (2, 3), 1)
+            want = [partial_trace(m, (2, 3, 3), keep=(0, 2)) for m in both]
+            assert np.abs(term(x) - np.array(want)).max() <= 1e-13
+
+    def test_measure_and_prepare_terms(self):
+        rng = np.random.default_rng(83)
+        rho = random_state((2, 3), rng)
+        tau, el = random_state(3, rng).matrix, random_state(3, rng).matrix
+        x = self.stack(3, rng)
+        measured = channels.ChoiTerm(
+            rho.matrix.reshape(2, 3, 2, 3).transpose(0, 3, 2, 1), tau[:, :, None, None]
+        )
+        want = [np.kron(conditional_states(rho, e, 1), tau) for e in x]
+        assert np.abs(measured(x) - np.array(want)).max() <= 1e-13
+        cond = conditional_states(rho, el, 1)
+        prepared = channels.ChoiTerm(
+            cond.reshape(2, 1, 2, 1), channels.ChoiTerm.on_output(3)
+        )
+        want = [np.kron(cond, e) for e in x]
+        assert np.abs(prepared(x) - np.array(want)).max() <= 1e-13
+
+
+def problems_and_references(monkeypatch, fn, *args):
+    """Pairs of each problem ``fn(*args)`` solves and the same problem built
+    with ``dense_fidelity_gadget``; the second run replays the first run's
+    solutions, so programs that depend on earlier solves see the same data."""
+    tiled, solutions, original = [], [], sdp.solve
+
+    def solving(problem, *rest, **kwargs):
+        tiled.append(problem)
+        solutions.append(original(problem, *rest, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(sdp, "solve", solving)
+    fn(*args)
+    dense, replay = [], iter(solutions)
+
+    def replaying(problem, *rest, **kwargs):
+        dense.append(problem)
+        return next(replay)
+
+    monkeypatch.setattr(sdp, "solve", replaying)
+    monkeypatch.setattr(sdp, "fidelity_sdp", dense_fidelity_gadget)
+    fn(*args)
+    return list(zip(tiled, dense))
+
+
+def sigma_fixing_args(seed):
+    rng = np.random.default_rng(seed)
+    return random_state(2, rng), random_state(2, rng), random_channel(2, 3, rng)
+
+
+TILED_PROGRAMS = [
+    (optimal_recovery_fidelity, (random_state((2, 3, 3), 4),)),
+    (optimal_recovery_fidelity, (random_state((3, 2, 3), 4),)),
+    (f_max_broadcast, (random_state((2, 3), 4),)),
+    (f_eb, (random_state((2, 2), 4),)),
+    (optimal_fixing_recovery_fidelity, sigma_fixing_args(8)),
+    (broadcast.f_eb_detailed, (random_state((3, 3), 4),)),
+]
+TILED_IDS = [
+    "recovery_2x3x3", "recovery_3x2x3", "f_max_2x3", "f_eb_ppt_2x2",
+    "sigma_fixing", "measure_prepare_3x3",
+]
+
+
+class TestTileRows:
+    """Every row family the library builds is a short sum of tiles, and
+    the tiles, expanded by ``SdpProblem.stacks``, equal the dense formulas:
+    the coupling and corner rows those of ``dense_fidelity_gadget``, and
+    trace preservation V^dag (H (x) I) V.  The measure-and-prepare case
+    runs the PPT program and two rounds of preparation and measurement
+    programs.  On each program the solver's tiled A(X), A^*(y), Gram
+    matrix and Schur complement equal dense contractions over that view."""
+
+    @pytest.mark.parametrize("fn, args", TILED_PROGRAMS, ids=TILED_IDS)
+    def test_tiles_expand_to_the_dense_rows(self, monkeypatch, fn, args):
+        pairs = problems_and_references(monkeypatch, fn, *args)
+        assert len(pairs) == (5 if fn is broadcast.f_eb_detailed else 1)
+        for got, want in pairs:
+            assert got.blocks == want.blocks
+            assert np.abs(got.rhs - want.rhs).max() <= 1e-14
+            for a, b in zip(got.stacks, want.stacks):
+                assert np.abs(a - b).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "fn, rho, spaces",
+        [
+            (optimal_recovery_fidelity, random_state((2, 3, 3), 4), [np.eye(27)]),
+            (f_max_broadcast, random_state((2, 3), 4), broadcast._swap_eigenspaces(3)),
+        ],
+        ids=["recovery_2x3x3", "f_max_2x3"],
+    )
+    def test_trace_preservation_rows(self, monkeypatch, fn, rho, spaces):
+        # the first d_B^2 rows of each Choi block, with tiles over B_in
+        problem = built_problem(monkeypatch, fn, rho)
+        d_in = rho.dims[1]
+        tp = np.kron(hermitian_basis(d_in), np.eye(len(spaces[0]) // d_in))
+        for k, v in enumerate(spaces):
+            assert problem.tiles[k].d == d_in
+            want = v.conj().T @ tp @ v
+            assert np.abs(problem.stacks[k][:d_in ** 2] - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("fn, args", TILED_PROGRAMS, ids=TILED_IDS)
+    def test_solver_contractions_match_the_dense_view(self, monkeypatch, fn, args):
+        rng = np.random.default_rng(71)
+        problems = [got for got, _ in problems_and_references(monkeypatch, fn, *args)]
+        for problem in problems:
+            m = problem.n_constraints
+            layout = sdp._layout(problem, np.arange(m), np.ones(m))
+            ws = [random_pd(n, rng) for n in problem.blocks]
+            factors = [np.linalg.cholesky(w) for w in ws]
+            dense = [a.reshape(m, -1) for a in problem.stacks]
+            # with W = L L^dag, Tr(A_i W A_j W) = <L^dag A_i L, L^dag A_j L>
+            scaled = [(f.conj().T @ a @ f).reshape(m, -1)
+                      for a, f in zip(problem.stacks, factors)]
+            for got, want in (
+                (sdp._schur_complement(layout, sdp._gather(layout, ws), m),
+                 sum((s.conj() @ s.T).real for s in scaled)),
+                (sdp._gram(problem), sum((a.conj() @ a.T).real for a in dense)),
+                (sdp._a_apply(layout, sdp._gather(layout, ws), m),
+                 sum(a.conj() @ w.reshape(-1) for a, w in zip(dense, ws)).real),
+            ):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            y = rng.normal(size=m)
+            adjoint = sdp._scatter(layout, sdp._a_adjoint(layout, y))
+            for got, a in zip(adjoint, problem.stacks):
+                want = np.tensordot(y, a, axes=(0, 0))
+                assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+def test_a_solve_leaves_the_dense_view_unbuilt(monkeypatch):
+    # build and solve read only the tiles; ``audit`` expands them into the
+    # dense view by its own scatter, which shares no code with A(X)
+    problem = built_problem(
+        monkeypatch, optimal_recovery_fidelity, random_state((2, 3, 3), 4)
+    )
+    solution = solve(problem)
+    assert solution.status == "optimal" and "stacks" not in vars(problem)
+    assert audit(problem, solution)[0]
+    assert "stacks" in vars(problem)
+
+
 def test_recovery_schur_complement_matches_dense_contraction(monkeypatch):
-    # the Choi group holds dense rows only, at non-contiguous positions:
-    # the d_B^2 trace rows first and the sigma coupling rows last
+    # the Choi group holds tiles over B_in (d = d_B), at non-contiguous
+    # positions: the d_B^2 trace rows first and the sigma coupling rows last
     problem = built_problem(
         monkeypatch, optimal_recovery_fidelity, random_state((2, 2, 2), 52)
     )
     m = problem.n_constraints
     layout = sdp._layout(problem, np.arange(m), np.ones(m))
     choi = layout[0]
-    assert choi.blocks == (0,) and choi.n_basis == 0
+    assert choi.blocks == (0,) and choi.d == 2
     assert choi.rows[0] == 0 and choi.rows[-1] == m - 1
     assert np.any(np.diff(choi.rows) != 1)
     rng = np.random.default_rng(53)
     ws = [random_pd(n, rng) for n in problem.blocks]
     factors = [np.linalg.cholesky(w) for w in ws]
-    got = sdp._schur_complement(
-        layout, sdp._gather(layout, factors), sdp._gather(layout, ws), m
-    )
+    got = sdp._schur_complement(layout, sdp._gather(layout, ws), m)
     want = sum(
         np.einsum("iab,bc,jcd,da->ij", a, w, a, w, optimize=True).real
         for a, w in zip(problem.stacks, ws)
