@@ -307,9 +307,12 @@ def discord(
     gains nothing, or gains less than ``SWEEP_GAIN_FLOOR`` and lands where
     the gradient norm is at most ``STATIONARY_GRAD``, triggers one coarse
     scan along every coordinate generator, which escapes a saddle or ends
-    the restart.  The restarts step in lockstep: each step takes one
-    stacked ``eigh`` and one stacked score of the coarse line-search grid
-    of every live restart.  The best coarse point and its two neighbours
+    the restart.  The restarts step in lockstep, their points, values,
+    gradients and directions held as stacked arrays beside one mask of
+    the restarts still live: each step takes one stacked ``eigh`` and one
+    stacked score of the coarse line-search grid of every live restart,
+    and one stacked gradient of those that moved; scans and Polak-Ribiere
+    updates run per restart.  The best coarse point and its two neighbours
     bracket a successive parabolic refinement (``_parabolic_lanes``) to
     1e-7 in t, each iteration of which scores all restarts still refining
     in one call.  A restart's arithmetic does not depend on the others',
@@ -379,69 +382,53 @@ def discord(
         )
         return -res.fun, _rotate(gvals, gvecs, res.x[:, None], v)[:, 0]
 
-    # per-restart state, stepped together; a restart leaves when its
-    # scan fails
-    v = list(starts)
-    best = score(np.array(v)).tolist()
-    grad = list(_ascent_generator(rho4, np.array(v)))
-    direction = list(grad)
-
-    def regrade(moved):
-        """Refresh ``grad`` at the restarts ``moved`` by one stacked call."""
-        if moved:
-            stacked = _ascent_generator(rho4, np.array([v[i] for i in moved]))
-            for i, g in zip(moved, stacked):
-                grad[i] = g
-
-    stalled = [False] * len(v)
-    live = list(range(len(v)))
+    # the restarts' state, one lane each, stepped together; a restart
+    # leaves ``live`` when its scan fails
+    v = np.array(starts)
+    best = score(v)
+    grad = _ascent_generator(rho4, v)
+    direction = grad.copy()
+    live = np.ones(len(v), dtype=bool)
     for _ in range(MAX_STEPS):
-        if not live:
+        if not live.any():
             break
-        gain, old = dict.fromkeys(live, 0.0), {i: grad[i] for i in live}
-        searching = [i for i in live if np.any(direction[i])]
-        if searching:
-            vals, moved = line_search(
-                np.array([direction[i] for i in searching]),
-                np.array([v[i] for i in searching]),
-            )
-            stepped = []
-            for i, val, w in zip(searching, vals.tolist(), moved):
-                if val > best[i] + 1e-13:
-                    gain[i], best[i], v[i] = val - best[i], val, w
-                    stepped.append(i)
-            regrade(stepped)
+        old, gain = grad.copy(), np.zeros(len(v))
+        lanes = np.flatnonzero(live & direction.any(axis=(1, 2)))
+        if lanes.size:
+            vals, moved = line_search(direction[lanes], v[lanes])
+            up = vals > best[lanes] + 1e-13
+            at = lanes[up]
+            gain[at], best[at], v[at] = vals[up] - best[at], vals[up], moved[up]
+            grad[at] = _ascent_generator(rho4, v[at])
         # a small gain far from stationarity is slow progress, not a stall
-        scanned = [i for i in live if gain[i] < SWEEP_GAIN_FLOOR and (
-            gain[i] == 0.0 or np.linalg.norm(grad[i]) <= STATIONARY_GRAD
-        )]
-        jumped = []
-        for i in scanned:
+        scanned = live & (gain < SWEEP_GAIN_FLOOR) & (
+            (gain == 0.0) | (np.linalg.norm(grad, axis=(1, 2)) <= STATIONARY_GRAD)
+        )
+        for i in np.flatnonzero(scanned):
             vals = score(scan @ v[i])
-            pick = int(np.argmax(vals))
+            pick = vals.argmax()
             if vals[pick] < best[i] + SWEEP_GAIN_FLOOR:
-                stalled[i] = True
+                live[i] = False
             else:
-                best[i], v[i] = float(vals[pick]), scan[pick] @ v[i]
-                jumped.append(i)
-        regrade(jumped)
-        live = [i for i in live if not stalled[i]]
-        for i in live:
+                best[i], v[i] = vals[pick], scan[pick] @ v[i]
+        at = np.flatnonzero(scanned & live)
+        grad[at] = _ascent_generator(rho4, v[at])
+        for i in np.flatnonzero(live):
             beta = 0.0  # Polak-Ribiere after a step; a scan move restarts
-            if i not in scanned:
+            if not scanned[i]:
                 beta = (np.vdot(grad[i], grad[i] - old[i])
                         / np.vdot(old[i], old[i])).real
             direction[i] = grad[i] + beta * direction[i]
             if np.vdot(direction[i], grad[i]).real <= 0:  # not an ascent direction
                 direction[i] = grad[i]
-    results = sorted(zip(best, v, stalled), key=lambda item: item[0], reverse=True)
-    classical_mi, v_best, stalled = results[0]
+    top, *rest = np.argsort(-best, kind="stable")
+    classical_mi = best[top]
     # polish away rotation roundoff so the POVM sums to the identity exactly
-    gram = dag(v_best) @ v_best
-    v_best = v_best @ matrix_function_on_support(gram, lambda x: 1 / np.sqrt(x))
+    gram = dag(v[top]) @ v[top]
+    v_best = v[top] @ matrix_function_on_support(gram, lambda x: 1 / np.sqrt(x))
     grad_norm = float(np.linalg.norm(_ascent_generator(rho4, v_best)))
-    converged = stalled and grad_norm <= STATIONARY_GRAD and (
-        len(results) < 2 or results[0][0] - results[1][0] <= CONVERGENCE_WINDOW
+    converged = not live[top] and grad_norm <= STATIONARY_GRAD and (
+        not rest or classical_mi - best[rest[0]] <= CONVERGENCE_WINDOW
     )
     elements = [
         np.outer(row.conj(), row) for row in v_best

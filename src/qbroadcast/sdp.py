@@ -11,7 +11,8 @@ sum of tiles (``Tiles``): A_ik = sum_t B_t (x) E_(p_t, q_t) over the
 block's index (input, output), input slow, B_t a d x d tile over the input
 and E_pq a unit over the output; an entry row is the case d = 1, a dense
 row one tile of side d = n.  ``SdpBuilder`` takes each constraint family
-as one row block and keeps the Hermitian part of its rows.  A solve reads
+as one row block and keeps the Hermitian part of its rows; it builds every
+problem, one constructed directly from dense stacks too.  A solve reads
 only the tiles; ``audit`` reads the dense view ``SdpProblem.stacks``.
 Dependent rows are dropped by one pivoted Cholesky of the Gram matrix,
 and the kept rows are laid out once per block group (``_layout``), one
@@ -136,31 +137,31 @@ class Tiles:
         return Tiles(row[first][keep], p[first][keep], q[first][keep], b[keep])
 
 
-def _check_tiles(tiles: Tiles, n: int, q: int, block: int) -> Tiles:
-    """The Hermitian part (A + A^dag) / 2 of q rows of a side-n block given
-    as tiles, if they fit and are Hermitian within COEFF_HERM_TOL, else
-    ValueError; an exactly Hermitian row comes back unchanged."""
+@np.errstate(over="ignore", invalid="ignore")  # huge - -huge in A - A^dag
+def _check_tiles(tiles: Tiles, n: int, m: int, block: int) -> Tiles:
+    """The tiles of m rows of a side-n block and their mirrors (row, q, p,
+    B^dag), each halved, if they fit and the rows are Hermitian within
+    COEFF_HERM_TOL, else ValueError.  Merged by ``Tiles.joined``, the halves
+    sum to the Hermitian part (A + A^dag) / 2.  The check is one such merge,
+    of A and -A^dag, so tiles at one position are summed before it."""
     at = [np.asarray(a, dtype=int) for a in (tiles.row, tiles.p, tiles.q)]
     b = np.asarray(tiles.b, dtype=complex)
-    tops = (q,) + 2 * (n // b.shape[-1],)
-    if b.ndim != 3 or n % b.shape[-1] or any(len(a) != len(b) or len(a) and not (
-        0 <= a.min() <= a.max() < top) for a, top in zip(at, tops)):
+    fits = b.ndim == 3 and b.shape[1] == b.shape[2] > 0 and n % b.shape[2] == 0
+    if not fits or any(len(a) != len(b) or len(a) and not (
+        0 <= a.min() <= a.max() < top
+    ) for a, top in zip(at, (m,) + 2 * (n // b.shape[2],))):
         raise ValueError(f"constraint block {block} has tiles that do not fit it")
     if not np.isfinite(b).all():
         raise ValueError(f"constraint block {block} is not finite")
-    t, d_out = Tiles.joined([(0, Tiles(*at, b))], n), n // b.shape[-1]
-    key, mirror = ((t.row * d_out + x) * d_out + y for x, y in ((t.p, t.q), (t.q, t.p)))
-    found = key.searchsorted(mirror).clip(0, len(key) - 1)
-    adjoint = dag(t.b[found]) * (key[found] == mirror)[:, None, None]  # 0 if none
-    dev = max_abs(t.b - adjoint)
+    row, p, q = at
+    skew = Tiles.joined([(0, Tiles(row, p, q, b)), (0, Tiles(row, q, p, -dag(b)))], n)
+    dev = max_abs(skew.b)
     if not dev <= COEFF_HERM_TOL:
         raise ValueError(
             f"constraint block {block} is not Hermitian: max |A - A^dag| = {dev:.3e}"
         )
-    if (key[found] == mirror).all():
-        return Tiles(t.row, t.p, t.q, (t.b + adjoint) / 2)
-    half = [Tiles(t.row, t.p, t.q, t.b / 2), Tiles(t.row, t.q, t.p, dag(t.b) / 2)]
-    return Tiles.joined([(0, h) for h in half], n)
+    return Tiles(np.concatenate([row, row]), np.concatenate([p, q]),
+                 np.concatenate([q, p]), np.concatenate([b, dag(b)]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +171,19 @@ def _check_tiles(tiles: Tiles, n: int, q: int, block: int) -> Tiles:
 class SdpProblem:
     """Standard-form SDP data over complex Hermitian blocks: ``tiles[k]``
     the rows of block k, ``rhs[i]`` b_i.  Constructed directly from dense
-    (m, n_k, n_k) ``stacks``, it validates them, keeps the Hermitian part of
-    them and of the objective, and holds each nonzero row as one tile;
-    ``SdpBuilder.build`` hands over tiles it validated as they came in.
+    (m, n_k, n_k) ``stacks``, it goes through an ``SdpBuilder`` as one row
+    block, so it is validated and held as tiles as a built problem is.
     ``stacks[k][i]``, the coefficient of block k in row i, is a view of the
     tiles expanded when first read."""
 
     def __init__(self, blocks, objective, stacks, rhs):
         if not len(blocks) == len(objective) == len(stacks):
             raise ValueError("blocks, objective and stacks differ in length")
-        self.blocks, self.rhs = tuple(blocks), _check_rhs(rhs)
-        self.objective = tuple(
-            _check_block(np.asarray(c, dtype=complex), (n, n), "objective", k)
-            for k, (n, c) in enumerate(zip(blocks, objective))
-        )
-        self.__dict__["stacks"] = tuple(
-            _check_block(np.asarray(a, complex), (len(rhs), n, n), "constraint", k)
-            for k, (n, a) in enumerate(zip(blocks, stacks))
-        )
-        self.tiles = tuple(map(Tiles.dense, self.stacks))
+        builder = SdpBuilder()
+        for n, c in zip(blocks, objective):
+            builder.add_objective(builder.add_block(n), c)
+        builder.add_constraint(dict(enumerate(stacks)), rhs)
+        vars(self).update(vars(builder.build()))
 
     @classmethod
     def _from_validated(cls, blocks, objective, tiles, rhs) -> SdpProblem:
@@ -273,7 +268,9 @@ class SdpBuilder:
         coefficient not finite or further than ``COEFF_HERM_TOL`` from
         Hermitian raises ValueError; the rows keep the Hermitian part the
         check returns.  This is the one check: ``build`` does not repeat it."""
-        rhs = _check_rhs(np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs is not finite")
         rows = {}
         for k, a in coeffs.items():
             n = self.block_side(k)
@@ -291,7 +288,7 @@ class SdpBuilder:
     def build(self) -> SdpProblem:
         rhs = np.concatenate([np.zeros(0)] + [b for _, b in self._row_blocks])
         starts = np.cumsum([0] + [len(b) for _, b in self._row_blocks])
-        tiles = [Tiles.joined([(0, Tiles.dense(np.zeros((0, n, n), complex)))] + [
+        tiles = [Tiles.joined([
             (at, block[k]) for at, (block, _) in zip(starts, self._row_blocks)
             if k in block
         ], n) for k, n in enumerate(self._blocks)]
@@ -311,12 +308,6 @@ def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
     if a.shape != shape:
         raise ValueError(f"{what} block {block} has shape {a.shape}")
     return require_hermitian(a, f"{what} block {block}", COEFF_HERM_TOL)
-
-
-def _check_rhs(rhs: np.ndarray) -> np.ndarray:
-    if not np.isfinite(rhs).all():
-        raise ValueError("rhs is not finite")
-    return rhs
 
 
 # ---------------------------------------------------------------------------

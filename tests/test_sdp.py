@@ -567,6 +567,61 @@ class TestRowBlocks:
         row = b.build().stacks[0][0]
         assert np.array_equal(row, row.conj().T) and np.abs(row).max() == 5e-15
 
+    def test_overflowing_skew_is_refused_as_not_hermitian(self):
+        # A - A^dag overflows to inf; the dense row is refused the same way
+        b = SdpBuilder()
+        blk = b.add_block(2)
+        row = sdp.Tiles(np.array([0, 0]), np.array([0, 1]), np.array([1, 0]),
+                        np.array([1e308, -1e308])[:, None, None])
+        dense = np.array([[[0.0, 1e308], [-1e308, 0.0]]])
+        for coeff in (row, dense):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                b.add_constraint({blk: coeff}, [0.0])
+
+    def test_non_square_tiles_do_not_fit(self):
+        b = SdpBuilder()
+        blk = b.add_block(6)
+        zero = np.array([0])
+        with pytest.raises(ValueError, match="do not fit"):
+            b.add_constraint(
+                {blk: sdp.Tiles(zero, zero, zero, np.ones((1, 2, 3)))}, [0.0]
+            )
+
+    def test_duplicate_tiles_are_summed_before_the_check(self):
+        # two tiles at (0, 1) are Hermitian only with their summed adjoint
+        b = SdpBuilder()
+        blk = b.add_block(4)
+        u = np.array([[1.0, 2j], [0.5, -1.0]])
+        tiles = np.stack([u, 2 * u, (3 * u).conj().T])
+        b.add_constraint({blk: sdp.Tiles(
+            np.zeros(3, int), np.array([0, 0, 1]), np.array([1, 1, 0]), tiles
+        )}, [0.0])
+        expected = np.zeros((2, 2, 2, 2), dtype=complex)  # (input, output)^2
+        expected[:, 0, :, 1], expected[:, 1, :, 0] = 3 * u, tiles[2]
+        assert np.array_equal(b.build().stacks[0][0], expected.reshape(4, 4))
+
+    def test_direct_construction_equals_the_built_problem(self):
+        rng = np.random.default_rng(33)
+        g = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+        stacks = (hermitian_basis(2)[:3], g + g.conj().transpose(0, 2, 1))
+        stacks[1][1] = 0.0  # a row that only block 0 holds
+        objective = (np.diag([1.0, -1.0]), np.eye(3))
+        rhs = rng.normal(size=3)
+        b = SdpBuilder()
+        for c in objective:
+            b.add_objective(b.add_block(len(c)), c)
+        b.add_constraint(dict(enumerate(stacks)), rhs)
+        built, direct = b.build(), SdpProblem((2, 3), objective, stacks, rhs)
+        assert direct.blocks == built.blocks
+        assert np.array_equal(direct.rhs, built.rhs)
+        for a, c in zip(direct.objective, built.objective):
+            assert np.array_equal(a, c)
+        for s, t in zip(direct.tiles, built.tiles):
+            for field in ("row", "p", "q", "b"):
+                assert np.array_equal(getattr(s, field), getattr(t, field))
+        for a, c in zip(direct.stacks, built.stacks):
+            assert np.array_equal(a, c)
+
     def test_sub_tolerance_asymmetry_is_symmetrized(self):
         b = SdpBuilder()
         blk = b.add_block(2)
