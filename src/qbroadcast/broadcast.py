@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize_scalar
 
 from .channels import (
     Channel,
@@ -253,6 +253,13 @@ def _coordinate_scan(k: int) -> np.ndarray:
     return scan
 
 
+def minimize_scalar(fun, bounds, method, options):
+    """``method(fun, (), bounds=bounds, **options)``: the call that
+    ``scipy.optimize.minimize_scalar`` makes of a custom method, so either
+    function serves as ``discord``'s line search, looked up by this name."""
+    return method(fun, (), bounds=bounds, **options)
+
+
 def _parabolic_lanes(fun, args, bounds, x0, fvals, xatol, maxiter=500, **_):
     """Successive parabolic minimization of many scalar functions in lockstep.
 
@@ -290,7 +297,7 @@ def _parabolic_lanes(fun, args, bounds, x0, fvals, xatol, maxiter=500, **_):
         t4, f4 = (np.take_along_axis(m, order, axis=1) for m in (t4, f4))
         keep = np.clip(f4.argmin(axis=1), 1, 2)[:, None] + [-1, 0, 1]
         t[lanes], f[lanes] = (np.take_along_axis(m, keep, axis=1) for m in (t4, f4))
-    return OptimizeResult(x=t[:, 1], fun=f[:, 1])
+    return SimpleNamespace(x=t[:, 1], fun=f[:, 1])
 
 
 def discord(

@@ -245,7 +245,7 @@ def _resolve_state(args, second: bool = False):
 def _parse_parts(text: str, n: int, expected: int):
     """Split "A|C|B"-style subsystem groups into index tuples.
 
-    Letters A.. and digits both address subsystems; groups must be
+    Letters A.. and the digits 0-9 both address subsystems; groups must be
     disjoint and in range.  ``expected`` fixes the number of groups.
     """
     groups = []
@@ -257,7 +257,7 @@ def _parse_parts(text: str, n: int, expected: int):
             for sym in token:
                 if sym in _PART_LETTERS:
                     idx = _PART_LETTERS.index(sym)
-                elif sym.isdigit():
+                elif sym in "0123456789":
                     idx = int(sym)
                 else:
                     raise InputError(f"parts: cannot read subsystem {sym!r}")

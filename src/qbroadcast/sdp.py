@@ -118,10 +118,9 @@ class Tiles:
                      parts[t, i, j])
 
     @staticmethod
-    def joined(parts, n: int) -> Tiles:
+    def stacked(parts, n: int) -> Tiles:
         """The tiles of (row offset, Tiles) parts of a side-n block over the
-        greatest common divisor of their sides, sorted by (row, p, q), those
-        at one position of a row summed and zero tiles dropped."""
+        greatest common divisor of their sides, one part after another."""
         d = math.gcd(n, *(t.d for _, t in parts))
         parts = [(at, t.refined(d, n)) for at, t in parts]
         none = np.zeros(0, dtype=int)
@@ -129,6 +128,14 @@ class Tiles:
         p, q = (np.concatenate([none] + [getattr(t, a) for _, t in parts])
                 for a in "pq")
         b = np.concatenate([np.zeros((0, d, d), complex)] + [t.b for _, t in parts])
+        return Tiles(row, p, q, b)
+
+    @staticmethod
+    def joined(parts, n: int) -> Tiles:
+        """``stacked`` sorted by (row, p, q), the tiles at one position of a
+        row summed and zero tiles dropped."""
+        t = Tiles.stacked(parts, n)
+        row, p, q, b, d = t.row, t.p, t.q, t.b, t.d
         key = (row * (n // d) + p) * (n // d) + q
         order = key.argsort(kind="stable")
         start = (np.diff(key[order], prepend=-1) != 0).nonzero()[0]
@@ -724,7 +731,6 @@ def _path_following(objective, layout, b, tol, max_iters):
         eta = np.array([max(10.0, np.sqrt(n), np.linalg.norm(c_k)) for c_k in ck])
         if m:
             xi = np.maximum(xi, n * ((1 + np.abs(b)) / (1 + a_norms)).max(1))
-            eta = np.maximum(eta, a_norms.max(1))
         x[...] = xi[:, None, None] * np.eye(n)
         z[...] = eta[:, None, None] * np.eye(n)
         cv[...] = ck
@@ -1061,7 +1067,7 @@ def fidelity_sdp(
             raise ValueError("sigma coupling is not Hermiticity-preserving")
         coeffs.setdefault(blk, []).append((0, _coupling_tiles(term, units)))
     builder.add_constraint(
-        {k: Tiles.joined(v, builder.block_side(k)) for k, v in coeffs.items()},
+        {k: Tiles.stacked(v, builder.block_side(k)) for k, v in coeffs.items()},
         _basis_overlaps(_compress(sigma.const, v2, v2)).real,
     )
     return w_blk

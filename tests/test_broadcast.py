@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,42 @@ class TestParabolicLanes:
         for j, lanes in enumerate(calls):
             assert lanes == np.flatnonzero(nfev > j).tolist()
         assert nfev.max() <= 20  # against an iteration cap of 500
+
+    def test_own_minimize_scalar_calls_the_method_as_scipy_does(self):
+        def stacked(x, lanes):
+            return np.array([self.LANES[i][0](t) for i, t in zip(lanes, x)])
+
+        lo, hi = (np.array([lane[j] for lane in self.LANES]) for j in (1, 2))
+        fvals = np.array(
+            [[f(a), f((a + b) / 2), f(b)] for f, a, b, _ in self.LANES]
+        )
+        options = {"xatol": 1e-7, "x0": (lo + hi) / 2, "fvals": fvals}
+        ours, scipys = (
+            call(stacked, bounds=(lo, hi), method=_parabolic_lanes,
+                 options=options)
+            for call in (broadcast_module.minimize_scalar, minimize_scalar)
+        )
+        for attr in ("x", "fun"):
+            assert getattr(ours, attr).tobytes() == getattr(scipys, attr).tobytes()
+
+
+def test_the_package_runs_without_scipy_optimize():
+    # a fresh interpreter, since this file itself imports scipy.optimize
+    script = (
+        "import sys\n"
+        "from qbroadcast import (broadcast_report, ghz_state, recovery_report,\n"
+        "                        werner_state)\n"
+        "broadcast_report(werner_state(0.7), restarts=2)\n"
+        "recovery_report(ghz_state())\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -183,6 +183,12 @@ class TestMeasure:
             capsys, "measure", "mutual-info", "--gen", "bell", "--parts", "A|Q"
         )
         assert code == 2 and "cannot read" in err
+        # digits other than ASCII 0-9 are not subsystem indices
+        for parts in ("\u00b2", "\u0663"):
+            code, _, err = run_cli(
+                capsys, "measure", "entropy", "--gen", "ghz", "--parts", parts
+            )
+            assert code == 2 and f"cannot read subsystem {parts!r}" in err
 
     def test_wrong_arity_is_invalid_input(self, capsys):
         code, out, err = run_cli(capsys, "measure", "cmi", "--gen", "bell")
