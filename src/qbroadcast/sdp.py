@@ -19,12 +19,15 @@ and the kept rows are laid out once per block group (``_layout``), one
 (b, n, n) stack per group, in flat arrays over all groups.  The Schur terms
 are Tr(A_i W A_j W) = sum over t in i, u in j of Tr(B_t W_(q_t, p_u) B_u
 W_(q_u, p_t)), the tile form of the sparse-row formulas of Fujisawa,
-Kojima and Nakata (Math. Program. 79, 235, 1997).  The reduced problem is
-solved by primal-dual path following with Nesterov-Todd scaling on the
-Hermitian blocks, as SDPT3 does for complex data (Toh, Todd and Tutuncu
-1999), with Mehrotra's predictor-corrector in the NT-scaled space.  A
-numerically singular Schur complement is solved on its range; only a Schur
-complement or direction that is not finite ends a solve with
+Kojima and Nakata (Math. Program. 79, 235, 1997).  Where r^2 orthonormal
+rows fix the leading r x r corner of a block, as the fidelity gadget fixes
+its rho corner, each Newton system eliminates them in closed form
+(``_FixedCorner``) and factors a complement r^2 rows smaller.  The kept
+rows are solved by primal-dual path following with Nesterov-Todd scaling
+on the Hermitian blocks, as SDPT3 does for complex data (Toh, Todd and
+Tutuncu 1999), with Mehrotra's predictor-corrector in the NT-scaled
+space.  A numerically singular Schur complement is solved on its range;
+only a Schur complement or direction that is not finite ends a solve with
 ``breakdown``.  A solve reports the row-scaled residuals, over the kept
 rows, of the point it returns; ``audit`` is the unscaled check.  Instances
 are small (block side <= ~40, <= ~700 rows): dense linear algebra fits.
@@ -432,11 +435,14 @@ class _BlockRows:
     its tiles with p <= q, the others doubled (a Hermitian row's tile below
     the diagonal is the adjoint of one above, as is W A_i W there): entries
     (d = 1) by a gather, wider tiles by one real product per position
-    (q, p).  Every index and work array is built once per solve."""
+    (q, p).  Every index and work array is built once per solve, those of
+    the Schur terms at the first ``add_schur``: a group whose rows a fixed
+    corner replaces in the Newton system (``_FixedCorner``) never builds
+    them."""
 
     def __init__(self, blocks, n, tile_rows, p, q, values):
         self.blocks, self.n, self.b, self.d = blocks, n, len(blocks), values.shape[-1]
-        b, d, d_out, size = self.b, self.d, n // self.d, len(tile_rows)
+        b, d, d_out = self.b, self.d, n // self.d
         new = np.diff(tile_rows, prepend=-1) != 0
         starts, tr = new.nonzero()[0], new.cumsum() - 1
         self.rows, self.starts = tile_rows[starts], starts
@@ -451,9 +457,18 @@ class _BlockRows:
         self.writes = (2 * writes + np.arange(2)).reshape(-1)
         self.read_v, self.write_v = values.reshape(-1), values.view(float).reshape(-1)
         self.read_at, self.write_rows = starts * b * d * d, tr.repeat(2 * b * d * d)
-        self.classes = []
+        self._tiles = (tr, p, q, values)
+
+    @cached_property
+    def _schur_plan(self):
+        """(read slots, tiles by position, classes) for ``add_schur``: the
+        tiles each row reads W A_i W at, and per class of rows its Schur
+        slice, products and work arrays."""
+        (tr, p, q, values), starts = self._tiles, self.starts
+        b, n, d, size = self.b, self.n, self.d, len(tr)
+        d_out, classes, by_position = n // d, [], None
         if not size:
-            return
+            return [], by_position, classes
 
         read = (p <= q).nonzero()[0]  # slot j holds the j-th of each row
         rp, rq = p[read], q[read]
@@ -461,17 +476,18 @@ class _BlockRows:
         depth = np.arange(len(read)) - tr[read].searchsorted(tr[read])
         slots = [(depth == j).nonzero()[0] for j in range(depth.max() + 1)]
         if d == 1:  # W A_i W at (q, p), times the entry
-            self.read_slots = [(_at(tr[read][u]), rq[u] * n + rp[u],
-                                rv[u, :, 0, 0].T[:, None]) for u in slots]
+            read_slots = [(_at(tr[read][u]), rq[u] * n + rp[u],
+                           rv[u, :, 0, 0].T[:, None]) for u in slots]
         else:  # per position (q, p), the real coordinates of its tiles
             position, at = np.unique(rq * d_out + rp, return_inverse=True)
             order = at.argsort(kind="stable")
             depth[order] = np.arange(len(read)) - at[order].searchsorted(at[order])
             coords = np.stack([rv.real, -rv.imag], axis=-1).swapaxes(2, 3)
-            self.by_position = np.zeros((len(position), 2 * b * d * d, depth.max() + 1))
-            self.by_position[at, :, depth] = coords.reshape(len(read), -1)
-            self.read_slots = [(_at(tr[read][u]), at[u], depth[u]) for u in slots]
+            by_position = np.zeros((len(position), 2 * b * d * d, depth.max() + 1))
+            by_position[at, :, depth] = coords.reshape(len(read), -1)
+            read_slots = [(_at(tr[read][u]), at[u], depth[u]) for u in slots]
             oq, op = np.divmod(position, d_out)  # (j, q) and (i, p): [P, m, b, j, i]
+            j = np.arange(d)
             x_at = (j[:, None] * d_out + oq[:, None, None])[:, None, None]
             y_at = (j * d_out + op[:, None, None])[:, None, None]
 
@@ -514,7 +530,8 @@ class _BlockRows:
                 at = (self.rows, self.rows[rows_k])
             contiguous = all(a[-1] - a[0] == len(a) - 1 for a in at)
             at = tuple(map(_at, at)) if contiguous else np.ix_(*at)
-            self.classes.append((at, mats, np.empty((b, m_k, n, n), complex), work))
+            classes.append((at, mats, np.empty((b, m_k, n, n), complex), work))
+        return read_slots, by_position, classes
 
     def norms(self) -> np.ndarray:
         """Frobenius norm of each touching row in each block, (b, rows)."""
@@ -538,7 +555,8 @@ class _BlockRows:
         into their entry of ``schur``, in place, from the stack of the W_k:
         entry rows the terms of row i to row i, wider tiles to column i."""
         b, n, d = self.b, self.n, self.d
-        for at, mats, waw, work in self.classes:
+        read_slots, by_position, classes = self._schur_plan
+        for at, mats, waw, work in classes:
             if d == n:
                 b_side, half = mats
                 np.matmul(w, b_side, out=half)
@@ -550,7 +568,7 @@ class _BlockRows:
                 np.matmul(half, w.reshape(-1).take(right), out=waw)
             if d == 1:
                 flat = waw.reshape(b, -1, n * n)
-                (_, cols, v), *more = self.read_slots
+                (_, cols, v), *more = read_slots
                 flat.take(cols, axis=2, out=work, mode="clip")
                 work *= v
                 part = work.real[0] if b == 1 else work.real.sum(0)
@@ -559,8 +577,8 @@ class _BlockRows:
             else:
                 gather, coords, terms = work
                 waw.reshape(-1).take(gather, out=coords, mode="clip")
-                np.matmul(coords.view(float), self.by_position, out=terms)
-                (_, position, depth), *more = self.read_slots
+                np.matmul(coords.view(float), by_position, out=terms)
+                (_, position, depth), *more = read_slots
                 part = terms[position, :, depth]
                 for rows, position, depth in more:
                     part[rows] += terms[position, :, depth]
@@ -689,8 +707,125 @@ def _schur_solver(schur: np.ndarray):
     return on_range
 
 
+def _fixed_corner(problem: SdpProblem, kept: np.ndarray, scales: np.ndarray):
+    """(block k, side r, rows, tiles) for the first block whose leading r x r
+    corner, r < n, the ``kept`` rows fix as the fidelity gadget fixes its
+    rho corner, else None: r^2 ``rows`` (in ``kept`` order) that touch
+    block k alone, all their tiles entries of the corner, their scaled
+    coefficient matrices E_c orthonormal to roundoff (``tiles``, of rows
+    0..r^2 - 1 of a side-r block), and no other kept row with a tile in the
+    corner or in [0, r) x [r, n).  So the rows fix W_11 on a basis of the
+    r x r Hermitian matrices, and the rest of block k lies in its [r, n)
+    corner."""
+    m = problem.n_constraints
+    live = np.zeros(m, dtype=bool)
+    live[kept] = True
+    touched = sum(np.bincount(np.unique(t.row), minlength=m) for t in problem.tiles)
+    for k, (n, t) in enumerate(zip(problem.blocks, problem.tiles)):
+        if t.d != 1:
+            continue
+        on = live[t.row]
+        low, high = np.full(m, n), np.full(m, -1)
+        np.minimum.at(low, t.row[on], np.minimum(t.p, t.q)[on])
+        np.maximum.at(high, t.row[on], np.maximum(t.p, t.q)[on])
+        rows = kept[high[kept] >= 0]  # the kept rows on block k, in order
+        sides = np.arange(1, n)
+        for r in map(int, sides[np.sort(high[rows]).searchsorted(sides) == sides ** 2]):
+            inside = high[rows] < r
+            corner = rows[inside]
+            if (low[rows[~inside]] < r).any() or (touched[corner] > 1).any():
+                continue
+            at = np.full(m, -1)
+            at[corner] = np.arange(r * r)
+            mine = (at[t.row] >= 0).nonzero()[0]
+            mine = mine[at[t.row[mine]].argsort(kind="stable")]
+            tiles = Tiles(at[t.row[mine]], t.p[mine], t.q[mine],
+                          t.b[mine] / scales[t.row[mine], None, None])
+            alone = SdpProblem._from_validated((r,), None, (tiles,), np.zeros(r * r))
+            if max_abs(_gram(alone) - np.eye(r * r)) <= 1e-12:
+                return k, r, corner, tiles
+    return None
+
+
+class _FixedCorner:
+    """The Newton system with the r^2 rows C that fix the leading corner
+    W_11 of one block (``_fixed_corner``) eliminated in closed form.  The
+    rows come last in the layout, after the m' others R, and the block is
+    a group of its own (``group``).  On the orthonormal E_c the Schur block
+    S_CC is the congruence Y -> W_11 Y W_11, so with H(h) = sum_c h_c E_c
+    and coords(V) = (Re Tr(E_c V))_c, the adjoint and the map of the
+    corner rows alone (``fixed``),
+
+        dy_C = coords(W_11^-1 (H(h_C) - (W A_R^*(dy_R) W)_11) W_11^-1),
+
+    and, since the rows R reach the block only in its [r, n) corner J, the
+    reduced complement S_RR - S_RC S_CC^-1 S_CR takes from the block
+    Re Tr(A_i W_JJ A_j W_JJ) - Re Tr(A_i M A_j M), M = W_J1 W_11^-1 W_1J:
+    the Schur terms of the side-(n - r) group ``rest`` (the rows R on J,
+    twice) at the stack [W_JJ; i M], as Re Tr(A (iM) A (iM)) = -Re Tr(A M
+    A M)."""
+
+    def __init__(self, group, problem, kept, scales, k, r, tiles):
+        self.group, self.r, self.m = group, r, len(kept) - r * r
+        self.fixed = _BlockRows((k,), r, tiles.row, tiles.p, tiles.q, tiles.b[:, None])
+        n, t = problem.blocks[k], problem.tiles[k]
+        position = np.full(problem.n_constraints, self.m)
+        position[kept[:self.m]] = np.arange(self.m)
+        on = (position[t.row] < self.m).nonzero()[0]
+        on = on[position[t.row[on]].argsort(kind="stable")]
+        rows = position[t.row[on]]
+        values = (t.b[on] / scales[kept[rows], None, None])[:, None].repeat(2, 1)
+        self.rest = _BlockRows((k, k), n - r, rows, t.p[on] - r, t.q[on] - r, values)
+
+    def solver(self, layout, ws):
+        """rhs -> dy with S dy = rhs, S the full Schur complement at the NT
+        points ``ws``, from one Cholesky of W_11 (``zpotrf``) and one of the
+        reduced complement; LinAlgError if W_11 is not numerically
+        definite."""
+        r, m, rest, fixed = self.r, self.m, self.rest, self.fixed
+        w = ws[self.group][0]
+        chol, info = scipy.linalg.lapack.zpotrf(w[:r, :r], lower=1, clean=1)
+        if info:
+            raise np.linalg.LinAlgError("W_11 is not positive definite")
+        inv = scipy.linalg.lapack.ztrtri(chol, lower=1)[0]  # W_11^-1 = inv^dag inv
+        inv_dag, half = dag(inv), inv @ w[:r, r:]
+        pair = np.empty((2, len(w) - r, len(w) - r), dtype=complex)  # [W_JJ; i M]
+        pair[0] = w[r:, r:]
+        np.matmul(dag(half), 1j * half, out=pair[1])
+        schur = np.zeros((m, m))
+        for blk, wk in zip(layout, ws):
+            if blk is not layout[self.group]:
+                blk.add_schur(schur, wk)
+        rest.add_schur(schur, pair)
+        solve_rest = _schur_solver(schur)
+        w11_inv, right = inv_dag @ inv, inv_dag @ half  # W_11^-1 W_1J
+        left = dag(right)
+        pair[1] = 0  # rest reads [W_J1 v W_1J; 0]
+
+        def solve(rhs):
+            v = w11_inv @ fixed.adjoint(rhs[m:])[0] @ w11_inv
+            np.matmul(w[r:, :r] @ v, w[:r, r:], out=pair[0])
+            h = rhs[:m].copy()
+            h[rest.at] -= rest.apply(pair)
+            dy = solve_rest(h)
+            v -= right @ rest.adjoint(dy[rest.at])[0] @ left
+            return np.concatenate([dy, fixed.apply(v[None])])
+
+        return solve
+
+
+def _newton_solver(layout, ws, m: int, corner):
+    """rhs -> dy for the Newton system at the NT points ``ws``: with the
+    fixed ``corner`` eliminated if there is one and its W_11 factors, else
+    from the full Schur complement."""
+    if corner is not None:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            return corner.solver(layout, ws)
+    return _schur_solver(_schur_complement(layout, ws, m))
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _path_following(objective, layout, b, tol, max_iters):
+def _path_following(objective, layout, b, tol, max_iters, corner=None):
     """NT-scaled primal-dual path following over the row ``layout``.
 
     X, Z and every per-block quantity are one (b, n, n) stack per block
@@ -698,11 +833,13 @@ def _path_following(objective, layout, b, tol, max_iters):
     with their group views ([X; Z], [dX; dZ], R_d, W R_d W, the right-hand
     sides), so each entrywise step is one operation per iterate.  Each
     iterate is factored once: ``_nt_scaling`` per group and one Cholesky of
-    the Schur complement, whose two Newton solves share W R_d W; one
-    ``eigvalsh`` per group reads both step lengths of a direction.  The
-    predictor picks the centering weight sigma; the corrector aims at
-    sigma mu with Mehrotra's second-order term in the NT-scaled space, as
-    SDPT3 computes it (Todd, Toh and Tutuncu, SIAM J. Optim. 8, 769, 1998):
+    the Schur complement, whose two Newton solves share W R_d W; with a
+    fixed ``corner`` that is the reduced complement, beside the r x r
+    Cholesky of its W_11 (``_FixedCorner``).  One ``eigvalsh`` per group
+    reads both step lengths of a direction.  The predictor picks the
+    centering weight sigma; the corrector aims at sigma mu with Mehrotra's
+    second-order term in the NT-scaled space, as SDPT3 computes it (Todd,
+    Toh and Tutuncu, SIAM J. Optim. 8, 769, 1998):
     sigma mu Z^{-1} - X - G L_V^{-1}(dX~ dZ~ + dZ~ dX~) G^dag
     (``_second_order``).  X moves by exactly Hermitian steps, so only Z is
     symmetrized.  A Schur complement or direction that is not finite (an
@@ -794,7 +931,7 @@ def _path_following(objective, layout, b, tol, max_iters):
             ws.append(w), zinvs.append(zinv), gs.append(g), lams.append(lam)
 
         try:
-            solve_schur = _schur_solver(_schur_complement(layout, ws, m))
+            solve_schur = _newton_solver(layout, ws, m, corner)
 
             # predictor: its step chooses the centering weight
             np.negative(point[0], out=rc)
@@ -890,6 +1027,25 @@ def _reduce_constraints(problem: SdpProblem):
     return np.sort(kept), scales
 
 
+def _solve_layout(problem: SdpProblem):
+    """(kept rows in solve order, their scales, the row layout, the fixed
+    corner or None) for ``solve``: the rows ``_reduce_constraints`` keeps,
+    in ``_row_order``, the rows of a fixed corner (``_fixed_corner``) moved
+    last; the corner is eliminated when its block is a group of its own."""
+    kept, scales = _reduce_constraints(problem)
+    kept = _row_order(problem, kept)
+    found, corner = _fixed_corner(problem, kept, scales), None
+    if found is not None:
+        k, r, rows, tiles = found
+        kept = np.concatenate([kept[~np.isin(kept, rows)], rows])
+    layout = _layout(problem, kept, scales[kept])
+    if found is not None:
+        group = next(g for g, blk in enumerate(layout) if k in blk.blocks)
+        if layout[group].b == 1:
+            corner = _FixedCorner(group, problem, kept, scales, k, r, tiles)
+    return kept, scales[kept], layout, corner
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -908,16 +1064,14 @@ def solve(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    kept, scales = _reduce_constraints(problem)
-    kept = _row_order(problem, kept)
-    row_scale = scales[kept]
-    layout = _layout(problem, kept, row_scale)
+    kept, row_scale, layout, corner = _solve_layout(problem)
     stacks, y_kept, _, status, iterations, res = _path_following(
         _gather(layout, problem.objective),
         layout,
         problem.rhs[kept] / row_scale,
         tol,
         max_iters,
+        corner,
     )
     xs = _scatter(layout, stacks)
     y = np.zeros(problem.n_constraints)

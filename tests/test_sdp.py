@@ -1395,6 +1395,182 @@ def test_recovery_schur_complement_matches_dense_contraction(monkeypatch):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def count_cholesky_sides(monkeypatch) -> list:
+    """The side of each matrix ``scipy.linalg.cho_factor`` receives."""
+    sides, original = [], scipy.linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        sides.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+    return sides
+
+
+class TestFixedCorner:
+    """The r^2 orthonormal rows that fix the gadget's rho corner W_11 are
+    eliminated from each Newton system in closed form: dy equals a dense
+    solve of the full Schur system, and the one matrix ``cho_factor``
+    receives per iterate has side m - r^2 where such a corner is found and
+    m where none is."""
+
+    @pytest.mark.parametrize(
+        "fn, rho, r",
+        [
+            (optimal_recovery_fidelity, random_state((2, 3, 3), 7), 18),
+            (optimal_recovery_fidelity, pure_a_product(random_state((2, 2), 7)), 4),
+            (optimal_recovery_fidelity, ghz_state(), 1),
+            (f_max_broadcast, random_state((2, 3), 7), 6),
+        ],
+        ids=["recovery_2x3x3", "recovery_deficient", "recovery_ghz", "f_max_2x3"],
+    )
+    def test_newton_step_matches_the_dense_solve(self, monkeypatch, fn, rho, r):
+        problem = built_problem(monkeypatch, fn, rho)
+        kept, _, layout, corner = sdp._solve_layout(problem)
+        m = len(kept)
+        assert (corner.r, corner.m) == (r, m - r * r)
+        rng = np.random.default_rng(81)
+        ws = sdp._gather(layout, [random_pd(n, rng) for n in problem.blocks])
+        rhs = rng.normal(size=m)
+        want = np.linalg.solve(sdp._schur_complement(layout, ws, m), rhs)
+        got = corner.solver(layout, ws)(rhs)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "fn, rho",
+        [
+            (optimal_recovery_fidelity, random_state((2, 2, 2), 32)),
+            (f_max_broadcast, random_state((2, 2), 31)),
+            (f_eb, random_state((2, 2), 31)),
+            (broadcast.f_eb_detailed, random_state((2, 3), 4)),
+        ],
+        ids=["recovery", "f_max", "f_eb", "measure_prepare"],
+    )
+    def test_the_factored_complement_drops_the_corner(self, monkeypatch, fn, rho):
+        solves, ranks = [], []
+        gadget, original = sdp.fidelity_sdp, sdp.solve
+
+        def noting(builder, target, *args, **kwargs):
+            ranks.append(support_isometry(np.asarray(target, complex)).shape[1])
+            return gadget(builder, target, *args, **kwargs)
+
+        def solving(problem, *args, **kwargs):
+            del sides[:]
+            solution = original(problem, *args, **kwargs)
+            m = len(sdp._reduce_constraints(problem)[0])
+            solves.append((m, ranks[-1], list(sides), solution.iterations))
+            return solution
+
+        sides = count_cholesky_sides(monkeypatch)
+        monkeypatch.setattr(sdp, "fidelity_sdp", noting)
+        monkeypatch.setattr(sdp, "solve", solving)
+        fn(rho)
+        assert len(solves) == (5 if fn is broadcast.f_eb_detailed else 1)
+        for m, r, got, iterations in solves:
+            assert got == [m - r * r] * iterations
+
+    def test_a_row_across_the_corner_keeps_the_full_system(self, monkeypatch):
+        # rows 0, 1, 3 and 6 of hermitian_basis(3) span the 2 x 2 corner of
+        # the side-3 block, but the dense row touches that corner too
+        problem = mixed_rows_problem()
+        assert sdp._solve_layout(problem)[3] is None
+        sides = count_cholesky_sides(monkeypatch)
+        solution = solve(problem)
+        m = len(sdp._reduce_constraints(problem)[0])
+        assert solution.status == "optimal"
+        assert sides == [m] * solution.iterations
+
+    def test_constant_sigma_eliminates_the_rho_corner_only(self, monkeypatch):
+        # both corners are fixed; the leading one goes, the sigma rows stay
+        rng = np.random.default_rng(82)
+        rho, sigma = random_state(3, rng), random_state(3, rng)
+        builder = SdpBuilder()
+        fidelity_sdp(builder, rho.matrix, AffineMatrixExpr(3, sigma.matrix))
+        problem = builder.build()
+        corner = sdp._solve_layout(problem)[3]
+        assert (corner.r, corner.m) == (3, 9)
+        sides = count_cholesky_sides(monkeypatch)
+        solution = solve(problem)
+        assert solution.status == "optimal" and audit(problem, solution)[0]
+        assert sides == [9] * solution.iterations
+        assert abs(solution.primal_value - fidelity(rho, sigma)) < 1e-6
+
+    def test_a_corner_that_fills_its_block_keeps_the_full_system(self, monkeypatch):
+        # r = n would leave nothing of the block: that corner is not eliminated
+        rng = np.random.default_rng(83)
+        rho = random_state(2, rng).matrix
+        builder = SdpBuilder()
+        blk = builder.add_block(2)
+        builder.add_objective(blk, random_hermitian(2, rng))
+        overlaps = np.trace(hermitian_basis(2) @ rho, axis1=1, axis2=2).real
+        builder.add_constraint({blk: sdp._basis_tiles(2)}, overlaps)
+        problem = builder.build()
+        assert sdp._solve_layout(problem)[3] is None
+        sides = count_cholesky_sides(monkeypatch)
+        solution = solve(problem)
+        assert solution.status == "optimal" and audit(problem, solution)[0]
+        assert sides == [4] * solution.iterations
+
+    def test_a_block_that_shares_its_group_keeps_the_full_system(self, monkeypatch):
+        # block 0 has a fixed 2 x 2 corner, but an entry row at (2, 2) of
+        # both side-3 blocks puts them in one group
+        rng = np.random.default_rng(84)
+        rho = random_state(2, rng).matrix
+        builder = SdpBuilder()
+        first, second = builder.add_block(3), builder.add_block(3)
+        overlaps = np.trace(hermitian_basis(2) @ rho, axis1=1, axis2=2).real
+        builder.add_constraint({first: sdp._basis_tiles(2)}, overlaps)
+        at = np.array([2])
+        entry = sdp.Tiles(0 * at, at, at, np.ones((1, 1, 1), dtype=complex))
+        builder.add_constraint({first: entry, second: entry}, 1.0)
+        diagonal = np.arange(3)
+        trace = sdp.Tiles(0 * diagonal, diagonal, diagonal, np.ones((3, 1, 1), complex))
+        builder.add_constraint({second: trace}, 2.0)
+        builder.add_objective(first, -random_pd(3, rng))
+        builder.add_objective(second, -np.eye(3, dtype=complex))
+        problem = builder.build()
+        _, _, layout, corner = sdp._solve_layout(problem)
+        assert [blk.blocks for blk in layout] == [(0, 1)] and corner is None
+        sides = count_cholesky_sides(monkeypatch)
+        solution = solve(problem)
+        assert solution.status == "optimal" and audit(problem, solution)[0]
+        assert sides == [6] * solution.iterations
+
+    def test_a_corner_that_does_not_factor_falls_back_to_the_full_system(
+        self, monkeypatch
+    ):
+        problem = built_problem(
+            monkeypatch, optimal_recovery_fidelity, random_state((2, 2, 2), 32)
+        )
+        want = solve(problem)
+        # zpotrf reports a pivot that is not positive at every iterate
+        monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", lambda a, **kw: (a, 1))
+        sides = count_cholesky_sides(monkeypatch)
+        got = solve(problem)
+        m = len(sdp._reduce_constraints(problem)[0])
+        assert want.status == got.status == "optimal"
+        assert got.iterations == want.iterations
+        assert sides == [m] * got.iterations
+        assert abs(got.primal_value - want.primal_value) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+def test_recovery_stays_certified_at_a_tight_tolerance(monkeypatch, dims):
+    # near its optimum, W_11 is at its worst conditioned
+    problems, original = [], sdp.solve
+
+    def capturing(problem, *args, **kwargs):
+        problems.append(problem)
+        return original(problem, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", capturing)
+    with sdp.recording() as records:
+        optimal_recovery_fidelity(random_state(dims, 7), tol=1e-9)
+    ((_, solution),) = records
+    assert solution.status == "optimal"
+    assert audit(problems[-1], solution, 1e-9)[0]
+
+
 def unbounded_problem():
     """maximize Tr X over X >= 0 with X00 = X11: X = t I is feasible for
     every t, so no optimum exists."""
