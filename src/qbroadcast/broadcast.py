@@ -191,9 +191,21 @@ def _classical_mi_stack(rho4, s_keep: float, v_stack: np.ndarray) -> np.ndarray:
     pairs = rho4.transpose(0, 2, 3, 1).reshape(d_a * d_a, -1)  # [ac, db]
     cond = (elements.reshape(r * k, -1) @ pairs.T).reshape(r, k, d_a, d_a)
     weights = np.einsum("riaa->ri", cond).real
-    spectra = np.linalg.eigvalsh(cond)
     return (s_keep + entropy_of_spectrum(weights)
-            - entropy_of_spectrum(spectra).sum(axis=1))
+            - entropy_of_spectrum(_spectra(cond)).sum(axis=1))
+
+
+def _spectra(cond: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of each PSD matrix of a stack; for 2 x 2
+    matrices [[a, b], [b*, d]] in closed form, l+ = (a + d)/2 +
+    hypot((a - d)/2, |b|) and l- = det / l+, which stays accurate at rank
+    one (0 where l+ is)."""
+    if cond.shape[-1] != 2:
+        return np.linalg.eigvalsh(cond)
+    a, d, b = cond[..., 0, 0].real, cond[..., 1, 1].real, np.abs(cond[..., 0, 1])
+    top = (a + d) / 2 + np.hypot((a - d) / 2, b)
+    low = np.divide(a * d - b * b, top, out=np.zeros_like(top), where=top > 0)
+    return np.stack([low, top], axis=-1)
 
 
 def _ascent_generator(rho4, v: np.ndarray) -> np.ndarray:

@@ -10,27 +10,29 @@ with <A, B> = Re Tr(A B).  Every row is held, block by block, as a short
 sum of tiles (``Tiles``): A_ik = sum_t B_t (x) E_(p_t, q_t) over the
 block's index (input, output), input slow, B_t a d x d tile over the input
 and E_pq a unit over the output; an entry row is the case d = 1, a dense
-row one tile of side d = n.  ``SdpBuilder`` takes each constraint family
-as one row block and keeps the Hermitian part of its rows; it builds every
+row one tile of side d = n.  ``SdpBuilder`` takes each constraint family as
+one row block and keeps the Hermitian part of its rows; it builds every
 problem, one constructed directly from dense stacks too.  A solve reads
 only the tiles; ``audit`` reads the dense view ``SdpProblem.stacks``.
-Dependent rows are dropped by one pivoted Cholesky of the Gram matrix,
-and the kept rows are laid out once per block group (``_layout``), one
-(b, n, n) stack per group, in flat arrays over all groups.  The Schur terms
-are Tr(A_i W A_j W) = sum over t in i, u in j of Tr(B_t W_(q_t, p_u) B_u
-W_(q_u, p_t)), the tile form of the sparse-row formulas of Fujisawa,
-Kojima and Nakata (Math. Program. 79, 235, 1997).  Where r^2 orthonormal
-rows fix the leading r x r corner of a block, as the fidelity gadget fixes
-its rho corner, each Newton system eliminates them in closed form
-(``_FixedCorner``) and factors a complement r^2 rows smaller.  The kept
-rows are solved by primal-dual path following with Nesterov-Todd scaling
-on the Hermitian blocks, as SDPT3 does for complex data (Toh, Todd and
-Tutuncu 1999), with Mehrotra's predictor-corrector in the NT-scaled
-space.  A numerically singular Schur complement is solved on its range;
-only a Schur complement or direction that is not finite ends a solve with
-``breakdown``.  A solve reports the row-scaled residuals, over the kept
-rows, of the point it returns; ``audit`` is the unscaled check.  Instances
-are small (block side <= ~40, <= ~700 rows): dense linear algebra fits.
+Dependent rows are dropped by one pivoted Cholesky of the Gram matrix, and
+the kept rows are laid out once per block group (``_layout``), one (b, n,
+n) stack per group, in flat arrays over all groups.  The Schur terms are
+Tr(A_i W A_j W) = sum over t in i, u in j of Tr(B_t W_(q_t, p_u) B_u
+W_(q_u, p_t)), the tile form of the sparse-row formulas of Fujisawa, Kojima
+and Nakata (Math. Program. 79, 235, 1997).  The builder declares the r^2
+rows that fix the leading r x r corner of a block
+(``SdpBuilder.fix_corner``), as the fidelity gadget fixes its rho corner:
+the Gram factorization leaves them out, and each Newton system eliminates
+them in closed form (``_FixedCorner``), factoring a complement r^2 rows
+smaller.  The kept rows are solved by primal-dual path following with
+Nesterov-Todd scaling on the Hermitian blocks, as SDPT3 does for complex
+data (Toh, Todd and Tutuncu 1999), with Mehrotra's predictor-corrector in
+the NT-scaled space.  A numerically singular Schur complement is solved on
+its range; only a Schur complement or direction that is not finite ends a
+solve with ``breakdown``.  A solve reports the row-scaled residuals, over
+the kept rows, of the point it returns; ``audit`` is the unscaled check, of
+the dual slack too.  Instances are small (block side <= ~40, <= ~700 rows):
+dense linear algebra fits.
 
 The fidelity gadget keeps a full support in the natural basis and writes
 each coupling row down from its sigma term (``ChoiTerm``) as tiles of the
@@ -48,7 +50,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -184,7 +186,8 @@ class SdpProblem:
     (m, n_k, n_k) ``stacks``, it goes through an ``SdpBuilder`` as one row
     block, so it is validated and held as tiles as a built problem is.
     ``stacks[k][i]``, the coefficient of block k in row i, is a view of the
-    tiles expanded when first read."""
+    tiles expanded when first read.  ``corner``, (block, r, first row) or
+    None, is the corner that ``SdpBuilder.fix_corner`` declared."""
 
     def __init__(self, blocks, objective, stacks, rhs):
         if not len(blocks) == len(objective) == len(stacks):
@@ -196,11 +199,11 @@ class SdpProblem:
         vars(self).update(vars(builder.build()))
 
     @classmethod
-    def _from_validated(cls, blocks, objective, tiles, rhs) -> SdpProblem:
+    def _from_validated(cls, blocks, objective, tiles, rhs, corner=None) -> SdpProblem:
         """A problem of tiles already validated, without checking them again."""
         problem = object.__new__(cls)
         problem.blocks, problem.objective = blocks, objective
-        problem.tiles, problem.rhs = tiles, rhs
+        problem.tiles, problem.rhs, problem.corner = tiles, rhs, corner
         return problem
 
     @cached_property
@@ -246,6 +249,7 @@ class SdpBuilder:
         self._blocks: list[int] = []
         self._objective: list[np.ndarray] = []
         self._row_blocks: list = []  # of (Tiles by block, rhs)
+        self._corner = None  # the first fixed corner, (block, r, first row)
 
     def add_block(self, side: int) -> int:
         self._blocks.append(int(side))
@@ -295,6 +299,14 @@ class SdpBuilder:
             )
         self._row_blocks.append((rows, rhs.reshape(-1)))
 
+    def fix_corner(self, block: int, target: np.ndarray):
+        """Add one row per element of ``hermitian_basis(r)`` that fixes the
+        leading r x r corner of the block to the Hermitian ``target``; the
+        first such corner is declared, for ``solve`` to eliminate."""
+        first, r = sum(len(b) for _, b in self._row_blocks), len(target)
+        self.add_constraint({block: _basis_tiles(r)}, _basis_overlaps(target).real)
+        self._corner = self._corner or (block, r, first)
+
     def build(self) -> SdpProblem:
         rhs = np.concatenate([np.zeros(0)] + [b for _, b in self._row_blocks])
         starts = np.cumsum([0] + [len(b) for _, b in self._row_blocks])
@@ -308,7 +320,7 @@ class SdpBuilder:
             for k, (n, c) in enumerate(zip(self._blocks, self._objective))
         )
         return SdpProblem._from_validated(
-            tuple(self._blocks), objective, tuple(tiles), rhs
+            tuple(self._blocks), objective, tuple(tiles), rhs, self._corner
         )
 
 
@@ -324,15 +336,20 @@ def _check_block(a: np.ndarray, shape: tuple, what: str, block: int):
 # hermitian operator basis
 
 
+@cache
 def _basis_tiles(n: int, at: int = 0) -> Tiles:
     """``hermitian_basis(n)`` as entry tiles (d = 1) of a block, placed at
-    rows and columns at..at+n-1."""
+    rows and columns at..at+n-1.  Built once per (n, at) and read-only,
+    since every program with that corner shares it."""
     i, j = np.triu_indices(n, 1)
     t, diag, h = n + 2 * np.arange(len(i)), np.arange(n), 1.0 / np.sqrt(2)
     v = np.repeat([1, h, h, -1j * h, 1j * h], [n] + 4 * [len(i)])
-    return Tiles(np.concatenate([diag, t, t, t + 1, t + 1]),
-                 at + np.concatenate([diag, i, j, i, j]),
-                 at + np.concatenate([diag, j, i, j, i]), v[:, None, None])
+    tiles = Tiles(np.concatenate([diag, t, t, t + 1, t + 1]),
+                  at + np.concatenate([diag, i, j, i, j]),
+                  at + np.concatenate([diag, j, i, j, i]), v[:, None, None])
+    for a in (tiles.row, tiles.p, tiles.q, tiles.b):
+        a.flags.writeable = False
+    return tiles
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -550,22 +567,27 @@ class _BlockRows:
         out = np.bincount(self.writes, y[self.write_rows] * self.write_v, 2 * b * n * n)
         return out.view(complex).reshape(b, n, n)
 
-    def add_schur(self, schur: np.ndarray, w: np.ndarray):
+    def add_schur(self, schur: np.ndarray, w: np.ndarray, r=None):
         """Add sum_k Re Tr(A_ik W_k A_jk W_k) for each pair of touching rows
         into their entry of ``schur``, in place, from the stack of the W_k:
-        entry rows the terms of row i to row i, wider tiles to column i."""
-        b, n, d = self.b, self.n, self.d
+        entry rows the terms of row i to row i, wider tiles to column i.
+        Given a second stack ``r``, add sum_k Re Tr(A_ik W_k A_jk R_k) + Re
+        Tr(A_ik R_k A_jk W_k) instead: the rows read W A_i R + R A_i W."""
+        b, n, d, r = self.b, self.n, self.d, w if r is None else r
         read_slots, by_position, classes = self._schur_plan
         for at, mats, waw, work in classes:
             if d == n:
                 b_side, half = mats
                 np.matmul(w, b_side, out=half)
-                np.matmul(half.reshape(b, -1, n), w, out=waw.reshape(b, -1, n))
+                np.matmul(half.reshape(b, -1, n), r, out=waw.reshape(b, -1, n))
             else:
                 left, factor, right, half = mats
                 product = np.multiply if d == 1 else np.matmul
                 product(w.reshape(-1).take(left), factor, out=half)
-                np.matmul(half, w.reshape(-1).take(right), out=waw)
+                np.matmul(half, r.reshape(-1).take(right), out=waw)
+            if r is not w:  # dense rows lay the products out [b, x, i, y]
+                v = waw.reshape(b, n, -1, n).swapaxes(1, 2) if d == n else waw
+                v += dag(v)
             if d == 1:
                 flat = waw.reshape(b, -1, n * n)
                 (_, cols, v), *more = read_slots
@@ -707,109 +729,68 @@ def _schur_solver(schur: np.ndarray):
     return on_range
 
 
-def _fixed_corner(problem: SdpProblem, kept: np.ndarray, scales: np.ndarray):
-    """(block k, side r, rows, tiles) for the first block whose leading r x r
-    corner, r < n, the ``kept`` rows fix as the fidelity gadget fixes its
-    rho corner, else None: r^2 ``rows`` (in ``kept`` order) that touch
-    block k alone, all their tiles entries of the corner, their scaled
-    coefficient matrices E_c orthonormal to roundoff (``tiles``, of rows
-    0..r^2 - 1 of a side-r block), and no other kept row with a tile in the
-    corner or in [0, r) x [r, n).  So the rows fix W_11 on a basis of the
-    r x r Hermitian matrices, and the rest of block k lies in its [r, n)
-    corner."""
-    m = problem.n_constraints
-    live = np.zeros(m, dtype=bool)
-    live[kept] = True
-    touched = sum(np.bincount(np.unique(t.row), minlength=m) for t in problem.tiles)
-    for k, (n, t) in enumerate(zip(problem.blocks, problem.tiles)):
-        if t.d != 1:
-            continue
-        on = live[t.row]
-        low, high = np.full(m, n), np.full(m, -1)
-        np.minimum.at(low, t.row[on], np.minimum(t.p, t.q)[on])
-        np.maximum.at(high, t.row[on], np.maximum(t.p, t.q)[on])
-        rows = kept[high[kept] >= 0]  # the kept rows on block k, in order
-        sides = np.arange(1, n)
-        for r in map(int, sides[np.sort(high[rows]).searchsorted(sides) == sides ** 2]):
-            inside = high[rows] < r
-            corner = rows[inside]
-            if (low[rows[~inside]] < r).any() or (touched[corner] > 1).any():
-                continue
-            at = np.full(m, -1)
-            at[corner] = np.arange(r * r)
-            mine = (at[t.row] >= 0).nonzero()[0]
-            mine = mine[at[t.row[mine]].argsort(kind="stable")]
-            tiles = Tiles(at[t.row[mine]], t.p[mine], t.q[mine],
-                          t.b[mine] / scales[t.row[mine], None, None])
-            alone = SdpProblem._from_validated((r,), None, (tiles,), np.zeros(r * r))
-            if max_abs(_gram(alone) - np.eye(r * r)) <= 1e-12:
-                return k, r, corner, tiles
-    return None
-
-
 class _FixedCorner:
     """The Newton system with the r^2 rows C that fix the leading corner
-    W_11 of one block (``_fixed_corner``) eliminated in closed form.  The
-    rows come last in the layout, after the m' others R, and the block is
-    a group of its own (``group``).  On the orthonormal E_c the Schur block
-    S_CC is the congruence Y -> W_11 Y W_11, so with H(h) = sum_c h_c E_c
-    and coords(V) = (Re Tr(E_c V))_c, the adjoint and the map of the
-    corner rows alone (``fixed``),
+    W_11 of one block (``SdpBuilder.fix_corner``: ``hermitian_basis(r)``
+    over the row scales) eliminated in closed form.  They come last in the
+    layout, after the m' others R, and the block is a group of its own
+    (``group``).  S_CC is the congruence Y -> W_11 Y W_11, so with H(h) =
+    sum_c h_c E_c and coords(V) = (Re Tr(E_c V))_c, each one gather,
 
-        dy_C = coords(W_11^-1 (H(h_C) - (W A_R^*(dy_R) W)_11) W_11^-1),
+        dy_C = coords(W_11^-1 (H(h_C) - W_1J A_R^*(dy_R) W_J1) W_11^-1),
 
     and, since the rows R reach the block only in its [r, n) corner J, the
-    reduced complement S_RR - S_RC S_CC^-1 S_CR takes from the block
-    Re Tr(A_i W_JJ A_j W_JJ) - Re Tr(A_i M A_j M), M = W_J1 W_11^-1 W_1J:
-    the Schur terms of the side-(n - r) group ``rest`` (the rows R on J,
-    twice) at the stack [W_JJ; i M], as Re Tr(A (iM) A (iM)) = -Re Tr(A M
-    A M)."""
+    reduced complement S_RR - S_RC S_CC^-1 S_CR takes from the block Re
+    Tr(A_i W_JJ A_j W_JJ) - Re Tr(A_i M A_j M), M = W_J1 W_11^-1 W_1J: by
+    trace cyclicity Re Tr(A_i L A_j R), L = W_JJ - M, R = W_JJ + M, one
+    Schur term of the side-(n - r) group ``rest`` (the rows R on J)."""
 
-    def __init__(self, group, problem, kept, scales, k, r, tiles):
+    def __init__(self, group, problem, kept, scales, k, r):
         self.group, self.r, self.m = group, r, len(kept) - r * r
-        self.fixed = _BlockRows((k,), r, tiles.row, tiles.p, tiles.q, tiles.b[:, None])
-        n, t = problem.blocks[k], problem.tiles[k]
-        position = np.full(problem.n_constraints, self.m)
-        position[kept[:self.m]] = np.arange(self.m)
-        on = (position[t.row] < self.m).nonzero()[0]
-        on = on[position[t.row[on]].argsort(kind="stable")]
-        rows = position[t.row[on]]
-        values = (t.b[on] / scales[kept[rows], None, None])[:, None].repeat(2, 1)
-        self.rest = _BlockRows((k, k), n - r, rows, t.p[on] - r, t.q[on] - r, values)
+        t, others = problem.tiles[k], kept[:self.m]
+        on_j = SdpProblem._from_validated(  # the rows R on J
+            (problem.blocks[k] - r,), None, (Tiles(t.row, t.p - r, t.q - r, t.b),),
+            problem.rhs)
+        (self.rest,) = _layout(on_j, others, scales[others])
+        # H(h) and coords(V) on r x r matrices viewed as floats: each float
+        # is the real or imaginary part of one basis tile, coords read p <= q
+        e, scale = _basis_tiles(r), scales[kept[self.m:]]
+        v = e.b[:, 0, 0] / scale[e.row]
+        slot, part = 2 * (e.p * r + e.q) + (v.imag != 0), v.real + v.imag
+        self.writes, self.write_v = np.full(2 * r * r, self.m), np.zeros(2 * r * r)
+        self.writes[slot], self.write_v[slot] = self.m + e.row, part
+        up = (e.p <= e.q).nonzero()[0]
+        up = up[e.row[up].argsort()]  # one tile of each row
+        self.reads, self.read_v = slot[up], np.where(e.p < e.q, 2.0, 1.0)[up] * part[up]
 
     def solver(self, layout, ws):
         """rhs -> dy with S dy = rhs, S the full Schur complement at the NT
         points ``ws``, from one Cholesky of W_11 (``zpotrf``) and one of the
-        reduced complement; LinAlgError if W_11 is not numerically
-        definite."""
-        r, m, rest, fixed = self.r, self.m, self.rest, self.fixed
-        w = ws[self.group][0]
+        reduced complement; LinAlgError if W_11 is not numerically definite."""
+        r, m, rest, w = self.r, self.m, self.rest, ws[self.group][0]
         chol, info = scipy.linalg.lapack.zpotrf(w[:r, :r], lower=1, clean=1)
         if info:
             raise np.linalg.LinAlgError("W_11 is not positive definite")
-        inv = scipy.linalg.lapack.ztrtri(chol, lower=1)[0]  # W_11^-1 = inv^dag inv
-        inv_dag, half = dag(inv), inv @ w[:r, r:]
-        pair = np.empty((2, len(w) - r, len(w) - r), dtype=complex)  # [W_JJ; i M]
-        pair[0] = w[r:, r:]
-        np.matmul(dag(half), 1j * half, out=pair[1])
+        outer = scipy.linalg.lapack.zpotrs(  # W_11^-1 [I, W_1J]
+            chol, np.concatenate([np.eye(r), w[:r, r:]], axis=1), lower=1)[0]
+        inner, w1j, w_jj = dag(outer), outer[:, r:], w[None, r:, r:]
+        wj1, mm = inner[r:], w[r:, :r] @ w1j  # W_J1 W_11^-1, M
         schur = np.zeros((m, m))
         for blk, wk in zip(layout, ws):
             if blk is not layout[self.group]:
                 blk.add_schur(schur, wk)
-        rest.add_schur(schur, pair)
+        rest.add_schur(schur, (w_jj - mm) / 2, w_jj + mm)  # at L / 2 and R
         solve_rest = _schur_solver(schur)
-        w11_inv, right = inv_dag @ inv, inv_dag @ half  # W_11^-1 W_1J
-        left = dag(right)
-        pair[1] = 0  # rest reads [W_J1 v W_1J; 0]
 
         def solve(rhs):
-            v = w11_inv @ fixed.adjoint(rhs[m:])[0] @ w11_inv
-            np.matmul(w[r:, :r] @ v, w[:r, r:], out=pair[0])
+            hc = (rhs.take(self.writes) * self.write_v).view(complex).reshape(r, r)
+            both = inner @ hc @ outer  # W_11^-1 H W_11^-1, W_J1 W_11^-1 H W_11^-1 W_1J
             h = rhs[:m].copy()
-            h[rest.at] -= rest.apply(pair)
+            h[rest.at] -= rest.apply(both[None, r:, r:])
             dy = solve_rest(h)
-            v -= right @ rest.adjoint(dy[rest.at])[0] @ left
-            return np.concatenate([dy, fixed.apply(v[None])])
+            v = both[:r, :r] - w1j @ rest.adjoint(dy[rest.at])[0] @ wj1
+            coords = v.reshape(-1).view(float).take(self.reads) * self.read_v
+            return np.concatenate([dy, coords])
 
         return solve
 
@@ -992,6 +973,21 @@ def _gram(problem: SdpProblem) -> np.ndarray:
     return gram.reshape(m, m)
 
 
+def _declared_corner(problem: SdpProblem, rows: np.ndarray):
+    """(block k, side r, its r^2 rows) of the declared corner if r < n,
+    ``rows`` hold its rows and no other of them has a tile in [0, r) x [0,
+    n) of block k, else None: then its rows meet none of the others."""
+    if problem.corner is None:
+        return None
+    k, r, first = problem.corner
+    t, own = problem.tiles[k], np.arange(first, first + r * r)
+    live = np.bincount(rows, minlength=problem.n_constraints) > 0
+    reach = live[t.row] & (np.minimum(t.p, t.q) < r) & ~np.isin(t.row, own)
+    if r < problem.blocks[k] and live[own].all() and not reach.any():
+        return k, r, own
+    return None
+
+
 def _reduce_constraints(problem: SdpProblem):
     """Normalize rows, drop dependent ones, verify consistency, on the Gram
     matrix G of the rows (``_gram``).  The row scales are sqrt(diag G); a
@@ -999,20 +995,26 @@ def _reduce_constraints(problem: SdpProblem):
     dropped with implied rhs 0.  One pivoted Cholesky of the normalized G
     (unit diagonal set exactly, so ties keep the earlier row) stops at the
     first pivot below 1e-12, which resolves independence to about 1e-6
-    relative; exact linear combinations leave pivots near 1e-15.  With the
-    factor split into L_11 (kept rows) and L_21 (dropped rows), each dropped
-    row must have the normalized rhs L_21 L_11^{-1} b_kept.  Returns (kept
-    indices, row scales); raises ValueError on a structurally inconsistent
-    system, a dropped row whose normalized rhs is off by more than 1e-8."""
+    relative; exact linear combinations leave pivots near 1e-15.  The rows
+    of a declared corner (``_declared_corner``) are orthonormal and meet no
+    other row: they are kept, and only the other rows' G is factored.  With
+    the factor split into L_11 (kept rows) and L_21 (dropped rows), each
+    dropped row must have the normalized rhs L_21 L_11^{-1} b_kept.
+    Returns (kept indices, row scales); raises ValueError on a structurally
+    inconsistent system, a dropped row whose normalized rhs is off by more
+    than 1e-8."""
     gram = _gram(problem)
     scales = np.sqrt(np.diagonal(gram))
     nonzero = scales >= 1e-14
     scales[~nonzero] = 1.0
-    nb = problem.rhs / scales
-    normed = gram / np.outer(scales, scales)
-    np.fill_diagonal(normed, nonzero)
+    nb, every = problem.rhs / scales, np.arange(problem.n_constraints)
+    corner = _declared_corner(problem, every)
+    own = every[:0] if corner is None else corner[2]
+    free = np.delete(every, own)
+    normed = gram[np.ix_(free, free)] / np.outer(scales[free], scales[free])
+    np.fill_diagonal(normed, nonzero[free])
     factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(normed, tol=1e-12, lower=1)
-    piv = piv - 1
+    piv = free[piv - 1]
     kept, dropped = piv[:rank], piv[rank:]
     if dropped.size:
         coeff = scipy.linalg.solve_triangular(
@@ -1024,25 +1026,25 @@ def _reduce_constraints(problem: SdpProblem):
                 f"structurally inconsistent input: dependent constraints "
                 f"disagree by {worst:.3e}"
             )
-    return np.sort(kept), scales
+    return np.sort(np.concatenate([kept, own])), scales
 
 
 def _solve_layout(problem: SdpProblem):
     """(kept rows in solve order, their scales, the row layout, the fixed
     corner or None) for ``solve``: the rows ``_reduce_constraints`` keeps,
-    in ``_row_order``, the rows of a fixed corner (``_fixed_corner``) moved
-    last; the corner is eliminated when its block is a group of its own."""
+    in ``_row_order``, those of a declared corner (``_declared_corner``)
+    moved last; it is eliminated when its block is a group of its own."""
     kept, scales = _reduce_constraints(problem)
     kept = _row_order(problem, kept)
-    found, corner = _fixed_corner(problem, kept, scales), None
-    if found is not None:
-        k, r, rows, tiles = found
+    corner = _declared_corner(problem, kept)
+    if corner is not None:
+        k, r, rows = corner
         kept = np.concatenate([kept[~np.isin(kept, rows)], rows])
     layout = _layout(problem, kept, scales[kept])
-    if found is not None:
+    if corner is not None:
         group = next(g for g, blk in enumerate(layout) if k in blk.blocks)
-        if layout[group].b == 1:
-            corner = _FixedCorner(group, problem, kept, scales, k, r, tiles)
+        corner = (_FixedCorner(group, problem, kept, scales, k, r)
+                  if layout[group].b == 1 else None)
     return kept, scales[kept], layout, corner
 
 
@@ -1107,8 +1109,9 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     """Independent feasibility check of a reported solution.
 
     Recomputes constraint violations (a contraction of the dense view
-    ``problem.stacks``) and block eigenvalues from scratch; returns (ok,
-    details dict).  Deliberately shares no code with the solver.
+    ``problem.stacks``), block eigenvalues and the least eigenvalue of the
+    dual slack A^*(y) - C from scratch; returns (ok, details dict).
+    Deliberately shares no code with the solver.
     """
     details = {}
     worst_eig = 0.0
@@ -1116,9 +1119,13 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
         lo = float(np.linalg.eigvalsh(hermitian_part(x))[0])
         worst_eig = min(worst_eig, lo)
     details["min_block_eigenvalue"] = worst_eig
+    slack = [np.linalg.eigvalsh(hermitian_part(
+        np.tensordot(solution.dual_vector, a, axes=1) - c))[0]
+        for a, c in zip(problem.stacks, problem.objective)]
+    details["min_dual_slack_eigenvalue"] = float(min(slack, default=0.0))
     got = np.zeros(problem.n_constraints)
     for a, x in zip(problem.stacks, solution.primal_blocks):
-        got += np.einsum("mij,ji->m", a, x).real
+        got += np.tensordot(a, x.T, axes=2).real
     worst_con = float(np.abs(got - problem.rhs).max(initial=0.0))
     details["max_constraint_violation"] = worst_con
     pval = float(
@@ -1132,6 +1139,7 @@ def audit(problem: SdpProblem, solution: SdpSolution, tol: float = DEFAULT_TOL):
     scale = 1 + abs(pval) + abs(solution.dual_value)
     ok = (
         worst_eig > -1e-6
+        and details["min_dual_slack_eigenvalue"] > -1e-6
         and worst_con < 100 * tol
         and details["gap_vs_dual"] / scale < 100 * tol
     )
@@ -1202,9 +1210,7 @@ def fidelity_sdp(
     c_w = np.zeros((r + s, r + s), dtype=complex)
     c_w[:r, r:], c_w[r:, :r] = c12, dag(c12)
     builder.add_objective(w_blk, c_w)
-    builder.add_constraint(
-        {w_blk: _basis_tiles(r)}, _basis_overlaps(_compress(rho, v1, v1)).real
-    )
+    builder.fix_corner(w_blk, _compress(rho, v1, v1))
 
     corner = _basis_tiles(s, at=r)
     units = (corner.row, corner.p - r, corner.q - r, corner.b[:, 0, 0])

@@ -107,6 +107,41 @@ class TestObjective:
         assert abs(direct - fast) < 1e-10
 
 
+def psd_stack(rng, count, rank):
+    """``count`` random 2 x 2 PSD matrices of the given rank."""
+    g = rng.normal(size=(count, 2, rank)) + 1j * rng.normal(size=(count, 2, rank))
+    return g @ g.conj().swapaxes(1, 2)
+
+
+class TestQubitSpectra:
+    """The closed-form 2 x 2 spectra of the discord score agree with
+    ``eigvalsh`` to 1e-14 of the largest eigenvalue, ascending."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: psd_stack(rng, 500, 2),
+            lambda rng: psd_stack(rng, 500, 1),
+            lambda rng: psd_stack(rng, 500, 1) + 1e-9 * np.eye(2),
+            lambda rng: 1e-12 * psd_stack(rng, 500, 2),
+            lambda rng: 1e6 * psd_stack(rng, 500, 1),
+            lambda rng: np.zeros((5, 2, 2), dtype=complex),
+        ],
+        ids=["random", "rank_one", "near_rank_one", "tiny", "large", "zero"],
+    )
+    def test_matches_eigvalsh(self, make):
+        stack = make(np.random.default_rng(90)).reshape(-1, 5, 2, 2)
+        got, want = broadcast_module._spectra(stack), np.linalg.eigvalsh(stack)
+        assert got.shape == want.shape
+        top = np.abs(want).max(axis=-1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-14 * top).all()
+
+    def test_wider_matrices_keep_eigvalsh(self):
+        stack = np.random.default_rng(91).normal(size=(4, 3, 3))
+        stack = stack + stack.swapaxes(1, 2)
+        assert np.array_equal(broadcast_module._spectra(stack), np.linalg.eigvalsh(stack))
+
+
 class TestDiscord:
     def test_product_state_zero(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,7 @@
 """Solver checks against closed-form optima and an independent audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -1552,6 +1554,171 @@ class TestFixedCorner:
         assert got.iterations == want.iterations
         assert sides == [m] * got.iterations
         assert abs(got.primal_value - want.primal_value) < 1e-9
+
+
+def constant_sigma_program(seed):
+    """F(rho, sigma) for random qutrit states, sigma fixed: the builder, the
+    fidelity block and rho."""
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_state(3, rng), random_state(3, rng)
+    builder = SdpBuilder()
+    blk = fidelity_sdp(builder, rho.matrix, AffineMatrixExpr(3, sigma.matrix))
+    return builder, blk, rho.matrix
+
+
+def corner_and_band_row(blk, rho, shift=0.0):
+    """W_00 + Re W_03 = rho_00 + ``shift``: a row with a tile in the rho
+    corner and two in [0, 3) x [3, 6) of the side-6 fidelity block."""
+    tiles = sdp.Tiles(np.zeros(3, dtype=int), np.array([0, 0, 3]), np.array([0, 3, 0]),
+                      np.array([1.0, 0.5, 0.5], dtype=complex)[:, None, None])
+    return {blk: tiles}, rho[0, 0].real + shift
+
+
+class TestDeclaredCorner:
+    """``fidelity_sdp`` declares its rho corner on the builder
+    (``SdpBuilder.fix_corner``); ``_reduce_constraints`` keeps its rows
+    without factoring them, and ``_solve_layout`` eliminates it only while
+    no other kept row reaches [0, r) x [0, n) of its block."""
+
+    def test_the_gadget_declares_its_rho_corner(self):
+        builder, blk, _ = constant_sigma_program(85)
+        problem = builder.build()
+        assert problem.corner == (blk, 3, 0)
+        assert SdpProblem([2], [np.eye(2)], [np.eye(2)[None]], [1.0]).corner is None
+
+    @pytest.mark.parametrize(
+        "fn, rho",
+        [
+            (f_max_broadcast, random_state((2, 3), 7)),
+            (f_eb, random_state((2, 2), 31)),
+            (optimal_recovery_fidelity, random_state((2, 3, 2), 7)),
+        ],
+        ids=["f_max", "f_eb", "recovery"],
+    )
+    def test_reduction_matches_the_full_factorization(self, monkeypatch, fn, rho):
+        problem = built_problem(monkeypatch, fn, rho)
+        kept, scales = sdp._reduce_constraints(problem)
+        assert problem.corner is not None
+        problem.corner = None  # the same rows, nothing declared
+        want_kept, want_scales = sdp._reduce_constraints(problem)
+        assert np.array_equal(kept, want_kept)
+        assert np.array_equal(scales, want_scales)
+
+    def test_a_row_into_the_corner_keeps_the_full_system(self, monkeypatch):
+        builder, blk, rho = constant_sigma_program(86)
+        builder.add_constraint(*corner_and_band_row(blk, rho))
+        problem = builder.build()
+        assert problem.corner is not None
+        assert sdp._solve_layout(problem)[3] is None
+        m = len(sdp._reduce_constraints(problem)[0])
+        assert m == problem.n_constraints
+        sides = count_cholesky_sides(monkeypatch)
+        solution = solve(problem)
+        assert solution.status == "optimal" and audit(problem, solution)[0]
+        assert sides == [m] * solution.iterations
+
+    def test_a_dependent_row_into_the_corner_is_dropped(self):
+        # W_00 = rho_00 again: dropped with a zero dual, and the corner,
+        # which no kept row reaches, is eliminated
+        builder, blk, rho = constant_sigma_program(87)
+        at = np.array([0])
+        entry = sdp.Tiles(at, at, at, np.ones((1, 1, 1), dtype=complex))
+        builder.add_constraint({blk: entry}, rho[0, 0].real)
+        problem = builder.build()
+        kept = sdp._reduce_constraints(problem)[0]
+        assert problem.n_constraints - 1 not in kept
+        assert sdp._solve_layout(problem)[3].r == 3
+        solution = solve(problem)
+        assert solution.status == "optimal" and audit(problem, solution)[0]
+        assert solution.dual_vector[-1] == 0.0
+
+    def test_an_inconsistent_row_into_the_corner_raises(self):
+        builder, blk, rho = constant_sigma_program(88)
+        at = np.array([0])
+        entry = sdp.Tiles(at, at, at, np.ones((1, 1, 1), dtype=complex))
+        builder.add_constraint({blk: entry}, rho[0, 0].real + 0.1)
+        with pytest.raises(ValueError, match="structurally inconsistent"):
+            solve(builder.build())
+
+    @pytest.mark.parametrize("fn", [f_max_broadcast, f_eb], ids=["f_max", "ppt"])
+    def test_newton_step_matches_the_dense_solve_at_r_4(self, monkeypatch, fn):
+        problem = built_problem(monkeypatch, fn, random_state((2, 2), 7))
+        kept, _, layout, corner = sdp._solve_layout(problem)
+        m = len(kept)
+        assert (corner.r, corner.m) == (4, m - 16)
+        rng = np.random.default_rng(89)
+        for _ in range(3):
+            ws = sdp._gather(layout, [random_pd(n, rng) for n in problem.blocks])
+            rhs = rng.normal(size=m)
+            want = np.linalg.solve(sdp._schur_complement(layout, ws, m), rhs)
+            got = corner.solver(layout, ws)(rhs)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("fn", [f_max_broadcast, f_eb], ids=["f_max", "f_eb"])
+    def test_two_qubit_programs_stay_certified_at_a_tight_tolerance(
+        self, monkeypatch, fn
+    ):
+        problems, original = [], sdp.solve
+
+        def capturing(problem, *args, **kwargs):
+            problems.append(problem)
+            return original(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sdp, "solve", capturing)
+        with sdp.recording() as records:
+            fn(random_state((2, 2), 7), tol=1e-9)
+        ((_, solution),) = records
+        assert solution.status == "optimal"
+        assert audit(problems[-1], solution, 1e-9)[0]
+
+
+class TestBasisTilesCache:
+    @pytest.mark.parametrize("n, at", [(1, 0), (3, 0), (4, 2)])
+    def test_cached_tiles_are_read_only_and_equal_a_fresh_build(self, n, at):
+        cached, fresh = sdp._basis_tiles(n, at), sdp._basis_tiles.__wrapped__(n, at)
+        assert sdp._basis_tiles(n, at) is cached
+        for name in ("row", "p", "q", "b"):
+            got, want = getattr(cached, name), getattr(fresh, name)
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+
+    def test_hermitian_basis_stays_a_fresh_writable_array(self):
+        first, second = hermitian_basis(3), hermitian_basis(3)
+        assert first is not second and first.flags.writeable
+        first[0] = 0
+        assert np.array_equal(second, hermitian_basis(3))
+
+
+class TestDualSlackAudit:
+    """``audit`` checks the dual slack Z = A^*(y) - C as well: a y that
+    leaves Z indefinite fails it, and the figure names the dual slack."""
+
+    def test_an_indefinite_dual_slack_fails_the_audit(self):
+        problem = trace_constrained(np.diag([1.0, -1.0]).astype(complex))
+        solution = solve(problem)
+        ok, details = audit(problem, solution)
+        assert ok and abs(details["min_dual_slack_eigenvalue"]) < 1e-6
+        for shift in (1e-7, 1e-5, 1e-3):
+            # y I - C with y below lambda_max(C) = 1 is indefinite
+            moved = dataclasses.replace(solution, dual_vector=solution.dual_vector - shift)
+            ok, details = audit(problem, moved)
+            assert details["min_block_eigenvalue"] > -1e-6
+            assert details["max_constraint_violation"] < 1e-6
+            assert ok == (shift < 1e-6)
+            assert details["min_dual_slack_eigenvalue"] == pytest.approx(-shift, abs=1e-7)
+
+    def test_a_certified_fidelity_names_the_dual_slack(self, monkeypatch):
+        original = sdp.solve
+
+        def no_dual(problem, *args, **kwargs):
+            solution = original(problem, *args, **kwargs)
+            return dataclasses.replace(solution, dual_vector=0 * solution.dual_vector)
+
+        monkeypatch.setattr(sdp, "solve", no_dual)
+        # Z = -C, and the fidelity objective's off-diagonal halves have
+        # eigenvalues -1/2 and 1/2
+        with pytest.raises(RuntimeError, match="min_dual_slack_eigenvalue -5.0e-01"):
+            f_max_broadcast(random_state((2, 2), 7))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
